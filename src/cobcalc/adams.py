@@ -19,17 +19,6 @@ from .valuation import _require_odd_prime
 
 
 @dataclass(frozen=True)
-class MilnorExponent:
-    """Finitely supported exponent sequence (r1, r2, ...); the i-th slot
-    carries weight ell**i - 1."""
-
-    exponents: tuple[int, ...]
-
-    def weight(self, ell: int) -> int:
-        return sum(r * (ell ** (i + 1) - 1) for i, r in enumerate(self.exponents))
-
-
-@dataclass(frozen=True)
 class TriDegree:
     """Filtration s, cohomological degree t, weight u; the spot holds the
     bidegree-(t - s, u) component of the filtration-s layer."""
@@ -43,13 +32,14 @@ class TriDegree:
         return (self.t - self.s, self.u)
 
 
-def _basis_weights(q: int, ell: int) -> list[int]:
-    weights = []
-    w = ell - 1
-    while w <= q:
-        weights.append(w)
-        w = (w + 1) * ell - 1
-    return weights
+def _exceptional_degrees(ell: int, bound: int) -> list[int]:
+    """The degrees ell**r - 1 <= bound for r >= 1, increasing."""
+    degrees = []
+    power = ell
+    while power - 1 <= bound:
+        degrees.append(power - 1)
+        power *= ell
+    return degrees
 
 
 def milnor_count(q: int, ell: int) -> int:
@@ -60,7 +50,7 @@ def milnor_count(q: int, ell: int) -> int:
         raise ValueError("weight must be nonnegative")
     dp = [0] * (q + 1)
     dp[0] = 1
-    for w in _basis_weights(q, ell):
+    for w in _exceptional_degrees(ell, q):
         for v in range(w, q + 1):
             dp[v] += dp[v - w]
     return dp[q]
@@ -96,14 +86,11 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
     rows = []
+    non_ladic = []  # non_ladic[i]: even non-l-adic partitions of weight 2i
     for w in range(0, max_weight + 1, 2):
-        lhs = len(enumerate_partitions(w, "even"))
-        rhs = 0
-        for v in range(0, w + 1, 2):
-            rhs += len(enumerate_partitions(v, "even-non-ladic", ell)) * milnor_count(
-                w - v, ell
-            )
-        rows.append(DecompositionRow(w, lhs, rhs))
+        non_ladic.append(len(enumerate_partitions(w, "even-non-ladic", ell)))
+        rhs = sum(n * milnor_count(w - 2 * i, ell) for i, n in enumerate(non_ladic))
+        rows.append(DecompositionRow(w, len(enumerate_partitions(w, "even")), rhs))
     return DecompositionReport(ell, tuple(rows))
 
 
@@ -131,14 +118,9 @@ def _generator_degrees(ell: int, max_degree: int) -> list[int]:
     """Positive even generator degrees up to max_degree: 2k for every
     2k != ell**i - 1, and ell**r - 1 for r >= 1.  Jointly these tile the
     even degrees exactly once."""
-    exceptional = set()
-    p = ell
-    while p - 1 <= max_degree:
-        exceptional.add(p - 1)
-        p *= ell
+    exceptional = _exceptional_degrees(ell, max_degree)
     degrees = [2 * k for k in range(1, max_degree // 2 + 1) if 2 * k not in exceptional]
-    degrees.extend(sorted(exceptional))
-    return sorted(degrees)
+    return sorted(degrees + exceptional)
 
 
 def e2_rank_from_generators(d: int, ell: int) -> int:
@@ -157,14 +139,6 @@ def e2_rank_from_generators(d: int, ell: int) -> int:
     return dp[target]
 
 
-def mgl_rank(d: int) -> int:
-    """Rank of the degree -d part of the full polynomial coefficient ring
-    with one generator in every negative degree: partitions of d."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return _partition_count(d, d)
-
-
 def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:
     """Generators of the diagonal algebra with weight component >= u_min:
     the unit, the partition duals z_(2k) at (0, -4k, -2k) for 2k not of the
@@ -175,19 +149,13 @@ def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:
     if u_min > 0:
         raise ValueError("u_min must be <= 0")
     gens = [("1", TriDegree(0, 0, 0))]
-    exceptional = set()
-    p = ell
-    while p - 1 <= -2 * u_min:
-        exceptional.add(p - 1)
-        p *= ell
+    exceptional = _exceptional_degrees(ell, -2 * u_min)
     for k in range(1, (-u_min) // 2 + 1):
         if 2 * k in exceptional:
             continue
         gens.append((f"z_({2 * k})", TriDegree(0, -4 * k, -2 * k)))
-    r = 0
-    while 1 - ell**r >= u_min:
-        gens.append((f"h'_{r}", TriDegree(1, 2 * (1 - ell**r), 1 - ell**r)))
-        r += 1
+    for r, g in enumerate([0] + _exceptional_degrees(ell, -u_min)):
+        gens.append((f"h'_{r}", TriDegree(1, -2 * g, -g)))
     gens.sort(key=lambda g: (-g[1].u, g[1].s, g[0]))
     return gens
 
@@ -203,29 +171,18 @@ def _diagonal_dimension(s: int, u: int, ell: int) -> int:
     # dp[s'][w] = monomial count in z's (s-degree 0) and h'_{r>=1} (s-degree 1)
     dp = [[0] * (target + 1) for _ in range(s + 1)]
     dp[0][0] = 1
+    exceptional = _exceptional_degrees(ell, target)
     for k in range(1, target // 2 + 1):
-        if _is_power_minus_one(2 * k, ell):
+        if 2 * k in exceptional:
             continue
         for s_ in range(s + 1):
             for w in range(2 * k, target + 1):
                 dp[s_][w] += dp[s_][w - 2 * k]
-    r = 1
-    while ell**r - 1 <= target:
-        g = ell**r - 1
+    for g in exceptional:
         for s_ in range(1, s + 1):
             for w in range(g, target + 1):
                 dp[s_][w] += dp[s_ - 1][w - g]
-        r += 1
     return sum(dp[s_][target] for s_ in range(s + 1))
-
-
-def _is_power_minus_one(n: int, ell: int) -> bool:
-    p = ell
-    while p - 1 <= n:
-        if p - 1 == n:
-            return True
-        p *= ell
-    return False
 
 
 def vanishing_check(s: int, t: int, u: int, ell: int) -> bool:

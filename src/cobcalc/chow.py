@@ -4,7 +4,8 @@ virtual sums of line bundles under the additive first-Chern-class law, and
 their Newton and Conner-Floyd classes.
 
 Classes are sparse dicts keyed by exponent vectors bounded componentwise by
-the factor dimensions; truncation is a bound check during multiplication.
+the factor dimensions, with their sums and products computed in `_sparse`;
+truncation is a bound check during multiplication.
 Only sums of line bundles appear as bundles: every bundle computed with
 here splits into such a sum.
 """
@@ -12,8 +13,10 @@ here splits into such a sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, gt
 
-from .partitions import Partition
+from . import _sparse
+from .partitions import Partition, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,8 @@ class ChowClass:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for exps, c in self.coeffs.items():
-            exps = tuple(exps)
-            if len(exps) != self.space.factor_count:
-                raise ValueError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if any(e > n for e, n in zip(exps, self.space.dims)):
-                continue  # truncated away
-            if c:
-                clean[exps] = clean.get(exps, 0) + c
-        object.__setattr__(self, "coeffs", {e: c for e, c in clean.items() if c})
+        terms = ((_exponents(self.space, e), c) for e, c in self.coeffs.items())
+        object.__setattr__(self, "coeffs", _sparse.collect(terms))
 
     @staticmethod
     def zero(space: ProjProduct) -> "ChowClass":
@@ -75,13 +68,10 @@ class ChowClass:
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return ChowClass(self.space, out)
+        return self._result(_sparse.add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.space, {e: -c for e, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
@@ -89,28 +79,42 @@ class ChowClass:
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
         dims = self.space.dims
-        out: dict = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(v > n for v, n in zip(e, dims)):
-                    continue
-                out[e] = out.get(e, 0) + ca * cb
-        return ChowClass(self.space, out)
+
+        def combine(ea, eb):
+            e = tuple(map(add, ea, eb))
+            return None if any(map(gt, e, dims)) else e
+
+        return self._result(_sparse.mul(self.coeffs, other.coeffs, combine))
 
     def __pow__(self, n: int) -> "ChowClass":
         # iterated multiplication: bases here are sparse (few terms) while
         # intermediate powers fill the truncated ring, so repeated squaring
-        # would pair large intermediates against each other
+        # would pair large intermediates against each other; a class without
+        # a degree-0 term is nilpotent, so the loop ends once the power is zero
         if n < 0:
             raise ValueError("negative power")
         result = ChowClass.one(self.space)
         for _ in range(n):
+            if not result.coeffs:
+                break
             result = result * self
         return result
 
     def scale(self, a: int) -> "ChowClass":
-        return ChowClass(self.space, {e: a * c for e, c in self.coeffs.items()})
+        return self._result(_sparse.scale(self.coeffs, a))
+
+    def _result(self, coeffs: dict) -> "ChowClass":
+        return _sparse.wrap(ChowClass, coeffs, space=self.space)
+
+
+def _exponents(space: ProjProduct, exps) -> tuple | None:
+    """exps as a tuple, or None when truncation sends it to zero."""
+    exps = tuple(exps)
+    if len(exps) != space.factor_count:
+        raise ValueError("exponent vector length mismatch")
+    if min(exps) < 0:
+        raise ValueError("negative exponent")
+    return None if any(map(gt, exps, space.dims)) else exps
 
 
 def alpha(space: ProjProduct) -> ChowClass:
@@ -180,7 +184,6 @@ class VirtualBundle:
         )
 
     def first_chern(self, term: LineTerm) -> ChowClass:
-        m = self.space.factor_count
         out = ChowClass.zero(self.space)
         for j, c in enumerate(term.twist):
             if c:
@@ -260,7 +263,7 @@ def _series_inverse(a: dict, space: ProjProduct, cap: int) -> dict:
     """Inverse of a series with constant term 1, to total weight cap."""
     inv = {Partition(): ChowClass.one(space)}
     for w in range(1, cap + 1):
-        for target in [p for p in _partitions_up_to(w) if p.weight == w]:
+        for target in enumerate_partitions(w):
             acc = ChowClass.zero(space)
             for p, c in a.items():
                 if p.weight == 0 or p.weight > w:
@@ -275,25 +278,6 @@ def _series_inverse(a: dict, space: ProjProduct, cap: int) -> dict:
             if acc.coeffs:
                 inv[target] = -acc
     return inv
-
-
-def _partitions_up_to(w: int) -> list[Partition]:
-    out = [Partition()]
-    for n in range(1, w + 1):
-        out.extend(_partitions_of(n))
-    return out
-
-
-def _partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return [Partition()]
-    out = []
-    for p in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - p, p):
-            out.append(Partition((p,) + tuple(rest)))
-    return out
 
 
 def _multiset_difference(whole: Partition, part: Partition) -> Partition | None:

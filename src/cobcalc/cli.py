@@ -135,17 +135,14 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
     if op == "pow":
         base = eval_chow_expr(space, expr["base"])
         return base ** int(expr["n"])
-    if op == "mul":
-        factors = [eval_chow_expr(space, e) for e in expr["factors"]]
-        out = factors[0]
-        for f in factors[1:]:
-            out = out * f
-        return out
-    if op == "add":
-        terms = [eval_chow_expr(space, e) for e in expr["terms"]]
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
+    if op in ("mul", "add"):
+        key = "factors" if op == "mul" else "terms"
+        if not isinstance(expr.get(key), list) or not expr[key]:
+            raise ValueError(f"{op} needs a nonempty list of {key}")
+        values = [eval_chow_expr(space, e) for e in expr[key]]
+        out = values[0]
+        for v in values[1:]:
+            out = out * v if op == "mul" else out + v
         return out
     if op == "newton":
         return chow.newton_class(parse_bundle(space, expr["bundle"]), int(expr["n"]))
@@ -368,6 +365,8 @@ def _cmd_chow(args) -> int:
     else:
         with open(args.input, encoding="utf-8") as fh:
             payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("space"), list):
+        raise ValueError('chow input must be an object with a "space" list')
     space = chow.ProjProduct(tuple(int(n) for n in payload["space"]))
     value = eval_chow_expr(space, payload["expr"])
     report = {"space": list(space.dims)}

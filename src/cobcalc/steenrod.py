@@ -111,15 +111,12 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> RootPoly:
 
 
 @lru_cache(maxsize=None)
-def _untwisted_pieces_bj(j: int, ell: int) -> tuple:
-    """Graded pieces of the total untwisted operation on b_j: at index 2a
-    the monomial symmetric function with a parts ell and j-a parts 1,
-    re-expressed in the generators.  Indices above 2j vanish."""
-    pieces = []
-    for a in range(j + 1):
-        lam = Partition([ell] * a + [1] * (j - a))
-        pieces.append((2 * a, symfn_to_bpoly(SymFn({lam: 1}, "monomial", ell))))
-    return tuple(pieces)
+def _untwisted_piece(j: int, a: int, ell: int) -> BPoly:
+    """Index-2a piece of the total untwisted operation on b_j: the monomial
+    symmetric function with a parts ell and j-a parts 1, re-expressed in
+    the generators.  Indices above 2j vanish."""
+    lam = Partition([ell] * a + [1] * (j - a))
+    return symfn_to_bpoly(SymFn({lam: 1}, "monomial", ell))
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +129,7 @@ def _twist_piece(b: int, ell: int) -> BPoly:
     return symfn_to_bpoly(SymFn({lam: 1}, "monomial", ell))
 
 
-def _graded_mul(A: dict, B, ell: int, imax: int) -> dict:
+def _graded_mul(A: dict, B, imax: int) -> dict:
     out: dict = {}
     for ia, pa in A.items():
         for ib, pb in B:
@@ -144,51 +141,43 @@ def _graded_mul(A: dict, B, ell: int, imax: int) -> dict:
     return out
 
 
-def _check_weight(f: BPoly) -> None:
+def _prepare(f: BPoly, ell: int) -> BPoly:
+    _require_odd_prime(ell)
     if f.weight > WEIGHT_CAP:
         raise ValueError(f"weight {f.weight} exceeds cap {WEIGHT_CAP}")
+    return f.reduce_mod(ell)
 
 
-def _graded_action(f: BPoly, ell: int, imax: int, twisted: bool) -> dict:
-    out: dict = {}
+def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
+    f = _prepare(f, ell)
+    if i < 0 or i % 2 == 1:
+        return BPoly.zero(ell)
+    if i == 0:
+        return f
+    out = BPoly.zero(ell)
     for mono, c in f.coeffs.items():
         graded = {0: BPoly({(): c}, ell)}
         for j, k in mono:
-            pieces = _untwisted_pieces_bj(j, ell)
+            pieces = [(2 * a, _untwisted_piece(j, a, ell)) for a in range(min(j, i // 2) + 1)]
             for _ in range(k):
-                graded = _graded_mul(graded, pieces, ell, imax)
+                graded = _graded_mul(graded, pieces, i)
         if twisted:
-            twist = tuple((2 * b, _twist_piece(b, ell)) for b in range(imax // 2 + 1))
-            graded = _graded_mul(graded, twist, ell, imax)
-        for i, p in graded.items():
-            out[i] = out[i] + p if i in out else p
+            twist = [(2 * b, _twist_piece(b, ell)) for b in range(i // 2 + 1)]
+            graded = _graded_mul(graded, twist, i)
+        out = out + graded.get(i, BPoly.zero(ell))
     return out
 
 
 def power_op(i: int, f: BPoly, ell: int) -> BPoly:
     """Index-i operation on f through the rank twist.  Zero for i < 0 and
     for odd i; the identity for i = 0."""
-    _require_odd_prime(ell)
-    _check_weight(f)
-    f = f.reduce_mod(ell)
-    if i < 0 or i % 2 == 1:
-        return BPoly.zero(ell)
-    if i == 0:
-        return f
-    return _graded_action(f, ell, i, twisted=True).get(i, BPoly.zero(ell))
+    return _power_op(i, f, ell, twisted=True)
 
 
 def power_op_untwisted(i: int, f: BPoly, ell: int) -> BPoly:
     """Index-i operation on the polynomial ring itself (no rank twist).
     Satisfies the Cartan formula and vanishes above index weight(f)."""
-    _require_odd_prime(ell)
-    _check_weight(f)
-    f = f.reduce_mod(ell)
-    if i < 0 or i % 2 == 1:
-        return BPoly.zero(ell)
-    if i == 0:
-        return f
-    return _graded_action(f, ell, i, twisted=False).get(i, BPoly.zero(ell))
+    return _power_op(i, f, ell, twisted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +272,7 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     """Twisted action by brute force: expand f * e_r into root monomials,
     apply the total operation termwise keeping the index-i graded piece,
     divide exactly by e_r, and re-express symmetrically."""
-    _require_odd_prime(ell)
-    _check_weight(f)
-    f = f.reduce_mod(ell)
+    f = _prepare(f, ell)
     bound = stability_bound(f, i, ell)
     if r < bound:
         raise ValueError(f"need at least {bound} roots, got {r}")

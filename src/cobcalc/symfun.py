@@ -3,11 +3,12 @@ the dictionary between even partitions and polynomials in the generators
 b1, b2, ..., the diagonal splitting of an even partition, and the dual
 algebra of classes indexed by even non-l-adic partitions.
 
-Representations are sparse dicts keyed by Partition.  Coefficients are
-exact: Python ints, with Fractions appearing only where a conversion into
-the power-sum basis genuinely requires them (denominators are products of
-part-multiplicity factorials).  With a modulus set, coefficients live in
-[0, ell) and divisions use modular inverses.
+Representations are sparse dicts keyed by Partition (BPoly: by generator
+monomial), with their sums, scalings and products computed in `_sparse`.
+Coefficients are exact: Python ints, with Fractions appearing only where a
+conversion into the power-sum basis genuinely requires them (denominators
+are products of part-multiplicity factorials).  With a modulus set,
+coefficients live in [0, ell) and divisions use modular inverses.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _sparse
 from .partitions import Partition
 from .valuation import _require_odd_prime
 
@@ -28,24 +30,19 @@ BASES = ("monomial", "elementary", "power-sum")
 DEFAULT_WEIGHT_CAP = 40
 
 
-def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def _reduce(coeffs: dict, modulus: int | None) -> dict:
-    out = {}
+    """Drop zero coefficients.  With a modulus, reduce into [0, modulus),
+    a Fraction through the inverse of its denominator; without one, turn
+    integral Fractions into ints."""
+    fixed = {}
     for k, c in coeffs.items():
-        if modulus is not None:
-            if isinstance(c, Fraction):
+        if isinstance(c, Fraction):
+            if modulus is not None:
                 c = c.numerator * pow(c.denominator, -1, modulus)
-            c %= modulus
-        else:
-            c = _normalize_coeff(c)
-        if c:
-            out[k] = c
-    return out
+            elif c.denominator == 1:
+                c = c.numerator
+        fixed[k] = c
+    return _sparse.clean(fixed, modulus)
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,10 @@ class SymFn:
     def __add__(self, other: "SymFn") -> "SymFn":
         if self.basis != other.basis or self.modulus != other.modulus:
             raise ValueError("basis/modulus mismatch")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return SymFn(out, self.basis, self.modulus)
+        return SymFn(_sparse.add(self.coeffs, other.coeffs), self.basis, self.modulus)
 
     def scale(self, a) -> "SymFn":
-        return SymFn({k: a * c for k, c in self.coeffs.items()}, self.basis, self.modulus)
+        return SymFn(_sparse.scale(self.coeffs, a), self.basis, self.modulus)
 
     @staticmethod
     def basis_element(parts, basis: str = "monomial", modulus: int | None = None) -> "SymFn":
@@ -97,7 +91,6 @@ def _distinct_arrangements(parts: tuple[int, ...], k: int):
         return
     counts = Counter(parts)
     counts[0] = k - len(parts)
-    values = sorted(counts)
 
     def rec(pos, remaining):
         if pos == k:
@@ -263,52 +256,40 @@ def _m_to_e(mf: dict) -> dict:
     return out
 
 
-def _m_to_p(mf: dict) -> dict:
+def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
     """Subtract leading terms from below: p_lam expands as
     (prod of multiplicity factorials) * m_lam plus lex-larger terms only,
     so pivots are taken lex-smallest first.  Divisions by the multiplicity
-    factorials are where non-integer coefficients can enter."""
-    mf = dict(mf)
+    factorials are where non-integer coefficients can enter; with a
+    modulus they are modular inverses, and a factorial divisible by the
+    modulus is an error."""
+    mf = _reduce(mf, modulus)
     out: dict = {}
     while mf:
         lam = min(mf)
         c = mf.pop(lam)
-        lead = 1
-        for mult in Counter(lam).values():
-            lead *= math.factorial(mult)
-        coeff = Fraction(c) / lead
-        out[lam] = out.get(lam, 0) + coeff
-        for mu, v in _p_to_m(lam):
-            if mu == lam:
-                continue
-            mf[mu] = _normalize_coeff(mf.get(mu, 0) - coeff * v)
-            if not mf[mu]:
-                del mf[mu]
-    return out
-
-
-def _m_to_p_mod(mf: dict, ell: int) -> dict:
-    mf = dict(mf)
-    out: dict = {}
-    while mf:
-        lam = min(mf)
-        c = mf.pop(lam)
-        lead = 1
-        for mult in Counter(lam).values():
-            lead *= math.factorial(mult)
-        if lead % ell == 0:
+        lead = math.prod(math.factorial(mult) for mult in Counter(lam).values())
+        if modulus is None:
+            coeff = Fraction(c) / lead
+        elif lead % modulus:
+            coeff = c * pow(lead, -1, modulus) % modulus
+        else:
             raise ValueError(
                 f"power-sum conversion of m_{tuple(lam)} needs division by {lead}, "
-                f"not invertible mod {ell}"
+                f"not invertible mod {modulus}"
             )
-        coeff = c * pow(lead, -1, ell) % ell
-        out[lam] = (out.get(lam, 0) + coeff) % ell
+        # later pivots are lex-larger, so lam never receives another term
+        out[lam] = coeff
         for mu, v in _p_to_m(lam):
             if mu == lam:
                 continue
-            mf[mu] = (mf.get(mu, 0) - coeff * v) % ell
-            if not mf[mu]:
-                del mf[mu]
+            c_mu = mf.get(mu, 0) - coeff * v
+            if modulus is not None:
+                c_mu %= modulus
+            if c_mu:
+                mf[mu] = c_mu
+            else:
+                mf.pop(mu, None)
     return out
 
 
@@ -325,9 +306,7 @@ def convert(f: SymFn, target: str, max_weight: int = DEFAULT_WEIGHT_CAP) -> SymF
         return SymFn(mf, "monomial", f.modulus)
     if target == "elementary":
         return SymFn(_m_to_e(mf), "elementary", f.modulus)
-    if f.modulus is not None:
-        return SymFn(_m_to_p_mod(_reduce(mf, f.modulus), f.modulus), "power-sum", f.modulus)
-    return SymFn(_m_to_p(mf), "power-sum", None)
+    return SymFn(_m_to_p(mf, f.modulus), "power-sum", f.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +319,21 @@ BMono = tuple
 
 def bmono_weight(mono: BMono) -> int:
     return sum(2 * i * k for i, k in mono)
+
+
+def _bmono(mono) -> BMono:
+    """Canonical form of a monomial: sorted, without zero exponents."""
+    mono = tuple(sorted((i, k) for i, k in mono if k))
+    if any(i < 1 or k < 0 for i, k in mono):
+        raise ValueError(f"bad monomial {mono}")
+    return mono
+
+
+def _bmono_mul(ma: BMono, mb: BMono) -> BMono:
+    exps = dict(ma)
+    for i, k in mb:
+        exps[i] = exps.get(i, 0) + k
+    return tuple(sorted(exps.items()))
 
 
 @dataclass(frozen=True)
@@ -356,13 +350,8 @@ class BPoly:
     def __post_init__(self):
         if self.modulus is not None:
             _require_odd_prime(self.modulus)
-        clean = {}
-        for mono, c in _reduce(self.coeffs, self.modulus).items():
-            mono = tuple(sorted((i, k) for i, k in mono if k))
-            if any(i < 1 or k < 0 for i, k in mono):
-                raise ValueError(f"bad monomial {mono}")
-            clean[mono] = clean.get(mono, 0) + c
-        object.__setattr__(self, "coeffs", _reduce(clean, self.modulus))
+        terms = ((_bmono(mono), c) for mono, c in _reduce(self.coeffs, self.modulus).items())
+        object.__setattr__(self, "coeffs", _reduce(_sparse.collect(terms), self.modulus))
 
     @staticmethod
     def zero(modulus: int | None = None) -> "BPoly":
@@ -387,26 +376,18 @@ class BPoly:
     def __add__(self, other: "BPoly") -> "BPoly":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return BPoly(out, self.modulus)
+        return self._result(_sparse.add(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "BPoly") -> "BPoly":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-        out: dict = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                exps = dict(ma)
-                for i, k in mb:
-                    exps[i] = exps.get(i, 0) + k
-                key = tuple(sorted(exps.items()))
-                out[key] = out.get(key, 0) + ca * cb
-        return BPoly(out, self.modulus)
+        return self._result(_sparse.mul(self.coeffs, other.coeffs, _bmono_mul))
 
     def scale(self, a) -> "BPoly":
-        return BPoly({m: a * c for m, c in self.coeffs.items()}, self.modulus)
+        return self._result(_sparse.scale(self.coeffs, a))
+
+    def _result(self, coeffs: dict) -> "BPoly":
+        return _sparse.wrap(BPoly, _reduce(coeffs, self.modulus), modulus=self.modulus)
 
     def reduce_mod(self, ell: int) -> "BPoly":
         return BPoly(dict(self.coeffs), ell)
@@ -496,17 +477,13 @@ class ZClass:
 
     def __post_init__(self):
         _require_odd_prime(self.prime)
-        clean = {}
-        for p, c in self.coeffs.items():
-            p = Partition(p)
+        coeffs = {Partition(p): c for p, c in self.coeffs.items()}
+        for p in coeffs:
             if not p.is_even():
                 raise ValueError(f"{tuple(p)} is not even")
             if p.is_ladic(self.prime):
                 raise ValueError(f"{tuple(p)} is {self.prime}-adic")
-            c %= self.prime
-            if c:
-                clean[p] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _sparse.clean(coeffs, self.prime))
 
     @staticmethod
     def basis_element(omega, ell: int) -> "ZClass":
@@ -515,22 +492,14 @@ class ZClass:
     def __add__(self, other: "ZClass") -> "ZClass":
         if self.prime != other.prime:
             raise ValueError("prime mismatch")
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return ZClass(self.prime, out)
+        return ZClass(self.prime, _sparse.add(self.coeffs, other.coeffs))
 
 
 def z_mul(z1: ZClass, z2: ZClass) -> ZClass:
     """Bilinear extension of concatenation on basis elements."""
     if z1.prime != z2.prime:
         raise ValueError("prime mismatch")
-    out: dict = {}
-    for p1, c1 in z1.coeffs.items():
-        for p2, c2 in z2.coeffs.items():
-            key = p1.concat(p2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return ZClass(z1.prime, out)
+    return ZClass(z1.prime, _sparse.mul(z1.coeffs, z2.coeffs, Partition.concat, z1.prime))
 
 
 def pair(z: ZClass, omega) -> int:

@@ -1,13 +1,11 @@
 import pytest
 
 from cobcalc.adams import (
-    MilnorExponent,
     TriDegree,
     decomposition_check,
     e2_rank,
     e2_rank_from_generators,
     ext_generators,
-    mgl_rank,
     milnor_count,
     vanishing_check,
 )
@@ -64,11 +62,6 @@ class TestMilnorCount:
         for q in range(bound + 1):
             assert milnor_count(q, ell) == series[q]
 
-    def test_weight_of_exponent(self):
-        assert MilnorExponent((4,)).weight(3) == 8
-        assert MilnorExponent((0, 1)).weight(3) == 8
-        assert MilnorExponent(()).weight(5) == 0
-
 
 class TestDecomposition:
     def test_small_weights_prime_3(self):
@@ -99,7 +92,6 @@ class TestRanks:
     @pytest.mark.parametrize("d", range(1, 31))
     def test_matches_partition_function(self, d):
         assert e2_rank(d) == PARTITION_COUNTS[d]
-        assert mgl_rank(d) == PARTITION_COUNTS[d]
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     @pytest.mark.parametrize("d", range(1, 31))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -47,6 +48,13 @@ class TestRing:
 
     def test_pow_with_truncation(self):
         assert (alpha(P3x2) ** 6).coeffs == {(3, 3): 20}
+
+    def test_power_stops_once_zero(self):
+        # P^1 x P^1 is zero above degree 2, so 10**8 factors must not be
+        # multiplied out one by one
+        start = time.process_time()
+        assert (alpha(P1xP1) ** 10**8).coeffs == {}
+        assert time.process_time() - start < 1.0
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):

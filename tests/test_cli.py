@@ -248,6 +248,24 @@ class TestChowCommand:
             "class": [{"exponents": [2], "coeff": "-1"}],
         }
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 1],
+            {"space": 5, "expr": "alpha"},
+            {"space": [1, 1], "expr": {"op": "mul", "factors": []}},
+            {"space": [1, 1], "expr": {"op": "add", "terms": []}},
+            {"space": [1, 1], "expr": {"op": "mul", "factors": 5}},
+        ],
+    )
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_class_json_round_trip(self, capsys, tmp_path):
         from cobcalc.chow import ProjProduct, alpha
 

@@ -96,6 +96,14 @@ class TestDifferential:
                 r = stability_bound(f, i, 3)
                 assert power_op(i, f, 3) == power_op_oracle(i, f, 3, r)
 
+    def test_fast_equals_oracle_above_the_conversion_cap(self):
+        # all pieces of b_14 reach weight 42, past the conversion cap of
+        # 40; the index-2 operation needs only those of index <= 2
+        f = BPoly.generator(14, 3)
+        got = power_op(2, f, 3)
+        assert got == power_op_oracle(2, f, 3, stability_bound(f, 2, 3))
+        assert len(got.coeffs) == 4 and got.is_homogeneous() and got.weight == 32
+
     def test_oracle_p0_round_trips(self):
         f = bmono((2, 2), ell=3)
         r = stability_bound(f, 0, 3)
