@@ -106,15 +106,33 @@ def family_from_snumbers_rows(rows: list[dict]) -> criterion.CandidateFamily:
 # ---------------------------------------------------------------------------
 
 
+def _int(value, what: str) -> int:
+    """value itself when it is a JSON integer; a ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    """value as a tuple when it is a JSON list of integers; a ValueError
+    otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int(x, f"each entry of {what}") for x in value)
+
+
 def parse_bundle(space: chow.ProjProduct, spec) -> chow.VirtualBundle:
     if spec == "tangent":
         return chow.tangent_bundle(space)
-    if isinstance(spec, dict) and "terms" in spec:
-        terms = tuple(
-            chow.LineTerm(int(t.get("sign", 1)), tuple(int(c) for c in t["twist"]))
-            for t in spec["terms"]
-        )
-        return chow.VirtualBundle(space, terms)
+    if isinstance(spec, dict) and isinstance(spec.get("terms"), list):
+        terms = []
+        for t in spec["terms"]:
+            if not isinstance(t, dict):
+                raise ValueError(f"bundle term must be an object, got {t!r}")
+            terms.append(
+                chow.LineTerm(_int(t.get("sign", 1), "sign"), _ints(t["twist"], "twist"))
+            )
+        return chow.VirtualBundle(space, tuple(terms))
     raise ValueError(f"cannot parse bundle {spec!r}")
 
 
@@ -134,21 +152,23 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         return chow.deg(value)
     if op == "pow":
         base = eval_chow_expr(space, expr["base"])
-        return base ** int(expr["n"])
+        return base ** _int(expr["n"], "n")
     if op in ("mul", "add"):
         key = "factors" if op == "mul" else "terms"
         if not isinstance(expr.get(key), list) or not expr[key]:
             raise ValueError(f"{op} needs a nonempty list of {key}")
         values = [eval_chow_expr(space, e) for e in expr[key]]
+        if len({isinstance(v, chow.ChowClass) for v in values}) > 1:
+            raise ValueError(f"{op} cannot mix a deg with a class")
         out = values[0]
         for v in values[1:]:
             out = out * v if op == "mul" else out + v
         return out
     if op == "newton":
-        return chow.newton_class(parse_bundle(space, expr["bundle"]), int(expr["n"]))
+        return chow.newton_class(parse_bundle(space, expr["bundle"]), _int(expr["n"], "n"))
     if op == "cf":
         return chow.cf_chern(
-            parse_bundle(space, expr["bundle"]), tuple(expr["partition"])
+            parse_bundle(space, expr["bundle"]), _ints(expr["partition"], "partition")
         )
     raise ValueError(f"unknown op {op!r}")
 
@@ -365,9 +385,9 @@ def _cmd_chow(args) -> int:
     else:
         with open(args.input, encoding="utf-8") as fh:
             payload = json.load(fh)
-    if not isinstance(payload, dict) or not isinstance(payload.get("space"), list):
+    if not isinstance(payload, dict):
         raise ValueError('chow input must be an object with a "space" list')
-    space = chow.ProjProduct(tuple(int(n) for n in payload["space"]))
+    space = chow.ProjProduct(_ints(payload.get("space"), "space"))
     value = eval_chow_expr(space, payload["expr"])
     report = {"space": list(space.dims)}
     report.update(chow_result_to_json(value))

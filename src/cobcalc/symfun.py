@@ -5,10 +5,14 @@ algebra of classes indexed by even non-l-adic partitions.
 
 Representations are sparse dicts keyed by Partition (BPoly: by generator
 monomial), with their sums, scalings and products computed in `_sparse`.
-Coefficients are exact: Python ints, with Fractions appearing only where a
-conversion into the power-sum basis genuinely requires them (denominators
-are products of part-multiplicity factorials).  With a modulus set,
-coefficients live in [0, ell) and divisions use modular inverses.
+Coefficients are exact.  Basis conversions go through the monomial basis
+by elimination against cached transition tables (e_lam and p_lam in the
+m basis), each built by one multiplication step on the table of lam
+without its smallest part.  Over Z they work on integers: Fractions appear
+only in a final power-sum answer (the coefficient of p_lam is an integer
+over z_lam), or where the input already has them.  With a modulus set,
+coefficients live in [0, ell), every elimination step reduces mod ell, and
+divisions use modular inverses.
 """
 
 from __future__ import annotations
@@ -154,70 +158,84 @@ def expand_in_vars(f: SymFn, k: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mul_e_m(s: int, mf: dict) -> dict:
-    """Multiply an m-basis dict by e_s: add 1 to s distinct slots."""
-    if s == 0:
-        return dict(mf)
+def _part(parts) -> Partition:
+    """Partition around parts already positive and weakly decreasing, made
+    by a transition step, skipping the public constructor's checks."""
+    return tuple.__new__(Partition, parts)
+
+
+def _mul_e_m(s: int, terms) -> dict:
+    """Multiply an m-basis function, given as (mu, c) pairs, by e_s with
+    s >= 1: add 1 to s distinct slots.  Raising j_v of the parts equal to v
+    (zeros included) gives the term whose coefficient is the product over v
+    of C(new multiplicity of v + 1, j_v)."""
     out: dict = {}
-    for mu, c in mf.items():
-        counts = Counter(mu)
-        counts[0] = s  # at most s new parts can appear
-        values = sorted(counts)
+    for mu, c in terms:
+        groups = [(0, s)] + sorted(Counter(mu).items())  # (value, count), ascending
+        # room[i]: the slots of groups i, i+1, ...; mu[:room[i]] their parts
+        room = [0] * (len(groups) + 1)
+        for i in range(len(groups) - 1, -1, -1):
+            room[i] = room[i + 1] + groups[i][1]
 
-        def rec(i, rem, raised):
+        def rec(i, rem, carried, coeff, parts):
+            # parts: the result's parts below groups[i - 1] + 1, descending;
+            # carried: how many parts of groups[i - 1] were raised
+            if carried:
+                top = groups[i - 1][0] + 1
+                if i == len(groups) or groups[i][0] != top:
+                    parts, carried = (top,) * carried + parts, 0
             if rem == 0:
-                yield dict(raised)
+                # groups i, i+1, ... keep their parts; the carried ones join groups[i]
+                if carried:
+                    v, n = groups[i]
+                    coeff *= math.comb(n + carried, carried)
+                    parts = (v,) * carried + parts
+                key = _part(mu[: room[i]] + parts)
+                out[key] = out.get(key, 0) + coeff
                 return
-            if i == len(values):
-                return
-            v = values[i]
-            for j in range(min(counts[v], rem) + 1):
-                raised[v] = j
-                yield from rec(i + 1, rem - j, raised)
-            raised.pop(v, None)
+            v, n = groups[i]
+            for j in range(max(0, rem - room[i + 1]), min(n, rem) + 1):
+                left = n - j + carried
+                kept = (v,) * left + parts if v else parts
+                rec(i + 1, rem - j, j, coeff * math.comb(left, carried), kept)
 
-        for raised in rec(0, s, {}):
-            new = Counter(counts)
-            for v, j in raised.items():
-                new[v] -= j
-                new[v + 1] += j
-            coeff = 1
-            for v, j in raised.items():
-                if j:
-                    coeff *= math.comb(new[v + 1], j)
-            key = Partition(v for v, cnt in new.items() if v > 0 for _ in range(cnt))
-            out[key] = out.get(key, 0) + c * coeff
+        rec(0, s, 0, c, ())
     return {k: v for k, v in out.items() if v}
 
 
-def _mul_p_m(r: int, mf: dict) -> dict:
-    """Multiply an m-basis dict by p_r: add r to one slot (possibly new)."""
+def _mul_p_m(r: int, terms) -> dict:
+    """Multiply an m-basis function, given as (mu, c) pairs, by p_r: add r
+    to one slot (possibly new).  The new part v + r then has the
+    multiplicity it had in mu plus one, which is the coefficient."""
     out: dict = {}
-    for mu, c in mf.items():
+    for mu, c in terms:
+        counts = Counter(mu)
         for v in set(mu) | {0}:
-            parts = list(mu)
             if v:
-                parts.remove(v)
-            parts.append(v + r)
-            key = Partition(parts)
-            out[key] = out.get(key, 0) + c * Counter(key)[v + r]
+                i = mu.index(v)
+                rest = mu[:i] + mu[i + 1 :]
+            else:
+                rest = mu
+            key = _part(sorted(rest + (v + r,), reverse=True))
+            out[key] = out.get(key, 0) + c * (counts[v + r] + 1)
     return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _e_to_m(lam: Partition) -> tuple:
-    mf = {Partition(): 1}
-    for part in lam:
-        mf = _mul_e_m(part, mf)
-    return tuple(sorted(mf.items()))
+    """e_lam in the m basis: one multiplication by e of the smallest part
+    on the cached table of the rest of lam."""
+    if not lam:
+        return ((lam, 1),)
+    return tuple(sorted(_mul_e_m(lam[-1], _e_to_m(_part(lam[:-1]))).items()))
 
 
 @lru_cache(maxsize=None)
 def _p_to_m(lam: Partition) -> tuple:
-    mf = {Partition(): 1}
-    for part in lam:
-        mf = _mul_p_m(part, mf)
-    return tuple(sorted(mf.items()))
+    """p_lam in the m basis, built from the rest of lam as _e_to_m is."""
+    if not lam:
+        return ((lam, 1),)
+    return tuple(sorted(_mul_p_m(lam[-1], _p_to_m(_part(lam[:-1]))).items()))
 
 
 def _conjugate(lam: Partition) -> Partition:
@@ -226,51 +244,80 @@ def _conjugate(lam: Partition) -> Partition:
     return Partition(sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1))
 
 
+def _common_denominator(coeffs: dict) -> int:
+    return math.lcm(*(c.denominator for c in coeffs.values()))
+
+
 def _to_m(coeffs: dict, basis: str) -> dict:
+    """coeffs in the m basis, summed over Z after clearing the common
+    denominator of coeffs, so Fractions appear only in the answer."""
     if basis == "monomial":
         return dict(coeffs)
     table = _e_to_m if basis == "elementary" else _p_to_m
+    denominator = _common_denominator(coeffs)
     out: dict = {}
     for lam, c in coeffs.items():
+        c = int(c * denominator)
         for mu, v in table(lam):
             out[mu] = out.get(mu, 0) + c * v
+    if denominator > 1:
+        return {k: Fraction(v, denominator) for k, v in out.items() if v}
     return {k: v for k, v in out.items() if v}
 
 
-def _m_to_e(mf: dict) -> dict:
+def _m_to_e(mf: dict, modulus: int | None = None) -> dict:
     """Subtract leading terms: e_{lam'} has lex-leading monomial m_lam with
-    coefficient 1, and every other term lexicographically smaller."""
-    mf = dict(mf)
+    coefficient 1, and every other term lexicographically smaller.  With a
+    modulus, every step reduces mod it, so a pivot that cancels mod the
+    modulus never needs its table."""
+    mf = _reduce(mf, modulus)
     out: dict = {}
     while mf:
         lam = max(mf)
         c = mf.pop(lam)
         pivot = _conjugate(lam)
-        out[pivot] = out.get(pivot, 0) + c
+        # later pivots are lex-smaller, so this one never recurs
+        out[pivot] = c
         for mu, v in _e_to_m(pivot):
             if mu == lam:
                 continue
-            mf[mu] = mf.get(mu, 0) - c * v
-            if not mf[mu]:
-                del mf[mu]
+            c_mu = mf.get(mu, 0) - c * v
+            if modulus is not None:
+                c_mu %= modulus
+            if c_mu:
+                mf[mu] = c_mu
+            else:
+                mf.pop(mu, None)
     return out
 
 
 def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
     """Subtract leading terms from below: p_lam expands as
     (prod of multiplicity factorials) * m_lam plus lex-larger terms only,
-    so pivots are taken lex-smallest first.  Divisions by the multiplicity
-    factorials are where non-integer coefficients can enter; with a
-    modulus they are modular inverses, and a factorial divisible by the
-    modulus is an error."""
+    so pivots are taken lex-smallest first.
+
+    Over Z, an integral input's coefficient of p_lam is an integer over
+    z_lam, the norm of p_lam in the Hall inner product (Macdonald I §4),
+    and z_lam divides w! for w the largest weight.  So the input is scaled
+    by w! (and by the common denominator of its coefficients), every
+    division by a lead factorial is exact integer division, and Fractions
+    appear only in the final answer.  With a modulus, the divisions are
+    modular inverses, every step reduces mod it, and a factorial divisible
+    by the modulus is an error."""
     mf = _reduce(mf, modulus)
+    if modulus is None:
+        top = max((lam.weight for lam in mf), default=0)
+        denominator = _common_denominator(mf) * math.factorial(top)
+        mf = {lam: int(c * denominator) for lam, c in mf.items()}
     out: dict = {}
     while mf:
         lam = min(mf)
         c = mf.pop(lam)
         lead = math.prod(math.factorial(mult) for mult in Counter(lam).values())
         if modulus is None:
-            coeff = Fraction(c) / lead
+            coeff, remainder = divmod(c, lead)
+            if remainder:
+                raise ArithmeticError(f"m_{tuple(lam)} is not {lead} times an integer")
         elif lead % modulus:
             coeff = c * pow(lead, -1, modulus) % modulus
         else:
@@ -290,6 +337,8 @@ def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
                 mf[mu] = c_mu
             else:
                 mf.pop(mu, None)
+    if modulus is None:
+        return {lam: Fraction(c, denominator) for lam, c in out.items()}
     return out
 
 
@@ -305,7 +354,7 @@ def convert(f: SymFn, target: str, max_weight: int = DEFAULT_WEIGHT_CAP) -> SymF
     if target == "monomial":
         return SymFn(mf, "monomial", f.modulus)
     if target == "elementary":
-        return SymFn(_m_to_e(mf), "elementary", f.modulus)
+        return SymFn(_m_to_e(mf, f.modulus), "elementary", f.modulus)
     return SymFn(_m_to_p(mf, f.modulus), "power-sum", f.modulus)
 
 

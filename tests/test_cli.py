@@ -256,6 +256,12 @@ class TestChowCommand:
             {"space": [1, 1], "expr": {"op": "mul", "factors": []}},
             {"space": [1, 1], "expr": {"op": "add", "terms": []}},
             {"space": [1, 1], "expr": {"op": "mul", "factors": 5}},
+            {
+                "space": [1, 1],
+                "expr": {"op": "mul", "factors": [{"op": "deg", "of": "alpha"}, "alpha"]},
+            },
+            {"space": [[1]], "expr": "alpha"},
+            {"space": [1], "expr": {"op": "newton", "bundle": {"terms": [5]}, "n": 1}},
         ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, payload):

@@ -157,6 +157,18 @@ class TestStructure:
                 for i in range(2 * j + 1, 2 * j + 6):
                     assert power_op_untwisted(i, f, ell).coeffs == {}
 
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_untwisted_top_operation_is_ell_th_power(self, ell):
+        # instability: on a class of weight 2w the index-2w operation takes
+        # every root to its ell-th power, so it is the ell-th power
+        for w in range(1, 5):
+            for lam in enumerate_partitions(w):
+                f = partition_to_bmono(lam, ell)
+                power = BPoly.one(ell)
+                for _ in range(ell):
+                    power = power * f
+                assert power_op_untwisted(2 * w, f, ell) == power
+
     def test_twisted_action_exceeds_untwisted_bound(self):
         # the rank twist contributes in every even index: the naive bound
         # fails for the twisted action, already on the unit

@@ -1,3 +1,6 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +96,45 @@ class TestConvert:
         assert got.coeffs == {Partition((1, 1)): 1, Partition((2,)): 1}
         back = convert(got, "power-sum")
         assert back.coeffs == {Partition((2,)): 1}
+
+    def test_mod_ell_elimination_cancels_early(self):
+        # m_(5^6) = e_(6^5) mod 5: every other pivot cancels mod 5, so the
+        # elimination builds no table of the Z answer's many terms
+        got = convert(m((5,) * 6, modulus=5), "elementary")
+        assert got.coeffs == {Partition((6,) * 5): 1}
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_elementary_in_power_sums_closed_form(self, n):
+        # e_n = sum over mu of n of (-1)^(n - len(mu)) p_mu / z_mu, with
+        # z_mu = prod_i i^(m_i) m_i!  (Macdonald I §2)
+        want = {}
+        for mu in enumerate_partitions(n):
+            z = 1
+            for i, mult in Counter(mu).items():
+                z *= i**mult * math.factorial(mult)
+            want[mu] = Fraction((-1) ** (n - len(mu)), z)
+        assert convert(m((1,) * n), "power-sum").coeffs == want
+
+    @pytest.mark.parametrize("weight", range(0, 7))
+    def test_elementary_against_sympy_symmetrize(self, weight):
+        # sympy's symmetrize rewrites a symmetric polynomial in the
+        # elementary polynomials by its own algorithm: an independent m -> e
+        # route.  weight variables keep e_1..e_weight independent.
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.polyfuncs import symmetrize
+
+        k = max(weight, 1)
+        xs = sympy.symbols(f"x1:{k + 1}")
+        for lam in enumerate_partitions(weight):
+            exponents = set(itertools.permutations(tuple(lam) + (0,) * (k - len(lam))))
+            poly = sum(math.prod(x**a for x, a in zip(xs, vec)) for vec in exponents)
+            sym, rest, defs = symmetrize(poly, *xs, formal=True)
+            assert rest == 0
+            want = {
+                Partition(i + 1 for i, mult in enumerate(vec) for _ in range(mult)): int(c)
+                for vec, c in sympy.Poly(sym, *(s for s, _ in defs)).terms()
+            }
+            assert convert(m(lam), "elementary").coeffs == want
 
 
 @st.composite
