@@ -5,18 +5,24 @@ their Newton and Conner-Floyd classes.
 
 Classes are sparse dicts keyed by exponent vectors bounded componentwise by
 the factor dimensions, with their sums and products computed in `_sparse`;
-truncation is a bound check during multiplication.
+truncation is a bound check during multiplication.  A power expands
+binomially in the degree-0 coefficient and the nilpotent rest, so it takes
+at most total_dimension products whatever the exponent.
 Only sums of line bundles appear as bundles: every bundle computed with
-here splits into such a sum.
+here splits into such a sum.  The Conner-Floyd series of a negative line
+bundle is the inverse of a positive one's, read off in closed form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from operator import add, gt
 
 from . import _sparse
 from .partitions import Partition, enumerate_partitions
+from .valuation import multinomial
 
 
 @dataclass(frozen=True)
@@ -87,17 +93,23 @@ class ChowClass:
         return self._result(_sparse.mul(self.coeffs, other.coeffs, combine))
 
     def __pow__(self, n: int) -> "ChowClass":
-        # iterated multiplication: bases here are sparse (few terms) while
-        # intermediate powers fill the truncated ring, so repeated squaring
-        # would pair large intermediates against each other; a class without
-        # a degree-0 term is nilpotent, so the loop ends once the power is zero
+        # (c0 + N)**n is the sum over k <= total_dimension of
+        # C(n, k) c0**(n-k) N**k, c0 the degree-0 coefficient and N the
+        # nilpotent rest, summed by Horner's rule: each step multiplies by
+        # the sparse N, where repeated squaring would pair large intermediates
         if n < 0:
             raise ValueError("negative power")
-        result = ChowClass.one(self.space)
-        for _ in range(n):
-            if not result.coeffs:
-                break
-            result = result * self
+        unit = (0,) * self.space.factor_count
+        c0 = self.coeffs.get(unit, 0)
+        nilpotent = self._result({e: c for e, c in self.coeffs.items() if e != unit})
+        result = self._result({})
+        for k in range(min(n, self.space.total_dimension), -1, -1):
+            if result.coeffs:
+                result = result * nilpotent
+            coeff = comb(n, k) * c0 ** (n - k)
+            if coeff:
+                # result is a multiple of N here, so it has no degree-0 term
+                result = self._result({**result.coeffs, unit: coeff})
         return result
 
     def scale(self, a: int) -> "ChowClass":
@@ -230,10 +242,10 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
 #
 # The series of a single line bundle with root x is 1 + x t_1 + x^2 t_2 + ...;
 # a sum of line bundles multiplies the series, a negative term contributes the
-# truncated multiplicative inverse.  The coefficient of t_I is the I-th class.
+# inverse, read off in closed form.  The coefficient of t_I is the I-th class.
 
 
-def _series_mul(a: dict, b: dict, space: ProjProduct, cap: int) -> dict:
+def _series_mul(a: dict, b: dict, cap: int) -> dict:
     out: dict = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
@@ -241,65 +253,38 @@ def _series_mul(a: dict, b: dict, space: ProjProduct, cap: int) -> dict:
                 continue
             key = pa.concat(pb)
             prod = ca * cb
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
+            out[key] = out[key] + prod if key in out else prod
     return {p: c for p, c in out.items() if c.coeffs}
 
 
-def _line_series(v: VirtualBundle, term: LineTerm, cap: int) -> dict:
-    root = v.first_chern(term)
-    series = {Partition(): ChowClass.one(v.space)}
-    power = ChowClass.one(v.space)
-    for n in range(1, cap + 1):
-        power = power * root
-        if power.coeffs:
-            series[Partition((n,))] = power
+def _line_series(root: ChowClass, sign: int, cap: int) -> dict:
+    """Series of a line bundle with first Chern class root, to weight cap:
+    1 + root t_1 + root^2 t_2 + ... for a positive term.  For a negative
+    term its inverse sum_k (-S)^k, S = root t_1 + root^2 t_2 + ..., whose
+    t_J coefficient is (-1)^len(J) len(J)!/prod(mult!) root^|J|: the
+    orderings of the parts of J among the k = len(J) factors of S."""
+    series = {}
+    power = ChowClass.one(root.space)
+    for w in range(cap + 1):
+        if w:
+            power = power * root
+        if not power.coeffs:
+            break
+        if sign > 0:
+            series[Partition((w,) if w else ())] = power
+            continue
+        for J in enumerate_partitions(w):
+            orders = multinomial(len(J), tuple(Counter(J).values()))
+            series[J] = power.scale((-1) ** len(J) * orders)
     return series
-
-
-def _series_inverse(a: dict, space: ProjProduct, cap: int) -> dict:
-    """Inverse of a series with constant term 1, to total weight cap."""
-    inv = {Partition(): ChowClass.one(space)}
-    for w in range(1, cap + 1):
-        for target in enumerate_partitions(w):
-            acc = ChowClass.zero(space)
-            for p, c in a.items():
-                if p.weight == 0 or p.weight > w:
-                    continue
-                # need q with p + q = target as multisets
-                q = _multiset_difference(target, p)
-                if q is None:
-                    continue
-                b = inv.get(q)
-                if b is not None:
-                    acc = acc + (c * b)
-            if acc.coeffs:
-                inv[target] = -acc
-    return inv
-
-
-def _multiset_difference(whole: Partition, part: Partition) -> Partition | None:
-    remaining = list(whole)
-    for x in part:
-        if x in remaining:
-            remaining.remove(x)
-        else:
-            return None
-    return Partition(remaining)
 
 
 def cf_series(v: VirtualBundle, cap: int) -> dict:
     """Total Conner-Floyd series of v to total weight cap, as a dict
-    Partition -> ChowClass.  Positive terms multiply their line series,
-    negative terms multiply the truncated inverse."""
+    Partition -> ChowClass: the product of the series of the terms."""
     out = {Partition(): ChowClass.one(v.space)}
     for term in v.terms:
-        series = _line_series(v, LineTerm(1, term.twist), cap)
-        if term.sign < 0:
-            series = _series_inverse(series, v.space, cap)
-        out = _series_mul(out, series, v.space, cap)
+        out = _series_mul(out, _line_series(v.first_chern(term), term.sign, cap), cap)
     return out
 
 

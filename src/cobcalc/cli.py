@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from . import adams, chow, criterion, partitions, steenrod, stong, symfun
 from .symfun import BPoly
+
+# Python's default limit on the digits of an int converted to a string
+MAX_DIGITS = 4300
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +76,13 @@ def family_to_json(fam: criterion.CandidateFamily) -> dict:
     }
 
 
-def family_from_json(obj: dict) -> criterion.CandidateFamily:
-    return criterion.CandidateFamily(
-        obj["kind"], {int(d): int(v) for d, v in obj["entries"].items()}
-    )
+def family_from_json(obj) -> criterion.CandidateFamily:
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), dict):
+        raise ValueError('a family must be an object with an "entries" object')
+    for d, v in obj["entries"].items():
+        if not isinstance(v, (int, str)) or isinstance(v, bool):
+            raise ValueError(f"family entry {d} must be an integer, got {v!r}")
+    return criterion.CandidateFamily(obj["kind"], obj["entries"])
 
 
 def snumbers_rows(ell: int, d_max: int) -> list[dict]:
@@ -152,7 +159,11 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         return chow.deg(value)
     if op == "pow":
         base = eval_chow_expr(space, expr["base"])
-        return base ** _int(expr["n"], "n")
+        n = _int(expr["n"], "n")
+        c0 = base if isinstance(base, int) else base.coeffs.get((0,) * space.factor_count, 0)
+        if abs(c0) >= 2 and n * math.log10(abs(c0)) > MAX_DIGITS:
+            raise ValueError(f"pow: constant term ** {n} has over {MAX_DIGITS} digits")
+        return base ** n
     if op in ("mul", "add"):
         key = "factors" if op == "mul" else "terms"
         if not isinstance(expr.get(key), list) or not expr[key]:

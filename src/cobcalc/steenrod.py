@@ -21,88 +21,22 @@ Two actions are exposed:
   The twisted action does not satisfy the literal Cartan formula (already
   the unit has nonzero image), and supports operations of every even index.
 
-`power_op_oracle` recomputes the twisted action by literal root expansion
-with an explicit root count r, with no symmetric-function shortcuts in the
-expansion; it exists for differential testing against the fast path.
+`power_op_oracle` recomputes the twisted action for differential testing:
+it expands f in an explicit number r of roots with `expand_in_vars`, the
+definitional oracle of the basis conversions, and applies the total
+operation to root polynomials (dicts, exponent vector -> coefficient).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 from .partitions import Partition
-from .symfun import BPoly, SymFn, symfn_to_bpoly
+from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, bpoly_to_symfn, expand_in_vars, symfn_to_bpoly
 from .valuation import _require_odd_prime
 
 WEIGHT_CAP = 60
-
-
-@dataclass(frozen=True)
-class RootPoly:
-    """Polynomial in roots x1..xr with mod-ell coefficients; exponent
-    vectors of fixed length r, each root of weight 2."""
-
-    nroots: int
-    prime: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _require_odd_prime(self.prime)
-        clean = {}
-        for e, c in self.coeffs.items():
-            e = tuple(e)
-            if len(e) != self.nroots or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e}")
-            c %= self.prime
-            if c:
-                clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __mul__(self, other: "RootPoly") -> "RootPoly":
-        if (self.nroots, self.prime) != (other.nroots, other.prime):
-            raise ValueError("root count or prime mismatch")
-        out: dict = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = (out.get(e, 0) + ca * cb) % self.prime
-        return RootPoly(self.nroots, self.prime, out)
-
-    def __add__(self, other: "RootPoly") -> "RootPoly":
-        if (self.nroots, self.prime) != (other.nroots, other.prime):
-            raise ValueError("root count or prime mismatch")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = (out.get(e, 0) + c) % self.prime
-        return RootPoly(self.nroots, self.prime, out)
-
-
-def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> RootPoly:
-    """Total operation on a root monomial: prod_m (x_m + x_m**ell)**a_m,
-    expanded mod ell.  The graded piece raising the weight by 2t(ell-1)
-    is the index-2t operation; no odd-index piece occurs."""
-    _require_odd_prime(ell)
-    mono = tuple(mono)
-    if any(a < 0 for a in mono):
-        raise ValueError("exponents must be nonnegative")
-    r = len(mono)
-    out = {(0,) * r: 1}
-    for m, a in enumerate(mono):
-        new: dict = {}
-        for e, c in out.items():
-            for raised in range(a + 1):
-                coeff = c * comb(a, raised) % ell
-                if not coeff:
-                    continue
-                exp = list(e)
-                exp[m] += a + raised * (ell - 1)
-                key = tuple(exp)
-                new[key] = (new.get(key, 0) + coeff) % ell
-        out = {k: v for k, v in new.items() if v}
-    return RootPoly(r, ell, out)
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +45,12 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> RootPoly:
 
 
 @lru_cache(maxsize=None)
-def _untwisted_piece(j: int, a: int, ell: int) -> BPoly:
-    """Index-2a piece of the total untwisted operation on b_j: the monomial
-    symmetric function with a parts ell and j-a parts 1, re-expressed in
-    the generators.  Indices above 2j vanish."""
-    lam = Partition([ell] * a + [1] * (j - a))
-    return symfn_to_bpoly(SymFn({lam: 1}, "monomial", ell))
-
-
-@lru_cache(maxsize=None)
-def _twist_piece(b: int, ell: int) -> BPoly:
-    """e_b of the (ell-1)-st powers of the roots, in the generators: the
-    monomial symmetric function with b equal parts ell-1."""
-    if b == 0:
-        return BPoly.one(ell)
-    lam = Partition([ell - 1] * b)
-    return symfn_to_bpoly(SymFn({lam: 1}, "monomial", ell))
+def _piece(parts: tuple[int, ...], ell: int) -> BPoly:
+    """The monomial symmetric function m_parts in the generators.  The
+    index-2a piece of the total untwisted operation on b_j is
+    m_(ell^a 1^(j-a)), zero for a > j; the index-2b piece of the twist,
+    e_b of the (ell-1)-st powers of the roots, is m_((ell-1)^b)."""
+    return symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
 
 
 def _graded_mul(A: dict, B, imax: int) -> dict:
@@ -154,15 +78,27 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
         return BPoly.zero(ell)
     if i == 0:
         return f
+    # the largest symmetric-function conversion the pieces below need
+    t = i // 2
+    needed = [j + min(j, t) * (ell - 1) for mono in f.coeffs for j, _ in mono]
+    if twisted and f.coeffs:
+        needed.append(t * (ell - 1))
+    weight = max(needed, default=0)
+    if weight > DEFAULT_WEIGHT_CAP:
+        raise ValueError(
+            f"P{i} at prime {ell} needs a conversion of weight {weight}, "
+            f"above the cap {DEFAULT_WEIGHT_CAP}"
+        )
     out = BPoly.zero(ell)
     for mono, c in f.coeffs.items():
         graded = {0: BPoly({(): c}, ell)}
         for j, k in mono:
-            pieces = [(2 * a, _untwisted_piece(j, a, ell)) for a in range(min(j, i // 2) + 1)]
+            parts = [(ell,) * a + (1,) * (j - a) for a in range(min(j, t) + 1)]
+            pieces = [(2 * a, _piece(p, ell)) for a, p in enumerate(parts)]
             for _ in range(k):
                 graded = _graded_mul(graded, pieces, i)
         if twisted:
-            twist = [(2 * b, _twist_piece(b, ell)) for b in range(i // 2 + 1)]
+            twist = [(2 * b, _piece((ell - 1,) * b, ell)) for b in range(t + 1)]
             graded = _graded_mul(graded, twist, i)
         out = out + graded.get(i, BPoly.zero(ell))
     return out
@@ -192,36 +128,12 @@ def stability_bound(f: BPoly, i: int, ell: int) -> int:
     return max(1, f.weight // 2 + (max(i, 0) * (ell - 1) + 1) // 2)
 
 
-def _ej_in_roots(j: int, r: int, ell: int) -> RootPoly:
-    out = {}
-    for subset in combinations(range(r), j):
-        e = [0] * r
-        for m in subset:
-            e[m] = 1
-        out[tuple(e)] = 1
-    return RootPoly(r, ell, out)
-
-
-def _bpoly_in_roots(f: BPoly, r: int, ell: int) -> RootPoly:
-    total = RootPoly(r, ell, {})
-    for mono, c in f.coeffs.items():
-        cur = RootPoly(r, ell, {(0,) * r: c})
-        for j, k in mono:
-            if j > r:
-                cur = RootPoly(r, ell, {})
-                break
-            ej = _ej_in_roots(j, r, ell)
-            for _ in range(k):
-                cur = cur * ej
-        total = total + cur
-    return total
-
-
-def _apply_graded_piece(p: RootPoly, t: int, ell: int) -> RootPoly:
-    """Index-2t piece of the total operation applied to p: raise t slots,
-    each chosen slot multiplying its root exponent contribution by ell."""
+def _apply_graded_piece(p: dict, t: int, ell: int) -> dict:
+    """Index-2t piece of the total operation applied to the root polynomial
+    p: raise t slots, each chosen slot multiplying its root exponent
+    contribution by ell."""
     out: dict = {}
-    for e, c in p.coeffs.items():
+    for e, c in p.items():
         slots = [(m, a) for m, a in enumerate(e) if a > 0]
 
         def rec(idx: int, rem: int, exps: list, coeff: int) -> None:
@@ -239,20 +151,35 @@ def _apply_graded_piece(p: RootPoly, t: int, ell: int) -> RootPoly:
                 rec(idx + 1, rem - k, raised, coeff * comb(a, k) % ell)
 
         rec(0, t, list(e), c)
-    return RootPoly(p.nroots, p.prime, out)
+    return {e: c for e, c in out.items() if c}
 
 
-def _roots_to_monomial_basis(p: RootPoly) -> dict:
-    """Collect a symmetric root polynomial into monomial-symmetric
+def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
+    """Total operation on a root monomial: prod_m (x_m + x_m**ell)**a_m,
+    expanded mod ell as a dict exponent vector -> coefficient: the sum of
+    its graded pieces.  The piece raising the weight by 2t(ell-1) is the
+    index-2t operation; no odd-index piece occurs."""
+    _require_odd_prime(ell)
+    mono = tuple(mono)
+    if any(a < 0 for a in mono):
+        raise ValueError("exponents must be nonnegative")
+    out: dict = {}
+    for t in range(sum(mono) + 1):
+        out.update(_apply_graded_piece({mono: 1}, t, ell))
+    return out
+
+
+def _roots_to_monomial_basis(p: dict, r: int) -> dict:
+    """Collect a symmetric polynomial in r roots into monomial-symmetric
     coordinates by reading off sorted-representative exponents."""
     out = {}
     orbit_total = 0
-    for e, c in p.coeffs.items():
+    for e, c in p.items():
         lam = tuple(sorted((x for x in e if x), reverse=True))
-        if e == lam + (0,) * (p.nroots - len(lam)):
+        if e == lam + (0,) * (r - len(lam)):
             out[Partition(lam)] = c
-            orbit_total += _orbit_size(lam, p.nroots)
-    if orbit_total != len(p.coeffs):
+            orbit_total += _orbit_size(lam, r)
+    if orbit_total != len(p):
         raise ArithmeticError("root polynomial is not symmetric")
     return out
 
@@ -276,23 +203,16 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     bound = stability_bound(f, i, ell)
     if r < bound:
         raise ValueError(f"need at least {bound} roots, got {r}")
-    if i < 0:
-        return BPoly.zero(ell)
-    expanded = _bpoly_in_roots(f, r, ell)
-    # multiply by e_r: shift every exponent up by one
-    shifted = RootPoly(
-        r, ell, {tuple(x + 1 for x in e): c for e, c in expanded.coeffs.items()}
-    )
-    if i % 2 == 1:
+    if i < 0 or i % 2 == 1:
         # an odd index would need a weight raise no term can realize
-        piece = RootPoly(r, ell, {})
-    else:
-        piece = _apply_graded_piece(shifted, i // 2, ell)
+        return BPoly.zero(ell)
+    expanded = expand_in_vars(bpoly_to_symfn(f), r)
+    # multiply by e_r: shift every exponent up by one
+    shifted = {tuple(x + 1 for x in e): c for e, c in expanded.items()}
     divided = {}
-    for e, c in piece.coeffs.items():
-        if any(x < 1 for x in e):
+    for e, c in _apply_graded_piece(shifted, i // 2, ell).items():
+        if min(e) < 1:
             raise ArithmeticError("graded piece not divisible by e_r")
         divided[tuple(x - 1 for x in e)] = c
-    quotient = RootPoly(r, ell, divided)
-    mf = _roots_to_monomial_basis(quotient)
+    mf = _roots_to_monomial_basis(divided, r)
     return symfn_to_bpoly(SymFn(mf, "monomial", ell))

@@ -73,14 +73,20 @@ class SymFn:
     def __add__(self, other: "SymFn") -> "SymFn":
         if self.basis != other.basis or self.modulus != other.modulus:
             raise ValueError("basis/modulus mismatch")
-        return SymFn(_sparse.add(self.coeffs, other.coeffs), self.basis, self.modulus)
+        return _symfn(_sparse.add(self.coeffs, other.coeffs), self.basis, self.modulus)
 
     def scale(self, a) -> "SymFn":
-        return SymFn(_sparse.scale(self.coeffs, a), self.basis, self.modulus)
+        return _symfn(_sparse.scale(self.coeffs, a), self.basis, self.modulus)
 
     @staticmethod
     def basis_element(parts, basis: str = "monomial", modulus: int | None = None) -> "SymFn":
         return SymFn({Partition(parts): 1}, basis, modulus)
+
+
+def _symfn(coeffs: dict, basis: str, modulus: int | None) -> SymFn:
+    """SymFn around Partition keys that a ring operation or a conversion
+    built, skipping the public constructor's checks."""
+    return _sparse.wrap(SymFn, _reduce(coeffs, modulus), basis=basis, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +358,10 @@ def convert(f: SymFn, target: str, max_weight: int = DEFAULT_WEIGHT_CAP) -> SymF
         return f
     mf = _to_m(f.coeffs, f.basis)
     if target == "monomial":
-        return SymFn(mf, "monomial", f.modulus)
+        return _symfn(mf, "monomial", f.modulus)
     if target == "elementary":
-        return SymFn(_m_to_e(mf, f.modulus), "elementary", f.modulus)
-    return SymFn(_m_to_p(mf, f.modulus), "power-sum", f.modulus)
+        return _symfn(_m_to_e(mf, f.modulus), "elementary", f.modulus)
+    return _symfn(_m_to_p(mf, f.modulus), "power-sum", f.modulus)
 
 
 # ---------------------------------------------------------------------------

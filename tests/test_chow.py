@@ -56,6 +56,15 @@ class TestRing:
         assert (alpha(P1xP1) ** 10**8).coeffs == {}
         assert time.process_time() - start < 1.0
 
+    @pytest.mark.parametrize("c0", [1, 2])
+    def test_power_with_constant_term_matches_repeated_products(self, c0):
+        # (c0 + alpha)**n by the binomial expansion against n products
+        base = ChowClass.one(P1xP1).scale(c0) + alpha(P1xP1)
+        want = ChowClass.one(P1xP1)
+        for n in range(7):
+            assert base**n == want
+            want = want * base
+
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             alpha(P1) * alpha(P3)
@@ -168,6 +177,13 @@ class TestConnerFloyd:
         got = cf_chern(line_bundle(P3, (1,), sign=-1), (2,))
         assert got.coeffs == {(2,): -1}
         assert got == newton_class(line_bundle(P3, (1,), sign=-1), 2)
+
+    def test_inverse_line_bundle_closed_form(self):
+        # t_J of 1/(1 + a t1 + a^2 t2 + ...) is (-1)^len(J) len(J)!/prod(mult!) a^|J|
+        v = line_bundle(P3, (1,), sign=-1)
+        assert cf_chern(v, (1, 1)).coeffs == {(2,): 1}
+        assert cf_chern(v, (2, 1)).coeffs == {(3,): 2}
+        assert cf_chern(v, (1, 1, 1)).coeffs == {(3,): -1}
 
     def test_product_rule(self):
         rng = random.Random(13)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cobcalc import cli
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -108,6 +114,23 @@ class TestVerifyGenerators:
         assert code == 0
         assert json.loads(out)["primes"] == [3, 5, 7]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"kind": "msp", "entries": {"1": "48"}}],
+            {"kind": "msp", "entries": [48]},
+            {"kind": "msp", "entries": {"1": None}},
+        ],
+    )
+    def test_malformed_family_is_usage_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "verify-generators", "--prime", "3", "--max-d", "1", "--family", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_family_round_trip(self):
         fam = stong_family(5, 9)
         assert cli.family_from_json(cli.family_to_json(fam)) == fam
@@ -140,6 +163,19 @@ class TestSteenrodCommand:
         code, _, err = run(capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "q7")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "prime, op, cls, weight", [("3", "P100", "b1", 100), ("7", "P4", "b30", 42)]
+    )
+    def test_conversion_cap_names_the_operation(self, capsys, prime, op, cls, weight):
+        # checked before any piece is built: the largest conversion is
+        # j + min(j, i//2)(ell-1) for b_j, or (i//2)(ell-1) for the twist
+        code, out, err = run(capsys, "steenrod", "--prime", prime, "--op", op, "--class", cls)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {op} at prime {prime} needs a conversion of weight {weight}, "
+            "above the cap 40\n"
+        )
 
     def test_bpoly_json_round_trip(self):
         p = BPoly({((1, 2), (3, 1)): 2, ((2, 1),): 1}, 5)
@@ -271,6 +307,32 @@ class TestChowCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_pow_of_a_unit_returns_at_once(self):
+        # the unit is not nilpotent: 10**8 factors must not be multiplied
+        # out one by one (a separate process, so a hang fails by timeout)
+        one = {"op": "cf", "bundle": "tangent", "partition": []}
+        payload = {"space": [1], "expr": {"op": "pow", "base": one, "n": 10**8}}
+        done = subprocess.run(
+            [sys.executable, "-m", "cobcalc.cli", "chow", "--input", "-"],
+            input=json.dumps(payload),
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == {"space": [1], "class": [{"exponents": [0], "coeff": "1"}]}
+
+    def test_pow_refuses_an_unprintable_constant_term(self, capsys, tmp_path):
+        # 2**20000 has 6021 digits
+        one = {"op": "cf", "bundle": "tangent", "partition": []}
+        base = {"op": "add", "terms": [one, one, "alpha"]}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1, 1], "expr": {"op": "pow", "base": base, "n": 20000}}))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: pow: ") and len(err.splitlines()) == 1
 
     def test_class_json_round_trip(self, capsys, tmp_path):
         from cobcalc.chow import ProjProduct, alpha

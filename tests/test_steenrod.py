@@ -4,7 +4,6 @@ import pytest
 
 from cobcalc.partitions import enumerate_partitions
 from cobcalc.steenrod import (
-    RootPoly,
     power_op,
     power_op_oracle,
     power_op_untwisted,
@@ -28,19 +27,25 @@ def partition_to_bmono(lam, ell):
 class TestTotalPowerOnMonomial:
     def test_single_root(self):
         got = total_power_on_monomial((1,), 3)
-        assert got.coeffs == {(1,): 1, (3,): 1}
+        assert got == {(1,): 1, (3,): 1}
 
     def test_square_mod_3(self):
         got = total_power_on_monomial((2,), 3)
-        assert got.coeffs == {(2,): 1, (4,): 2, (6,): 1}
+        assert got == {(2,): 1, (4,): 2, (6,): 1}
 
     def test_constant(self):
-        assert total_power_on_monomial((), 3).coeffs == {(): 1}
+        assert total_power_on_monomial((), 3) == {(): 1}
 
     def test_multiplicative_over_roots(self):
         a = total_power_on_monomial((2, 1), 5)
-        b = total_power_on_monomial((2, 0), 5) * total_power_on_monomial((0, 1), 5)
-        assert a == b
+        left = total_power_on_monomial((2, 0), 5)
+        right = total_power_on_monomial((0, 1), 5)
+        product = {}
+        for ea, ca in left.items():
+            for eb, cb in right.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                product[e] = (product.get(e, 0) + ca * cb) % 5
+        assert a == {e: c for e, c in product.items() if c}
 
 
 class TestPowerOpBasics:
@@ -201,14 +206,3 @@ class TestStructure:
             rhs = rhs + power_op(a, one, 3) * power_op(2 - a, one, 3)
         assert lhs != rhs
 
-
-class TestRootPoly:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RootPoly(2, 3, {(1,): 1})
-        with pytest.raises(ValueError):
-            RootPoly(1, 3, {(-1,): 1})
-
-    def test_mod_reduction(self):
-        p = RootPoly(1, 3, {(1,): 4, (2,): 3})
-        assert p.coeffs == {(1,): 1}
