@@ -7,6 +7,10 @@ pin down the image of the comparison map.
 Only dimensions are modeled, never the modules themselves; the tracked
 diagonal consists of the spots (s, t, u) with t = 2u, where the algebra is
 polynomial on one generator in each even negative degree.
+
+Every singly graded multiset count is one call of `_counts`.  The
+decomposition identity checks that `Partition.is_ladic`'s even degrees and
+the degrees ell**r - 1 tile the even degrees.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import enumerate_partitions
+from .partitions import Partition
 from .valuation import _require_odd_prime
 
 
@@ -42,18 +46,29 @@ def _exceptional_degrees(ell: int, bound: int) -> list[int]:
     return degrees
 
 
+def _non_ladic_even_degrees(ell: int, bound: int) -> list[int]:
+    """The even degrees 2 <= g <= bound that are not l-adic as one-part
+    partitions, increasing."""
+    return [g for g in range(2, bound + 1, 2) if not Partition((g,)).is_ladic(ell)]
+
+
+def _counts(degrees: list[int], top: int) -> list[int]:
+    """Entry n (0 <= n <= top): the number of multisets of degrees summing
+    to n, i.e. the coefficients of prod 1/(1 - x**g) over g in degrees."""
+    counts = [1] + [0] * top
+    for g in degrees:
+        for n in range(g, top + 1):
+            counts[n] += counts[n - g]
+    return counts
+
+
 def milnor_count(q: int, ell: int) -> int:
-    """Number of exponent sequences of weight q: counted by dynamic
-    programming over the slot weights ell**i - 1."""
+    """Number of exponent sequences of weight q: multisets of the slot
+    weights ell**i - 1."""
     _require_odd_prime(ell)
     if q < 0:
         raise ValueError("weight must be nonnegative")
-    dp = [0] * (q + 1)
-    dp[0] = 1
-    for w in _exceptional_degrees(ell, q):
-        for v in range(w, q + 1):
-            dp[v] += dp[v - w]
-    return dp[q]
+    return _counts(_exceptional_degrees(ell, q), q)[q]
 
 
 @dataclass(frozen=True)
@@ -85,12 +100,13 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
     _require_odd_prime(ell)
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    rows = []
-    non_ladic = []  # non_ladic[i]: even non-l-adic partitions of weight 2i
-    for w in range(0, max_weight + 1, 2):
-        non_ladic.append(len(enumerate_partitions(w, "even-non-ladic", ell)))
-        rhs = sum(n * milnor_count(w - 2 * i, ell) for i, n in enumerate(non_ladic))
-        rows.append(DecompositionRow(w, len(enumerate_partitions(w, "even")), rhs))
+    even = _counts(list(range(2, max_weight + 1, 2)), max_weight)
+    non_ladic = _counts(_non_ladic_even_degrees(ell, max_weight), max_weight)
+    milnor = _counts(_exceptional_degrees(ell, max_weight), max_weight)
+    rows = [
+        DecompositionRow(w, even[w], sum(non_ladic[v] * milnor[w - v] for v in range(0, w + 1, 2)))
+        for w in range(0, max_weight + 1, 2)
+    ]
     return DecompositionReport(ell, tuple(rows))
 
 
@@ -116,27 +132,18 @@ def e2_rank(d: int) -> int:
 
 def _generator_degrees(ell: int, max_degree: int) -> list[int]:
     """Positive even generator degrees up to max_degree: 2k for every
-    2k != ell**i - 1, and ell**r - 1 for r >= 1.  Jointly these tile the
+    non-l-adic 2k, and ell**r - 1 for r >= 1.  Jointly these tile the
     even degrees exactly once."""
-    exceptional = _exceptional_degrees(ell, max_degree)
-    degrees = [2 * k for k in range(1, max_degree // 2 + 1) if 2 * k not in exceptional]
-    return sorted(degrees + exceptional)
+    return sorted(_non_ladic_even_degrees(ell, max_degree) + _exceptional_degrees(ell, max_degree))
 
 
 def e2_rank_from_generators(d: int, ell: int) -> int:
-    """Same rank by explicit monomial enumeration in the presentation's
-    generator degrees; independent of the partition route and of ell."""
+    """Same rank by counting monomials in the presentation's generator
+    degrees; independent of the partition route and of ell."""
     if d < 1:
         raise ValueError("d must be positive")
     _require_odd_prime(ell)
-    degrees = _generator_degrees(ell, 2 * d)
-    target = 2 * d
-    dp = [0] * (target + 1)
-    dp[0] = 1
-    for g in degrees:
-        for v in range(g, target + 1):
-            dp[v] += dp[v - g]
-    return dp[target]
+    return _counts(_generator_degrees(ell, 2 * d), 2 * d)[2 * d]
 
 
 def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:
@@ -149,11 +156,8 @@ def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:
     if u_min > 0:
         raise ValueError("u_min must be <= 0")
     gens = [("1", TriDegree(0, 0, 0))]
-    exceptional = _exceptional_degrees(ell, -2 * u_min)
-    for k in range(1, (-u_min) // 2 + 1):
-        if 2 * k in exceptional:
-            continue
-        gens.append((f"z_({2 * k})", TriDegree(0, -4 * k, -2 * k)))
+    for g in _non_ladic_even_degrees(ell, -u_min):
+        gens.append((f"z_({g})", TriDegree(0, -2 * g, -g)))
     for r, g in enumerate([0] + _exceptional_degrees(ell, -u_min)):
         gens.append((f"h'_{r}", TriDegree(1, -2 * g, -g)))
     gens.sort(key=lambda g: (-g[1].u, g[1].s, g[0]))
@@ -168,17 +172,11 @@ def _diagonal_dimension(s: int, u: int, ell: int) -> int:
     if u > 0 or s < 0:
         return 0
     target = -u
-    # dp[s'][w] = monomial count in z's (s-degree 0) and h'_{r>=1} (s-degree 1)
-    dp = [[0] * (target + 1) for _ in range(s + 1)]
-    dp[0][0] = 1
-    exceptional = _exceptional_degrees(ell, target)
-    for k in range(1, target // 2 + 1):
-        if 2 * k in exceptional:
-            continue
-        for s_ in range(s + 1):
-            for w in range(2 * k, target + 1):
-                dp[s_][w] += dp[s_][w - 2 * k]
-    for g in exceptional:
+    # dp[s'][w] = monomial count in the z's (s-degree 0) and h'_{r>=1}
+    # (s-degree 1): the z-part is one row, each h'_r raises s' by one
+    dp = [_counts(_non_ladic_even_degrees(ell, target), target)]
+    dp += [[0] * (target + 1) for _ in range(s)]
+    for g in _exceptional_degrees(ell, target):
         for s_ in range(1, s + 1):
             for w in range(g, target + 1):
                 dp[s_][w] += dp[s_ - 1][w - g]
@@ -187,13 +185,12 @@ def _diagonal_dimension(s: int, u: int, ell: int) -> int:
 
 def vanishing_check(s: int, t: int, u: int, ell: int) -> bool:
     """True when the dimension model assigns 0 at (s, t, u): everything
-    above the diagonal (t > 2u) vanishes, and on the diagonal the monomial
-    count decides.  Below the diagonal only the weight-(u=1) line can be
-    nonzero and is field-dependent; it is outside this model, which tracks
-    the diagonal ranks only."""
+    off the diagonal (t != 2u) vanishes, and on the diagonal the monomial
+    count decides.  Below the diagonal the weight-(u=1) line can be nonzero
+    and is field-dependent; it is outside this model, so it is refused."""
     _require_odd_prime(ell)
-    if t > 2 * u:
-        return True
-    if t < 2 * u:
+    if t < 2 * u and u == 1:
+        raise ValueError("the u = 1 line below the diagonal is outside the model")
+    if t != 2 * u:
         return True
     return _diagonal_dimension(s, u, ell) == 0

@@ -158,8 +158,10 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
             raise ValueError("deg needs a class")
         return chow.deg(value)
     if op == "pow":
-        base = eval_chow_expr(space, expr["base"])
         n = _int(expr["n"], "n")
+        if n < 0:
+            raise ValueError(f"pow: exponent must be nonnegative, got {n}")
+        base = eval_chow_expr(space, expr["base"])
         c0 = base if isinstance(base, int) else base.coeffs.get((0,) * space.factor_count, 0)
         if abs(c0) >= 2 and n * math.log10(abs(c0)) > MAX_DIGITS:
             raise ValueError(f"pow: constant term ** {n} has over {MAX_DIGITS} digits")

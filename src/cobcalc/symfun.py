@@ -348,12 +348,12 @@ def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
     return out
 
 
-def convert(f: SymFn, target: str, max_weight: int = DEFAULT_WEIGHT_CAP) -> SymFn:
+def convert(f: SymFn, target: str) -> SymFn:
     """Re-express f in the target basis.  Round trips are exact."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
-    if f.weight > max_weight:
-        raise ValueError(f"weight {f.weight} exceeds cap {max_weight}")
+    if f.weight > DEFAULT_WEIGHT_CAP:
+        raise ValueError(f"weight {f.weight} exceeds cap {DEFAULT_WEIGHT_CAP}")
     if target == f.basis:
         return f
     mf = _to_m(f.coeffs, f.basis)
@@ -452,9 +452,9 @@ def _epartition_to_bmono(ep: Partition) -> BMono:
     return tuple(sorted(Counter(ep).items()))
 
 
-def symfn_to_bpoly(f: SymFn, max_weight: int = DEFAULT_WEIGHT_CAP) -> BPoly:
+def symfn_to_bpoly(f: SymFn) -> BPoly:
     """Express f in the elementary basis and rename e_i -> b_i."""
-    ef = convert(f, "elementary", max_weight)
+    ef = convert(f, "elementary")
     return BPoly({_epartition_to_bmono(p): c for p, c in ef.coeffs.items()}, f.modulus)
 
 
@@ -467,7 +467,7 @@ def bpoly_to_symfn(b: BPoly) -> SymFn:
     return SymFn(coeffs, "elementary", b.modulus)
 
 
-def u_to_b(omega, modulus: int | None = None, max_weight: int = DEFAULT_WEIGHT_CAP) -> BPoly:
+def u_to_b(omega, modulus: int | None = None) -> BPoly:
     """The b-polynomial attached to an even partition: the monomial
     symmetric function of the halved partition, written in the elementary
     basis, with e_s renamed b_s.
@@ -478,10 +478,8 @@ def u_to_b(omega, modulus: int | None = None, max_weight: int = DEFAULT_WEIGHT_C
     omega = Partition(omega)
     if not omega.is_even():
         raise ValueError(f"{tuple(omega)} is not an even partition")
-    if omega.weight > 2 * max_weight:
-        raise ValueError(f"weight {omega.weight} exceeds cap {2 * max_weight}")
     half = Partition(p // 2 for p in omega)
-    return symfn_to_bpoly(SymFn({half: 1}, "monomial", modulus), max_weight)
+    return symfn_to_bpoly(SymFn({half: 1}, "monomial", modulus))
 
 
 # ---------------------------------------------------------------------------

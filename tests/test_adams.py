@@ -78,6 +78,24 @@ class TestDecomposition:
         assert report.all_equal
         assert [r.weight for r in report.rows] == list(range(0, 61, 2))
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_rows_against_enumeration(self, ell):
+        # the counted rows against explicit enumeration, the small-weight oracle
+        for row in decomposition_check(30, ell).rows:
+            w = row.weight
+            assert row.even_partition_count == len(enumerate_partitions(w, "even"))
+            module_count = sum(
+                len(enumerate_partitions(v, "even-non-ladic", ell))
+                * len(enumerate_milnor_exponents(w - v, ell))
+                for v in range(0, w + 1, 2)
+            )
+            assert row.module_count == module_count
+
+    def test_weight_200(self):
+        report = decomposition_check(200, 3)
+        assert report.all_equal
+        assert [r.even_partition_count for r in report.rows] == PARTITION_COUNTS[:101]
+
     def test_odd_weights_vacuous(self):
         for w in (1, 3, 11):
             assert enumerate_partitions(w, "even") == []
@@ -134,6 +152,13 @@ class TestExtGenerators:
 class TestVanishing:
     def test_above_diagonal(self):
         assert vanishing_check(0, 3, 1, 3)
+
+    def test_below_diagonal(self):
+        assert vanishing_check(0, -3, -1, 3)
+
+    def test_below_diagonal_weight_one_line_refused(self):
+        with pytest.raises(ValueError):
+            vanishing_check(0, 1, 1, 3)
 
     def test_shifted_diagonal_line(self):
         for s in range(0, 4):

@@ -298,6 +298,15 @@ class TestChowCommand:
             },
             {"space": [[1]], "expr": "alpha"},
             {"space": [1], "expr": {"op": "newton", "bundle": {"terms": [5]}, "n": 1}},
+            {"space": [1, 1], "expr": {"op": "pow", "base": {"op": "deg", "of": "alpha"}, "n": -1}},
+            {
+                "space": [1, 1],
+                "expr": {
+                    "op": "pow",
+                    "base": {"op": "deg", "of": {"op": "pow", "base": "alpha", "n": 2}},
+                    "n": -1,
+                },
+            },
         ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, payload):

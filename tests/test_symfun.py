@@ -89,7 +89,7 @@ class TestConvert:
 
     def test_weight_cap(self):
         with pytest.raises(ValueError):
-            convert(m((30, 20)), "elementary", max_weight=40)
+            convert(m((30, 20)), "elementary")
 
     def test_mod_ell_conversion(self):
         got = convert(p((2,), modulus=3), "elementary")
