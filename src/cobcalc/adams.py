@@ -16,7 +16,6 @@ the degrees ell**r - 1 tile the even degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .partitions import Partition
 from .valuation import _require_odd_prime
@@ -92,14 +91,18 @@ class DecompositionReport:
         return all(r.equal for r in self.rows)
 
 
+# the row convolution is quadratic in the weight: 4000 takes about a second
+MAX_DECOMPOSITION_WEIGHT = 4000
+
+
 def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
     """Per even weight w <= max_weight, compare the number of partitions of
     w into even parts against the number of (even non-l-adic partition,
     exponent sequence) pairs of total weight w.  Equality in every weight
     is the graded-dimension form of the module decomposition."""
     _require_odd_prime(ell)
-    if max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
+    if not 0 <= max_weight <= MAX_DECOMPOSITION_WEIGHT:
+        raise ValueError(f"max_weight must be in 0..{MAX_DECOMPOSITION_WEIGHT}, got {max_weight}")
     even = _counts(list(range(2, max_weight + 1, 2)), max_weight)
     non_ladic = _counts(_non_ladic_even_degrees(ell, max_weight), max_weight)
     milnor = _counts(_exceptional_degrees(ell, max_weight), max_weight)
@@ -110,24 +113,32 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
     return DecompositionReport(ell, tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _partition_count(n: int, max_part: int) -> int:
-    if n == 0:
-        return 1
-    if max_part == 0:
-        return 0
-    total = 0
-    for p in range(min(n, max_part), 0, -1):
-        total += _partition_count(n - p, p)
-    return total
+def _partition_numbers(top: int) -> list[int]:
+    """p(0..top) by Euler's pentagonal-number recurrence: p(n) is the sum
+    over k >= 1 of (-1)**(k - 1) (p(n - k(3k - 1)/2) + p(n - k(3k + 1)/2))."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k, pentagonal = 1, 1
+        while pentagonal <= n:
+            term = p[n - pentagonal] + (p[n - pentagonal - k] if pentagonal + k <= n else 0)
+            p[n] += term if k % 2 else -term
+            k += 1
+            pentagonal += 3 * k - 2
+    return p
+
+
+def e2_ranks(d_max: int) -> list[int]:
+    """Free ranks of the degree -2d diagonals, d = 1..d_max: the number of
+    partitions of 2d into even parts, which is the number of partitions of
+    d."""
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
+    return _partition_numbers(d_max)[1:]
 
 
 def e2_rank(d: int) -> int:
-    """Free rank of the degree -2d diagonal: the number of partitions of
-    2d into even parts, which is the number of partitions of d."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return _partition_count(d, d)
+    """Entry d of `e2_ranks`."""
+    return e2_ranks(d)[-1]
 
 
 def _generator_degrees(ell: int, max_degree: int) -> list[int]:
@@ -137,13 +148,18 @@ def _generator_degrees(ell: int, max_degree: int) -> list[int]:
     return sorted(_non_ladic_even_degrees(ell, max_degree) + _exceptional_degrees(ell, max_degree))
 
 
-def e2_rank_from_generators(d: int, ell: int) -> int:
-    """Same rank by counting monomials in the presentation's generator
+def e2_ranks_from_generators(d_max: int, ell: int) -> list[int]:
+    """Same ranks by counting monomials in the presentation's generator
     degrees; independent of the partition route and of ell."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
-    return _counts(_generator_degrees(ell, 2 * d), 2 * d)[2 * d]
+    return _counts(_generator_degrees(ell, 2 * d_max), 2 * d_max)[2::2]
+
+
+def e2_rank_from_generators(d: int, ell: int) -> int:
+    """Entry d of `e2_ranks_from_generators`."""
+    return e2_ranks_from_generators(d, ell)[-1]
 
 
 def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:

@@ -9,20 +9,20 @@ truncation is a bound check during multiplication.  A power expands
 binomially in the degree-0 coefficient and the nilpotent rest, so it takes
 at most total_dimension products whatever the exponent.
 Only sums of line bundles appear as bundles: every bundle computed with
-here splits into such a sum.  The Conner-Floyd series of a negative line
-bundle is the inverse of a positive one's, read off in closed form.
+here splits into such a sum.  The Conner-Floyd class c_I is the monomial
+symmetric function m_I of the Chern roots: `symfun` expands m_I in the
+power sums, and p_k evaluates to the Newton class, which is additive, so
+a negative summand needs no inverse series.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 from operator import add, gt
 
-from . import _sparse
-from .partitions import Partition, enumerate_partitions
-from .valuation import multinomial
+from . import _sparse, symfun
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -236,60 +236,29 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Conner-Floyd classes via generating series in partition-indexed variables
-# ---------------------------------------------------------------------------
-#
-# The series of a single line bundle with root x is 1 + x t_1 + x^2 t_2 + ...;
-# a sum of line bundles multiplies the series, a negative term contributes the
-# inverse, read off in closed form.  The coefficient of t_I is the I-th class.
-
-
-def _series_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            if pa.weight + pb.weight > cap:
-                continue
-            key = pa.concat(pb)
-            prod = ca * cb
-            out[key] = out[key] + prod if key in out else prod
-    return {p: c for p, c in out.items() if c.coeffs}
-
-
-def _line_series(root: ChowClass, sign: int, cap: int) -> dict:
-    """Series of a line bundle with first Chern class root, to weight cap:
-    1 + root t_1 + root^2 t_2 + ... for a positive term.  For a negative
-    term its inverse sum_k (-S)^k, S = root t_1 + root^2 t_2 + ..., whose
-    t_J coefficient is (-1)^len(J) len(J)!/prod(mult!) root^|J|: the
-    orderings of the parts of J among the k = len(J) factors of S."""
-    series = {}
-    power = ChowClass.one(root.space)
-    for w in range(cap + 1):
-        if w:
-            power = power * root
-        if not power.coeffs:
-            break
-        if sign > 0:
-            series[Partition((w,) if w else ())] = power
-            continue
-        for J in enumerate_partitions(w):
-            orders = multinomial(len(J), tuple(Counter(J).values()))
-            series[J] = power.scale((-1) ** len(J) * orders)
-    return series
-
-
-def cf_series(v: VirtualBundle, cap: int) -> dict:
-    """Total Conner-Floyd series of v to total weight cap, as a dict
-    Partition -> ChowClass: the product of the series of the terms."""
-    out = {Partition(): ChowClass.one(v.space)}
-    for term in v.terms:
-        out = _series_mul(out, _line_series(v.first_chern(term), term.sign, cap), cap)
-    return out
-
-
 def cf_chern(v: VirtualBundle, I) -> ChowClass:
-    """Coefficient of t_I in the Conner-Floyd series of v."""
+    """Conner-Floyd class c_I(v): m_I of the Chern roots, expanded in the
+    power sums over Z, with p_k evaluated at the Newton class of v."""
     I = Partition(I)
-    series = cf_series(v, I.weight)
-    return series.get(I, ChowClass.zero(v.space))
+    if I.weight > v.space.total_dimension:
+        return ChowClass.zero(v.space)
+    in_p = symfun.convert(symfun.SymFn.basis_element(I), "power-sum").coeffs
+    denominator = lcm(*(c.denominator for c in in_p.values()))
+    newton = {k: newton_class(v, k) for k in set().union(*in_p)}
+    products = {(): ChowClass.one(v.space)}
+
+    def product(lam: tuple) -> ChowClass:
+        # built from lam without its smallest part, so products share prefixes
+        if lam not in products:
+            products[lam] = product(lam[:-1]) * newton[lam[-1]]
+        return products[lam]
+
+    out = ChowClass.zero(v.space)
+    for lam, c in in_p.items():
+        out = out + product(lam).scale(int(c * denominator))
+    coeffs = {}
+    for e, c in out.coeffs.items():
+        coeffs[e], remainder = divmod(c, denominator)
+        if remainder:
+            raise ArithmeticError(f"c_{tuple(I)} has a coefficient {c}/{denominator}")
+    return out._result(coeffs)

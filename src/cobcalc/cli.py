@@ -348,13 +348,12 @@ def _cmd_decomp_check(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    rows = []
-    for d in range(1, args.max_d + 1):
-        rank = adams.e2_rank(d)
-        by_gens = adams.e2_rank_from_generators(d, args.prime)
-        rows.append(
-            {"d": d, "rank": rank, "by_generators": by_gens, "equal": rank == by_gens}
-        )
+    ranks = adams.e2_ranks(args.max_d)
+    by_generators = adams.e2_ranks_from_generators(args.max_d, args.prime)
+    rows = [
+        {"d": d, "rank": rank, "by_generators": by_gens, "equal": rank == by_gens}
+        for d, (rank, by_gens) in enumerate(zip(ranks, by_generators), 1)
+    ]
     _emit(render_table(rows, args.format), args.output)
     return 0 if all(r["equal"] for r in rows) else 1
 

@@ -125,7 +125,13 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 
 
 def odd_primes_up_to(bound: int, excluded=()) -> list[int]:
-    return [p for p in range(3, bound + 1, 2) if is_odd_prime(p) and p not in set(excluded)]
+    """The sweep of a global check: odd primes up to bound, not excluded.
+    An empty sweep would pass vacuously, so it is refused."""
+    excluded = sorted(set(excluded))
+    primes = [p for p in range(3, bound + 1, 2) if is_odd_prime(p) and p not in excluded]
+    if not primes:
+        raise ValueError(f"no odd prime up to {bound} is left to check after excluding {excluded}")
+    return primes
 
 
 def global_criterion(
@@ -135,8 +141,6 @@ def global_criterion(
     excluded, on the same family.  Only finitely many primes are checkable;
     the unit condition away from the exceptional degrees is verified as
     valuation 0 at every checked prime."""
-    if prime_bound < 3:
-        raise ValueError("prime_bound must be at least 3")
     primes = odd_primes_up_to(prime_bound, excluded)
     return {ell: msp_criterion(fam, ell, d_max) for ell in primes}
 

@@ -1,10 +1,13 @@
 import pytest
 
 from cobcalc.adams import (
+    MAX_DECOMPOSITION_WEIGHT,
     TriDegree,
     decomposition_check,
     e2_rank,
     e2_rank_from_generators,
+    e2_ranks,
+    e2_ranks_from_generators,
     ext_generators,
     milnor_count,
     vanishing_check,
@@ -96,6 +99,10 @@ class TestDecomposition:
         assert report.all_equal
         assert [r.even_partition_count for r in report.rows] == PARTITION_COUNTS[:101]
 
+    def test_weight_cap(self):
+        with pytest.raises(ValueError, match=f"0..{MAX_DECOMPOSITION_WEIGHT}, got 4001"):
+            decomposition_check(MAX_DECOMPOSITION_WEIGHT + 1, 3)
+
     def test_odd_weights_vacuous(self):
         for w in (1, 3, 11):
             assert enumerate_partitions(w, "even") == []
@@ -115,6 +122,20 @@ class TestRanks:
     @pytest.mark.parametrize("d", range(1, 31))
     def test_generator_route_agrees_and_is_prime_free(self, d, ell):
         assert e2_rank_from_generators(d, ell) == e2_rank(d)
+
+    def test_column_against_enumeration(self):
+        assert e2_ranks(20) == [len(enumerate_partitions(d)) for d in range(1, 21)]
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_columns_agree_to_400(self, ell):
+        assert e2_ranks_from_generators(400, ell) == e2_ranks(400)
+
+    @pytest.mark.parametrize("d_max", [0, -3])
+    def test_columns_refuse_an_empty_range(self, d_max):
+        with pytest.raises(ValueError, match="d_max must be positive"):
+            e2_ranks(d_max)
+        with pytest.raises(ValueError, match="d_max must be positive"):
+            e2_ranks_from_generators(d_max, 3)
 
     def test_even_partitions_self_consistency(self):
         for d in range(1, 16):

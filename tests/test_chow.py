@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +13,6 @@ from cobcalc.chow import (
     VirtualBundle,
     alpha,
     cf_chern,
-    cf_series,
     deg,
     line_bundle,
     newton_class,
@@ -185,14 +187,40 @@ class TestConnerFloyd:
         assert cf_chern(v, (2, 1)).coeffs == {(3,): 2}
         assert cf_chern(v, (1, 1, 1)).coeffs == {(3,): -1}
 
+    def test_positive_bundles_against_assignment_oracle(self):
+        rng = random.Random(19)
+        for dims in [(3,), (2, 2), (3, 1, 1)]:
+            space = ProjProduct(dims)
+            for _ in range(6):
+                w = _random_positive_bundle(rng, space)
+                for t in range(space.total_dimension + 2):
+                    for I in enumerate_partitions(t):
+                        assert cf_chern(w, I) == _cf_by_assignment(w, I), (dims, w, I)
+
+    def test_signed_bundles_product_rule_against_oracle(self):
+        # c(w - u) c(u) = c(w): sum over J + K = I of c_J(w - u) c_K(u)
+        rng = random.Random(23)
+        for dims in [(3,), (2, 2), (2, 1, 1)]:
+            space = ProjProduct(dims)
+            for _ in range(6):
+                w = _random_positive_bundle(rng, space)
+                u = _random_positive_bundle(rng, space)
+                for t in range(space.total_dimension + 1):
+                    for I in enumerate_partitions(t):
+                        acc = ChowClass.zero(space)
+                        for J in _sub_multisets(I):
+                            K = _subtract_multiset(I, J)
+                            acc = acc + cf_chern(w + (-u), J) * cf_chern(u, K)
+                        assert acc == _cf_by_assignment(w, I), (dims, w, u, I)
+
     def test_product_rule(self):
         rng = random.Random(13)
         space = ProjProduct((2, 2))
         for _ in range(8):
             v = _random_bundle(rng, space, 2)
             w = _random_bundle(rng, space, 2)
-            both = cf_series(v + w, 4)
-            sv, sw = cf_series(v, 4), cf_series(w, 4)
+            both = _cf_series(v + w, 4)
+            sv, sw = _cf_series(v, 4), _cf_series(w, 4)
             for I in [p for t in range(5) for p in enumerate_partitions(t)]:
                 acc = ChowClass.zero(space)
                 for p1, c1 in sv.items():
@@ -206,9 +234,51 @@ class TestConnerFloyd:
         space = ProjProduct((2, 1))
         for _ in range(10):
             v = _random_bundle(rng, space)
-            series = cf_series(v + (-v), 4)
+            series = _cf_series(v + (-v), 4)
             assert set(series) == {Partition()}
             assert series[Partition()] == ChowClass.one(space)
+
+
+def _cf_series(v, cap):
+    """Nonzero classes c_I(v) for |I| <= cap, keyed by I."""
+    series = {}
+    for t in range(cap + 1):
+        for I in enumerate_partitions(t):
+            c = cf_chern(v, I)
+            if c.coeffs:
+                series[I] = c
+    return series
+
+
+def _random_positive_bundle(rng, space, max_terms=4):
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        twist = tuple(rng.randint(-2, 2) for _ in space.dims)
+        terms.append(LineTerm(1, twist))
+    return VirtualBundle(space, tuple(terms))
+
+
+def _cf_by_assignment(w, I):
+    """Oracle for a bundle with positive terms only: m_I of the roots, as
+    the sum over injective assignments of the parts of I to the terms of
+    the product of root**part, divided by the symmetries of equal parts."""
+    roots = [w.first_chern(term) for term in w.terms]
+    total = ChowClass.zero(w.space)
+    for slots in itertools.permutations(range(len(roots)), len(I)):
+        term = ChowClass.one(w.space)
+        for slot, part in zip(slots, I):
+            term = term * roots[slot] ** part
+        total = total + term
+    symmetries = math.prod(math.factorial(m) for m in Counter(I).values())
+    assert all(c % symmetries == 0 for c in total.coeffs.values())
+    return ChowClass(w.space, {e: c // symmetries for e, c in total.coeffs.items()})
+
+
+def _sub_multisets(whole):
+    """Each sub-multiset of the parts of whole once, as a Partition."""
+    counts = sorted(Counter(whole).items())
+    for picks in itertools.product(*(range(m + 1) for _, m in counts)):
+        yield Partition(x for (x, _), k in zip(counts, picks) for _ in range(k))
 
 
 def _subtract_multiset(whole, part):

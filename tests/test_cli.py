@@ -131,6 +131,23 @@ class TestVerifyGenerators:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--all-primes-up-to", "2", "--max-d", "4"],
+            ["--all-primes-up-to", "2", "--max-d", "4", "--family", "FAMILY"],
+            ["--all-primes-up-to", "7", "--max-d", "4", "--exclude", "3", "5", "7"],
+            ["--all-primes-up-to", "7", "--max-d", "4", "--family", "FAMILY", "--exclude", "3", "5", "7"],
+        ],
+    )
+    def test_empty_prime_sweep_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(cli.family_to_json(stong_family(3, 4))))
+        argv = [str(path) if a == "FAMILY" else a for a in argv]
+        code, out, err = run(capsys, "verify-generators", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: no odd prime up to ") and len(err.splitlines()) == 1
+
     def test_family_round_trip(self):
         fam = stong_family(5, 9)
         assert cli.family_from_json(cli.family_to_json(fam)) == fam
@@ -196,6 +213,20 @@ class TestDecompAndRanks:
         rows = json.loads(out)
         assert [r["rank"] for r in rows][:5] == [1, 2, 3, 5, 7]
         assert all(r["equal"] for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decomp-check", "--prime", "3", "--max-weight", "4001"],
+            ["decomp-check", "--prime", "3", "--max-weight", "-2"],
+            ["ranks", "--max-d", "0"],
+            ["ranks", "--max-d", "-5"],
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestPartitionTools:
@@ -316,6 +347,14 @@ class TestChowCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_cf_above_the_conversion_cap_is_refused(self, capsys, tmp_path):
+        payload = {"space": [41], "expr": {"op": "cf", "bundle": "tangent", "partition": [41]}}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: weight 41 exceeds cap 40\n"
 
     def test_pow_of_a_unit_returns_at_once(self):
         # the unit is not nilpotent: 10**8 factors must not be multiplied

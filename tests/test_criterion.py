@@ -127,6 +127,15 @@ class TestGlobalCriterion:
         assert odd_primes_up_to(13) == [3, 5, 7, 11, 13]
         assert odd_primes_up_to(13, excluded=(5, 11)) == [3, 7, 13]
 
+    def test_empty_sweep_refused(self):
+        fam = CandidateFamily("msp", {1: 15, 2: 5, 3: 1, 4: 1})
+        with pytest.raises(ValueError, match="no odd prime up to 2"):
+            global_criterion(fam, prime_bound=2, d_max=4)
+        with pytest.raises(ValueError, match="no odd prime up to 7"):
+            global_criterion(fam, prime_bound=7, d_max=4, excluded=(3, 5, 7))
+        with pytest.raises(ValueError):
+            odd_primes_up_to(1)
+
 
 class TestConsistencyAcrossGradings:
     @pytest.mark.parametrize("ell", [3, 5])
