@@ -1,5 +1,6 @@
-"""Sparse maps {key: coefficient}: the one place where the arithmetic of
-SymFn, BPoly, ZClass and ChowClass is defined.
+"""Sparse maps {key: coefficient}: the arithmetic of SymFn, BPoly and
+ZClass, and the sums and scalings of ChowClass, whose products run on
+packed keys in `chow` instead.
 
 Results never hold a zero coefficient.  With a modulus set, coefficients
 are reduced into [0, modulus).  Keys are opaque here; a product is told

@@ -4,10 +4,17 @@ virtual sums of line bundles under the additive first-Chern-class law, and
 their Newton and Conner-Floyd classes.
 
 Classes are sparse dicts keyed by exponent vectors bounded componentwise by
-the factor dimensions, with their sums and products computed in `_sparse`;
-truncation is a bound check during multiplication.  A power expands
-binomially in the degree-0 coefficient and the nilpotent rest, so it takes
-at most total_dimension products whatever the exponent.
+the factor dimensions; sums go through `_sparse`.  Products run on packed
+keys instead (Monagan and Pearce, CASC 2007): each exponent vector becomes
+one integer with a fixed-width field per factor (`_layout`), so the
+exponents of a product are one integer addition, and truncation is one
+mask test per pair of terms, since adding the offset half - 1 - n_i to a
+field sets its top (guard) bit exactly when the exponent sum exceeds n_i.
+The widest field is 64 bits, so a factor dimension above 2**63 - 1 is
+refused.  Keys are packed on entry to a product and unpacked on exit.  A
+power expands binomially in the degree-0 coefficient and the nilpotent
+rest, so it takes at most total_dimension products whatever the exponent;
+its whole loop runs on packed keys.
 Only sums of line bundles appear as bundles: every bundle computed with
 here splits into such a sum.  The Conner-Floyd class c_I is the monomial
 symmetric function m_I of the Chern roots: `symfun` expands m_I in the
@@ -17,9 +24,13 @@ a negative summand needs no inverse series.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, lcm
-from operator import add, gt
+from operator import gt
+from typing import NamedTuple
 
 from . import _sparse, symfun
 from .partitions import Partition
@@ -35,6 +46,11 @@ class ProjProduct:
         dims = tuple(int(n) for n in self.dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"factor dimensions must be positive: {dims}")
+        if max(dims) > MAX_FACTOR_DIMENSION:
+            raise ValueError(
+                f"factor dimension {max(dims)} exceeds the largest supported "
+                f"{MAX_FACTOR_DIMENSION}"
+            )
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -84,13 +100,9 @@ class ChowClass:
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        dims = self.space.dims
-
-        def combine(ea, eb):
-            e = tuple(map(add, ea, eb))
-            return None if any(map(gt, e, dims)) else e
-
-        return self._result(_sparse.mul(self.coeffs, other.coeffs, combine))
+        layout = _layout(self.space.dims)
+        product = _mul(layout.pack(self.coeffs), layout.pack(other.coeffs), layout)
+        return self._result(layout.unpack(product))
 
     def __pow__(self, n: int) -> "ChowClass":
         # (c0 + N)**n is the sum over k <= total_dimension of
@@ -99,24 +111,93 @@ class ChowClass:
         # the sparse N, where repeated squaring would pair large intermediates
         if n < 0:
             raise ValueError("negative power")
-        unit = (0,) * self.space.factor_count
-        c0 = self.coeffs.get(unit, 0)
-        nilpotent = self._result({e: c for e, c in self.coeffs.items() if e != unit})
-        result = self._result({})
+        layout = _layout(self.space.dims)
+        nilpotent = layout.pack(self.coeffs)
+        c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
+        result: dict = {}
         for k in range(min(n, self.space.total_dimension), -1, -1):
-            if result.coeffs:
-                result = result * nilpotent
-            coeff = comb(n, k) * c0 ** (n - k)
-            if coeff:
-                # result is a multiple of N here, so it has no degree-0 term
-                result = self._result({**result.coeffs, unit: coeff})
-        return result
+            if result:
+                result = _mul(result, nilpotent, layout)
+            # c0 = 0 leaves only the k = n term, so no other binomial is needed
+            if c0 or k == n:
+                coeff = comb(n, k) * c0 ** (n - k)
+                if coeff:
+                    # result is a multiple of N here, so it has no degree-0 term
+                    result[0] = coeff
+            elif not result:
+                break
+        return self._result(layout.unpack(result))
 
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
         return _sparse.wrap(ChowClass, coeffs, space=self.space)
+
+
+class _Layout(NamedTuple):
+    """Packing of the exponent vectors of one space into integers: field i
+    holds exponent i in an `array` item of typecode `code`, and `size` is
+    the byte length of a key.  Adding `offset` (half - 1 - n_i in field i,
+    half the field's range) to an exponent sum of at most 2 n_i never
+    carries into the next field, and sets the field's `guard` bit exactly
+    when the sum exceeds n_i."""
+
+    code: str
+    size: int
+    offset: int
+    guard: int
+
+    def pack(self, coeffs: dict) -> dict:
+        code, order = self.code, sys.byteorder
+        return {int.from_bytes(array(code, e).tobytes(), order): c for e, c in coeffs.items()}
+
+    def unpack(self, packed: dict) -> dict:
+        code, size, order = self.code, self.size, sys.byteorder
+        return {tuple(array(code, k.to_bytes(size, order))): c for k, c in packed.items()}
+
+
+# field types, narrowest first; native byte order keeps fields aligned with
+# the bytes of the array on any host
+_FIELD_CODES = "BHIQ"
+
+
+def _half(code: str) -> int:
+    """Half the range of a field of typecode code: the top (guard) bit."""
+    return 1 << (8 * array(code).itemsize - 1)
+
+
+# a field holds a factor dimension below its half
+MAX_FACTOR_DIMENSION = _half(_FIELD_CODES[-1]) - 1
+
+
+@lru_cache(maxsize=256)
+def _layout(dims: tuple[int, ...]) -> _Layout:
+    """Narrowest field that holds every factor dimension below its half."""
+    code = next(c for c in _FIELD_CODES if max(dims) < _half(c))
+    half = _half(code)
+    offset = array(code, [half - 1 - n for n in dims]).tobytes()
+    guard = array(code, [half] * len(dims)).tobytes()
+    return _Layout(
+        code,
+        len(offset),
+        int.from_bytes(offset, sys.byteorder),
+        int.from_bytes(guard, sys.byteorder),
+    )
+
+
+def _mul(a: dict, b: dict, layout: _Layout) -> dict:
+    """Product of two classes on packed keys, without zero coefficients."""
+    offset, guard = layout.offset, layout.guard
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        shifted = ka + offset
+        for kb, cb in b.items():
+            if not (shifted + kb) & guard:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 def _exponents(space: ProjProduct, exps) -> tuple | None:
@@ -227,12 +308,18 @@ def tangent_bundle(space: ProjProduct) -> VirtualBundle:
 
 def newton_class(v: VirtualBundle, n: int) -> ChowClass:
     """Signed sum of n-th powers of the first Chern classes of the terms.
-    Additive on concatenation of term lists by construction."""
+    Additive on concatenation of term lists by construction.  Terms are
+    grouped by twist first, so each distinct twist's power is computed
+    once, and not at all when its signs cancel."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = ChowClass.zero(v.space)
+    signs: dict = {}
     for term in v.terms:
-        out = out + (v.first_chern(term) ** n).scale(term.sign)
+        signs[term.twist] = signs.get(term.twist, 0) + term.sign
+    out = ChowClass.zero(v.space)
+    for twist, sign in signs.items():
+        if sign:
+            out = out + (v.first_chern(LineTerm(1, twist)) ** n).scale(sign)
     return out
 
 

@@ -20,6 +20,9 @@ from .symfun import BPoly
 
 # Python's default limit on the digits of an int converted to a string
 MAX_DIGITS = 4300
+# Horner steps of a chow power, min(n, total dimension): each is one
+# product, so 10**6 of them on the smallest class take about two seconds
+MAX_POW_STEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +164,9 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         n = _int(expr["n"], "n")
         if n < 0:
             raise ValueError(f"pow: exponent must be nonnegative, got {n}")
+        steps = min(n, space.total_dimension)
+        if steps > MAX_POW_STEPS:
+            raise ValueError(f"pow: {steps} Horner steps exceed the limit {MAX_POW_STEPS}")
         base = eval_chow_expr(space, expr["base"])
         c0 = base if isinstance(base, int) else base.coeffs.get((0,) * space.factor_count, 0)
         if abs(c0) >= 2 and n * math.log10(abs(c0)) > MAX_DIGITS:

@@ -65,9 +65,11 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
         raise ValueError("multinomial parts must be nonnegative")
     if sum(parts) != n:
         raise ValueError(f"parts sum to {sum(parts)}, expected {n}")
-    result = math.factorial(n)
+    # a chain of binomials of the partial sums: no factorial of n is built
+    result, total = 1, 0
     for p in parts:
-        result //= math.factorial(p)
+        total += p
+        result *= math.comb(total, p)
     return result
 
 

@@ -5,8 +5,12 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cobcalc import stong
 from cobcalc.chow import (
+    MAX_FACTOR_DIMENSION,
     ChowClass,
     LineTerm,
     ProjProduct,
@@ -18,6 +22,7 @@ from cobcalc.chow import (
     newton_class,
     tangent_bundle,
     trivial_bundle,
+    _layout,
 )
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.valuation import multinomial
@@ -89,6 +94,95 @@ class TestRing:
             assert deg(alpha(space) ** n) == multinomial(n, dims)
 
 
+def _naive_mul(dims, a, b):
+    """Oracle: the truncated product on exponent tuples, pair by pair."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= n for x, n in zip(e, dims)):
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_pow(dims, a, n):
+    out = {(0,) * len(dims): 1}
+    for _ in range(n):
+        out = _naive_mul(dims, out, a)
+    return out
+
+
+# both sides of each change of field width (8, 16, 32, 64 bits: a field
+# holds dimensions below half its range), and the largest dimension held
+BOUNDARY_DIMS = (1, 2, 63, 64, 127, 128, 32767, 32768, 2**31 - 1, 2**31 + 1, 2**63 - 1)
+
+
+@st.composite
+def sparse_classes(draw):
+    """A space with factor dimensions from BOUNDARY_DIMS, two sparse classes
+    on it with exponents near 0, n/2 and n (so sums land on both sides of
+    the truncation), and the first with a constant term that may be 0."""
+    dims = tuple(draw(st.lists(st.sampled_from(BOUNDARY_DIMS), min_size=1, max_size=3)))
+    exponent = [st.sampled_from(sorted({0, 1, n // 2, n // 2 + 1, n - 1, n})) for n in dims]
+    terms = st.dictionaries(st.tuples(*exponent), st.integers(-9, 9), max_size=5)
+    a, b = draw(terms), draw(terms)
+    a[(0,) * len(dims)] = draw(st.integers(-3, 3))
+    return dims, {e: c for e, c in a.items() if c}, {e: c for e, c in b.items() if c}
+
+
+class TestPackedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_classes(), st.integers(0, 6))
+    def test_products_and_powers_against_tuple_keys(self, case, n):
+        dims, a, b = case
+        X = ProjProduct(dims)
+        A, B = ChowClass(X, a), ChowClass(X, b)
+        assert (A * B).coeffs == _naive_mul(dims, a, b)
+        assert (B * A).coeffs == _naive_mul(dims, b, a)
+        assert (A**n).coeffs == _naive_pow(dims, a, n)
+        assert (B**n).coeffs == _naive_pow(dims, b, n)
+
+    @pytest.mark.parametrize(
+        "below, above", [(63, 64), (127, 128), (32767, 32768), (2**31 - 1, 2**31 + 1)]
+    )
+    def test_each_field_width_boundary(self, below, above):
+        # below and above a change of field width, x^h x^(n-h) = x^n
+        # survives and x^h x^(n-h+1) truncates, also next to a small factor
+        # whose field has a large offset
+        for n in (below, above):
+            h = n // 2
+            for dims in [(n,), (1, n), (n, 3, n)]:
+                X = ProjProduct(dims)
+                for e in (h, n - h, n - h + 1, n):
+                    a = {(0,) * (len(dims) - 1) + (h,): 2, (1,) * len(dims): -1}
+                    b = {(0,) * (len(dims) - 1) + (e,): 3, (0,) * len(dims): 1}
+                    got = (ChowClass(X, a) * ChowClass(X, b)).coeffs
+                    assert got == _naive_mul(dims, a, b), (dims, e)
+
+    def test_field_widths_grow_at_half_their_range(self):
+        widths = [_field_bytes(n) for n in (127, 128, 32767, 32768, 2**31 - 1, 2**31)]
+        assert widths == [1, 2, 2, 4, 4, 8]
+
+    def test_factor_dimension_beyond_the_widest_field_is_refused(self):
+        top = ProjProduct((MAX_FACTOR_DIMENSION, 1))
+        assert MAX_FACTOR_DIMENSION == 2**63 - 1
+        assert (alpha(top) ** 2).coeffs == {(2, 0): 1, (1, 1): 2}
+        with pytest.raises(ValueError, match="exceeds the largest supported"):
+            ProjProduct((1, MAX_FACTOR_DIMENSION + 1))
+
+    def test_power_of_a_nilpotent_generator_on_a_large_factor(self):
+        # c0 = 0: only the top binomial term is nonzero, so no other
+        # C(100000, k) may be computed
+        start = time.process_time()
+        assert (alpha(ProjProduct((100000,))) ** 100000).coeffs == {(100000,): 1}
+        assert time.process_time() - start < 5.0
+
+
+def _field_bytes(n):
+    """Bytes per exponent field in a space with largest dimension n."""
+    return _layout((n,)).size
+
+
 class TestBundles:
     def test_tangent_p1(self):
         t = tangent_bundle(P1)
@@ -141,6 +235,42 @@ class TestNewton:
             for n in range(1, 5):
                 lhs = newton_class(v + w, n)
                 assert lhs == newton_class(v, n) + newton_class(w, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 7))
+    def test_grouped_by_twist_equals_per_term_sum(self, seed, n):
+        # repeated twists, some of whose signs cancel
+        rng = random.Random(seed)
+        space = ProjProduct(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
+        twists = [tuple(rng.randint(-2, 2) for _ in space.dims) for _ in range(3)]
+        terms = tuple(
+            LineTerm(rng.choice((1, -1)), rng.choice(twists)) for _ in range(rng.randint(1, 8))
+        )
+        v = VirtualBundle(space, terms)
+        want = ChowClass.zero(space)
+        for term in v.terms:
+            want = want + (v.first_chern(term) ** n).scale(term.sign)
+        assert newton_class(v, n) == want
+
+    def test_one_power_per_distinct_twist(self, monkeypatch):
+        # xi + xi - T_X on (1^14): the all-ones twist, 14 unit twists and
+        # the trivial twist, where the per-term sum took 44 powers; a pair
+        # of opposite terms of another twist takes none
+        powers = []
+        pow_ = ChowClass.__pow__
+
+        def counted(self, n):
+            powers.append(n)
+            return pow_(self, n)
+
+        monkeypatch.setattr(ChowClass, "__pow__", counted)
+        X = stong.build_X(6, 13)
+        assert X.dims == (1,) * 14
+        ones = (1,) * 14
+        v = VirtualBundle(X, (LineTerm(1, ones), LineTerm(1, ones))) + (-tangent_bundle(X))
+        twos = (2,) * 14
+        newton_class(v + line_bundle(X, twos) + line_bundle(X, twos, sign=-1), 12)
+        assert len(powers) == 16
 
     def test_decomposable_vanishing(self):
         # >= 2 factors, every factor dimension < n, total dimension n

@@ -19,6 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_chow_process(payload):
+    """`chow` on payload in a separate process, so a hang fails by timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "cobcalc.cli", "chow", "--input", "-"],
+        input=json.dumps(payload),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 class TestSnumbers:
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "snumbers", "--prime", "3", "--max-d", "4")
@@ -338,6 +350,8 @@ class TestChowCommand:
                     "n": -1,
                 },
             },
+            # beyond the widest exponent field
+            {"space": [1, 2**63], "expr": "alpha"},
         ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, payload):
@@ -358,19 +372,29 @@ class TestChowCommand:
 
     def test_pow_of_a_unit_returns_at_once(self):
         # the unit is not nilpotent: 10**8 factors must not be multiplied
-        # out one by one (a separate process, so a hang fails by timeout)
+        # out one by one
         one = {"op": "cf", "bundle": "tangent", "partition": []}
         payload = {"space": [1], "expr": {"op": "pow", "base": one, "n": 10**8}}
-        done = subprocess.run(
-            [sys.executable, "-m", "cobcalc.cli", "chow", "--input", "-"],
-            input=json.dumps(payload),
-            capture_output=True,
-            text=True,
-            timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        done = run_chow_process(payload)
         assert done.returncode == 0
         assert json.loads(done.stdout) == {"space": [1], "class": [{"exponents": [0], "coeff": "1"}]}
+
+    def test_pow_of_a_generator_on_a_large_factor_finishes(self):
+        payload = {"space": [100000], "expr": {"op": "pow", "base": "alpha", "n": 100000}}
+        done = run_chow_process(payload)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["class"] == [{"exponents": [100000], "coeff": "1"}]
+
+    @pytest.mark.parametrize(
+        "space, n",
+        [([10**9], 10**9), ([10**6 + 1], 10**9), ([500000, 500001], 2 * 10**6)],
+    )
+    def test_pow_beyond_the_step_limit_is_refused_at_once(self, space, n):
+        # min(n, total dimension) Horner steps above 10**6
+        payload = {"space": space, "expr": {"op": "pow", "base": "alpha", "n": n}}
+        done = run_chow_process(payload)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: pow: ") and len(done.stderr.splitlines()) == 1
 
     def test_pow_refuses_an_unprintable_constant_term(self, capsys, tmp_path):
         # 2**20000 has 6021 digits

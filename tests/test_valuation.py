@@ -82,6 +82,15 @@ class TestNuFactorial:
         assert nu_factorial(n, 7) == nu(math.factorial(n), 7)
 
 
+@st.composite
+def composition(draw, max_total=200, max_parts=6):
+    n = draw(st.integers(min_value=0, max_value=max_total))
+    k = draw(st.integers(min_value=1, max_value=max_parts))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+    bounds = [0] + cuts + [n]
+    return n, [bounds[i + 1] - bounds[i] for i in range(k)]
+
+
 class TestMultinomial:
     def test_examples(self):
         assert multinomial(4, [1, 1, 1, 1]) == 24
@@ -96,14 +105,14 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             multinomial(5, [3, 3])
 
-
-@st.composite
-def composition(draw, max_total=200, max_parts=6):
-    n = draw(st.integers(min_value=0, max_value=max_total))
-    k = draw(st.integers(min_value=1, max_value=max_parts))
-    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
-    bounds = [0] + cuts + [n]
-    return n, [bounds[i + 1] - bounds[i] for i in range(k)]
+    @given(composition(max_total=2500, max_parts=12))
+    @settings(max_examples=300)
+    def test_against_factorial_quotient(self, comp):
+        n, parts = comp
+        quotient = math.factorial(n)
+        for p in parts:
+            quotient //= math.factorial(p)
+        assert multinomial(n, parts) == quotient
 
 
 class TestNuMultinomial:
