@@ -23,6 +23,9 @@ MAX_DIGITS = 4300
 # Horner steps of a chow power, min(n, total dimension): each is one
 # product, so 10**6 of them on the smallest class take about two seconds
 MAX_POW_STEPS = 10**6
+# partitions `partition-tools` lists at most: the 89134 partitions of 45,
+# the most it lists, take about two seconds
+MAX_PARTITIONS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +387,16 @@ def _cmd_partition_tools(args) -> int:
         return 0
     if args.weight is None:
         raise ValueError("need --weight (or --is-even / --is-ladic)")
+    if args.weight < 0:
+        raise ValueError("weight must be nonnegative")
+    # the even predicates enumerate the partitions of weight / 2 and double them
+    if args.predicate == "all":
+        n = args.weight
+    else:
+        n = args.weight // 2 if args.weight % 2 == 0 else 0
+    # p increases, and p(100) is far above the limit, so counting stops there
+    if adams._partition_numbers(min(n, 100))[-1] > MAX_PARTITIONS:
+        raise ValueError(f"--weight {args.weight} would list more than {MAX_PARTITIONS} partitions")
     ell = args.prime if args.predicate == "even-non-ladic" else None
     plist = partitions.enumerate_partitions(args.weight, args.predicate, ell)
     _emit(json.dumps([list(p) for p in plist], indent=2), args.output)
@@ -575,6 +588,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a deeply nested payload exhausts the stack of the JSON decoder
+        # or of the recursive evaluators
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

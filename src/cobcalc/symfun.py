@@ -5,26 +5,35 @@ algebra of classes indexed by even non-l-adic partitions.
 
 Representations are sparse dicts keyed by Partition (BPoly: by generator
 monomial), with their sums, scalings and products computed in `_sparse`.
-Coefficients are exact.  Basis conversions go through the monomial basis
-by elimination against cached transition tables (e_lam and p_lam in the
-m basis), each built by one multiplication step on the table of lam
-without its smallest part.  Over Z they work on integers: Fractions appear
-only in a final power-sum answer (the coefficient of p_lam is an integer
-over z_lam), or where the input already has them.  With a modulus set,
-coefficients live in [0, ell), every elimination step reduces mod ell, and
-divisions use modular inverses.
+Coefficients are exact.
+
+Basis conversions work on positions in each weight's lex-descending list
+of partitions.  A row of a transition table (e_lam or p_lam in the m
+basis) is the row of lam without its smallest part, pushed through a
+cached one-partition step (m_mu times e_r or p_r), so rows share their
+prefixes and each step is built once.  A conversion expands its input in
+the m basis as one integer list per weight, then eliminates in one pass
+over the positions: lex-largest first towards e, as e_lam' is m_lam plus
+lex-smaller terms, and lex-smallest first towards p, as p_lam is a
+multiple of m_lam plus lex-larger terms.  Over Z everything stays on
+integers: Fractions appear only in a final power-sum answer (the
+coefficient of p_lam is an integer over z_lam), or where the input
+already has them.  With a modulus set, coefficients live in [0, ell), the
+elimination reduces each coefficient when it reads it, and divisions use
+modular inverses.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _sparse
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions
 from .valuation import _require_odd_prime
 
 BASES = ("monomial", "elementary", "power-sum")
@@ -164,161 +173,166 @@ def expand_in_vars(f: SymFn, k: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _part(parts) -> Partition:
-    """Partition around parts already positive and weakly decreasing, made
-    by a transition step, skipping the public constructor's checks."""
-    return tuple.__new__(Partition, parts)
+@lru_cache(maxsize=None)
+def _index(w: int) -> tuple:
+    """The partitions of w in lex-descending order, the map from each to
+    its position there, and the position of each one's conjugate.  The
+    transition tables and eliminations of weight w work on positions."""
+    parts = enumerate_partitions(w)
+    position = {lam: i for i, lam in enumerate(parts)}
+    return parts, position, tuple(position[_conjugate(lam)] for lam in parts)
 
 
-def _mul_e_m(s: int, terms) -> dict:
-    """Multiply an m-basis function, given as (mu, c) pairs, by e_s with
-    s >= 1: add 1 to s distinct slots.  Raising j_v of the parts equal to v
-    (zeros included) gives the term whose coefficient is the product over v
-    of C(new multiplicity of v + 1, j_v)."""
+def _conjugate(lam: tuple) -> tuple:
+    """Entry j: the number of parts of lam larger than j."""
+    out: list = []
+    for k in range(len(lam), 0, -1):
+        # parts 1..k of lam are at least lam[k - 1]
+        out.extend([k] * (lam[k - 1] - len(out)))
+    return tuple(out)
+
+
+def _mul_e_m(s: int, mu: tuple) -> dict:
+    """m_mu * e_s in the m basis, s >= 1: add 1 to s distinct slots.
+    Raising j_v of the parts equal to v (zeros included) gives the term
+    whose coefficient is the product over v of C(new multiplicity of v + 1,
+    j_v)."""
     out: dict = {}
-    for mu, c in terms:
-        groups = [(0, s)] + sorted(Counter(mu).items())  # (value, count), ascending
-        # room[i]: the slots of groups i, i+1, ...; mu[:room[i]] their parts
-        room = [0] * (len(groups) + 1)
-        for i in range(len(groups) - 1, -1, -1):
-            room[i] = room[i + 1] + groups[i][1]
+    groups = [(0, s)] + sorted(Counter(mu).items())  # (value, count), ascending
+    # room[i]: the slots of groups i, i+1, ...; mu[:room[i]] their parts
+    room = [0] * (len(groups) + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        room[i] = room[i + 1] + groups[i][1]
 
-        def rec(i, rem, carried, coeff, parts):
-            # parts: the result's parts below groups[i - 1] + 1, descending;
-            # carried: how many parts of groups[i - 1] were raised
+    def rec(i, rem, carried, coeff, parts):
+        # parts: the result's parts below groups[i - 1] + 1, descending;
+        # carried: how many parts of groups[i - 1] were raised
+        if carried:
+            top = groups[i - 1][0] + 1
+            if i == len(groups) or groups[i][0] != top:
+                parts, carried = (top,) * carried + parts, 0
+        if rem == 0:
+            # groups i, i+1, ... keep their parts; the carried ones join groups[i]
             if carried:
-                top = groups[i - 1][0] + 1
-                if i == len(groups) or groups[i][0] != top:
-                    parts, carried = (top,) * carried + parts, 0
-            if rem == 0:
-                # groups i, i+1, ... keep their parts; the carried ones join groups[i]
-                if carried:
-                    v, n = groups[i]
-                    coeff *= math.comb(n + carried, carried)
-                    parts = (v,) * carried + parts
-                key = _part(mu[: room[i]] + parts)
-                out[key] = out.get(key, 0) + coeff
-                return
-            v, n = groups[i]
-            for j in range(max(0, rem - room[i + 1]), min(n, rem) + 1):
-                left = n - j + carried
-                kept = (v,) * left + parts if v else parts
-                rec(i + 1, rem - j, j, coeff * math.comb(left, carried), kept)
+                v, n = groups[i]
+                coeff *= math.comb(n + carried, carried)
+                parts = (v,) * carried + parts
+            key = mu[: room[i]] + parts
+            out[key] = out.get(key, 0) + coeff
+            return
+        v, n = groups[i]
+        for j in range(max(0, rem - room[i + 1]), min(n, rem) + 1):
+            left = n - j + carried
+            kept = (v,) * left + parts if v else parts
+            rec(i + 1, rem - j, j, coeff * math.comb(left, carried), kept)
 
-        rec(0, s, 0, c, ())
-    return {k: v for k, v in out.items() if v}
-
-
-def _mul_p_m(r: int, terms) -> dict:
-    """Multiply an m-basis function, given as (mu, c) pairs, by p_r: add r
-    to one slot (possibly new).  The new part v + r then has the
-    multiplicity it had in mu plus one, which is the coefficient."""
-    out: dict = {}
-    for mu, c in terms:
-        counts = Counter(mu)
-        for v in set(mu) | {0}:
-            if v:
-                i = mu.index(v)
-                rest = mu[:i] + mu[i + 1 :]
-            else:
-                rest = mu
-            key = _part(sorted(rest + (v + r,), reverse=True))
-            out[key] = out.get(key, 0) + c * (counts[v + r] + 1)
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _e_to_m(lam: Partition) -> tuple:
-    """e_lam in the m basis: one multiplication by e of the smallest part
-    on the cached table of the rest of lam."""
-    if not lam:
-        return ((lam, 1),)
-    return tuple(sorted(_mul_e_m(lam[-1], _e_to_m(_part(lam[:-1]))).items()))
-
-
-@lru_cache(maxsize=None)
-def _p_to_m(lam: Partition) -> tuple:
-    """p_lam in the m basis, built from the rest of lam as _e_to_m is."""
-    if not lam:
-        return ((lam, 1),)
-    return tuple(sorted(_mul_p_m(lam[-1], _p_to_m(_part(lam[:-1]))).items()))
-
-
-def _conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return Partition()
-    return Partition(sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1))
-
-
-def _common_denominator(coeffs: dict) -> int:
-    return math.lcm(*(c.denominator for c in coeffs.values()))
-
-
-def _to_m(coeffs: dict, basis: str) -> dict:
-    """coeffs in the m basis, summed over Z after clearing the common
-    denominator of coeffs, so Fractions appear only in the answer."""
-    if basis == "monomial":
-        return dict(coeffs)
-    table = _e_to_m if basis == "elementary" else _p_to_m
-    denominator = _common_denominator(coeffs)
-    out: dict = {}
-    for lam, c in coeffs.items():
-        c = int(c * denominator)
-        for mu, v in table(lam):
-            out[mu] = out.get(mu, 0) + c * v
-    if denominator > 1:
-        return {k: Fraction(v, denominator) for k, v in out.items() if v}
-    return {k: v for k, v in out.items() if v}
-
-
-def _m_to_e(mf: dict, modulus: int | None = None) -> dict:
-    """Subtract leading terms: e_{lam'} has lex-leading monomial m_lam with
-    coefficient 1, and every other term lexicographically smaller.  With a
-    modulus, every step reduces mod it, so a pivot that cancels mod the
-    modulus never needs its table."""
-    mf = _reduce(mf, modulus)
-    out: dict = {}
-    while mf:
-        lam = max(mf)
-        c = mf.pop(lam)
-        pivot = _conjugate(lam)
-        # later pivots are lex-smaller, so this one never recurs
-        out[pivot] = c
-        for mu, v in _e_to_m(pivot):
-            if mu == lam:
-                continue
-            c_mu = mf.get(mu, 0) - c * v
-            if modulus is not None:
-                c_mu %= modulus
-            if c_mu:
-                mf[mu] = c_mu
-            else:
-                mf.pop(mu, None)
+    rec(0, s, 0, 1, ())
     return out
 
 
-def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
+def _mul_p_m(r: int, mu: tuple) -> dict:
+    """m_mu * p_r in the m basis: add r to one slot (possibly new).  The
+    new part v + r then has the multiplicity it had in mu plus one, which
+    is the coefficient."""
+    out: dict = {}
+    counts = Counter(mu)
+    for v in set(mu) | {0}:
+        rest = list(mu)
+        if v:
+            rest.remove(v)
+        key = tuple(sorted(rest + [v + r], reverse=True))
+        out[key] = counts[v + r] + 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _step(basis: str, w: int, i: int, r: int) -> tuple:
+    """m_mu * e_r (basis "elementary") or m_mu * p_r ("power-sum") for mu
+    at position i of weight w: (position at weight w + r, coefficient)
+    pairs."""
+    mul = _mul_e_m if basis == "elementary" else _mul_p_m
+    position = _index(w + r)[1]
+    return tuple((position[key], c) for key, c in mul(r, _index(w)[0][i]).items())
+
+
+@lru_cache(maxsize=None)
+def _row(basis: str, w: int, i: int) -> tuple:
+    """The basis element e_lam or p_lam, lam at position i of weight w, in
+    the m basis: the row of lam without its smallest part, pushed through
+    the step of that part into a list over weight w's positions.  Kept as
+    its nonzero positions, ascending, and their coefficients, since most
+    entries are zero."""
+    parts = _index(w)[0]
+    lam = parts[i]
+    if not lam:
+        return array("I", (0,)), (1,)
+    r = lam[-1]
+    row = [0] * len(parts)
+    for j, c in zip(*_row(basis, w - r, _index(w - r)[1][lam[:-1]])):
+        for k, v in _step(basis, w - r, j, r):
+            row[k] += c * v
+    nonzero = array("I", (k for k, v in enumerate(row) if v))
+    return nonzero, tuple(row[k] for k in nonzero)
+
+
+def _dense_m(coeffs: dict, basis: str, denominator: int) -> dict:
+    """denominator * coeffs in the m basis, one list of integer
+    coefficients over the positions of each weight."""
+    dense: dict = {}
+    for lam, c in coeffs.items():
+        w = lam.weight
+        parts, position, _ = _index(w)
+        acc = dense.setdefault(w, [0] * len(parts))
+        c = int(c * denominator)
+        if basis == "monomial":
+            acc[position[lam]] += c
+            continue
+        for j, v in zip(*_row(basis, w, position[lam])):
+            acc[j] += c * v
+    return dense
+
+
+def _m_to_e(dense: list, w: int, modulus: int | None) -> dict:
+    """Subtract leading terms: e_{lam'} has lex-leading monomial m_lam with
+    coefficient 1, and every other term lex-smaller, so one pass over the
+    positions in order meets each pivot after every term it receives.
+    With a modulus, a coefficient is reduced when it is read, so a pivot
+    that cancels mod the modulus never needs its table."""
+    parts, _, conjugate = _index(w)
+    out: dict = {}
+    for i in range(len(dense)):
+        c = dense[i] if modulus is None else dense[i] % modulus
+        if not c:
+            continue
+        pivot = conjugate[i]
+        out[parts[pivot]] = c
+        # this also clears position i, which the pass has already read
+        for j, v in zip(*_row("elementary", w, pivot)):
+            dense[j] -= c * v
+    return out
+
+
+def _m_to_p(dense: list, w: int, modulus: int | None) -> dict:
     """Subtract leading terms from below: p_lam expands as
     (prod of multiplicity factorials) * m_lam plus lex-larger terms only,
-    so pivots are taken lex-smallest first.
+    so one pass over the positions in reverse order finds the pivots.
 
     Over Z, an integral input's coefficient of p_lam is an integer over
     z_lam, the norm of p_lam in the Hall inner product (Macdonald I §4),
-    and z_lam divides w! for w the largest weight.  So the input is scaled
-    by w! (and by the common denominator of its coefficients), every
-    division by a lead factorial is exact integer division, and Fractions
-    appear only in the final answer.  With a modulus, the divisions are
-    modular inverses, every step reduces mod it, and a factorial divisible
-    by the modulus is an error."""
-    mf = _reduce(mf, modulus)
+    and z_lam divides w!.  So the input is scaled by w!, every division by
+    a lead factorial is exact integer division, and Fractions appear only
+    in the answer.  With a modulus, the divisions are modular inverses, a
+    coefficient is reduced when it is read, and a factorial divisible by
+    the modulus is an error."""
+    parts = _index(w)[0]
     if modulus is None:
-        top = max((lam.weight for lam in mf), default=0)
-        denominator = _common_denominator(mf) * math.factorial(top)
-        mf = {lam: int(c * denominator) for lam, c in mf.items()}
+        dense = [c * math.factorial(w) for c in dense]
     out: dict = {}
-    while mf:
-        lam = min(mf)
-        c = mf.pop(lam)
+    for i in range(len(dense) - 1, -1, -1):
+        c = dense[i] if modulus is None else dense[i] % modulus
+        if not c:
+            continue
+        lam = parts[i]
         lead = math.prod(math.factorial(mult) for mult in Counter(lam).values())
         if modulus is None:
             coeff, remainder = divmod(c, lead)
@@ -331,20 +345,11 @@ def _m_to_p(mf: dict, modulus: int | None = None) -> dict:
                 f"power-sum conversion of m_{tuple(lam)} needs division by {lead}, "
                 f"not invertible mod {modulus}"
             )
-        # later pivots are lex-larger, so lam never receives another term
         out[lam] = coeff
-        for mu, v in _p_to_m(lam):
-            if mu == lam:
-                continue
-            c_mu = mf.get(mu, 0) - coeff * v
-            if modulus is not None:
-                c_mu %= modulus
-            if c_mu:
-                mf[mu] = c_mu
-            else:
-                mf.pop(mu, None)
+        for j, v in zip(*_row("power-sum", w, i)):
+            dense[j] -= coeff * v
     if modulus is None:
-        return {lam: Fraction(c, denominator) for lam, c in out.items()}
+        return {lam: Fraction(c, math.factorial(w)) for lam, c in out.items()}
     return out
 
 
@@ -356,12 +361,20 @@ def convert(f: SymFn, target: str) -> SymFn:
         raise ValueError(f"weight {f.weight} exceeds cap {DEFAULT_WEIGHT_CAP}")
     if target == f.basis:
         return f
-    mf = _to_m(f.coeffs, f.basis)
-    if target == "monomial":
-        return _symfn(mf, "monomial", f.modulus)
-    if target == "elementary":
-        return _symfn(_m_to_e(mf, f.modulus), "elementary", f.modulus)
-    return _symfn(_m_to_p(mf, f.modulus), "power-sum", f.modulus)
+    # the m-basis sums run over Z on f's coefficients times their common
+    # denominator, so Fractions appear only in the answer
+    denominator = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    out: dict = {}
+    for w, dense in sorted(_dense_m(f.coeffs, f.basis, denominator).items()):
+        if target == "monomial":
+            out.update(zip(reversed(_index(w)[0]), reversed(dense)))
+        elif target == "elementary":
+            out.update(_m_to_e(dense, w, f.modulus))
+        else:
+            out.update(_m_to_p(dense, w, f.modulus))
+    if denominator > 1:
+        out = {lam: Fraction(c, denominator) for lam, c in out.items()}
+    return _symfn(out, target, f.modulus)
 
 
 # ---------------------------------------------------------------------------

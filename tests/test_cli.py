@@ -20,10 +20,11 @@ def run(capsys, *argv):
 
 
 def run_chow_process(payload):
-    """`chow` on payload in a separate process, so a hang fails by timeout."""
+    """`chow` on payload (an object, or JSON text) in a separate process,
+    so a hang fails by timeout."""
     return subprocess.run(
         [sys.executable, "-m", "cobcalc.cli", "chow", "--input", "-"],
-        input=json.dumps(payload),
+        input=payload if isinstance(payload, str) else json.dumps(payload),
         capture_output=True,
         text=True,
         timeout=10,
@@ -233,6 +234,9 @@ class TestDecompAndRanks:
             ["decomp-check", "--prime", "3", "--max-weight", "-2"],
             ["ranks", "--max-d", "0"],
             ["ranks", "--max-d", "-5"],
+            # p(60) = 966467 and p(46) = 105558, above the listing limit
+            ["partition-tools", "--weight", "60"],
+            ["partition-tools", "--weight", "92", "--predicate", "even"],
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv):
@@ -395,6 +399,14 @@ class TestChowCommand:
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: pow: ") and len(done.stderr.splitlines()) == 1
+
+    def test_deeply_nested_payload_is_usage_error(self):
+        # deeper than the JSON decoder's and the evaluator's recursion
+        text = '{"space": [1], "expr": ' + '{"op": "add", "terms": [' * 3000 + '"alpha"' + "]}" * 3000 + "}"
+        done = run_chow_process(text)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
     def test_pow_refuses_an_unprintable_constant_term(self, capsys, tmp_path):
         # 2**20000 has 6021 digits

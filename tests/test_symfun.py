@@ -137,6 +137,73 @@ class TestConvert:
             assert convert(m(lam), "elementary").coeffs == want
 
 
+def conjugate(lam) -> Partition:
+    return Partition(sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1)) if lam else Partition()
+
+
+def zero_one_matrices(rows: tuple, cols: tuple) -> int:
+    """Number of 0-1 matrices with the given row and column sums, filled
+    row by row."""
+    if not rows:
+        return int(not any(cols))
+    return sum(
+        zero_one_matrices(rows[1:], tuple(c - (j in chosen) for j, c in enumerate(cols)))
+        for chosen in itertools.combinations(range(len(cols)), rows[0])
+        if all(cols[j] for j in chosen)
+    )
+
+
+def to_m_table(weight, basis="elementary") -> dict:
+    """lam -> the basis element of lam in the m basis, over the partitions
+    of weight."""
+    return {
+        lam: convert(SymFn.basis_element(lam, basis), "monomial").coeffs
+        for lam in enumerate_partitions(weight)
+    }
+
+
+class TestTransitionMatrices:
+    @pytest.mark.parametrize("weight", range(0, 8))
+    def test_elementary_entries_count_zero_one_matrices(self, weight):
+        # the coefficient of m_mu in e_lam is the number of 0-1 matrices
+        # with row sums lam and column sums mu (Macdonald I §6)
+        for lam, row in to_m_table(weight).items():
+            for mu in enumerate_partitions(weight):
+                assert row.get(mu, 0) == zero_one_matrices(tuple(lam), tuple(mu))
+
+    @pytest.mark.parametrize("weight", range(0, 13))
+    def test_elementary_matrix_is_symmetric(self, weight):
+        table = to_m_table(weight)
+        for lam, row in table.items():
+            for mu in table:
+                assert row.get(mu, 0) == table[mu].get(lam, 0)
+
+    @pytest.mark.parametrize("weight", range(0, 15))
+    def test_triangular(self, weight):
+        # e_lam' is m_lam plus lex-smaller terms, and p_lam is
+        # prod mult! m_lam plus lex-larger terms.  The eliminations invert
+        # these tables: the columns they give are triangular the same way,
+        # and the tables take them back to m_lam.
+        e_table, p_table = to_m_table(weight), to_m_table(weight, "power-sum")
+        for lam in enumerate_partitions(weight):
+            lead = math.prod(math.factorial(k) for k in Counter(lam).values())
+            row = e_table[conjugate(lam)]
+            assert row[lam] == 1 and all(mu < lam for mu in row if mu != lam)
+            row = p_table[lam]
+            assert row[lam] == lead and all(mu > lam for mu in row if mu != lam)
+            e_col = convert(m(lam), "elementary").coeffs
+            assert e_col[conjugate(lam)] == 1
+            assert all(conjugate(nu) < lam for nu in e_col if nu != conjugate(lam))
+            p_col = convert(m(lam), "power-sum").coeffs
+            assert p_col[lam] == Fraction(1, lead) and all(mu > lam for mu in p_col if mu != lam)
+            for col, table in ((e_col, e_table), (p_col, p_table)):
+                back: dict = {}
+                for nu, c in col.items():
+                    for mu, v in table[nu].items():
+                        back[mu] = back.get(mu, 0) + c * v
+                assert {mu: v for mu, v in back.items() if v} == {lam: 1}
+
+
 @st.composite
 def small_symfn(draw):
     basis = draw(st.sampled_from(BASES))
