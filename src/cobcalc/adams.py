@@ -93,6 +93,8 @@ class DecompositionReport:
 
 # the row convolution is quadratic in the weight: 4000 takes about a second
 MAX_DECOMPOSITION_WEIGHT = 4000
+# both rank routes are quadratic in d_max: 5000 takes about three seconds
+MAX_RANK_D = 5000
 
 
 def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
@@ -131,8 +133,8 @@ def e2_ranks(d_max: int) -> list[int]:
     """Free ranks of the degree -2d diagonals, d = 1..d_max: the number of
     partitions of 2d into even parts, which is the number of partitions of
     d."""
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
+    if not 1 <= d_max <= MAX_RANK_D:
+        raise ValueError(f"d_max must be positive and at most {MAX_RANK_D}, got {d_max}")
     return _partition_numbers(d_max)[1:]
 
 
@@ -151,8 +153,8 @@ def _generator_degrees(ell: int, max_degree: int) -> list[int]:
 def e2_ranks_from_generators(d_max: int, ell: int) -> list[int]:
     """Same ranks by counting monomials in the presentation's generator
     degrees; independent of the partition route and of ell."""
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
+    if not 1 <= d_max <= MAX_RANK_D:
+        raise ValueError(f"d_max must be positive and at most {MAX_RANK_D}, got {d_max}")
     _require_odd_prime(ell)
     return _counts(_generator_degrees(ell, 2 * d_max), 2 * d_max)[2::2]
 

@@ -12,25 +12,28 @@ brute-force expansion in the truncated ring.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from math import prod
 
 from . import chow
 from .chow import LineTerm, ProjProduct, VirtualBundle
 from .valuation import ladic_digits, multinomial, nu_multinomial, _require_odd_prime
 
-DEFAULT_BRUTEFORCE_CAP = 14
-_CAP_ENV = "COBCALC_BRUTEFORCE_CAP"
+# Expansions refuse, before any ring arithmetic, a space whose predicted work
+# (ring rank prod(n_i + 1) x factor count, about 0.5 s per million) exceeds
+# this.  It admits every space of total dimension <= 16, and build_X(d, l)
+# for d <= 30 at l = 3 and 5 and for d <= 20 at l = 7 except d = 19.
+MAX_EXPANSION_WORK = 2**22
 
 
-def bruteforce_cap() -> int:
-    value = os.environ.get(_CAP_ENV)
-    if value is None:
-        return DEFAULT_BRUTEFORCE_CAP
-    cap = int(value)
-    if not (1 <= cap <= 16):
-        raise ValueError(f"{_CAP_ENV} must be between 1 and 16")
-    return cap
+def _check_expansion_work(X: ProjProduct) -> None:
+    rank = prod(n + 1 for n in X.dims)
+    work = rank * X.factor_count
+    if work > MAX_EXPANSION_WORK:
+        raise ValueError(
+            f"expansion in {X} has predicted work {work} (rank {rank} x "
+            f"{X.factor_count} factors), above the limit {MAX_EXPANSION_WORK}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,15 +101,10 @@ def s_number(X: ProjProduct) -> int:
     return -2 * multinomial(X.total_dimension, X.dims)
 
 
-def s_number_bruteforce(X: ProjProduct, cap: int | None = None) -> int:
+def s_number_bruteforce(X: ProjProduct) -> int:
     """Same number by full expansion in the truncated ring."""
     _check_construction(X)
-    if cap is None:
-        cap = bruteforce_cap()
-    if X.total_dimension > cap:
-        raise ValueError(
-            f"total dimension {X.total_dimension} exceeds expansion cap {cap}"
-        )
+    _check_expansion_work(X)
     a = chow.alpha(X)
     return -2 * chow.deg(a ** X.total_dimension)
 
@@ -137,7 +135,7 @@ def sign_exponent(X: ProjProduct) -> int:
     return 1 + sum((n + 1) // 2 for n in X.dims)
 
 
-def signed_char_number(X: ProjProduct, cap: int | None = None) -> int:
+def signed_char_number(X: ProjProduct) -> int:
     """Characteristic number of the associated symplectic class, with its
     sign: (-1)**n_Y times the degree of a^2 * c_(2d)(xi + xi - T_X),
     evaluated directly in the truncated ring.  By the comparison of the two
@@ -145,12 +143,7 @@ def signed_char_number(X: ProjProduct, cap: int | None = None) -> int:
     valuation is consumed downstream.
     """
     two_d = _check_construction(X)
-    if cap is None:
-        cap = bruteforce_cap()
-    if X.total_dimension > cap:
-        raise ValueError(
-            f"total dimension {X.total_dimension} exceeds expansion cap {cap}"
-        )
+    _check_expansion_work(X)
     # -T_Y restricted from X: the normal bundle xi + xi minus the tangent bundle
     ones = (1,) * X.factor_count
     v = VirtualBundle(X, (LineTerm(1, ones), LineTerm(1, ones))) + (-chow.tangent_bundle(X))

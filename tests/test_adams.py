@@ -2,6 +2,7 @@ import pytest
 
 from cobcalc.adams import (
     MAX_DECOMPOSITION_WEIGHT,
+    MAX_RANK_D,
     TriDegree,
     decomposition_check,
     e2_rank,
@@ -135,6 +136,13 @@ class TestRanks:
         with pytest.raises(ValueError, match="d_max must be positive"):
             e2_ranks(d_max)
         with pytest.raises(ValueError, match="d_max must be positive"):
+            e2_ranks_from_generators(d_max, 3)
+
+    @pytest.mark.parametrize("d_max", [MAX_RANK_D + 1, 10**10])
+    def test_columns_refuse_beyond_the_limit(self, d_max):
+        with pytest.raises(ValueError, match=f"at most {MAX_RANK_D}, got {d_max}"):
+            e2_ranks(d_max)
+        with pytest.raises(ValueError, match=f"at most {MAX_RANK_D}, got {d_max}"):
             e2_ranks_from_generators(d_max, 3)
 
     def test_even_partitions_self_consistency(self):

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cobcalc import cli
+from cobcalc import cli, stong
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+UNIT = {"op": "pow", "base": "alpha", "n": 0}
+BIG = 10**400
 
 
 def run(capsys, *argv):
@@ -19,17 +26,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_chow_process(payload):
-    """`chow` on payload (an object, or JSON text) in a separate process,
-    so a hang fails by timeout."""
+def run_process(*argv, stdin=None):
+    """The command line argv in a separate process, so a hang fails by
+    timeout."""
     return subprocess.run(
-        [sys.executable, "-m", "cobcalc.cli", "chow", "--input", "-"],
-        input=payload if isinstance(payload, str) else json.dumps(payload),
+        [sys.executable, "-m", "cobcalc.cli", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=10,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def run_chow_process(payload):
+    """`chow` on payload (an object, or JSON text) in a separate process."""
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    return run_process("chow", "--input", "-", stdin=text)
 
 
 class TestSnumbers:
@@ -68,6 +81,20 @@ class TestSnumbers:
         _, out1, _ = run(capsys, "snumbers", "--prime", "5", "--max-d", "6")
         _, out2, _ = run(capsys, "snumbers", "--prime", "5", "--max-d", "6")
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "prime, max_d, first_d", [("3", 10**12, 3207), ("3", 3207, 3207), ("11", 2700, 2577)]
+    )
+    def test_unprintable_rows_are_refused_at_once(self, prime, max_d, first_d):
+        done = run_process("snumbers", "--prime", prime, "--max-d", str(max_d))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: --max-d {max_d}: row d = {first_d} would print over 4300 digits\n"
+        )
+
+    def test_last_accepted_row_prints_4300_digits(self):
+        # the row before the first refused one at l = 3 is printable
+        assert len(str(abs(stong.s_number(stong.build_X(3206, 3))))) == 4300
 
     def test_rows_round_trip_as_family(self, capsys):
         _, out, _ = run(capsys, "snumbers", "--prime", "3", "--max-d", "8")
@@ -234,6 +261,8 @@ class TestDecompAndRanks:
             ["decomp-check", "--prime", "3", "--max-weight", "-2"],
             ["ranks", "--max-d", "0"],
             ["ranks", "--max-d", "-5"],
+            ["ranks", "--max-d", "5001"],
+            ["ranks", "--max-d", "10000000000"],
             # p(60) = 966467 and p(46) = 105558, above the listing limit
             ["partition-tools", "--weight", "60"],
             ["partition-tools", "--weight", "92", "--predicate", "even"],
@@ -356,6 +385,15 @@ class TestChowCommand:
             },
             # beyond the widest exponent field
             {"space": [1, 2**63], "expr": "alpha"},
+            # constant term 2 to a power beyond float range
+            {
+                "space": [1, 1],
+                "expr": {
+                    "op": "pow",
+                    "base": {"op": "add", "terms": ["alpha", UNIT, UNIT]},
+                    "n": BIG,
+                },
+            },
         ],
     )
     def test_malformed_input_is_usage_error(self, capsys, tmp_path, payload):
@@ -418,6 +456,16 @@ class TestChowCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: pow: ") and len(err.splitlines()) == 1
 
+    def test_nested_powers_are_refused_once_unprintable(self):
+        # (1 + alpha) ** 10**400 on P^4 x P^4 x P^4 already has coefficients
+        # of about 4800 digits; each further power would multiply them by 12
+        expr = {"op": "add", "terms": ["alpha", UNIT]}
+        for _ in range(4):
+            expr = {"op": "pow", "base": expr, "n": BIG}
+        done = run_chow_process({"space": [4, 4, 4], "expr": expr})
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: pow: a coefficient has over 4300 digits\n"
+
     def test_class_json_round_trip(self, capsys, tmp_path):
         from cobcalc.chow import ProjProduct, alpha
 
@@ -432,6 +480,72 @@ class TestChowCommand:
         _, out, _ = run(capsys, "chow", "--input", str(path))
         rows = json.loads(out)["class"]
         assert cli.chow_class_from_json(space, rows) == value
+
+
+fuzz_ints = st.one_of(st.integers(-1, 3), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))
+# exponents past float range, where the digits of a power are estimated
+pow_ints = st.one_of(fuzz_ints, st.integers(10**308, BIG))
+
+
+def _chow_exprs(m: int):
+    """Expression trees whose twists mostly have m entries, so that most
+    bundles are valid and deep trees reach the refusals of pow and of
+    printing."""
+    twists = st.one_of(st.lists(fuzz_ints, min_size=m, max_size=m), st.lists(fuzz_ints, max_size=3))
+    signs = st.one_of(st.sampled_from([1, -1]), fuzz_ints)
+    terms = st.fixed_dictionaries({"twist": twists}, optional={"sign": signs})
+    bundles = st.one_of(st.just("tangent"), st.builds(lambda ts: {"terms": ts}, st.lists(terms, max_size=3)))
+    leaves = st.one_of(
+        st.sampled_from(["alpha", {"op": "alpha"}]),
+        # the constant k: powers of a class with a constant term take the
+        # binomial route of ChowClass.__pow__
+        st.builds(lambda k: {"op": "add", "terms": [UNIT] * k}, st.integers(1, 3)),
+        st.builds(lambda b, n: {"op": "newton", "bundle": b, "n": n}, bundles, fuzz_ints),
+        st.builds(
+            lambda b, parts: {"op": "cf", "bundle": b, "partition": parts},
+            bundles,
+            st.lists(fuzz_ints, max_size=3),
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(lambda e, n: {"op": "pow", "base": e, "n": n}, sub, pow_ints),
+            st.builds(lambda es: {"op": "mul", "factors": es}, st.lists(sub, min_size=1, max_size=3)),
+            st.builds(lambda es: {"op": "add", "terms": es}, st.lists(sub, min_size=1, max_size=3)),
+            st.builds(lambda e: {"op": "deg", "of": e}, sub),
+        ),
+        max_leaves=8,
+    )
+
+
+CHOW_EXPRS = {m: _chow_exprs(m) for m in (1, 2, 3)}
+# a space of at most 3 factors of dimension at most 4, and a tree on it
+chow_payloads = st.lists(st.integers(1, 4), min_size=1, max_size=3).flatmap(
+    lambda space: CHOW_EXPRS[len(space)].map(lambda expr: {"space": space, "expr": expr})
+)
+
+
+class TestChowFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=chow_payloads)
+    # a constant term of 2 to a power past float range
+    @example(
+        payload={
+            "space": [1, 1],
+            "expr": {"op": "pow", "base": {"op": "add", "terms": ["alpha", UNIT, UNIT]}, "n": BIG},
+        }
+    )
+    def test_exit_code_and_one_error_line(self, payload):
+        stdin = io.StringIO(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["chow", "--input", "-"])
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["space"] == payload["space"]
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 class TestDispatch:

@@ -1,9 +1,12 @@
 import pytest
 
+from cobcalc import chow
 from cobcalc.chow import ProjProduct
+from cobcalc.partitions import enumerate_partitions
 from cobcalc.stong import (
+    MAX_EXPANSION_WORK,
+    _check_expansion_work,
     build_X,
-    bruteforce_cap,
     congruence_check,
     exceptional_exponent,
     s_number,
@@ -69,25 +72,40 @@ class TestSNumber:
         assert s_number_bruteforce(ProjProduct((3, 3))) == -40
         assert s_number_bruteforce(ProjProduct((1, 1))) == -4
 
-    def test_bruteforce_cap(self):
-        with pytest.raises(ValueError):
-            s_number_bruteforce(ProjProduct((7, 7, 1, 1)), cap=14)
+    def test_expansion_work_limit(self, monkeypatch):
+        # rank 256 x 4 factors: above the old total-dimension cap of 14, now
+        # computed
+        assert s_number_bruteforce(ProjProduct((7, 7, 1, 1))) == s_number(ProjProduct((7, 7, 1, 1)))
+        # nothing the old cap admitted at its largest, 16, is refused
+        for w in range(2, 17, 2):
+            for dims in enumerate_partitions(w):
+                if len(dims) % 2 == 0 and all(n % 2 for n in dims):
+                    _check_expansion_work(ProjProduct(dims))
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("COBCALC_BRUTEFORCE_CAP", "6")
-        assert bruteforce_cap() == 6
-        with pytest.raises(ValueError):
-            s_number_bruteforce(ProjProduct((3, 3, 1, 1)))
-        monkeypatch.setenv("COBCALC_BRUTEFORCE_CAP", "99")
-        with pytest.raises(ValueError):
-            bruteforce_cap()
+        def no_product(*args):
+            raise AssertionError("ring product before the work check")
+
+        monkeypatch.setattr(chow, "_mul", no_product)
+        # (1^5, 7^5): rank 2**5 * 8**5 = 1048576 x 10 factors
+        X = build_X(19, 7)
+        assert X == ProjProduct((1,) * 5 + (7,) * 5)
+        for route in (s_number_bruteforce, signed_char_number):
+            with pytest.raises(ValueError) as exc:
+                route(X)
+            message = str(exc.value)
+            assert "predicted work 10485760" in message
+            assert "rank 1048576 x 10 factors" in message
+            assert str(MAX_EXPANSION_WORK) in message
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_closed_form_equals_expansion_for_construction(self, ell):
-        for d in range(1, 6):
+        for d in range(1, (20 if ell == 7 else 30) + 1):
+            if (d, ell) == (19, 7):
+                continue  # refused: see test_expansion_work_limit
             X = build_X(d, ell)
-            if X.total_dimension <= 12:
-                assert s_number(X) == s_number_bruteforce(X)
+            s = s_number(X)
+            assert s_number_bruteforce(X) == s, d
+            assert signed_char_number(X) == (-1) ** (sign_exponent(X) + 1) * s, d
 
 
 class TestCongruence:
