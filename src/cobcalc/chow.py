@@ -32,7 +32,7 @@ from math import comb, lcm
 from operator import gt
 from typing import NamedTuple
 
-from . import _sparse, symfun
+from . import _sparse
 from .partitions import Partition
 
 
@@ -326,6 +326,10 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
 def cf_chern(v: VirtualBundle, I) -> ChowClass:
     """Conner-Floyd class c_I(v): m_I of the Chern roots, expanded in the
     power sums over Z, with p_k evaluated at the Newton class of v."""
+    # symfun's only use in this module: a caller that takes no Conner-Floyd
+    # class does not load it
+    from . import symfun
+
     I = Partition(I)
     if I.weight > v.space.total_dimension:
         return ChowClass.zero(v.space)

@@ -15,8 +15,13 @@ import math
 import re
 import sys
 
-from . import adams, chow, criterion, partitions, steenrod, stong, symfun
-from .symfun import BPoly
+# Each command imports the modules it runs where it runs them, so a process
+# loads no others.  These imports serve the annotations only: type checkers
+# take TYPE_CHECKING as true, and defining it here spares importing typing.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import chow, criterion
+    from .symfun import BPoly
 
 # Python's default limit on the digits of an int converted to a string
 MAX_DIGITS = 4300
@@ -47,6 +52,8 @@ def bpoly_to_json(p: BPoly) -> list:
 
 
 def bpoly_from_json(rows: list, modulus: int | None = None) -> BPoly:
+    from .symfun import BPoly
+
     coeffs = {}
     for row in rows:
         mono = tuple(sorted((int(i), int(k)) for i, k in row["exponents"].items()))
@@ -62,10 +69,10 @@ def parse_b_class(text: str) -> dict:
     for factor in text.replace(" ", "").split("*"):
         if not factor:
             raise ValueError("empty factor")
-        if re.fullmatch(r"-?\d+", factor):
+        if re.fullmatch(r"-?[0-9]+", factor):
             coeff *= int(factor)
             continue
-        m = re.fullmatch(r"b(\d+)(?:\^(\d+))?", factor)
+        m = re.fullmatch(r"b([0-9]+)(?:\^([0-9]+))?", factor)
         if not m:
             raise ValueError(f"cannot parse factor {factor!r}")
         i, k = int(m.group(1)), int(m.group(2) or 1)
@@ -83,6 +90,8 @@ def family_to_json(fam: criterion.CandidateFamily) -> dict:
 
 
 def family_from_json(obj) -> criterion.CandidateFamily:
+    from . import criterion
+
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), dict):
         raise ValueError('a family must be an object with an "entries" object')
     for d, v in obj["entries"].items():
@@ -92,6 +101,8 @@ def family_from_json(obj) -> criterion.CandidateFamily:
 
 
 def snumbers_rows(ell: int, d_max: int) -> list[dict]:
+    from . import stong
+
     rows = []
     for row in stong.valuation_table(ell, d_max):
         rows.append(
@@ -109,6 +120,8 @@ def snumbers_rows(ell: int, d_max: int) -> list[dict]:
 
 def family_from_snumbers_rows(rows: list[dict]) -> criterion.CandidateFamily:
     """Read a snumbers JSON report back as a candidate family."""
+    from . import criterion
+
     return criterion.CandidateFamily(
         "msp", {int(r["d"]): abs(int(r["s"])) for r in rows}
     )
@@ -135,6 +148,8 @@ def _ints(value, what: str) -> tuple[int, ...]:
 
 
 def parse_bundle(space: chow.ProjProduct, spec) -> chow.VirtualBundle:
+    from . import chow
+
     if spec == "tangent":
         return chow.tangent_bundle(space)
     if isinstance(spec, dict) and isinstance(spec.get("terms"), list):
@@ -151,6 +166,8 @@ def parse_bundle(space: chow.ProjProduct, spec) -> chow.VirtualBundle:
 
 def eval_chow_expr(space: chow.ProjProduct, expr):
     """Evaluate an expression tree; returns a ChowClass or an int (deg)."""
+    from . import chow
+
     if expr == "alpha":
         return chow.alpha(space)
     if not isinstance(expr, dict) or "op" not in expr:
@@ -202,6 +219,8 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
 
 
 def chow_result_to_json(value) -> dict:
+    from . import chow
+
     if isinstance(value, chow.ChowClass):
         return {
             "class": [
@@ -213,6 +232,8 @@ def chow_result_to_json(value) -> dict:
 
 
 def chow_class_from_json(space: chow.ProjProduct, rows: list) -> chow.ChowClass:
+    from . import chow
+
     return chow.ChowClass(
         space, {tuple(int(x) for x in r["exponents"]): int(r["coeff"]) for r in rows}
     )
@@ -264,6 +285,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_snumbers(args) -> int:
+    from . import stong
+
     # row d prints s = -2 * multinomial(2d + 2; dims): refuse at the first d
     # whose s has more than MAX_DIGITS digits, before any row is built
     for d in range(1, args.max_d + 1):
@@ -277,6 +300,8 @@ def _cmd_snumbers(args) -> int:
 
 
 def _cmd_verify_generators(args) -> int:
+    from . import criterion
+
     d_max = args.max_d
     fam = None
     if args.family:
@@ -333,7 +358,10 @@ def _cmd_verify_generators(args) -> int:
 
 
 def _cmd_steenrod(args) -> int:
-    m = re.fullmatch(r"P(-?\d+)", args.op)
+    from . import steenrod
+    from .symfun import BPoly
+
+    m = re.fullmatch(r"P(-?[0-9]+)", args.op)
     if not m:
         raise ValueError(f"cannot parse operation {args.op!r}, expected like P2")
     i = int(m.group(1))
@@ -347,6 +375,8 @@ def _cmd_steenrod(args) -> int:
 
 
 def _cmd_decomp_check(args) -> int:
+    from . import adams
+
     report = adams.decomposition_check(args.max_weight, args.prime)
     rows = [
         {
@@ -362,6 +392,8 @@ def _cmd_decomp_check(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
+    from . import adams
+
     ranks = adams.e2_ranks(args.max_d)
     by_generators = adams.e2_ranks_from_generators(args.max_d, args.prime)
     rows = [
@@ -380,6 +412,8 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_partition_tools(args) -> int:
+    from . import partitions
+
     if args.is_even is not None:
         p = partitions.Partition(_parse_parts(args.is_even))
         report = {"partition": list(p), "is_even": p.is_even()}
@@ -399,6 +433,8 @@ def _cmd_partition_tools(args) -> int:
         n = args.weight
     else:
         n = args.weight // 2 if args.weight % 2 == 0 else 0
+    from . import adams
+
     # p increases, and p(100) is far above the limit, so counting stops there
     if adams._partition_numbers(min(n, 100))[-1] > MAX_PARTITIONS:
         raise ValueError(f"--weight {args.weight} would list more than {MAX_PARTITIONS} partitions")
@@ -409,6 +445,8 @@ def _cmd_partition_tools(args) -> int:
 
 
 def _cmd_u_to_b(args) -> int:
+    from . import symfun
+
     omega = _parse_parts(args.partition)
     result = symfun.u_to_b(omega, modulus=args.modulus)
     _emit(json.dumps(bpoly_to_json(result), indent=2), args.output)
@@ -416,6 +454,8 @@ def _cmd_u_to_b(args) -> int:
 
 
 def _cmd_chow(args) -> int:
+    from . import chow
+
     if args.input == "-":
         payload = json.load(sys.stdin)
     else:
@@ -432,6 +472,9 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_self_test(args) -> int:
+    from . import adams, criterion, steenrod, stong
+    from .symfun import BPoly
+
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -503,6 +546,8 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .partitions import PREDICATES
+
     parser = argparse.ArgumentParser(
         prog="cobcalc",
         description="Exact calculator for characteristic numbers, valuations, "
@@ -561,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition-tools", help="partition enumeration and predicates")
     p.add_argument("--weight", type=int)
-    p.add_argument("--predicate", choices=partitions.PREDICATES, default="all")
+    p.add_argument("--predicate", choices=PREDICATES, default="all")
     p.add_argument("--prime", type=int, default=3)
     p.add_argument("--is-even", metavar="PARTS", help='e.g. "4,2"')
     p.add_argument("--is-ladic", metavar="PARTS", help='e.g. "8,4"')

@@ -238,6 +238,48 @@ class TestSteenrodCommand:
         p = BPoly({((1, 2), (3, 1)): 2, ((2, 1),): 1}, 5)
         assert cli.bpoly_from_json(cli.bpoly_to_json(p), 5) == p
 
+    @pytest.mark.parametrize(
+        "cls, factor", [("b\u0663", "b\u0663"), ("b1^\u0663", "b1^\u0663"), ("\u0663*b1", "\u0663")]
+    )
+    def test_only_ascii_digits_parse(self, capsys, cls, factor):
+        # int() reads the Arabic-Indic three as 3; the parser must not
+        code, out, err = run(capsys, "steenrod", "--prime", "3", "--op", "P1", "--class", cls)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse factor {factor!r}\n"
+
+
+# factors with small indices and exponents, so that many classes parse and
+# reach the power operation or its weight cap, mixed with near misses
+b_factors = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("b{}".format, st.integers(0, 31)),
+    st.builds("b{}^{}".format, st.integers(0, 31), st.integers(0, 31)),
+    st.text(alphabet="b^*-+0123456789\u0663\uff11 ", max_size=6),
+)
+b_classes = st.one_of(st.text(), st.lists(b_factors, max_size=4).map("*".join))
+
+
+class TestSteenrodFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=b_classes)
+    def test_exit_code_and_one_error_line(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["steenrod", "--prime", "3", "--op", "P1", "--class", text])
+            except SystemExit as exc:
+                # argparse reads text like "-x" as an option: usage, then its error line
+                assert exc.code == 2 and out.getvalue() == ""
+                assert [line for line in err.getvalue().splitlines() if "error:" in line] == [
+                    "cobcalc steenrod: error: argument --class: expected one argument"
+                ]
+                return
+        if code == 0:
+            assert err.getvalue() == "" and isinstance(json.loads(out.getvalue()), list)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
 
 class TestDecompAndRanks:
     def test_decomp_check(self, capsys):

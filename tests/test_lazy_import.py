@@ -1,0 +1,100 @@
+"""`import cobcalc` loads no submodule, and each command loads only the
+modules it runs.  Each load check runs in a fresh interpreter, since this
+process has imported everything already."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cobcalc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# modules that none of the counting commands need
+HEAVY = {"cobcalc.symfun", "cobcalc.chow", "cobcalc.steenrod", "cobcalc.stong"}
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def loaded_by(code: str) -> set[str]:
+    """The cobcalc submodules a fresh interpreter holds after running code."""
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cobcalc.'))))"
+    )
+    proc = run_fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_by_main(argv: list[str]) -> set[str]:
+    """The cobcalc submodules loaded by cli.main(argv), which must exit 0."""
+    return loaded_by(f"from cobcalc import cli\nassert cli.main({argv!r}) == 0")
+
+
+def test_import_loads_no_submodule():
+    assert loaded_by("import cobcalc") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp-check", "--prime", "3", "--max-weight", "20"],
+        ["ranks", "--max-d", "10"],
+        ["partition-tools", "--is-ladic", "8,4", "--prime", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_counting_commands_skip_the_rings(argv):
+    assert not loaded_by_main(argv) & HEAVY
+
+
+def test_snumbers_skips_symmetric_functions():
+    loaded = loaded_by_main(["snumbers", "--prime", "3", "--max-d", "5"])
+    assert "cobcalc.stong" in loaded and "cobcalc.symfun" not in loaded
+
+
+def test_module_entry_point_loads_only_its_command():
+    # -X importtime reports every module the process imports, on stderr
+    proc = run_fresh("-X", "importtime", "-m", "cobcalc.cli", "ranks", "--max-d", "30")
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "cobcalc.adams" in imported
+    assert not imported & {"cobcalc.symfun", "cobcalc.chow", "cobcalc.steenrod"}
+
+
+@pytest.mark.parametrize("name", cobcalc.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    obj = getattr(cobcalc, name)
+    home = importlib.import_module(obj.__module__)
+    assert home.__name__.startswith("cobcalc.")
+    assert getattr(home, name) is obj
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from cobcalc import *", namespace)
+    for name in cobcalc.__all__:
+        assert namespace[name] is getattr(cobcalc, name)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cobcalc.no_such_name
+    assert not hasattr(cobcalc, "no_such_name")
+
+
+def test_dir_lists_the_public_names():
+    assert set(cobcalc.__all__) <= set(dir(cobcalc))

@@ -15,7 +15,7 @@ from cobcalc.stong import (
     signed_char_number,
     valuation_table,
 )
-from cobcalc.valuation import ladic_digits, nu
+from cobcalc.valuation import is_odd_prime, ladic_digits, nu
 
 
 class TestBuildX:
@@ -53,6 +53,14 @@ class TestBuildX:
     def test_rejects_d_zero(self):
         with pytest.raises(ValueError):
             build_X(0, 3)
+
+    def test_tests_a_large_prime_once(self):
+        # build_X checks its prime in four places; trial division on a
+        # 13-digit prime is slow enough to dominate a table of them
+        is_odd_prime.cache_clear()
+        assert build_X(5, 1000000000039) == ProjProduct((1,) * 12)
+        info = is_odd_prime.cache_info()
+        assert info.misses == 1 and info.maxsize is not None
 
 
 class TestSNumber:
