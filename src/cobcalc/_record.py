@@ -1,0 +1,41 @@
+"""Frozen value classes on `__slots__`.
+
+A subclass names its fields in `__slots__` and sets them in its own
+`__init__` through `object.__setattr__`, after its checks.  The base
+compares, hashes, prints and pickles instances by those fields, and
+refuses to assign or delete them afterwards.  The standard library's class
+generator would do the same, but importing it imports `inspect` too, a
+cost every command would pay at start-up.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        # a dict field makes this a TypeError, as for any unhashable value
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the constructor takes the fields in slot order and checks them again
+        return self.__class__, self._values()

@@ -45,9 +45,9 @@ def mul(a: dict, b: dict, combine, modulus: int | None = None) -> dict:
 
 
 def wrap(cls, coeffs: dict, **fields):
-    """Instance of the frozen dataclass cls around coefficients that a ring
-    operation produced from valid operands, skipping cls's own checks: its
-    constructor is for outside input."""
+    """Instance of the frozen record class cls (a `_record.Record`) around
+    coefficients that a ring operation produced from valid operands,
+    skipping cls's own checks: its constructor is for outside input."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "coeffs", coeffs)
     for name, value in fields.items():

@@ -15,20 +15,21 @@ the degrees ell**r - 1 tile the even degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .partitions import Partition
 from .valuation import _require_odd_prime
 
 
-@dataclass(frozen=True)
-class TriDegree:
+class TriDegree(Record):
     """Filtration s, cohomological degree t, weight u; the spot holds the
     bidegree-(t - s, u) component of the filtration-s layer."""
 
-    s: int
-    t: int
-    u: int
+    __slots__ = ("s", "t", "u")
+
+    def __init__(self, s: int, t: int, u: int) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "u", u)
 
     @property
     def internal(self) -> tuple[int, int]:
@@ -70,21 +71,25 @@ def milnor_count(q: int, ell: int) -> int:
     return _counts(_exceptional_degrees(ell, q), q)[q]
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    weight: int
-    even_partition_count: int
-    module_count: int
+class DecompositionRow(Record):
+    __slots__ = ("weight", "even_partition_count", "module_count")
+
+    def __init__(self, weight: int, even_partition_count: int, module_count: int) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "even_partition_count", even_partition_count)
+        object.__setattr__(self, "module_count", module_count)
 
     @property
     def equal(self) -> bool:
         return self.even_partition_count == self.module_count
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    prime: int
-    rows: tuple[DecompositionRow, ...]
+class DecompositionReport(Record):
+    __slots__ = ("prime", "rows")
+
+    def __init__(self, prime: int, rows: tuple[DecompositionRow, ...]) -> None:
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def all_equal(self) -> bool:

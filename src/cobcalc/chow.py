@@ -26,24 +26,23 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, lcm
 from operator import gt
 from typing import NamedTuple
 
 from . import _sparse
+from ._record import Record
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class ProjProduct:
+class ProjProduct(Record):
     """Product of projective spaces with the given factor dimensions."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = tuple(int(n) for n in dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"factor dimensions must be positive: {dims}")
         if max(dims) > MAX_FACTOR_DIMENSION:
@@ -65,15 +64,14 @@ class ProjProduct:
         return "ProjProduct" + repr(self.dims)
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Record):
     """Element of the truncated ring of a ProjProduct."""
 
-    space: ProjProduct
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("space", "coeffs")
 
-    def __post_init__(self):
-        terms = ((_exponents(self.space, e), c) for e, c in self.coeffs.items())
+    def __init__(self, space: ProjProduct, coeffs: dict | None = None) -> None:
+        terms = ((_exponents(space, e), c) for e, c in (coeffs or {}).items())
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "coeffs", _sparse.collect(terms))
 
     @staticmethod
@@ -234,32 +232,30 @@ def deg(a: ChowClass) -> int:
     return a.coeffs.get(a.space.dims, 0)
 
 
-@dataclass(frozen=True)
-class LineTerm:
+class LineTerm(Record):
     """Signed line bundle: sign in {+1,-1}, twist vector c in Z^m, first
     Chern class sum(c_j a_j) under the additive law."""
 
-    sign: int
-    twist: tuple[int, ...]
+    __slots__ = ("sign", "twist")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, twist: tuple[int, ...]) -> None:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "twist", tuple(int(c) for c in self.twist))
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "twist", tuple(int(c) for c in twist))
 
 
-@dataclass(frozen=True)
-class VirtualBundle:
+class VirtualBundle(Record):
     """Finite signed list of line bundles on a ProjProduct."""
 
-    space: ProjProduct
-    terms: tuple[LineTerm, ...]
+    __slots__ = ("space", "terms")
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, space: ProjProduct, terms: tuple[LineTerm, ...]) -> None:
+        terms = tuple(terms)
         for t in terms:
-            if len(t.twist) != self.space.factor_count:
+            if len(t.twist) != space.factor_count:
                 raise ValueError("twist vector length mismatch")
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", terms)
 
     @property

@@ -327,7 +327,8 @@ def _cmd_verify_generators(args) -> int:
             rows.append(row)
         return rows
 
-    if args.all_primes_up_to:
+    if args.all_primes_up_to is not None:
+        criterion.check_sweep_work(args.all_primes_up_to, d_max)
         primes = criterion.odd_primes_up_to(args.all_primes_up_to, args.exclude)
         verdicts = {ell: verdict(ell) for ell in primes}
         ok = criterion.aggregate_passed(verdicts)
@@ -405,10 +406,16 @@ def _cmd_ranks(args) -> int:
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII digits, blanks allowed around each part; empty
+    text is the empty partition."""
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    parts = [x.strip() for x in text.split(",")]
+    for x in parts:
+        if not re.fullmatch(r"[0-9]+", x):
+            raise ValueError(f"cannot parse part {x!r}, expected a nonnegative integer")
+    return tuple(int(x) for x in parts)
 
 
 def _cmd_partition_tools(args) -> int:

@@ -9,29 +9,29 @@ valuation exists), never an exception, so batch tables cannot abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 from . import stong
+from ._record import Record
 from .valuation import is_odd_prime, nu, _require_odd_prime
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
+class CandidateFamily(Record):
     """kind "msp": entry d is the characteristic number in degree -2d.
     kind "mgl": entry d is the characteristic number in degree -d."""
 
-    kind: str
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("kind", "entries")
 
-    def __post_init__(self):
-        if self.kind not in ("msp", "mgl"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
+    def __init__(self, kind: str, entries: dict | None = None) -> None:
+        if kind not in ("msp", "mgl"):
+            raise ValueError(f"unknown family kind {kind!r}")
         clean = {}
-        for d, value in self.entries.items():
+        for d, value in (entries or {}).items():
             d = int(d)
             if d < 1:
                 raise ValueError("degree indices start at 1")
             clean[d] = int(value)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", clean)
 
     def require_range(self, d_max: int) -> None:
@@ -45,20 +45,28 @@ class CandidateFamily:
         return CandidateFamily(self.kind, entries)
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
-    d: int
-    required: int
-    observed: int | None  # None when the entry is zero
-    passed: bool
-    reason: str = ""
+class DegreeVerdict(Record):
+    """observed is None when the entry is zero."""
+
+    __slots__ = ("d", "required", "observed", "passed", "reason")
+
+    def __init__(
+        self, d: int, required: int, observed: int | None, passed: bool, reason: str = ""
+    ) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class GeneratorVerdict:
-    kind: str
-    primes: tuple[int, ...]
-    rows: tuple[DegreeVerdict, ...]
+class GeneratorVerdict(Record):
+    __slots__ = ("kind", "primes", "rows")
+
+    def __init__(self, kind: str, primes: tuple[int, ...], rows: tuple[DegreeVerdict, ...]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def passed(self) -> bool:
@@ -124,6 +132,31 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     return _check_family(fam, ell, d_max, required_valuation_msp)
 
 
+# A global check is refused, before any prime is sought, when its predicted
+# work exceeds this: the primes swept, estimated as bound / ln(bound), times
+# the cost of one prime, 20 units plus d + 12 for each row d <= d_max.  That
+# is the cost at a prime above 2d + 2, where the row's multinomial has 2d + 2
+# factors; smaller primes cost less.  A unit is about 2.5 us on a 2-core x86
+# host, so the largest sweep admitted takes about 2 s.
+MAX_SWEEP_WORK = 800_000
+
+
+def check_sweep_work(prime_bound: int, d_max: int) -> None:
+    """Refuse a sweep of the odd primes up to prime_bound over the rows
+    1..d_max whose predicted work exceeds MAX_SWEEP_WORK."""
+    if prime_bound < 3 or d_max < 1:
+        return  # no prime or no row: refused where the sweep is built
+    # the work grows with both, and either one capped at the limit already
+    # predicts more than the limit, so the float arithmetic cannot overflow
+    bound, rows = min(prime_bound, MAX_SWEEP_WORK), min(d_max, MAX_SWEEP_WORK)
+    work = bound / math.log(bound) * (20 + rows * (rows + 25) / 2)
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"a sweep of the primes up to {prime_bound} over d <= {d_max} has "
+            f"predicted work above the limit {MAX_SWEEP_WORK}"
+        )
+
+
 def odd_primes_up_to(bound: int, excluded=()) -> list[int]:
     """The sweep of a global check: odd primes up to bound, not excluded.
     An empty sweep would pass vacuously, so it is refused."""
@@ -141,6 +174,7 @@ def global_criterion(
     excluded, on the same family.  Only finitely many primes are checkable;
     the unit condition away from the exceptional degrees is verified as
     valuation 0 at every checked prime."""
+    check_sweep_work(prime_bound, d_max)
     primes = odd_primes_up_to(prime_bound, excluded)
     return {ell: msp_criterion(fam, ell, d_max) for ell in primes}
 

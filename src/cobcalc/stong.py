@@ -12,10 +12,10 @@ brute-force expansion in the truncated ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from . import chow
+from ._record import Record
 from .chow import LineTerm, ProjProduct, VirtualBundle
 from .valuation import ladic_digits, multinomial, nu_multinomial, _require_odd_prime
 
@@ -36,17 +36,29 @@ def _check_expansion_work(X: ProjProduct) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StongDatum:
-    """One row of the valuation table."""
+class StongDatum(Record):
+    """One row of the valuation table; expected is 1 when 2d+1 is a power
+    of the prime, else 0."""
 
-    prime: int
-    d: int
-    factors: ProjProduct
-    s_number: int
-    valuation: int
-    n_y: int
-    expected: int  # 1 when 2d+1 is a power of the prime, else 0
+    __slots__ = ("prime", "d", "factors", "s_number", "valuation", "n_y", "expected")
+
+    def __init__(
+        self,
+        prime: int,
+        d: int,
+        factors: ProjProduct,
+        s_number: int,
+        valuation: int,
+        n_y: int,
+        expected: int,
+    ) -> None:
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "s_number", s_number)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "n_y", n_y)
+        object.__setattr__(self, "expected", expected)
 
     @property
     def matches(self) -> bool:

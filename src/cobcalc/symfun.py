@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _sparse
+from ._record import Record
 from .partitions import Partition, enumerate_partitions
 from .valuation import _require_odd_prime
 
@@ -58,21 +58,20 @@ def _reduce(coeffs: dict, modulus: int | None) -> dict:
     return _sparse.clean(fixed, modulus)
 
 
-@dataclass(frozen=True)
-class SymFn:
+class SymFn(Record):
     """Symmetric function with finite support in a named basis."""
 
-    coeffs: dict
-    basis: str = "monomial"
-    modulus: int | None = None
+    __slots__ = ("coeffs", "basis", "modulus")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.modulus is not None:
-            _require_odd_prime(self.modulus)
-        clean = _reduce({Partition(k): c for k, c in self.coeffs.items()}, self.modulus)
+    def __init__(self, coeffs: dict, basis: str = "monomial", modulus: int | None = None) -> None:
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        if modulus is not None:
+            _require_odd_prime(modulus)
+        clean = _reduce({Partition(k): c for k, c in coeffs.items()}, modulus)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def weight(self) -> int:
@@ -404,22 +403,21 @@ def _bmono_mul(ma: BMono, mb: BMono) -> BMono:
     return tuple(sorted(exps.items()))
 
 
-@dataclass(frozen=True)
-class BPoly:
+class BPoly(Record):
     """Sparse polynomial in generators b1, b2, ... with b_i of weight 2i.
 
     coeffs maps a monomial ((i1, k1), (i2, k2), ...) with i1 < i2 < ... to a
     nonzero coefficient.  modulus None means exact integers.
     """
 
-    coeffs: dict = field(default_factory=dict)
-    modulus: int | None = None
+    __slots__ = ("coeffs", "modulus")
 
-    def __post_init__(self):
-        if self.modulus is not None:
-            _require_odd_prime(self.modulus)
-        terms = ((_bmono(mono), c) for mono, c in _reduce(self.coeffs, self.modulus).items())
-        object.__setattr__(self, "coeffs", _reduce(_sparse.collect(terms), self.modulus))
+    def __init__(self, coeffs: dict | None = None, modulus: int | None = None) -> None:
+        if modulus is not None:
+            _require_odd_prime(modulus)
+        terms = ((_bmono(mono), c) for mono, c in _reduce(coeffs or {}, modulus).items())
+        object.__setattr__(self, "coeffs", _reduce(_sparse.collect(terms), modulus))
+        object.__setattr__(self, "modulus", modulus)
 
     @staticmethod
     def zero(modulus: int | None = None) -> "BPoly":
@@ -530,26 +528,25 @@ def diagonal(omega) -> list[tuple[Partition, Partition]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class ZClass:
+class ZClass(Record):
     """Formal mod-ell sum of even non-l-adic partitions.
 
     Multiplication concatenates indexing partitions; the pairing against an
     even partition is the Kronecker pairing on the basis.
     """
 
-    prime: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("prime", "coeffs")
 
-    def __post_init__(self):
-        _require_odd_prime(self.prime)
-        coeffs = {Partition(p): c for p, c in self.coeffs.items()}
+    def __init__(self, prime: int, coeffs: dict | None = None) -> None:
+        _require_odd_prime(prime)
+        coeffs = {Partition(p): c for p, c in (coeffs or {}).items()}
         for p in coeffs:
             if not p.is_even():
                 raise ValueError(f"{tuple(p)} is not even")
-            if p.is_ladic(self.prime):
-                raise ValueError(f"{tuple(p)} is {self.prime}-adic")
-        object.__setattr__(self, "coeffs", _sparse.clean(coeffs, self.prime))
+            if p.is_ladic(prime):
+                raise ValueError(f"{tuple(p)} is {prime}-adic")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "coeffs", _sparse.clean(coeffs, prime))
 
     @staticmethod
     def basis_element(omega, ell: int) -> "ZClass":

@@ -9,8 +9,9 @@ valuations stay cheap even where the factorials would not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record
 
 
 # Trial division: a 13-digit prime takes about 0.07 s, and one query checks
@@ -85,19 +86,19 @@ def nu_multinomial(n: int, parts: list[int] | tuple[int, ...], ell: int) -> int:
     return nu_factorial(n, ell) - sum(nu_factorial(p, ell) for p in parts)
 
 
-@dataclass(frozen=True)
-class LadicDigits:
+class LadicDigits(Record):
     """Base-ell expansion, least significant digit first, no trailing zeros."""
 
-    prime: int
-    digits: tuple[int, ...]
+    __slots__ = ("prime", "digits")
 
-    def __post_init__(self) -> None:
-        _require_odd_prime(self.prime)
-        if any(not (0 <= d < self.prime) for d in self.digits):
+    def __init__(self, prime: int, digits: tuple[int, ...]) -> None:
+        _require_odd_prime(prime)
+        if any(not (0 <= d < prime) for d in digits):
             raise ValueError("digit out of range")
-        if self.digits and self.digits[-1] == 0:
+        if digits and digits[-1] == 0:
             raise ValueError("trailing zero digit")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "digits", digits)
 
     def value(self) -> int:
         return sum(d * self.prime**i for i, d in enumerate(self.digits))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobcalc import cli, stong
+from cobcalc import cli, criterion, stong
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
@@ -188,6 +188,41 @@ class TestVerifyGenerators:
         assert code == 2 and out == ""
         assert err.startswith("error: no odd prime up to ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "bound, max_d, code",
+        [("69", "300", 0), ("70", "300", 2), ("862", "100", None), ("863", "100", 2)],
+    )
+    def test_sweep_work_limit(self, capsys, bound, max_d, code):
+        # the 168 primes up to 862 over d <= 100 take about 2 s: that side is
+        # checked by the rule alone
+        if code is None:
+            criterion.check_sweep_work(int(bound), int(max_d))
+            return
+        got, out, err = run(
+            capsys, "verify-generators", "--all-primes-up-to", bound, "--max-d", max_d
+        )
+        assert got == code
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"error: a sweep of the primes up to {bound} ")
+        else:
+            assert len(json.loads(out)["primes"]) == 18
+
+    def test_sweep_limit_refuses_before_seeking_primes(self, capsys):
+        with mock.patch.object(criterion, "is_odd_prime") as is_odd_prime:
+            code, out, _ = run(
+                capsys, "verify-generators", "--all-primes-up-to", str(BIG), "--max-d", "1"
+            )
+        assert code == 2 and out == ""
+        is_odd_prime.assert_not_called()
+
+    def test_zero_prime_bound_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify-generators", "--all-primes-up-to", "0", "--max-d", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: no odd prime up to 0 ")
+
     def test_family_round_trip(self):
         fam = stong_family(5, 9)
         assert cli.family_from_json(cli.family_to_json(fam)) == fam
@@ -346,6 +381,18 @@ class TestPartitionTools:
         assert code == 0
         assert json.loads(out)["is_ladic"] is True
 
+    def test_blanks_around_parts(self, capsys):
+        code, out, _ = run(capsys, "partition-tools", "--is-even", " 4 , 2 ")
+        assert code == 0
+        assert json.loads(out)["partition"] == [4, 2]
+
+    @pytest.mark.parametrize("flag", ["--is-even", "--is-ladic"])
+    @pytest.mark.parametrize("parts", ["\u0668,4", "4_0,2", "8,+4", "8,-4", "8,,4", "8;4"])
+    def test_only_ascii_digit_parts_parse(self, capsys, flag, parts):
+        code, out, err = run(capsys, "partition-tools", flag, parts, "--prime", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse part ") and len(err.splitlines()) == 1
+
 
 class TestUToB:
     def test_output_schema(self, capsys):
@@ -359,6 +406,12 @@ class TestUToB:
     def test_parity_usage_error(self, capsys):
         code, _, err = run(capsys, "u-to-b", "--partition", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("parts", [" 4_0 , 2", "\u0664,2"])
+    def test_only_ascii_digit_parts_parse(self, capsys, parts):
+        code, out, err = run(capsys, "u-to-b", "--partition", parts)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse part ") and len(err.splitlines()) == 1
 
 
 class TestChowCommand:

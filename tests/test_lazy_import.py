@@ -75,6 +75,48 @@ def test_module_entry_point_loads_only_its_command():
     assert not imported & {"cobcalc.symfun", "cobcalc.chow", "cobcalc.steenrod"}
 
 
+def imported_modules(*args: str, stdin: str | None = None) -> set[str]:
+    """Every module a fresh interpreter imports running args, read from the
+    -X importtime report on stderr; the process must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+README_CHOW = '{"space": [1,1,1,1], "expr": {"op": "deg", "of": {"op": "pow", "base": "alpha", "n": 4}}}'
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["ranks", "--max-d", "30"], None),
+        (["snumbers", "--prime", "3", "--max-d", "5"], None),
+        (["steenrod", "--prime", "3", "--op", "P2", "--class", "b1"], None),
+        (["chow", "--input", "-"], README_CHOW),
+        (["self-test"], None),
+    ],
+    ids=["ranks", "snumbers", "steenrod", "chow", "self-test"],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv, stdin):
+    # site may import modules before any command runs: those are not the
+    # command's doing, so a bare interpreter's imports are subtracted
+    bare = imported_modules("-c", "pass")
+    loaded = imported_modules("-m", "cobcalc.cli", *argv, stdin=stdin) - bare
+    assert "cobcalc.partitions" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("name", cobcalc.__all__)
 def test_public_name_is_its_home_modules_object(name):
     obj = getattr(cobcalc, name)

@@ -1,0 +1,144 @@
+"""The frozen value classes: immutable, compared, hashed, printed and
+pickled by their fields, and checked on construction."""
+
+import pickle
+
+import pytest
+
+from cobcalc._record import Record
+from cobcalc.adams import DecompositionReport, DecompositionRow, TriDegree
+from cobcalc.chow import ChowClass, LineTerm, ProjProduct, VirtualBundle
+from cobcalc.criterion import CandidateFamily, DegreeVerdict, GeneratorVerdict
+from cobcalc.stong import StongDatum
+from cobcalc.symfun import BPoly, SymFn, ZClass
+from cobcalc.valuation import LadicDigits
+
+def space():
+    return ProjProduct((1, 2))
+
+
+def row():
+    return DecompositionRow(4, 2, 2)
+
+
+def verdicts():
+    return (DegreeVerdict(1, 1, 1, True), DegreeVerdict(2, 0, 1, False, "valuation 1, required 0"))
+
+
+# class: (a new instance, each call equal to the last; hashable; the calls
+# that each break one constructor check)
+CASES = {
+    LadicDigits: (
+        lambda: LadicDigits(3, (2, 0, 1)),
+        True,
+        [lambda: LadicDigits(4, (1,)), lambda: LadicDigits(3, (3,)),
+         lambda: LadicDigits(3, (-1,)), lambda: LadicDigits(3, (1, 0))],
+    ),
+    TriDegree: (lambda: TriDegree(1, -4, -2), True, []),
+    DecompositionRow: (row, True, []),
+    DecompositionReport: (lambda: DecompositionReport(3, (row(), row())), True, []),
+    ProjProduct: (
+        space,
+        True,
+        [lambda: ProjProduct(()), lambda: ProjProduct((0, 1)), lambda: ProjProduct((2**63,))],
+    ),
+    ChowClass: (
+        lambda: ChowClass(space(), {(1, 0): 2, (0, 2): -1, (2, 0): 5}),
+        False,
+        [lambda: ChowClass(space(), {(1,): 1}), lambda: ChowClass(space(), {(-1, 0): 1})],
+    ),
+    LineTerm: (
+        lambda: LineTerm(-1, (0, 1)),
+        True,
+        [lambda: LineTerm(0, (1, 1)), lambda: LineTerm(2, (1, 1))],
+    ),
+    VirtualBundle: (
+        lambda: VirtualBundle(space(), (LineTerm(1, (1, 1)), LineTerm(-1, (0, 1)))),
+        True,
+        [lambda: VirtualBundle(space(), (LineTerm(1, (1,)),))],
+    ),
+    CandidateFamily: (
+        lambda: CandidateFamily("msp", {1: 48, 2: 40}),
+        False,
+        [lambda: CandidateFamily("mu", {1: 48}), lambda: CandidateFamily("msp", {0: 48})],
+    ),
+    DegreeVerdict: (lambda: verdicts()[1], True, []),
+    GeneratorVerdict: (lambda: GeneratorVerdict("msp", (3,), verdicts()), True, []),
+    StongDatum: (lambda: StongDatum(3, 1, ProjProduct((1, 1, 1, 1)), -48, 1, 5, 1), True, []),
+    SymFn: (
+        lambda: SymFn({(2, 1): 3, (3,): -1}, "elementary"),
+        False,
+        [lambda: SymFn({(1,): 1}, "schur"), lambda: SymFn({(1,): 1}, "monomial", 9),
+         lambda: SymFn({(0,): 1})],
+    ),
+    BPoly: (
+        lambda: BPoly({((1, 2),): 1, ((2, 1),): 2}, 5),
+        False,
+        [lambda: BPoly({((1, 1),): 1}, 9), lambda: BPoly({((0, 1),): 1})],
+    ),
+    ZClass: (
+        lambda: ZClass(3, {(4,): 1, (4, 4): 2}),
+        False,
+        [lambda: ZClass(9, {}), lambda: ZClass(3, {(3,): 1}), lambda: ZClass(3, {(2,): 1})],
+    ),
+}
+
+
+def fields(obj) -> tuple:
+    return type(obj).__slots__
+
+
+def test_every_record_class_is_covered():
+    assert set(Record.__subclasses__()) == set(CASES)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        obj = CASES[cls][0]()
+        for name in fields(obj):
+            value = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is value
+        with pytest.raises(AttributeError):
+            obj.no_such_field = 1
+
+    def test_equal_fields_give_equal_objects(self, cls):
+        make, hashable, _ = CASES[cls]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        if hashable:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+
+    def test_never_equals_another_class(self, cls):
+        obj = CASES[cls][0]()
+        others = [make() for other, (make, _, _) in CASES.items() if other is not cls]
+        same_fields = {name: getattr(obj, name) for name in fields(obj)}
+        subclass = type("Sub" + cls.__name__, (cls,), {"__slots__": ()})
+        others += [tuple(same_fields.values()), subclass(**same_fields)]
+        for other in others:
+            assert obj != other and other != obj
+
+    def test_repr_names_the_fields(self, cls):
+        obj = CASES[cls][0]()
+        if cls is ProjProduct:
+            assert repr(obj) == "ProjProduct" + repr(obj.dims)
+            return
+        shown = ", ".join(f"{name}={getattr(obj, name)!r}" for name in fields(obj))
+        assert repr(obj) == f"{cls.__name__}({shown})"
+
+    def test_pickle_round_trip(self, cls):
+        obj = CASES[cls][0]()
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and type(copy) is cls
+
+    def test_constructor_checks(self, cls):
+        for bad in CASES[cls][2]:
+            with pytest.raises(ValueError):
+                bad()
