@@ -6,15 +6,16 @@ their Newton and Conner-Floyd classes.
 Classes are sparse dicts keyed by exponent vectors bounded componentwise by
 the factor dimensions; sums go through `_sparse`.  Products run on packed
 keys instead (Monagan and Pearce, CASC 2007): each exponent vector becomes
-one integer with a fixed-width field per factor (`_layout`), so the
-exponents of a product are one integer addition, and truncation is one
-mask test per pair of terms, since adding the offset half - 1 - n_i to a
-field sets its top (guard) bit exactly when the exponent sum exceeds n_i.
-The widest field is 64 bits, so a factor dimension above 2**63 - 1 is
-refused.  Keys are packed on entry to a product and unpacked on exit.  A
-power expands binomially in the degree-0 coefficient and the nilpotent
-rest, so it takes at most total_dimension products whatever the exponent;
-its whole loop runs on packed keys.
+one integer, exponent i shifted into field i of a width w shared by all
+fields of the space (`_layout`), so the exponents of a product are one
+integer addition, and truncation is one mask test per pair of terms,
+since adding the offset half - 1 - n_i to a field sets its top (guard)
+bit exactly when the exponent sum exceeds n_i.  Python integers have no
+width limit, so neither has a factor dimension.  Keys are packed on entry
+to a product and unpacked on exit.  A power expands binomially in the
+degree-0 coefficient and the nilpotent rest, so it takes at most
+total_dimension products whatever the exponent; its whole loop runs on
+packed keys, and more than MAX_POW_STEPS of them are refused up front.
 Only sums of line bundles appear as bundles: every bundle computed with
 here splits into such a sum.  The Conner-Floyd class c_I is the monomial
 symmetric function m_I of the Chern roots: `symfun` expands m_I in the
@@ -24,16 +25,17 @@ a negative summand needs no inverse series.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
 from math import comb, lcm
-from operator import gt
-from typing import NamedTuple
+from operator import gt, lshift
 
 from . import _sparse
 from ._record import Record
 from .partitions import Partition
+
+# Horner steps of a power, min(n, total dimension): each is one product, so
+# 10**6 of them on the smallest class take about two seconds
+MAX_POW_STEPS = 10**6
 
 
 class ProjProduct(Record):
@@ -45,11 +47,6 @@ class ProjProduct(Record):
         dims = tuple(int(n) for n in dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError(f"factor dimensions must be positive: {dims}")
-        if max(dims) > MAX_FACTOR_DIMENSION:
-            raise ValueError(
-                f"factor dimension {max(dims)} exceeds the largest supported "
-                f"{MAX_FACTOR_DIMENSION}"
-            )
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -99,8 +96,8 @@ class ChowClass(Record):
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
         layout = _layout(self.space.dims)
-        product = _mul(layout.pack(self.coeffs), layout.pack(other.coeffs), layout)
-        return self._result(layout.unpack(product))
+        product = _mul(_pack(self.coeffs, layout), _pack(other.coeffs, layout), layout)
+        return self._result(_unpack(product, layout))
 
     def __pow__(self, n: int) -> "ChowClass":
         # (c0 + N)**n is the sum over k <= total_dimension of
@@ -109,11 +106,14 @@ class ChowClass(Record):
         # the sparse N, where repeated squaring would pair large intermediates
         if n < 0:
             raise ValueError("negative power")
+        steps = min(n, self.space.total_dimension)
+        if steps > MAX_POW_STEPS:
+            raise ValueError(f"{steps} Horner steps exceed the limit {MAX_POW_STEPS}")
         layout = _layout(self.space.dims)
-        nilpotent = layout.pack(self.coeffs)
+        nilpotent = _pack(self.coeffs, layout)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
         result: dict = {}
-        for k in range(min(n, self.space.total_dimension), -1, -1):
+        for k in range(steps, -1, -1):
             if result:
                 result = _mul(result, nilpotent, layout)
             # c0 = 0 leaves only the k = n term, so no other binomial is needed
@@ -124,7 +124,7 @@ class ChowClass(Record):
                     result[0] = coeff
             elif not result:
                 break
-        return self._result(layout.unpack(result))
+        return self._result(_unpack(result, layout))
 
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
@@ -133,60 +133,35 @@ class ChowClass(Record):
         return _sparse.wrap(ChowClass, coeffs, space=self.space)
 
 
-class _Layout(NamedTuple):
-    """Packing of the exponent vectors of one space into integers: field i
-    holds exponent i in an `array` item of typecode `code`, and `size` is
-    the byte length of a key.  Adding `offset` (half - 1 - n_i in field i,
-    half the field's range) to an exponent sum of at most 2 n_i never
-    carries into the next field, and sets the field's `guard` bit exactly
-    when the sum exceeds n_i."""
-
-    code: str
-    size: int
-    offset: int
-    guard: int
-
-    def pack(self, coeffs: dict) -> dict:
-        code, order = self.code, sys.byteorder
-        return {int.from_bytes(array(code, e).tobytes(), order): c for e, c in coeffs.items()}
-
-    def unpack(self, packed: dict) -> dict:
-        code, size, order = self.code, self.size, sys.byteorder
-        return {tuple(array(code, k.to_bytes(size, order))): c for k, c in packed.items()}
-
-
-# field types, narrowest first; native byte order keeps fields aligned with
-# the bytes of the array on any host
-_FIELD_CODES = "BHIQ"
-
-
-def _half(code: str) -> int:
-    """Half the range of a field of typecode code: the top (guard) bit."""
-    return 1 << (8 * array(code).itemsize - 1)
-
-
-# a field holds a factor dimension below its half
-MAX_FACTOR_DIMENSION = _half(_FIELD_CODES[-1]) - 1
-
-
 @lru_cache(maxsize=256)
-def _layout(dims: tuple[int, ...]) -> _Layout:
-    """Narrowest field that holds every factor dimension below its half."""
-    code = next(c for c in _FIELD_CODES if max(dims) < _half(c))
-    half = _half(code)
-    offset = array(code, [half - 1 - n for n in dims]).tobytes()
-    guard = array(code, [half] * len(dims)).tobytes()
-    return _Layout(
-        code,
-        len(offset),
-        int.from_bytes(offset, sys.byteorder),
-        int.from_bytes(guard, sys.byteorder),
-    )
+def _layout(dims: tuple[int, ...]) -> tuple[range, int, int, int]:
+    """Packing of the exponent vectors of one space into integers, as
+    (shifts, mask, offset, guard): exponent i sits at bit shifts[i] in a
+    field of w = max(dims).bit_length() + 1 bits, so every factor dimension
+    is below half = 2**(w - 1).  Adding offset (half - 1 - n_i in field i)
+    to an exponent sum of at most 2 n_i never carries into the next field,
+    and sets the field's guard bit (half) exactly when the sum exceeds n_i."""
+    width = max(dims).bit_length() + 1
+    half = 1 << (width - 1)
+    shifts = range(0, width * len(dims), width)
+    offset = sum((half - 1 - n) << s for n, s in zip(dims, shifts))
+    guard = sum(half << s for s in shifts)
+    return shifts, (1 << width) - 1, offset, guard
 
 
-def _mul(a: dict, b: dict, layout: _Layout) -> dict:
+def _pack(coeffs: dict, layout: tuple) -> dict:
+    shifts = layout[0]
+    return {sum(map(lshift, e, shifts)): c for e, c in coeffs.items()}
+
+
+def _unpack(packed: dict, layout: tuple) -> dict:
+    shifts, mask = layout[0], layout[1]
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in packed.items()}
+
+
+def _mul(a: dict, b: dict, layout: tuple) -> dict:
     """Product of two classes on packed keys, without zero coefficients."""
-    offset, guard = layout.offset, layout.guard
+    offset, guard = layout[2], layout[3]
     out: dict = {}
     get = out.get
     for ka, ca in a.items():
@@ -291,7 +266,11 @@ def trivial_bundle(space: ProjProduct, sign: int = 1) -> VirtualBundle:
 def tangent_bundle(space: ProjProduct) -> VirtualBundle:
     """Factorwise Euler presentation: for each factor of dimension n,
     (n+1) copies of the unit twist on that factor, minus one trivial
-    line bundle."""
+    line bundle.  It has total_dimension + 2 factor_count terms, refused
+    above MAX_POW_STEPS before any is built."""
+    count = space.total_dimension + 2 * space.factor_count
+    if count > MAX_POW_STEPS:
+        raise ValueError(f"tangent bundle: {count} line bundles exceed the limit {MAX_POW_STEPS}")
     m = space.factor_count
     terms = []
     for i, n in enumerate(space.dims):

@@ -25,9 +25,6 @@ if TYPE_CHECKING:
 
 # Python's default limit on the digits of an int converted to a string
 MAX_DIGITS = 4300
-# Horner steps of a chow power, min(n, total dimension): each is one
-# product, so 10**6 of them on the smallest class take about two seconds
-MAX_POW_STEPS = 10**6
 # partitions `partition-tools` lists at most: the 89134 partitions of 45,
 # the most it lists, take about two seconds
 MAX_PARTITIONS = 10**5
@@ -184,15 +181,15 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         n = _int(expr["n"], "n")
         if n < 0:
             raise ValueError(f"pow: exponent must be nonnegative, got {n}")
-        steps = min(n, space.total_dimension)
-        if steps > MAX_POW_STEPS:
-            raise ValueError(f"pow: {steps} Horner steps exceed the limit {MAX_POW_STEPS}")
         base = eval_chow_expr(space, expr["base"])
         c0 = base if isinstance(base, int) else base.coeffs.get((0,) * space.factor_count, 0)
         # n may be far beyond float range, so it is compared, not multiplied
         if abs(c0) >= 2 and n > MAX_DIGITS / math.log10(abs(c0)):
             raise ValueError(f"pow: constant term ** {n} has over {MAX_DIGITS} digits")
-        power = base ** n
+        try:
+            power = base ** n
+        except ValueError as exc:  # beyond chow's Horner step limit
+            raise ValueError(f"pow: {exc}") from None
         # refused here, before an enclosing power multiplies its digits again
         coeffs = power.coeffs.values() if isinstance(power, chow.ChowClass) else ()
         if max(map(abs, coeffs), default=0) >= 10**MAX_DIGITS:
@@ -345,6 +342,7 @@ def _cmd_verify_generators(args) -> int:
             ],
         }
     else:
+        criterion.check_sweep_work(args.prime, d_max, primes=1)
         v = verdict(args.prime)
         ok = v.passed
         report = {

@@ -132,27 +132,30 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     return _check_family(fam, ell, d_max, required_valuation_msp)
 
 
-# A global check is refused, before any prime is sought, when its predicted
-# work exceeds this: the primes swept, estimated as bound / ln(bound), times
-# the cost of one prime, 20 units plus d + 12 for each row d <= d_max.  That
-# is the cost at a prime above 2d + 2, where the row's multinomial has 2d + 2
-# factors; smaller primes cost less.  A unit is about 2.5 us on a 2-core x86
-# host, so the largest sweep admitted takes about 2 s.
+# A check is refused, before any prime is sought, when its predicted work
+# exceeds this: the primes swept (for a global check estimated as
+# bound / ln(bound)) times the cost of one prime, 20 units plus d + 12 for
+# each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
+# row's multinomial has 2d + 2 factors; smaller primes cost less.  A unit is
+# about 2.5 us on a 2-core x86 host, so the largest sweep admitted takes
+# about 2 s.
 MAX_SWEEP_WORK = 800_000
 
 
-def check_sweep_work(prime_bound: int, d_max: int) -> None:
-    """Refuse a sweep of the odd primes up to prime_bound over the rows
-    1..d_max whose predicted work exceeds MAX_SWEEP_WORK."""
+def check_sweep_work(prime_bound: int, d_max: int, primes: int | None = None) -> None:
+    """Refuse a sweep of primes up to prime_bound over the rows 1..d_max
+    whose predicted work exceeds MAX_SWEEP_WORK.  primes counts the primes
+    swept; by default they are all the odd primes up to prime_bound."""
     if prime_bound < 3 or d_max < 1:
         return  # no prime or no row: refused where the sweep is built
     # the work grows with both, and either one capped at the limit already
     # predicts more than the limit, so the float arithmetic cannot overflow
     bound, rows = min(prime_bound, MAX_SWEEP_WORK), min(d_max, MAX_SWEEP_WORK)
-    work = bound / math.log(bound) * (20 + rows * (rows + 25) / 2)
-    if work > MAX_SWEEP_WORK:
+    count = bound / math.log(bound) if primes is None else primes
+    if count * (20 + rows * (rows + 25) / 2) > MAX_SWEEP_WORK:
+        which = "the primes" if primes is None else f"{primes} prime(s)"
         raise ValueError(
-            f"a sweep of the primes up to {prime_bound} over d <= {d_max} has "
+            f"a sweep of {which} up to {prime_bound} over d <= {d_max} has "
             f"predicted work above the limit {MAX_SWEEP_WORK}"
         )
 

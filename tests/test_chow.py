@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import stong
+from cobcalc import chow, stong
 from cobcalc.chow import (
-    MAX_FACTOR_DIMENSION,
+    MAX_POW_STEPS,
     ChowClass,
     LineTerm,
     ProjProduct,
@@ -112,9 +112,12 @@ def _naive_pow(dims, a, n):
     return out
 
 
-# both sides of each change of field width (8, 16, 32, 64 bits: a field
-# holds dimensions below half its range), and the largest dimension held
-BOUNDARY_DIMS = (1, 2, 63, 64, 127, 128, 32767, 32768, 2**31 - 1, 2**31 + 1, 2**63 - 1)
+# both sides of the changes of field width that fixed-width fields had
+# (8, 16, 32, 64 bits, each holding dimensions below half its range), and
+# dimensions beyond 64 bits, which shifted fields hold too
+BOUNDARY_DIMS = (
+    1, 2, 63, 64, 127, 128, 32767, 32768, 2**31 - 1, 2**31 + 1, 2**63 - 1, 2**63, 2**64 + 1, 2**100
+)
 
 
 @st.composite
@@ -143,7 +146,8 @@ class TestPackedKernel:
         assert (B**n).coeffs == _naive_pow(dims, b, n)
 
     @pytest.mark.parametrize(
-        "below, above", [(63, 64), (127, 128), (32767, 32768), (2**31 - 1, 2**31 + 1)]
+        "below, above",
+        [(63, 64), (127, 128), (32767, 32768), (2**31 - 1, 2**31 + 1), (2**63 - 1, 2**63)],
     )
     def test_each_field_width_boundary(self, below, above):
         # below and above a change of field width, x^h x^(n-h) = x^n
@@ -159,16 +163,21 @@ class TestPackedKernel:
                     got = (ChowClass(X, a) * ChowClass(X, b)).coeffs
                     assert got == _naive_mul(dims, a, b), (dims, e)
 
-    def test_field_widths_grow_at_half_their_range(self):
-        widths = [_field_bytes(n) for n in (127, 128, 32767, 32768, 2**31 - 1, 2**31)]
-        assert widths == [1, 2, 2, 4, 4, 8]
+    def test_field_width_is_one_bit_above_the_largest_dimension(self):
+        # P^1 takes 2 bits per field; a dimension of b bits takes b + 1
+        for dims, width in [((1,), 2), ((1, 1, 1), 2), ((3, 1), 3), ((1, 2**63), 65), ((2**100,), 102)]:
+            shifts, mask, _, guard = _layout(dims)
+            assert list(shifts) == [i * width for i in range(len(dims))]
+            assert mask == 2**width - 1
+            assert guard == sum(2 ** (width - 1) << s for s in shifts)
 
-    def test_factor_dimension_beyond_the_widest_field_is_refused(self):
-        top = ProjProduct((MAX_FACTOR_DIMENSION, 1))
-        assert MAX_FACTOR_DIMENSION == 2**63 - 1
-        assert (alpha(top) ** 2).coeffs == {(2, 0): 1, (1, 1): 2}
-        with pytest.raises(ValueError, match="exceeds the largest supported"):
-            ProjProduct((1, MAX_FACTOR_DIMENSION + 1))
+    def test_factor_dimension_beyond_64_bits_is_accepted(self):
+        for n in (2**63, 2**100):
+            X = ProjProduct((n, 1))
+            assert (alpha(X) ** 2).coeffs == {(2, 0): 1, (1, 1): 2}
+            assert (alpha(X) ** 3).coeffs == {(3, 0): 1, (2, 1): 3}
+            top = ChowClass(X, {(n - 1, 0): 1}) * ChowClass(X, {(1, 1): 5, (2, 0): 7})
+            assert top.coeffs == {(n, 1): 5} and deg(top) == 5
 
     def test_power_of_a_nilpotent_generator_on_a_large_factor(self):
         # c0 = 0: only the top binomial term is nonzero, so no other
@@ -177,10 +186,15 @@ class TestPackedKernel:
         assert (alpha(ProjProduct((100000,))) ** 100000).coeffs == {(100000,): 1}
         assert time.process_time() - start < 5.0
 
-
-def _field_bytes(n):
-    """Bytes per exponent field in a space with largest dimension n."""
-    return _layout((n,)).size
+    def test_power_beyond_the_step_limit_is_refused_at_once(self):
+        X = ProjProduct((10**9,))
+        start = time.process_time()
+        with pytest.raises(ValueError, match="1000001 Horner steps exceed the limit"):
+            alpha(X) ** (MAX_POW_STEPS + 1)
+        # newton and cf take their powers through the same check
+        with pytest.raises(ValueError, match="100000000 Horner steps exceed the limit"):
+            newton_class(line_bundle(X, (1,)), 10**8)
+        assert time.process_time() - start < 1.0
 
 
 class TestBundles:
@@ -191,6 +205,17 @@ class TestBundles:
             (1, (1,)),
             (1, (1,)),
         ]
+
+    def test_tangent_bundle_beyond_the_step_limit_is_refused_before_building(self, monkeypatch):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="10000002 line bundles exceed the limit"):
+            tangent_bundle(ProjProduct((10**7,)))
+        assert time.process_time() - start < 0.1
+        # total dimension + 2 factor count line bundles, up to the limit
+        monkeypatch.setattr(chow, "MAX_POW_STEPS", 10)
+        assert len(tangent_bundle(ProjProduct((5, 1))).terms) == 10
+        with pytest.raises(ValueError, match="11 line bundles exceed the limit 10"):
+            tangent_bundle(ProjProduct((6, 1)))
 
     def test_tangent_p1xp1(self):
         t = tangent_bundle(P1xP1)

@@ -208,6 +208,17 @@ class TestVerifyGenerators:
         else:
             assert len(json.loads(out)["primes"]) == 18
 
+    @pytest.mark.parametrize("prime", ["3", "1000003"])
+    def test_one_prime_sweep_work_limit(self, capsys, prime):
+        # 20 + d(d + 25)/2 units at d = 1252 are within the limit (about
+        # 2.5 s at 1000003, so checked by the rule alone), at 1253 above it
+        criterion.check_sweep_work(int(prime), 1252, primes=1)
+        with mock.patch.object(criterion, "msp_criterion") as msp_criterion:
+            code, out, err = run(capsys, "verify-generators", "--prime", prime, "--max-d", "1253")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: a sweep of 1 prime(s) up to {prime} over d <= 1253 ")
+        msp_criterion.assert_not_called()
+
     def test_sweep_limit_refuses_before_seeking_primes(self, capsys):
         with mock.patch.object(criterion, "is_odd_prime") as is_odd_prime:
             code, out, _ = run(
@@ -478,8 +489,8 @@ class TestChowCommand:
                     "n": -1,
                 },
             },
-            # beyond the widest exponent field
-            {"space": [1, 2**63], "expr": "alpha"},
+            # a factor beyond 64 bits is held, but not 2**63 Horner steps
+            {"space": [1, 2**63], "expr": {"op": "pow", "base": "alpha", "n": 2**63}},
             # constant term 2 to a power beyond float range
             {
                 "space": [1, 1],
@@ -532,6 +543,30 @@ class TestChowCommand:
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: pow: ") and len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "space, bundle, n",
+        [([10**9], {"terms": [{"twist": [1]}]}, 10**8), ([10**7], "tangent", 1)],
+        ids=["newton", "tangent"],
+    )
+    def test_newton_beyond_the_step_limit_is_refused_at_once(self, space, bundle, n):
+        # 10**8 Horner steps; 10**7 + 2 line bundles in the tangent bundle
+        payload = {"space": space, "expr": {"op": "newton", "bundle": bundle, "n": n}}
+        done = run_chow_process(payload)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+        assert "exceed the limit 1000000" in done.stderr
+
+    def test_factor_dimension_beyond_64_bits_is_accepted(self):
+        done = run_chow_process({"space": [1, 2**63], "expr": {"op": "pow", "base": "alpha", "n": 2}})
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == {
+            "space": [1, 2**63],
+            "class": [
+                {"exponents": [0, 2], "coeff": "1"},
+                {"exponents": [1, 1], "coeff": "2"},
+            ],
+        }
 
     def test_deeply_nested_payload_is_usage_error(self):
         # deeper than the JSON decoder's and the evaluator's recursion

@@ -117,6 +117,14 @@ def test_commands_load_neither_dataclasses_nor_inspect(argv, stdin):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_chow_loads_neither_array_nor_typing():
+    # without site, which may import typing before any module runs
+    bare = imported_modules("-S", "-c", "pass")
+    loaded = imported_modules("-S", "-c", "import cobcalc.chow") - bare
+    assert "cobcalc.chow" in loaded
+    assert not loaded & {"array", "typing"}
+
+
 @pytest.mark.parametrize("name", cobcalc.__all__)
 def test_public_name_is_its_home_modules_object(name):
     obj = getattr(cobcalc, name)

@@ -40,7 +40,7 @@ CASES = {
     ProjProduct: (
         space,
         True,
-        [lambda: ProjProduct(()), lambda: ProjProduct((0, 1)), lambda: ProjProduct((2**63,))],
+        [lambda: ProjProduct(()), lambda: ProjProduct((0, 1)), lambda: ProjProduct((2**63, -1))],
     ),
     ChowClass: (
         lambda: ChowClass(space(), {(1, 0): 2, (0, 2): -1, (2, 0): 5}),
@@ -86,6 +86,13 @@ CASES = {
 
 def fields(obj) -> tuple:
     return type(obj).__slots__
+
+
+def test_factor_dimensions_have_no_width_limit():
+    for dims in [(2**63,), (1, 2**64 + 1), (2**100, 3)]:
+        X = ProjProduct(dims)
+        assert X.dims == dims and X == ProjProduct(dims) and hash(X) == hash(ProjProduct(dims))
+        assert pickle.loads(pickle.dumps(X)) == X
 
 
 def test_every_record_class_is_covered():
