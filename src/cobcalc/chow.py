@@ -44,8 +44,8 @@ class ProjProduct(Record):
     __slots__ = ("dims",)
 
     def __init__(self, dims: tuple[int, ...]) -> None:
-        dims = tuple(int(n) for n in dims)
-        if not dims or any(n < 1 for n in dims):
+        dims = tuple(map(int, dims))
+        if not dims or min(dims) < 1:
             raise ValueError(f"factor dimensions must be positive: {dims}")
         object.__setattr__(self, "dims", dims)
 

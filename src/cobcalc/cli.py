@@ -28,6 +28,10 @@ MAX_DIGITS = 4300
 # partitions `partition-tools` lists at most: the 89134 partitions of 45,
 # the most it lists, take about two seconds
 MAX_PARTITIONS = 10**5
+# factors a `chow` space has at most: each term of a class stores one
+# exponent per factor, and the Newton class of the tangent bundle, whose
+# cost grows with the cube of the count, takes about 1.7 s on 500 P^1s
+MAX_CHOW_FACTORS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +290,8 @@ def _cmd_snumbers(args) -> int:
 
     # row d prints s = -2 * multinomial(2d + 2; dims): refuse at the first d
     # whose s has more than MAX_DIGITS digits, before any row is built
-    for d in range(1, args.max_d + 1):
-        dims = stong.build_X(d, args.prime).dims
-        ln_s = math.log(2) + math.lgamma(sum(dims) + 1) - sum(math.lgamma(n + 1) for n in dims)
+    for d, counts in stong.factor_counts(args.prime, args.max_d):
+        ln_s = math.log(2) + math.lgamma(2 * d + 3) - sum(a * math.lgamma(n + 1) for n, a in counts)
         if ln_s >= MAX_DIGITS * math.log(10):
             raise ValueError(f"--max-d {args.max_d}: row d = {d} would print over {MAX_DIGITS} digits")
     rows = snumbers_rows(args.prime, args.max_d)
@@ -468,7 +471,10 @@ def _cmd_chow(args) -> int:
             payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError('chow input must be an object with a "space" list')
-    space = chow.ProjProduct(_ints(payload.get("space"), "space"))
+    dims = _ints(payload.get("space"), "space")
+    if len(dims) > MAX_CHOW_FACTORS:
+        raise ValueError(f"space: {len(dims)} factors exceed the limit {MAX_CHOW_FACTORS}")
+    space = chow.ProjProduct(dims)
     value = eval_chow_expr(space, payload["expr"])
     report = {"space": list(space.dims)}
     report.update(chow_result_to_json(value))

@@ -136,9 +136,12 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # exceeds this: the primes swept (for a global check estimated as
 # bound / ln(bound)) times the cost of one prime, 20 units plus d + 12 for
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
-# row's multinomial has 2d + 2 factors; smaller primes cost less.  A unit is
-# about 2.5 us on a 2-core x86 host, so the largest sweep admitted takes
-# about 2 s.
+# row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
+# valuation table builds each row from the one before, a row unit is about
+# 0.25 us on a 2-core x86 host, so one prime at d = 1252 takes about 0.3 s
+# as a command; a prime's fixed part is about 36 us.  The
+# largest sweep admitted, all primes up to 306232 at d = 1, takes about 2 s,
+# a third of it in seeking the primes.
 MAX_SWEEP_WORK = 800_000
 
 

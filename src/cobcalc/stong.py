@@ -8,6 +8,12 @@ alternative product of equal factors is used instead.  The characteristic
 number of the zero locus is -2 times the top self-intersection degree of
 the (1,...,1) twist, available both as a multinomial closed form and as a
 brute-force expansion in the truncated ring.
+
+The valuation table walks the base-ell digits of 2d+2 once for all its
+rows: each generic row's multinomial follows from the previous row's by one
+small multiplication and, where a digit carries, one exact division, and
+its valuation and factors come from the digit counts.  `s_number` and
+`build_X` stay the row-by-row route the tests check the table against.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from math import prod
 from . import chow
 from ._record import Record
 from .chow import LineTerm, ProjProduct, VirtualBundle
-from .valuation import ladic_digits, multinomial, nu_multinomial, _require_odd_prime
+from .valuation import ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
 # Expansions refuse, before any ring arithmetic, a space whose predicted work
 # (ring rank prod(n_i + 1) x factor count, about 0.5 s per million) exceeds
@@ -167,28 +173,80 @@ def signed_char_number(X: ProjProduct) -> int:
     return (-1) ** sign_exponent(X) * chow.deg(pushed)
 
 
-def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
-    """Rows d = 1..d_max with the closed-form number, its valuation by the
-    Legendre path, and the expected dichotomy flag."""
+def _walk(ell: int, d_max: int):
+    """For d = 1..d_max, yield (d, counts, carries, r).  counts gives the
+    factors of build_X(d, ell) as (dimension, count) pairs in increasing
+    dimension; carries lists the digits i of n = 2d + 2 in base ell that
+    carried into digit i + 1 on the step from n - 2; r is the exponent with
+    2d + 1 = ell**r, or None.  One pass over the digits serves every row:
+    adding 2 to n touches digit 0 and, rarely, a chain of carries."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
-    rows = []
+    digits, powers = [2], [1]  # n = 2, d = 0
+    exceptional, r = ell + 1, 1  # the next n = ell**r + 1
     for d in range(1, d_max + 1):
-        X = build_X(d, ell)
-        s = s_number(X)
-        # nu(|s|) = nu(multinomial): the factor 2 is prime to ell
-        valuation = nu_multinomial(X.total_dimension, X.dims, ell)
-        expected = 1 if exceptional_exponent(d, ell) is not None else 0
+        carries, i, carry = [], 0, 2
+        while carry:
+            if i == len(digits):
+                digits.append(0)
+                powers.append(powers[-1] * ell)
+            # a digit below ell plus 2 carries at most 1, ell being odd
+            carry, digits[i] = divmod(digits[i] + carry, ell)
+            if carry:
+                carries.append(i)
+            i += 1
+        if 2 * d + 2 == exceptional:
+            counts = ((1, 1), (powers[r - 1], ell)) if r > 1 else ((1, ell + 1),)
+            yield d, counts, carries, r
+            exceptional, r = (exceptional - 1) * ell + 1, r + 1
+        else:
+            yield d, tuple((p, a) for p, a in zip(powers, digits) if a), carries, None
+
+
+def factor_counts(ell: int, d_max: int):
+    """Yield (d, counts) for d = 1..d_max, counts the factors of
+    build_X(d, ell) as (dimension, count) pairs in increasing dimension;
+    no space is built."""
+    for d, counts, _, _ in _walk(ell, d_max):
+        yield d, counts
+
+
+def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
+    """Rows d = 1..d_max with the closed-form number, its valuation by the
+    Legendre path, and the expected dichotomy flag.
+
+    The generic number is -2 M(n), n = 2d + 2 with base-ell digits a_i and
+    M(n) = n! / prod((ell**i)!)**a_i, so it follows from the row before:
+    M(n + 2) = M(n) (n + 1)(n + 2), divided exactly, for each carry out of
+    digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial of
+    the ell factors P^(ell**i) that the carry merges into one of the next
+    digit.  The exceptional rows, 2d + 1 = ell**r, use s_number directly.
+    Valuations and sign exponents come from the factor counts."""
+    merge: dict[int, int] = {}  # i -> G_i
+    generic = 2  # M(2) = 2! / (1!)**2
+    rows = []
+    for d, counts, carries, r in _walk(ell, d_max):
+        n = 2 * d + 2
+        generic *= (n - 1) * n
+        for i in carries:
+            if i not in merge:
+                merge[i] = multinomial(ell ** (i + 1), (ell**i,) * ell)
+            generic //= merge[i]
+        dims: tuple[int, ...] = ()
+        for p, a in counts:
+            dims += (p,) * a
+        X = ProjProduct(dims)
         rows.append(
             StongDatum(
                 prime=ell,
                 d=d,
                 factors=X,
-                s_number=s,
-                valuation=valuation,
-                n_y=sign_exponent(X),
-                expected=expected,
+                s_number=-2 * generic if r is None else s_number(X),
+                # nu(|s|) = nu(multinomial): the factor 2 is prime to ell
+                valuation=nu_factorial(n, ell) - sum(a * nu_factorial(p, ell) for p, a in counts),
+                n_y=1 + sum(a * ((p + 1) // 2) for p, a in counts),
+                expected=0 if r is None else 1,
             )
         )
     return rows

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobcalc import cli, criterion, stong
+from cobcalc import chow, cli, criterion, stong
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
@@ -91,6 +91,36 @@ class TestSnumbers:
         assert done.stderr == (
             f"error: --max-d {max_d}: row d = {first_d} would print over 4300 digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "prime, max_d, message", [("9", "5", "9 is not an odd prime"), ("3", "0", "d_max must be positive")]
+    )
+    def test_bad_prime_or_row_count_is_usage_error(self, capsys, prime, max_d, message):
+        code, out, err = run(capsys, "snumbers", "--prime", prime, "--max-d", max_d)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_refusal_comes_before_any_space_or_number(self, capsys):
+        with mock.patch.object(stong, "build_X") as build_X, mock.patch.object(
+            stong, "valuation_table"
+        ) as valuation_table:
+            code, out, err = run(capsys, "snumbers", "--prime", "3", "--max-d", "3207")
+        assert code == 2 and out == ""
+        assert err == "error: --max-d 3207: row d = 3207 would print over 4300 digits\n"
+        build_X.assert_not_called()
+        valuation_table.assert_not_called()
+
+    def test_each_row_space_is_built_once(self, capsys):
+        built = []
+
+        def counting(dims):
+            built.append(dims)
+            return chow.ProjProduct(dims)
+
+        with mock.patch.object(stong, "ProjProduct", counting):
+            code, out, _ = run(capsys, "snumbers", "--prime", "5", "--max-d", "40")
+        assert code == 0
+        assert built == [tuple(row["factors"]) for row in json.loads(out)]
 
     def test_last_accepted_row_prints_4300_digits(self):
         # the row before the first refused one at l = 3 is printable
@@ -517,6 +547,24 @@ class TestChowCommand:
         code, out, err = run(capsys, "chow", "--input", str(path))
         assert code == 2 and out == ""
         assert err == "error: weight 41 exceeds cap 40\n"
+
+    @pytest.mark.parametrize("m", [501, 50_000])
+    def test_factor_count_above_the_limit_is_refused_before_any_class(self, capsys, tmp_path, m):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1] * m, "expr": {"op": "deg", "of": "alpha"}}))
+        with mock.patch.object(chow, "ProjProduct") as space, mock.patch.object(chow, "alpha") as alpha:
+            code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: space: {m} factors exceed the limit 500\n"
+        space.assert_not_called()
+        alpha.assert_not_called()
+
+    def test_factor_count_at_the_limit_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1] * 500, "expr": {"op": "deg", "of": "alpha"}}))
+        code, out, _ = run(capsys, "chow", "--input", str(path))
+        assert code == 0
+        assert json.loads(out) == {"space": [1] * 500, "deg": "0"}
 
     def test_pow_of_a_unit_returns_at_once(self):
         # the unit is not nilpotent: 10**8 factors must not be multiplied

@@ -1,21 +1,44 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc import chow
 from cobcalc.chow import ProjProduct
 from cobcalc.partitions import enumerate_partitions
 from cobcalc.stong import (
     MAX_EXPANSION_WORK,
+    StongDatum,
     _check_expansion_work,
     build_X,
     congruence_check,
     exceptional_exponent,
+    factor_counts,
     s_number,
     s_number_bruteforce,
     sign_exponent,
     signed_char_number,
     valuation_table,
 )
-from cobcalc.valuation import is_odd_prime, ladic_digits, nu
+from cobcalc.valuation import is_odd_prime, ladic_digits, nu, nu_multinomial
+
+
+def closed_form_row(d: int, ell: int) -> StongDatum:
+    """Oracle: one table row built on its own, from build_X, the multinomial
+    closed form and the Legendre valuation of all its parts."""
+    X = build_X(d, ell)
+    return StongDatum(
+        prime=ell,
+        d=d,
+        factors=X,
+        s_number=s_number(X),
+        valuation=nu_multinomial(X.total_dimension, X.dims, ell),
+        n_y=sign_exponent(X),
+        expected=0 if exceptional_exponent(d, ell) is None else 1,
+    )
+
+
+def closed_form_table(ell: int, d_max: int) -> list[StongDatum]:
+    return [closed_form_row(d, ell) for d in range(1, d_max + 1)]
 
 
 class TestBuildX:
@@ -202,3 +225,53 @@ class TestValuationTable:
     def test_valuation_matches_direct_nu(self):
         for row in valuation_table(3, 12):
             assert row.valuation == nu(abs(row.s_number), 3)
+
+    @pytest.mark.parametrize("ell, d_max", [(3, 1000), (5, 1000), (7, 1000), (11, 1000), (13, 1000), (1000003, 300)])
+    def test_recurrence_equals_closed_form(self, ell, d_max):
+        # 1000003: every factor is P^1 and no digit carries
+        assert valuation_table(ell, d_max) == closed_form_table(ell, d_max)
+
+    def test_carries_into_high_digits_at_prime_3(self):
+        # the largest table snumbers prints at 3; a carry into digit 5 or
+        # above, where 2d + 2 = 0 or 1 mod 3**5, divides by a large G_i
+        rows = valuation_table(3, 3206)
+        assert [r.d for r in rows] == list(range(1, 3207))
+        checked = [r for r in rows if (2 * r.d + 2) % 3**5 < 2] + [rows[-1]]
+        assert len(checked) == 27
+        for row in checked:
+            assert row == closed_form_row(row.d, 3)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_tables_ending_at_the_edges(self, ell):
+        d_maxes = {1, 2}
+        for r in range(1, 6):
+            d = (ell**r - 1) // 2
+            if d <= 200:
+                d_maxes |= {d - 1, d, d + 1, d + 2} - {0}
+        for d_max in sorted(d_maxes):
+            assert valuation_table(ell, d_max) == closed_form_table(ell, d_max), d_max
+
+    @settings(max_examples=40, deadline=None)
+    @given(ell=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), d_max=st.integers(1, 200))
+    def test_recurrence_equals_closed_form_fuzz(self, ell, d_max):
+        assert valuation_table(ell, d_max) == closed_form_table(ell, d_max)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="d_max must be positive"):
+            valuation_table(3, 0)
+        with pytest.raises(ValueError, match="not an odd prime"):
+            valuation_table(9, 5)
+
+
+class TestFactorCounts:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 1000003])
+    def test_counts_match_build_X(self, ell):
+        seen = []
+        for d, counts in factor_counts(ell, 400):
+            dims = []
+            for n, a in counts:
+                dims += [n] * a
+            assert ProjProduct(tuple(dims)) == build_X(d, ell), d
+            assert [n for n, _ in counts] == sorted({n for n, _ in counts})
+            seen.append(d)
+        assert seen == list(range(1, 401))
