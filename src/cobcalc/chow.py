@@ -285,17 +285,21 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
     """Signed sum of n-th powers of the first Chern classes of the terms.
     Additive on concatenation of term lists by construction.  Terms are
     grouped by twist first, so each distinct twist's power is computed
-    once, and not at all when its signs cancel."""
+    once, and not at all when its signs cancel.  The signed powers are
+    collected into one coefficient dict, so the sum is not copied once per
+    twist."""
     if n < 1:
         raise ValueError("n must be positive")
     signs: dict = {}
     for term in v.terms:
         signs[term.twist] = signs.get(term.twist, 0) + term.sign
-    out = ChowClass.zero(v.space)
-    for twist, sign in signs.items():
-        if sign:
-            out = out + (v.first_chern(LineTerm(1, twist)) ** n).scale(sign)
-    return out
+    terms = (
+        (e, sign * c)
+        for twist, sign in signs.items()
+        if sign
+        for e, c in (v.first_chern(LineTerm(1, twist)) ** n).coeffs.items()
+    )
+    return _sparse.wrap(ChowClass, _sparse.collect(terms), space=v.space)
 
 
 def cf_chern(v: VirtualBundle, I) -> ChowClass:

@@ -30,7 +30,7 @@ MAX_DIGITS = 4300
 MAX_PARTITIONS = 10**5
 # factors a `chow` space has at most: each term of a class stores one
 # exponent per factor, and the Newton class of the tangent bundle, whose
-# cost grows with the cube of the count, takes about 1.7 s on 500 P^1s
+# cost grows with the square of the count, takes about 0.6 s on 500 P^1s
 MAX_CHOW_FACTORS = 500
 
 
@@ -527,7 +527,11 @@ def _cmd_self_test(args) -> int:
             for i in (0, 1, 2, 3, 4):
                 f = BPoly.generator(j, ell)
                 r = steenrod.stability_bound(f, i, ell)
-                if steenrod.power_op(i, f, ell) != steenrod.power_op_oracle(i, f, ell, r):
+                try:
+                    if steenrod.power_op(i, f, ell) != steenrod.power_op_oracle(i, f, ell, r):
+                        ok = False
+                except ArithmeticError:
+                    # the oracle's own divisibility or symmetry check failed
                     ok = False
         check(f"power operation differential test, prime {ell}", ok)
 

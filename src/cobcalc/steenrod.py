@@ -24,7 +24,17 @@ Two actions are exposed:
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with `expand_in_vars`, the
 definitional oracle of the basis conversions, and applies the total
-operation to root polynomials (dicts, exponent vector -> coefficient).
+operation term by term to root polynomials held as dicts, packed key ->
+coefficient.  A key is an exponent vector packed into one integer, root m
+at bit m*w in a field of w bits whose top bit is a guard that stays clear
+(the packing of `chow`, with the oracle's own helpers).  Multiplying by
+e_r adds 1 to every field while packing, and raising root m by k steps of
+ell - 1 is one integer addition.  Two checks guard the result, each one
+word-parallel subtraction per key with all guard bits set first, and a
+failed one raises ArithmeticError: the division by e_r needs every field
+at least 1, and the quotient must be symmetric, its sorted
+representatives (fields that never rise) having orbits that account for
+every term.
 """
 
 from __future__ import annotations
@@ -128,30 +138,69 @@ def stability_bound(f: BPoly, i: int, ell: int) -> int:
     return max(1, f.weight // 2 + (max(i, 0) * (ell - 1) + 1) // 2)
 
 
-def _apply_graded_piece(p: dict, t: int, ell: int) -> dict:
-    """Index-2t piece of the total operation applied to the root polynomial
-    p: raise t slots, each chosen slot multiplying its root exponent
-    contribution by ell."""
+def _layout(r: int, top: int) -> tuple[int, int, int, int]:
+    """Packing of r root exponents, each at most top, into one integer, as
+    (r, w, ones, guard): root m sits at bit m*w in a field of w bits, one
+    more than top has (at least 2), the top bit of each field a guard that
+    stays clear; ones has a 1 in the lowest bit of every field and guard
+    every guard bit set."""
+    w = max(top, 1).bit_length() + 1
+    ones = ((1 << (r * w)) - 1) // ((1 << w) - 1)
+    return r, w, ones, ones << (w - 1)
+
+
+def _pack(e: tuple[int, ...], w: int) -> int:
+    key = 0
+    for x in reversed(e):
+        key = (key << w) | x
+    return key
+
+
+def _unpack(key: int, lay: tuple) -> tuple[int, ...]:
+    r, w, _, _ = lay
+    mask = (1 << w) - 1
+    return tuple((key >> (m * w)) & mask for m in range(r))
+
+
+@lru_cache(maxsize=4096)
+def _raises(a: int, t: int, ell: int) -> tuple[tuple[int, int], ...]:
+    """The raises of a root exponent a within index 2t: (k, C(a, k) mod
+    ell) for 1 <= k <= min(a, t), without the binomials that vanish mod
+    ell (Lucas's theorem)."""
+    return tuple((k, comb(a, k) % ell) for k in range(1, min(a, t) + 1) if comb(a, k) % ell)
+
+
+def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
+    """Index-2t piece of the total operation applied to the packed root
+    polynomial p: raise t slots, a slot of exponent a raised k times
+    gaining k*(ell-1) at the factor C(a, k).  levels[u] holds the partial
+    raises of one term that used u < t of the t, each slot taken once."""
+    if t == 0:
+        return {x: y % ell for x, y in p.items() if y % ell}
+    r, w, _, _ = lay
+    mask = (1 << w) - 1
     out: dict = {}
-    for e, c in p.items():
-        slots = [(m, a) for m, a in enumerate(e) if a > 0]
-
-        def rec(idx: int, rem: int, exps: list, coeff: int) -> None:
-            if rem == 0:
-                key = tuple(exps)
-                out[key] = (out.get(key, 0) + coeff) % ell
-                return
-            if idx == len(slots):
-                return
-            m, a = slots[idx]
-            rec(idx + 1, rem, exps, coeff)
-            for k in range(1, min(a, rem) + 1):
-                raised = list(exps)
-                raised[m] += k * (ell - 1)
-                rec(idx + 1, rem - k, raised, coeff * comb(a, k) % ell)
-
-        rec(0, t, list(e), c)
-    return {e: c for e, c in out.items() if c}
+    get = out.get
+    for key, c in p.items():
+        levels = [[(key, c)]] + [[] for _ in range(t - 1)]
+        for m in range(r):
+            opts = _raises((key >> (m * w)) & mask, t, ell)
+            for used in range(t - 1, -1, -1):
+                src = levels[used]
+                if not src:
+                    continue
+                for k, b in opts:
+                    if used + k > t:
+                        break
+                    d = (k * (ell - 1)) << (m * w)
+                    if used + k < t:
+                        levels[used + k].extend([(x + d, y * b) for x, y in src])
+                        continue
+                    # a full raise goes straight into the output
+                    for x, y in src:
+                        x += d
+                        out[x] = get(x, 0) + y * b
+    return {x: y % ell for x, y in out.items() if y % ell}
 
 
 def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
@@ -163,32 +212,46 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
     mono = tuple(mono)
     if any(a < 0 for a in mono):
         raise ValueError("exponents must be nonnegative")
+    lay = _layout(len(mono), max(mono, default=0) * ell)
+    packed = {_pack(mono, lay[1]): 1}
     out: dict = {}
     for t in range(sum(mono) + 1):
-        out.update(_apply_graded_piece({mono: 1}, t, ell))
-    return out
+        out.update(_apply_graded_piece(packed, t, ell, lay))
+    return {_unpack(key, lay): c for key, c in out.items()}
 
 
-def _roots_to_monomial_basis(p: dict, r: int) -> dict:
-    """Collect a symmetric polynomial in r roots into monomial-symmetric
-    coordinates by reading off sorted-representative exponents."""
+def _divide_and_collect(p: dict, lay: tuple) -> dict:
+    """Divide the packed root polynomial p exactly by e_r and collect the
+    quotient into monomial-symmetric coordinates.  Division subtracts 1
+    from every field, so it needs every field at least 1: with all guard
+    bits set, subtracting ones borrows from no guard.  It keeps the number
+    of terms and the order of the fields, so only the sorted
+    representatives are divided and unpacked: field m minus field m+1 (the
+    key shifted down one field) borrows from no guard exactly when the
+    exponents never rise.  The orbits of the representatives must account
+    for every term, or the quotient is not symmetric."""
+    r, w, ones, guard = lay
     out = {}
     orbit_total = 0
-    for e, c in p.items():
-        lam = tuple(sorted((x for x in e if x), reverse=True))
-        if e == lam + (0,) * (r - len(lam)):
-            out[Partition(lam)] = c
-            orbit_total += _orbit_size(lam, r)
+    for key, c in p.items():
+        high = key | guard
+        if (high - ones) & guard != guard:
+            raise ArithmeticError("graded piece not divisible by e_r")
+        if (high - (key >> w)) & guard == guard:
+            e = _unpack(key - ones, lay)
+            out[Partition(tuple(x for x in e if x))] = c
+            orbit_total += _orbit_size(e)
     if orbit_total != len(p):
         raise ArithmeticError("root polynomial is not symmetric")
     return out
 
 
-def _orbit_size(lam: tuple[int, ...], r: int) -> int:
-    size = factorial(r)
+def _orbit_size(e: tuple[int, ...]) -> int:
+    """Number of distinct permutations of the sorted exponent vector e."""
+    size = factorial(len(e))
     multiplicity = 1
     previous = None
-    for x in lam + (0,) * (r - len(lam)):
+    for x in e:
         multiplicity = multiplicity + 1 if x == previous else 1
         previous = x
         size //= multiplicity
@@ -207,12 +270,10 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
         # an odd index would need a weight raise no term can realize
         return BPoly.zero(ell)
     expanded = expand_in_vars(bpoly_to_symfn(f), r)
-    # multiply by e_r: shift every exponent up by one
-    shifted = {tuple(x + 1 for x in e): c for e, c in expanded.items()}
-    divided = {}
-    for e, c in _apply_graded_piece(shifted, i // 2, ell).items():
-        if min(e) < 1:
-            raise ArithmeticError("graded piece not divisible by e_r")
-        divided[tuple(x - 1 for x in e)] = c
-    mf = _roots_to_monomial_basis(divided, r)
+    t = i // 2
+    # fields hold the exponents of f * e_r after the raise
+    lay = _layout(r, max(map(max, expanded), default=0) + 1 + t * (ell - 1))
+    # multiply by e_r: add 1 to every field while packing
+    shifted = {_pack(e, lay[1]) + lay[2]: c for e, c in expanded.items()}
+    mf = _divide_and_collect(_apply_graded_piece(shifted, t, ell, lay), lay)
     return symfn_to_bpoly(SymFn(mf, "monomial", ell))

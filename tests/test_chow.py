@@ -277,6 +277,35 @@ class TestNewton:
             want = want + (v.first_chern(term) ** n).scale(term.sign)
         assert newton_class(v, n) == want
 
+    def test_collected_sum_equals_per_term_sum(self):
+        # every bundle holds an opposite pair of one twist, whose signs cancel
+        rng = random.Random(41)
+        for _ in range(150):
+            space = ProjProduct(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
+            twists = [tuple(rng.randint(-2, 2) for _ in space.dims) for _ in range(3)]
+            terms = [LineTerm(rng.choice((1, -1)), rng.choice(twists)) for _ in range(5)]
+            cancelled = rng.choice(twists)
+            terms += [LineTerm(1, cancelled), LineTerm(-1, cancelled)]
+            rng.shuffle(terms)
+            v = VirtualBundle(space, tuple(terms))
+            for n in range(1, 5):
+                want = ChowClass.zero(space)
+                for term in v.terms:
+                    want = want + (v.first_chern(term) ** n).scale(term.sign)
+                got = newton_class(v, n)
+                assert got == want
+                assert 0 not in got.coeffs.values()
+
+    def test_cancellation_across_twists_leaves_no_terms(self):
+        # c1 of O(1,1) is a1 + a2, cancelled by those of O(1,0) and O(0,1)
+        v = (
+            line_bundle(P1xP1, (1, 1))
+            + line_bundle(P1xP1, (1, 0), sign=-1)
+            + line_bundle(P1xP1, (0, 1), sign=-1)
+        )
+        assert newton_class(v, 1).coeffs == {}
+        assert newton_class(v, 2).coeffs == {(1, 1): 2}
+
     def test_one_power_per_distinct_twist(self, monkeypatch):
         # xi + xi - T_X on (1^14): the all-ones twist, 14 unit twists and
         # the trivial twist, where the per-term sum took 44 powers; a pair

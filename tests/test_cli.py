@@ -751,3 +751,18 @@ class TestDispatch:
         assert code == 0
         assert "all passed" in out
         assert "FAIL" not in err
+
+    def test_self_test_counts_a_failed_oracle_check(self, capsys, monkeypatch):
+        from cobcalc import steenrod
+
+        def failing(*args):
+            raise ArithmeticError("root polynomial is not symmetric")
+
+        # an exception escaping main would print a traceback and exit 1
+        monkeypatch.setattr(steenrod, "power_op_oracle", failing)
+        code, out, err = run(capsys, "self-test")
+        assert code == 1
+        assert "self-test: 2 failed" in out
+        assert "FAIL power operation differential test, prime 3" in err
+        assert "FAIL power operation differential test, prime 5" in err
+        assert "Traceback" not in err

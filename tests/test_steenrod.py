@@ -1,9 +1,16 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from cobcalc.partitions import enumerate_partitions
+from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
+    _divide_and_collect,
+    _layout,
+    _pack,
+    _unpack,
     power_op,
     power_op_oracle,
     power_op_untwisted,
@@ -206,3 +213,74 @@ class TestStructure:
             rhs = rhs + power_op(a, one, 3) * power_op(2 - a, one, 3)
         assert lhs != rhs
 
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens" / "power_ops.json"
+
+
+def _golden_case(key):
+    """'3:P4:b1^2*b2' as (index, b-monomial, prime)."""
+    ell, op, mono = key.split(":")
+    pairs = []
+    for factor in mono.split("*"):
+        b, _, k = factor.partition("^")
+        pairs.append((int(b[1:]), int(k or 1)))
+    return int(op[1:]), tuple(pairs), int(ell)
+
+
+class TestPackedOracle:
+    def test_recorded_twisted_answers(self):
+        # recorded from the tuple-keyed root expansion at its stability bound
+        with open(GOLDENS, encoding="utf-8") as fh:
+            twisted = json.load(fh)["twisted"]
+        assert len(twisted) == 49
+        for key, want in twisted.items():
+            i, mono, ell = _golden_case(key)
+            f = BPoly({mono: 1}, ell)
+            got = power_op_oracle(i, f, ell, stability_bound(f, i, ell))
+            rows = sorted([[list(map(list, m)), c] for m, c in got.coeffs.items()])
+            assert rows == want, key
+
+    def test_divisibility_check(self):
+        lay = _layout(3, 4)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _divide_and_collect({_pack((2, 0, 1), lay[1]): 1}, lay)
+
+    def test_symmetry_check(self):
+        lay = _layout(2, 3)
+        w = lay[1]
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            _divide_and_collect({_pack((3, 2), w): 1}, lay)
+        # the whole orbit divides to m_(2,1)
+        whole = {_pack((3, 2), w): 2, _pack((2, 3), w): 2}
+        assert _divide_and_collect(whole, lay) == {Partition((2, 1)): 2}
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_field_of_all_ones_round_trips(self, k):
+        top = 2**k - 1
+        lay = _layout(4, top)
+        assert lay[1] == k + 1
+        for e in [(top, 0, top, 1), (0, top, 0, 0), (top,) * 4]:
+            assert _unpack(_pack(e, lay[1]), lay) == e
+        # both checks hold at the widest field: the quotient of
+        # x1**top x2**top x3 x4 and its orbit is m_(top-1, top-1)
+        orbit = set(itertools.permutations((top, top, 1, 1)))
+        got = _divide_and_collect({_pack(e, lay[1]): 1 for e in orbit}, lay)
+        assert got == {Partition(tuple(x for x in (top - 1, top - 1) if x)): 1}
+
+    def test_one_sorted_representative_per_orbit(self):
+        # a lone representative that is not the sorted one, or two of one
+        # orbit, would break the count of the symmetry check
+        rng = random.Random(11)
+        for _ in range(200):
+            r = rng.randint(1, 5)
+            e = tuple(rng.randint(1, 7) for _ in range(r))
+            lay = _layout(r, 7)
+            orbit = set(itertools.permutations(e))
+            p = {_pack(x, lay[1]): 1 for x in orbit}
+            lam = tuple(x - 1 for x in sorted(e, reverse=True) if x > 1)
+            assert _divide_and_collect(p, lay) == {Partition(lam): 1}
+            if len(orbit) > 1:
+                del p[_pack(rng.choice(sorted(orbit)), lay[1])]
+                with pytest.raises(ArithmeticError, match="not symmetric"):
+                    _divide_and_collect(p, lay)
