@@ -3,9 +3,11 @@
 A subclass names its fields in `__slots__` and sets them in its own
 `__init__` through `object.__setattr__`, after its checks.  The base
 compares, hashes, prints and pickles instances by those fields, and
-refuses to assign or delete them afterwards.  The standard library's class
-generator would do the same, but importing it imports `inspect` too, a
-cost every command would pay at start-up.
+refuses to assign or delete them afterwards.  A subclass that declares no
+fields of its own (`__slots__ = ()`) keeps those of the nearest class that
+does.  The standard library's class generator would do the same, but
+importing it imports `inspect` too, a cost every command would pay at
+start-up.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = next((c.__slots__ for c in cls.__mro__ if vars(c).get("__slots__")), ())
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -27,7 +32,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):

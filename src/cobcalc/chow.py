@@ -4,20 +4,17 @@ virtual sums of line bundles under the additive first-Chern-class law, and
 their Newton and Conner-Floyd classes.
 
 Classes are sparse dicts keyed by exponent vectors bounded componentwise by
-the factor dimensions; sums go through `_sparse`.  Products run on packed
-keys instead (Monagan and Pearce, CASC 2007): each exponent vector becomes
-one integer, exponent i shifted into field i of a width w shared by all
-fields of the space (`_layout`), so the exponents of a product are one
-integer addition, and truncation is one mask test per pair of terms,
-since adding the offset half - 1 - n_i to a field sets its top (guard)
-bit exactly when the exponent sum exceeds n_i.  Python integers have no
-width limit, so neither has a factor dimension.  Keys are packed on entry
-to a product and unpacked on exit.  A power expands binomially in the
-degree-0 coefficient and the nilpotent rest, so it takes at most
-total_dimension products whatever the exponent; its whole loop runs on
-packed keys, and more than MAX_POW_STEPS of them are refused up front.
-Only sums of line bundles appear as bundles: every bundle computed with
-here splits into such a sum.  The Conner-Floyd class c_I is the monomial
+the factor dimensions; sums go through `_sparse`.  Products run on the
+packed keys of `_sparse` instead (Monagan and Pearce, CASC 2007), so the
+exponents of a product are one integer addition, and truncation is one
+mask test per pair of terms, since adding the offset half - 1 - n_i to a
+field sets its top (guard) bit exactly when the exponent sum exceeds n_i
+(`_layout`).  Keys are packed on entry to a product and unpacked on exit.
+A power expands binomially in the degree-0 coefficient and the nilpotent
+rest, so it takes at most total_dimension products whatever the exponent;
+its whole loop runs on packed keys, and more than MAX_POW_STEPS of them
+are refused up front.  Only sums of line bundles appear as bundles: every
+bundle computed with here splits into such a sum.  The Conner-Floyd class c_I is the monomial
 symmetric function m_I of the Chern roots: `symfun` expands m_I in the
 power sums, and p_k evaluates to the Newton class, which is additive, so
 a negative summand needs no inverse series.
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, lcm
-from operator import gt, lshift
+from operator import gt
 
 from . import _sparse
 from ._record import Record
@@ -58,7 +55,7 @@ class ProjProduct(Record):
         return len(self.dims)
 
     def __repr__(self) -> str:
-        return "ProjProduct" + repr(self.dims)
+        return self.__class__.__name__ + repr(self.dims)
 
 
 class ChowClass(Record):
@@ -95,9 +92,9 @@ class ChowClass(Record):
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        layout = _layout(self.space.dims)
-        product = _mul(_pack(self.coeffs, layout), _pack(other.coeffs, layout), layout)
-        return self._result(_unpack(product, layout))
+        shifts, mask, _, _ = layout = _layout(self.space.dims)
+        product = _mul(_sparse.pack(self.coeffs, shifts), _sparse.pack(other.coeffs, shifts), layout)
+        return self._result(_sparse.unpack(product, shifts, mask))
 
     def __pow__(self, n: int) -> "ChowClass":
         # (c0 + N)**n is the sum over k <= total_dimension of
@@ -109,8 +106,8 @@ class ChowClass(Record):
         steps = min(n, self.space.total_dimension)
         if steps > MAX_POW_STEPS:
             raise ValueError(f"{steps} Horner steps exceed the limit {MAX_POW_STEPS}")
-        layout = _layout(self.space.dims)
-        nilpotent = _pack(self.coeffs, layout)
+        shifts, mask, _, _ = layout = _layout(self.space.dims)
+        nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
         result: dict = {}
         for k in range(steps, -1, -1):
@@ -124,7 +121,7 @@ class ChowClass(Record):
                     result[0] = coeff
             elif not result:
                 break
-        return self._result(_unpack(result, layout))
+        return self._result(_sparse.unpack(result, shifts, mask))
 
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
@@ -135,28 +132,16 @@ class ChowClass(Record):
 
 @lru_cache(maxsize=256)
 def _layout(dims: tuple[int, ...]) -> tuple[range, int, int, int]:
-    """Packing of the exponent vectors of one space into integers, as
-    (shifts, mask, offset, guard): exponent i sits at bit shifts[i] in a
-    field of w = max(dims).bit_length() + 1 bits, so every factor dimension
-    is below half = 2**(w - 1).  Adding offset (half - 1 - n_i in field i)
-    to an exponent sum of at most 2 n_i never carries into the next field,
-    and sets the field's guard bit (half) exactly when the sum exceeds n_i."""
-    width = max(dims).bit_length() + 1
-    half = 1 << (width - 1)
-    shifts = range(0, width * len(dims), width)
+    """The `_sparse` packing of one space's exponent vectors, fields of
+    w = max(dims).bit_length() + 1 bits, and its truncation offset, as
+    (shifts, mask, offset, guard).  Every n_i is below its field's guard
+    bit half = 2**(w - 1); adding offset (half - 1 - n_i in field i) to an
+    exponent sum of at most 2 n_i never carries into the next field, and
+    sets the guard bit exactly when the sum exceeds n_i."""
+    shifts, mask, guard = _sparse.layout(len(dims), max(dims))
+    half = (mask >> 1) + 1
     offset = sum((half - 1 - n) << s for n, s in zip(dims, shifts))
-    guard = sum(half << s for s in shifts)
-    return shifts, (1 << width) - 1, offset, guard
-
-
-def _pack(coeffs: dict, layout: tuple) -> dict:
-    shifts = layout[0]
-    return {sum(map(lshift, e, shifts)): c for e, c in coeffs.items()}
-
-
-def _unpack(packed: dict, layout: tuple) -> dict:
-    shifts, mask = layout[0], layout[1]
-    return {tuple([k >> s & mask for s in shifts]): c for k, c in packed.items()}
+    return shifts, mask, offset, guard
 
 
 def _mul(a: dict, b: dict, layout: tuple) -> dict:

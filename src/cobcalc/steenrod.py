@@ -22,29 +22,30 @@ Two actions are exposed:
   the unit has nonzero image), and supports operations of every even index.
 
 `power_op_oracle` recomputes the twisted action for differential testing:
-it expands f in an explicit number r of roots with `expand_in_vars`, the
-definitional oracle of the basis conversions, and applies the total
-operation term by term to root polynomials held as dicts, packed key ->
-coefficient.  A key is an exponent vector packed into one integer, root m
-at bit m*w in a field of w bits whose top bit is a guard that stays clear
-(the packing of `chow`, with the oracle's own helpers).  Multiplying by
-e_r adds 1 to every field while packing, and raising root m by k steps of
-ell - 1 is one integer addition.  Two checks guard the result, each one
-word-parallel subtraction per key with all guard bits set first, and a
-failed one raises ArithmeticError: the division by e_r needs every field
-at least 1, and the quotient must be symmetric, its sorted
-representatives (fields that never rise) having orbits that account for
-every term.
+it expands f in an explicit number r of roots with the engine of
+`expand_in_vars`, the definitional oracle of the basis conversions, and
+applies the total operation term by term to root polynomials held as
+dicts, packed key -> coefficient.  A key is an exponent vector packed by
+`_sparse`, root m in field m, whose top bit is a guard that stays clear;
+the expansion arrives packed.  Multiplying by e_r adds 1 to every field,
+and raising root m by k steps of ell - 1 is one integer addition.  Two
+checks guard the result, each one word-parallel subtraction per key with
+all guard bits set first, and a failed one raises ArithmeticError: the
+division by e_r needs every field at least 1, and the quotient must be
+symmetric, its sorted representatives (fields that never rise) having
+orbits that account for every term.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
+from ._sparse import layout, pack, unpack
 from .partitions import Partition
-from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, bpoly_to_symfn, expand_in_vars, symfn_to_bpoly
-from .valuation import _require_odd_prime
+from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, _expand_packed, bpoly_to_symfn, symfn_to_bpoly
+from .valuation import _require_odd_prime, multinomial
 
 WEIGHT_CAP = 60
 
@@ -138,30 +139,6 @@ def stability_bound(f: BPoly, i: int, ell: int) -> int:
     return max(1, f.weight // 2 + (max(i, 0) * (ell - 1) + 1) // 2)
 
 
-def _layout(r: int, top: int) -> tuple[int, int, int, int]:
-    """Packing of r root exponents, each at most top, into one integer, as
-    (r, w, ones, guard): root m sits at bit m*w in a field of w bits, one
-    more than top has (at least 2), the top bit of each field a guard that
-    stays clear; ones has a 1 in the lowest bit of every field and guard
-    every guard bit set."""
-    w = max(top, 1).bit_length() + 1
-    ones = ((1 << (r * w)) - 1) // ((1 << w) - 1)
-    return r, w, ones, ones << (w - 1)
-
-
-def _pack(e: tuple[int, ...], w: int) -> int:
-    key = 0
-    for x in reversed(e):
-        key = (key << w) | x
-    return key
-
-
-def _unpack(key: int, lay: tuple) -> tuple[int, ...]:
-    r, w, _, _ = lay
-    mask = (1 << w) - 1
-    return tuple((key >> (m * w)) & mask for m in range(r))
-
-
 @lru_cache(maxsize=4096)
 def _raises(a: int, t: int, ell: int) -> tuple[tuple[int, int], ...]:
     """The raises of a root exponent a within index 2t: (k, C(a, k) mod
@@ -177,14 +154,13 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
     raises of one term that used u < t of the t, each slot taken once."""
     if t == 0:
         return {x: y % ell for x, y in p.items() if y % ell}
-    r, w, _, _ = lay
-    mask = (1 << w) - 1
+    shifts, mask, _ = lay
     out: dict = {}
     get = out.get
     for key, c in p.items():
         levels = [[(key, c)]] + [[] for _ in range(t - 1)]
-        for m in range(r):
-            opts = _raises((key >> (m * w)) & mask, t, ell)
+        for s in shifts:
+            opts = _raises(key >> s & mask, t, ell)
             for used in range(t - 1, -1, -1):
                 src = levels[used]
                 if not src:
@@ -192,7 +168,7 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
                 for k, b in opts:
                     if used + k > t:
                         break
-                    d = (k * (ell - 1)) << (m * w)
+                    d = (k * (ell - 1)) << s
                     if used + k < t:
                         levels[used + k].extend([(x + d, y * b) for x, y in src])
                         continue
@@ -212,12 +188,12 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
     mono = tuple(mono)
     if any(a < 0 for a in mono):
         raise ValueError("exponents must be nonnegative")
-    lay = _layout(len(mono), max(mono, default=0) * ell)
-    packed = {_pack(mono, lay[1]): 1}
+    lay = layout(len(mono), max(mono, default=0) * ell)
+    packed = pack({mono: 1}, lay[0])
     out: dict = {}
     for t in range(sum(mono) + 1):
         out.update(_apply_graded_piece(packed, t, ell, lay))
-    return {_unpack(key, lay): c for key, c in out.items()}
+    return unpack(out, lay[0], lay[1])
 
 
 def _divide_and_collect(p: dict, lay: tuple) -> dict:
@@ -230,32 +206,20 @@ def _divide_and_collect(p: dict, lay: tuple) -> dict:
     key shifted down one field) borrows from no guard exactly when the
     exponents never rise.  The orbits of the representatives must account
     for every term, or the quotient is not symmetric."""
-    r, w, ones, guard = lay
-    out = {}
-    orbit_total = 0
+    shifts, mask, guard = lay
+    w = mask.bit_length()
+    ones = guard >> (w - 1)
+    quotient = {}
     for key, c in p.items():
         high = key | guard
         if (high - ones) & guard != guard:
             raise ArithmeticError("graded piece not divisible by e_r")
         if (high - (key >> w)) & guard == guard:
-            e = _unpack(key - ones, lay)
-            out[Partition(tuple(x for x in e if x))] = c
-            orbit_total += _orbit_size(e)
-    if orbit_total != len(p):
+            quotient[key - ones] = c
+    quotient = unpack(quotient, shifts, mask)
+    if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != len(p):
         raise ArithmeticError("root polynomial is not symmetric")
-    return out
-
-
-def _orbit_size(e: tuple[int, ...]) -> int:
-    """Number of distinct permutations of the sorted exponent vector e."""
-    size = factorial(len(e))
-    multiplicity = 1
-    previous = None
-    for x in e:
-        multiplicity = multiplicity + 1 if x == previous else 1
-        previous = x
-        size //= multiplicity
-    return size
+    return {Partition(tuple(x for x in e if x)): c for e, c in quotient.items()}
 
 
 def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
@@ -269,11 +233,13 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     if i < 0 or i % 2 == 1:
         # an odd index would need a weight raise no term can realize
         return BPoly.zero(ell)
-    expanded = expand_in_vars(bpoly_to_symfn(f), r)
     t = i // 2
-    # fields hold the exponents of f * e_r after the raise
-    lay = _layout(r, max(map(max, expanded), default=0) + 1 + t * (ell - 1))
-    # multiply by e_r: add 1 to every field while packing
-    shifted = {_pack(e, lay[1]) + lay[2]: c for e, c in expanded.items()}
+    # f's degree in the b's bounds its root exponents; the fields hold the
+    # exponents of f * e_r after the raise
+    degree = max((sum(k for _, k in mono) for mono in f.coeffs), default=0)
+    shifts, mask, guard = lay = layout(r, degree + 1 + t * (ell - 1))
+    # multiply by e_r: add 1 to every field
+    ones = guard >> (mask.bit_length() - 1)
+    shifted = {key + ones: c for key, c in _expand_packed(bpoly_to_symfn(f), shifts).items()}
     mf = _divide_and_collect(_apply_graded_piece(shifted, t, ell, lay), lay)
     return symfn_to_bpoly(SymFn(mf, "monomial", ell))

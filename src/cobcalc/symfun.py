@@ -7,6 +7,10 @@ Representations are sparse dicts keyed by Partition (BPoly: by generator
 monomial), with their sums, scalings and products computed in `_sparse`.
 Coefficients are exact.
 
+`expand_in_vars` computes on the packed exponent keys of `_sparse`, so
+multiplying two terms is one integer addition, and unpacks only its
+answer.  It shares no code with the conversions it checks.
+
 Basis conversions work on positions in each weight's lex-descending list
 of partitions.  A row of a transition table (e_lam or p_lam in the m
 basis) is the row of lam without its smallest part, pushed through a
@@ -30,6 +34,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 
 from . import _sparse
 from ._record import Record
@@ -102,40 +107,50 @@ def _symfn(coeffs: dict, basis: str, modulus: int | None) -> SymFn:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_arrangements(parts: tuple[int, ...], k: int):
-    """All distinct length-k exponent vectors whose nonzero entries are a
-    rearrangement of parts."""
-    if len(parts) > k:
-        return
-    counts = Counter(parts)
-    counts[0] = k - len(parts)
-
-    def rec(pos, remaining):
-        if pos == k:
-            yield ()
-            return
-        for v in list(remaining):
-            if remaining[v] == 0:
-                continue
-            remaining[v] -= 1
-            for rest in rec(pos + 1, remaining):
-                yield (v,) + rest
-            remaining[v] += 1
-
-    yield from rec(0, dict(counts))
-
-
-def _mono_in_vars(parts: tuple[int, ...], k: int) -> dict:
-    return {vec: 1 for vec in _distinct_arrangements(tuple(parts), k)}
+def _mono_in_vars(parts: tuple[int, ...], shifts: range) -> dict:
+    """m_parts in the variables t1..tk, k = len(shifts), on packed keys:
+    each distinct part v, of multiplicity n, goes to n of the fields that
+    the earlier parts left free, so every exponent vector arises once."""
+    placed = [(0, shifts)]  # (packed key, shifts of the free fields)
+    for v, n in Counter(parts).items():
+        placed = [
+            (key + sum([v << s for s in chosen]), [s for s in free if s not in chosen])
+            for key, free in placed
+            for chosen in combinations(free, n)
+        ]
+    return dict.fromkeys([key for key, _ in placed], 1)
 
 
 def _vars_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    # the factors have positive coefficients, so no term cancels
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _expand_packed(f: SymFn, shifts: range) -> dict:
+    """f in the variables t1..tk, k = len(shifts), on packed keys whose
+    fields must hold every exponent (at most f.weight).  A basis element
+    is a product of monomial symmetric functions: m_lam itself, e_lam of
+    the m_(1^s), p_lam of the m_(s)."""
+    out: dict = {}
+    for lam, c in f.coeffs.items():
+        if f.basis == "monomial":
+            factors = [tuple(lam)]
+        elif f.basis == "elementary":
+            factors = [(1,) * s for s in lam]
+        else:  # power-sum
+            factors = [(s,) for s in lam]
+        term = {0: 1}
+        for parts in factors:
+            term = _vars_mul(term, _mono_in_vars(parts, shifts))
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + c * v
+    return _sparse.clean(out, f.modulus)
 
 
 def expand_in_vars(f: SymFn, k: int) -> dict:
@@ -147,24 +162,8 @@ def expand_in_vars(f: SymFn, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("need at least one variable")
-    out: dict = {}
-    for p, c in f.coeffs.items():
-        if f.basis == "monomial":
-            term = _mono_in_vars(tuple(p), k)
-        elif f.basis == "elementary":
-            term = {(0,) * k: 1}
-            for part in p:
-                term = _vars_mul(term, _mono_in_vars((1,) * part, k))
-        else:  # power-sum
-            term = {(0,) * k: 1}
-            for part in p:
-                term = _vars_mul(term, _mono_in_vars((part,), k))
-        for e, v in term.items():
-            out[e] = out.get(e, 0) + c * v
-    out = {e: c for e, c in out.items() if c}
-    if f.modulus is not None:
-        out = {e: c % f.modulus for e, c in out.items() if c % f.modulus}
-    return out
+    shifts, mask, _ = _sparse.layout(k, f.weight)
+    return _sparse.unpack(_expand_packed(f, shifts), shifts, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -506,23 +505,11 @@ def diagonal(omega) -> list[tuple[Partition, Partition]]:
     if not omega.is_even():
         raise ValueError(f"{tuple(omega)} is not an even partition")
     counts = sorted(Counter(omega).items())
-
-    def rec(i):
-        if i == len(counts):
-            yield ()
-            return
-        v, n = counts[i]
-        for rest in rec(i + 1):
-            for take in range(n + 1):
-                yield ((v, take),) + rest
-
     pairs = []
-    for choice in rec(0):
-        left = Partition([v for v, take in choice for _ in range(take)])
-        right_counts = {v: n for v, n in counts}
-        for v, take in choice:
-            right_counts[v] -= take
-        right = Partition([v for v, n in right_counts.items() for _ in range(n)])
+    # take[j] of the parts equal to counts[j][0] go left, the rest right
+    for take in product(*(range(n + 1) for _, n in counts)):
+        left = Partition([v for (v, _), t in zip(counts, take) for _ in range(t)])
+        right = Partition([v for (v, n), t in zip(counts, take) for _ in range(n - t)])
         pairs.append((left, right))
     pairs.sort()
     return pairs

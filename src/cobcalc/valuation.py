@@ -14,17 +14,46 @@ from functools import lru_cache
 from ._record import Record
 
 
-# Trial division: a 13-digit prime takes about 0.07 s, and one query checks
-# the same prime many times over (build_X alone checks it four times).
+# Miller-Rabin with these bases is exact below PRIME_TEST_LIMIT (Sorenson
+# and Webster, Math. Comp. 2017); numbers from there on are refused.  Below
+# 2**20 trial division is the cheaper test.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+# One query checks the same prime many times over (build_X alone checks
+# it four times), so the answers are cached.
 @lru_cache(maxsize=256)
 def is_odd_prime(ell: int) -> bool:
+    if ell >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{ell} is too large: the primality test is exact only below {PRIME_TEST_LIMIT}")
     if ell < 3 or ell % 2 == 0:
         return False
+    if ell >= 1 << 20:
+        return _miller_rabin(ell)
     f = 3
     while f * f <= ell:
         if ell % f == 0:
             return False
         f += 2
+    return True
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether the odd n > 41 is a strong probable prime to every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

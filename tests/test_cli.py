@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -390,6 +391,18 @@ class TestDecompAndRanks:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_large_prime(self, capsys):
+        # trial division did not finish on this prime in 15 s
+        start = time.process_time()
+        code, out, _ = run(capsys, "ranks", "--max-d", "1", "--prime", "1000000000000000003")
+        assert code == 0 and json.loads(out)[0]["equal"]
+        assert time.process_time() - start < 1.0
+
+    def test_prime_beyond_the_primality_test_is_refused(self, capsys):
+        code, out, err = run(capsys, "ranks", "--max-d", "1", "--prime", "3317044064679887385961981")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: 3317044064679887385961981 is too large")
 
 
 class TestPartitionTools:

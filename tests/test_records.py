@@ -88,6 +88,29 @@ def fields(obj) -> tuple:
     return type(obj).__slots__
 
 
+class SubDigits(LadicDigits):
+    __slots__ = ()
+
+
+class SubProduct(ProjProduct):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "a, b, shown",
+    [
+        (SubDigits(3, (1,)), SubDigits(3, (2,)), "SubDigits(prime=3, digits=(1,))"),
+        (SubProduct((1, 2)), SubProduct((1, 3)), "SubProduct(1, 2)"),
+    ],
+    ids=["LadicDigits", "ProjProduct"],
+)
+def test_subclass_without_fields_of_its_own_keeps_its_parents(a, b, shown):
+    twin = pickle.loads(pickle.dumps(a))
+    assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+    assert a != b and hash(a) != hash(b)
+    assert repr(a) == shown
+
+
 def test_factor_dimensions_have_no_width_limit():
     for dims in [(2**63,), (1, 2**64 + 1), (2**100, 3)]:
         X = ProjProduct(dims)

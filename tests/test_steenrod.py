@@ -5,12 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from cobcalc._sparse import layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
     _divide_and_collect,
-    _layout,
-    _pack,
-    _unpack,
     power_op,
     power_op_oracle,
     power_op_untwisted,
@@ -242,30 +240,31 @@ class TestPackedOracle:
             assert rows == want, key
 
     def test_divisibility_check(self):
-        lay = _layout(3, 4)
+        lay = layout(3, 4)
         with pytest.raises(ArithmeticError, match="not divisible"):
-            _divide_and_collect({_pack((2, 0, 1), lay[1]): 1}, lay)
+            _divide_and_collect(pack({(2, 0, 1): 1}, lay[0]), lay)
 
     def test_symmetry_check(self):
-        lay = _layout(2, 3)
-        w = lay[1]
+        lay = layout(2, 3)
+        shifts = lay[0]
         with pytest.raises(ArithmeticError, match="not symmetric"):
-            _divide_and_collect({_pack((3, 2), w): 1}, lay)
+            _divide_and_collect(pack({(3, 2): 1}, shifts), lay)
         # the whole orbit divides to m_(2,1)
-        whole = {_pack((3, 2), w): 2, _pack((2, 3), w): 2}
+        whole = pack({(3, 2): 2, (2, 3): 2}, shifts)
         assert _divide_and_collect(whole, lay) == {Partition((2, 1)): 2}
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_field_of_all_ones_round_trips(self, k):
         top = 2**k - 1
-        lay = _layout(4, top)
-        assert lay[1] == k + 1
+        shifts, mask, guard = lay = layout(4, top)
+        assert mask == 2 ** (k + 1) - 1 and list(shifts) == [0, k + 1, 2 * k + 2, 3 * k + 3]
+        assert guard == sum(2**k << s for s in shifts)
         for e in [(top, 0, top, 1), (0, top, 0, 0), (top,) * 4]:
-            assert _unpack(_pack(e, lay[1]), lay) == e
+            assert unpack(pack({e: 1}, shifts), shifts, mask) == {e: 1}
         # both checks hold at the widest field: the quotient of
         # x1**top x2**top x3 x4 and its orbit is m_(top-1, top-1)
         orbit = set(itertools.permutations((top, top, 1, 1)))
-        got = _divide_and_collect({_pack(e, lay[1]): 1 for e in orbit}, lay)
+        got = _divide_and_collect(pack(dict.fromkeys(orbit, 1), shifts), lay)
         assert got == {Partition(tuple(x for x in (top - 1, top - 1) if x)): 1}
 
     def test_one_sorted_representative_per_orbit(self):
@@ -275,12 +274,13 @@ class TestPackedOracle:
         for _ in range(200):
             r = rng.randint(1, 5)
             e = tuple(rng.randint(1, 7) for _ in range(r))
-            lay = _layout(r, 7)
+            lay = layout(r, 7)
             orbit = set(itertools.permutations(e))
-            p = {_pack(x, lay[1]): 1 for x in orbit}
+            p = pack(dict.fromkeys(orbit, 1), lay[0])
             lam = tuple(x - 1 for x in sorted(e, reverse=True) if x > 1)
             assert _divide_and_collect(p, lay) == {Partition(lam): 1}
             if len(orbit) > 1:
-                del p[_pack(rng.choice(sorted(orbit)), lay[1])]
+                (gone,) = pack({rng.choice(sorted(orbit)): 1}, lay[0])
+                del p[gone]
                 with pytest.raises(ArithmeticError, match="not symmetric"):
                     _divide_and_collect(p, lay)

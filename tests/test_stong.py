@@ -78,8 +78,8 @@ class TestBuildX:
             build_X(0, 3)
 
     def test_tests_a_large_prime_once(self):
-        # build_X checks its prime in four places; trial division on a
-        # 13-digit prime is slow enough to dominate a table of them
+        # build_X checks its prime in four places; a table of rows on one
+        # large prime should pay for one primality test
         is_odd_prime.cache_clear()
         assert build_X(5, 1000000000039) == ProjProduct((1,) * 12)
         info = is_odd_prime.cache_info()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,39 @@ from cobcalc.symfun import (
     u_to_b,
     z_mul,
 )
+
+
+def tuple_expansion(f: SymFn, k: int) -> dict:
+    """f in k variables on exponent tuples: each basis element a product
+    of monomial symmetric functions, m_mu the distinct permutations of mu
+    padded with zeros."""
+
+    def mono(parts):
+        if len(parts) > k:
+            return {}
+        return dict.fromkeys(set(itertools.permutations(parts + (0,) * (k - len(parts)))), 1)
+
+    out: dict = {}
+    for lam, c in f.coeffs.items():
+        if f.basis == "monomial":
+            factors = [tuple(lam)]
+        elif f.basis == "elementary":
+            factors = [(1,) * s for s in lam]
+        else:
+            factors = [(s,) for s in lam]
+        term = {(0,) * k: c}
+        for parts in factors:
+            product: dict = {}
+            for ea, ca in term.items():
+                for eb in mono(parts):
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    product[e] = product.get(e, 0) + ca
+            term = product
+        for e, v in term.items():
+            out[e] = out.get(e, 0) + v
+    if f.modulus is not None:
+        out = {e: v % f.modulus for e, v in out.items()}
+    return {e: v for e, v in out.items() if v}
 
 
 def m(parts, **kw):
@@ -48,6 +82,19 @@ class TestExpandInVars:
 
     def test_too_many_parts_vanish(self):
         assert expand_in_vars(m((1, 1, 1)), 2) == {}
+
+    def test_against_a_tuple_expansion(self):
+        rng = random.Random(5)
+        small = [lam for w in range(7) for lam in enumerate_partitions(w)]
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            basis = rng.choice(BASES)
+            modulus = rng.choice([None, 3, 5])
+            coeffs = {rng.choice(small): rng.choice([-3, -1, 1, 2, Fraction(1, 2)]) for _ in range(3)}
+            f = SymFn(coeffs, basis, modulus)
+            got = expand_in_vars(f, k)
+            assert got == tuple_expansion(f, k), (coeffs, basis, modulus, k)
+            assert all(type(e) is tuple and len(e) == k for e in got)
 
 
 class TestConvert:

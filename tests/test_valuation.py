@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc.valuation import (
+    PRIME_TEST_LIMIT,
     LadicDigits,
+    _miller_rabin,
+    is_odd_prime,
     ladic_digits,
     multinomial,
     nu,
@@ -180,3 +183,42 @@ class TestLucas:
     def test_lucas_congruence(self, comp, ell):
         n, parts = comp
         assert multinomial(n, parts) % ell == lucas_multinomial_mod(n, parts, ell)
+
+
+class TestIsOddPrime:
+    def test_miller_rabin_agrees_with_trial_division(self):
+        # below 2**20 is_odd_prime is trial division; it is checked against
+        # a sieve, and Miller-Rabin on every odd n above its largest base
+        sieve = bytearray([0, 0]) + bytearray([1]) * 199998
+        for f in range(2, 448):
+            if sieve[f]:
+                sieve[f * f :: f] = bytes(len(range(f * f, 200000, f)))
+        for n in range(200000):
+            assert is_odd_prime(n) == (sieve[n] == 1 and n != 2), n
+            if n > 41 and n % 2:
+                assert _miller_rabin(n) == is_odd_prime(n), n
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (3215031751, (151, 751, 28351)),
+            (3825123056546413051, (149491, 747451, 34233211)),
+            # psi_12: the least strong pseudoprime to the first 12 prime bases
+            (318665857834031151167461, (399165290221, 798330580441)),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n, factors):
+        assert math.prod(factors) == n
+        assert not is_odd_prime(n)
+
+    def test_large_primes(self):
+        for n in (1000003, 1000000000039, 1000000000000000003, 2**61 - 1, 2**31 - 1):
+            assert is_odd_prime(n), n
+        assert not is_odd_prime(2**61 + 1) and not is_odd_prime((2**31 - 1) * 1000000000039)
+
+    def test_limit_is_refused(self):
+        assert PRIME_TEST_LIMIT == 3317044064679887385961981
+        for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 1, 10**400):
+            with pytest.raises(ValueError, match="too large"):
+                is_odd_prime(n)
+        assert not is_odd_prime(PRIME_TEST_LIMIT - 1)
