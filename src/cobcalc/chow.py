@@ -10,11 +10,22 @@ exponents of a product are one integer addition, and truncation is one
 mask test per pair of terms, since adding the offset half - 1 - n_i to a
 field sets its top (guard) bit exactly when the exponent sum exceeds n_i
 (`_layout`).  Keys are packed on entry to a product and unpacked on exit.
-A power expands binomially in the degree-0 coefficient and the nilpotent
-rest, so it takes at most total_dimension products whatever the exponent;
-its whole loop runs on packed keys, and more than MAX_POW_STEPS of them
-are refused up front.  Only sums of line bundles appear as bundles: every
-bundle computed with here splits into such a sum.  The Conner-Floyd class c_I is the monomial
+A product whose term pairs times factor count exceed MAX_PRODUCT_WORK is
+refused before any pair is formed (`_mul`).  A power expands binomially in
+the degree-0 coefficient and the nilpotent rest, so it takes at most
+total_dimension products whatever the exponent; its whole loop runs on
+packed keys, more than MAX_POW_STEPS of them are refused up front, and
+each is a product priced as above.
+
+`InvariantSubring` is the part of the ring that permuting equal factors
+fixes, on the basis of orbit sums of monomials, each keyed by the sorted
+exponents of each group of equal factors.  It knows only
+multiplication by alpha (a push step that moves one factor of a group up
+by one exponent), so it holds the powers of alpha and whatever is pushed
+from them; `stong`'s expansions run there.
+
+Only sums of line bundles appear as bundles: every bundle computed with
+here splits into such a sum.  The Conner-Floyd class c_I is the monomial
 symmetric function m_I of the Chern roots: `symfun` expands m_I in the
 power sums, and p_k evaluates to the Newton class, which is additive, so
 a negative summand needs no inverse series.
@@ -23,8 +34,8 @@ a negative summand needs no inverse series.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lcm
-from operator import gt
+from math import comb, lcm, prod
+from operator import gt, lshift
 
 from . import _sparse
 from ._record import Record
@@ -33,6 +44,11 @@ from .partitions import Partition
 # Horner steps of a power, min(n, total dimension): each is one product, so
 # 10**6 of them on the smallest class take about two seconds
 MAX_POW_STEPS = 10**6
+
+# Term pairs x factor count of one product: each pair is an addition of
+# keys of factor_count fields, and each output term unpacks to that many
+# exponents.  Products refuse more than this before any pair is formed
+MAX_PRODUCT_WORK = 4 * 10**6
 
 
 class ProjProduct(Record):
@@ -145,7 +161,14 @@ def _layout(dims: tuple[int, ...]) -> tuple[range, int, int, int]:
 
 
 def _mul(a: dict, b: dict, layout: tuple) -> dict:
-    """Product of two classes on packed keys, without zero coefficients."""
+    """Product of two classes on packed keys, without zero coefficients;
+    refused before any pair is formed above MAX_PRODUCT_WORK."""
+    work = len(a) * len(b) * len(layout[0])
+    if work > MAX_PRODUCT_WORK:
+        raise ValueError(
+            f"product of {len(a)} x {len(b)} terms on {len(layout[0])} factors has "
+            f"predicted work {work}, above the limit {MAX_PRODUCT_WORK}"
+        )
     offset, guard = layout[2], layout[3]
     out: dict = {}
     get = out.get
@@ -156,6 +179,113 @@ def _mul(a: dict, b: dict, layout: tuple) -> dict:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
+
+
+# The push moves found from a group's part of a key are kept for reuse, up
+# to this many parts per group: a group (n, a) has C(n + a, a) parts, too
+# many to list when n is large, while a step reaches only a few of them
+_MOVES_KEPT = 4096
+
+
+class InvariantSubring:
+    """The subring of the truncated ring of space that is invariant under
+    permuting equal factors, on the basis of orbit sums of monomials.
+
+    The equal factors form groups (n, a): a copies of P^n.  The orbit of a
+    monomial is fixed, group by group, by the multiset of the exponents of
+    the group's factors, which the key holds sorted in the group's a
+    fields of one `_sparse` layout: as wide as a key of the full ring.
+    The unit orbit is key 0, and the top orbit, every exponent at its
+    dimension, holds the top monomial alone.  Multiplying by alpha moves
+    one factor of a group from exponent v to v + 1, so adds 1 to the last
+    field holding v, which keeps the fields sorted: the orbit sum so
+    reached collects each of its monomials once from every factor at
+    v + 1, so the push step's coefficient is the new count of v + 1.
+    """
+
+    __slots__ = ("_groups", "_members", "top")
+
+    unit = 0
+
+    def __init__(self, space: ProjProduct) -> None:
+        shifts, mask, _ = _sparse.layout(space.factor_count, max(space.dims))
+        first, groups, members = 0, [], []
+        for n, a in factor_groups(space):
+            fields = shifts[first : first + a]
+            groups.append((((1 << (a * mask.bit_length())) - 1) << fields[0], fields, mask, n, {}))
+            members.append((fields, [i for i, m in enumerate(space.dims) if m == n]))
+            first += a
+        self._groups, self._members = groups, members
+        self.top = self.orbit(space.dims)
+
+    def orbit(self, exps) -> int:
+        """Key of the orbit of the monomial with exponents exps."""
+        key = 0
+        for fields, factors in self._members:
+            key += sum(map(lshift, sorted(exps[i] for i in factors), fields))
+        return key
+
+    def times_alpha(self, cls: dict) -> dict:
+        """cls times alpha, without zero coefficients."""
+        out: dict = {}
+        get = out.get
+        items = cls.items()
+        # one group at a time: a key's part in a group is one mask away
+        for group in self._groups:
+            group_mask, moves = group[0], group[-1]
+            for key, c in items:
+                part = key & group_mask
+                steps = moves.get(part)
+                if steps is None:
+                    if len(moves) == _MOVES_KEPT:
+                        moves.clear()
+                    steps = moves[part] = _push_moves(part, group)
+                for step, count in steps:
+                    k = key + step
+                    out[k] = get(k, 0) + c * count
+        return _sparse.clean(out)
+
+    def alpha_power(self, n: int) -> dict:
+        """alpha**n, by n push steps from the unit orbit."""
+        cls = {self.unit: 1}
+        for _ in range(n):
+            if not cls:
+                break
+            cls = self.times_alpha(cls)
+        return cls
+
+    def deg(self, cls: dict) -> int:
+        """Coefficient of the top orbit, which is the top monomial alone."""
+        return cls.get(self.top, 0)
+
+
+def _push_moves(part: int, group: tuple) -> list:
+    """The push moves from one group's part of an orbit key, as (key
+    increment, new count of v + 1), one per exponent value v < n held:
+    the fields are read from the top down, counting each run of a value."""
+    _, fields, mask, n, _ = group
+    moves = []
+    above, run = None, 0
+    for s in reversed(fields):
+        e = part >> s & mask
+        if e != above:
+            if e < n:
+                moves.append((1 << s, run + 1 if above == e + 1 else 1))
+            above, run = e, 0
+        run += 1
+    return moves
+
+
+def factor_groups(space: ProjProduct) -> tuple[tuple[int, int], ...]:
+    """Equal factors of space as (dimension, count) pairs, by increasing
+    dimension."""
+    return tuple((n, space.dims.count(n)) for n in sorted(set(space.dims)))
+
+
+def invariant_rank(space: ProjProduct) -> int:
+    """Rank of the subring invariant under permuting equal factors, the
+    number of orbits of monomials: C(n + a, a) per group (n, a)."""
+    return prod(comb(n + a, a) for n, a in factor_groups(space))
 
 
 def _exponents(space: ProjProduct, exps) -> tuple | None:

@@ -658,6 +658,11 @@ def main(argv: list[str] | None = None) -> int:
         # or of the recursive evaluators
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a failed internal check, such as a Conner-Floyd coefficient that
+        # is not integral or an oracle's divisibility or symmetry check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,14 @@ base-ell digits of 2d+2, except when 2d+1 is a power of ell, where a single
 alternative product of equal factors is used instead.  The characteristic
 number of the zero locus is -2 times the top self-intersection degree of
 the (1,...,1) twist, available both as a multinomial closed form and as a
-brute-force expansion in the truncated ring.
+brute-force expansion.  The expansions (`s_number_bruteforce`,
+`signed_char_number`) run in the subring of the truncated ring that
+permuting equal factors fixes (`chow.InvariantSubring`): alpha, the
+tangent bundle and their Newton classes all lie there, and build_X repeats
+its factors, so the orbits of monomials are far fewer than the monomials.
+They push alpha step by step and read the top orbit; no multinomial or
+other closed form enters.  Each is priced first by its invariant rank
+times the factor count.
 
 The valuation table walks the base-ell digits of 2d+2 once for all its
 rows: each generic row's multinomial follows from the previous row's by one
@@ -18,27 +25,34 @@ its valuation and factors come from the digit counts.  `s_number` and
 
 from __future__ import annotations
 
-from math import prod
-
-from . import chow
+from . import _sparse, chow
 from ._record import Record
 from .chow import LineTerm, ProjProduct, VirtualBundle
 from .valuation import ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
 # Expansions refuse, before any ring arithmetic, a space whose predicted work
-# (ring rank prod(n_i + 1) x factor count, about 0.5 s per million) exceeds
-# this.  It admits every space of total dimension <= 16, and build_X(d, l)
-# for d <= 30 at l = 3 and 5 and for d <= 20 at l = 7 except d = 19.
+# (invariant rank x factor count, see _check_expansion_work) exceeds this.
+# One route costs 0.35-0.5 us per unit on build_X's spaces on a 2-core x86
+# host, so about 2 s at the limit, and more on one large factor beside a
+# P^1, whose steps hold two orbits each: 1.2 us (2.6 us with the tangent
+# bundle of N lines), and 4 s for P^999999 x P^1.  The invariant rank is at
+# most the ring rank prod(n_i + 1), so this admits every space the full-ring
+# rule (ring rank x factor count <= 2**22) did, and build_X(d, l) for every
+# d <= 38 at l = 3, d <= 44 at l = 5 and d <= 46 at l = 7.
 MAX_EXPANSION_WORK = 2**22
 
 
 def _check_expansion_work(X: ProjProduct) -> None:
-    rank = prod(n + 1 for n in X.dims)
+    """Refuse an expansion in the subring of X invariant under permuting
+    equal factors whose work is above MAX_EXPANSION_WORK.  alpha**N visits
+    every orbit once; from each one a push step reads the key's factor_count
+    fields at most and makes at most one move per field."""
+    rank = chow.invariant_rank(X)
     work = rank * X.factor_count
     if work > MAX_EXPANSION_WORK:
         raise ValueError(
-            f"expansion in {X} has predicted work {work} (rank {rank} x "
-            f"{X.factor_count} factors), above the limit {MAX_EXPANSION_WORK}"
+            f"expansion in {X} has predicted work {work} (invariant rank "
+            f"{rank} x {X.factor_count} factors), above the limit {MAX_EXPANSION_WORK}"
         )
 
 
@@ -120,11 +134,12 @@ def s_number(X: ProjProduct) -> int:
 
 
 def s_number_bruteforce(X: ProjProduct) -> int:
-    """Same number by full expansion in the truncated ring."""
+    """Same number by expansion of alpha**N in the subring of the truncated
+    ring invariant under permuting equal factors."""
     _check_construction(X)
     _check_expansion_work(X)
-    a = chow.alpha(X)
-    return -2 * chow.deg(a ** X.total_dimension)
+    ring = chow.InvariantSubring(X)
+    return -2 * ring.deg(ring.alpha_power(X.total_dimension))
 
 
 def congruence_check(d: int, ell: int) -> tuple[int, int, bool]:
@@ -156,9 +171,10 @@ def sign_exponent(X: ProjProduct) -> int:
 def signed_char_number(X: ProjProduct) -> int:
     """Characteristic number of the associated symplectic class, with its
     sign: (-1)**n_Y times the degree of a^2 * c_(2d)(xi + xi - T_X),
-    evaluated directly in the truncated ring.  By the comparison of the two
-    computations this equals (-1)**(n_Y + 1) times s_number(X); only the
-    valuation is consumed downstream.
+    evaluated directly in the subring of the truncated ring invariant under
+    permuting equal factors.  By the comparison of the two computations
+    this equals (-1)**(n_Y + 1) times s_number(X); only the valuation is
+    consumed downstream.
     """
     two_d = _check_construction(X)
     _check_expansion_work(X)
@@ -168,9 +184,41 @@ def signed_char_number(X: ProjProduct) -> int:
     if two_d == 0:
         # degenerate d = 0: the Newton class of degree 0 is not defined
         raise ValueError("signed characteristic number needs d >= 1")
-    cls = chow.newton_class(v, two_d)
-    pushed = chow.alpha(X) ** 2 * cls
-    return (-1) ** sign_exponent(X) * chow.deg(pushed)
+    ring = chow.InvariantSubring(X)
+    pushed = ring.times_alpha(ring.times_alpha(_invariant_newton_class(ring, v, two_d)))
+    return (-1) ** sign_exponent(X) * ring.deg(pushed)
+
+
+def _invariant_newton_class(ring: chow.InvariantSubring, v: VirtualBundle, n: int) -> dict:
+    """The Newton class of v in ring, twist by twist: the all-ones twist
+    gives alpha**n and the trivial twist 0; the unit twists on one group
+    of equal factors give that group's power sum x**n, a single orbit, and
+    must carry equal signs, or the class would not be invariant."""
+    signs: dict = {}
+    for term in v.terms:
+        signs[term.twist] = signs.get(term.twist, 0) + term.sign
+    dims = v.space.dims
+    units = [0] * len(dims)  # the sign of the unit twist on each factor
+    terms = []
+    for twist, sign in signs.items():
+        if not sign or not any(twist):
+            continue  # the trivial twist's first Chern class is 0, and n >= 1
+        if set(twist) == {1}:
+            terms.extend((k, sign * c) for k, c in ring.alpha_power(n).items())
+        elif sum(twist) == 1 and set(twist) == {0, 1}:
+            units[twist.index(1)] = sign
+        else:
+            raise ValueError(f"twist {twist} is neither all ones nor a unit")
+    for dim in set(dims):
+        group = {sign for sign, n_i in zip(units, dims) if n_i == dim}
+        if len(group) > 1:
+            raise ValueError(f"unit twists on the copies of P^{dim} differ in sign")
+        sign = group.pop()
+        if sign and n <= dim:
+            exps = [0] * len(dims)
+            exps[dims.index(dim)] = n
+            terms.append((ring.orbit(exps), sign))
+    return _sparse.collect(terms)
 
 
 def _walk(ell: int, d_max: int):

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import chow, stong
+from cobcalc import _sparse, chow, stong
 from cobcalc.chow import (
     MAX_POW_STEPS,
+    MAX_PRODUCT_WORK,
     ChowClass,
+    InvariantSubring,
     LineTerm,
     ProjProduct,
     VirtualBundle,
     alpha,
     cf_chern,
     deg,
+    factor_groups,
+    invariant_rank,
     line_bundle,
     newton_class,
     tangent_bundle,
@@ -195,6 +199,122 @@ class TestPackedKernel:
         with pytest.raises(ValueError, match="100000000 Horner steps exceed the limit"):
             newton_class(line_bundle(X, (1,)), 10**8)
         assert time.process_time() - start < 1.0
+
+
+def _odd_shapes(max_dim: int) -> list[tuple[int, ...]]:
+    """Every tuple of odd factor dimensions of total at most max_dim, in
+    decreasing order and, where that differs, reversed."""
+    shapes = []
+    for w in range(1, max_dim + 1):
+        for p in enumerate_partitions(w):
+            if all(n % 2 for n in p):
+                shapes.append(tuple(p))
+                if tuple(p)[::-1] != tuple(p):
+                    shapes.append(tuple(p)[::-1])
+    return shapes
+
+
+def _by_orbit(ring: InvariantSubring, coeffs: dict) -> dict:
+    """A class of the full ring keyed by orbits, asserting that every
+    monomial of an orbit has the same coefficient."""
+    out: dict = {}
+    for e, c in coeffs.items():
+        key = ring.orbit(e)
+        assert out.setdefault(key, c) == c, (e, c, out[key])
+    return out
+
+
+class TestInvariantSubring:
+    @pytest.mark.parametrize("dims", _odd_shapes(10))
+    def test_alpha_powers_equal_the_full_ring_term_by_term(self, dims):
+        X = ProjProduct(dims)
+        ring = InvariantSubring(X)
+        for k in range(X.total_dimension + 2):
+            assert ring.alpha_power(k) == _by_orbit(ring, (alpha(X) ** k).coeffs), k
+
+    def test_orbits_count_the_invariant_rank(self):
+        for dims in [(1,), (1, 1), (3, 1, 3), (1, 1, 1, 5, 5), (3, 3, 3), (2, 2, 1, 2)]:
+            X = ProjProduct(dims)
+            ring = InvariantSubring(X)
+            orbits = {ring.orbit(e) for e in itertools.product(*(range(n + 1) for n in dims))}
+            assert len(orbits) == invariant_rank(X)
+
+    def test_groups_and_keys(self):
+        X = ProjProduct((3, 1, 3, 1, 1))
+        assert factor_groups(X) == ((1, 3), (3, 2))
+        assert invariant_rank(X) == math.comb(4, 3) * math.comb(5, 2)
+        ring = InvariantSubring(X)
+        assert ring.orbit((0,) * 5) == ring.unit
+        assert ring.orbit(X.dims) == ring.top
+        # the orbit of a monomial does not see the order of equal factors
+        assert ring.orbit((2, 1, 0, 0, 1)) == ring.orbit((0, 0, 2, 1, 1)) != ring.orbit((1, 0, 2, 1, 0))
+
+    def test_push_step_multiplies_by_the_new_count(self):
+        # on (P^2)^3: alpha times the orbit sum of a1 a2 (counts 1, 2, 0)
+        # is 3 a1 a2 a3 (counts 0, 3, 0) plus the orbit sum of a1^2 a2
+        # (counts 1, 1, 1), whose monomials each arise once
+        X = ProjProduct((2, 2, 2))
+        ring = InvariantSubring(X)
+        pushed = ring.times_alpha({ring.orbit((1, 1, 0)): 5})
+        assert pushed == {ring.orbit((1, 1, 1)): 15, ring.orbit((2, 1, 0)): 5}
+
+    def test_degree_is_the_top_orbit(self):
+        X = ProjProduct((1, 1, 3))
+        ring = InvariantSubring(X)
+        assert ring.deg(ring.alpha_power(5)) == deg(alpha(X) ** 5) == multinomial(5, (1, 1, 3))
+        assert ring.deg(ring.alpha_power(4)) == 0
+        assert ring.alpha_power(6) == {}
+
+    def test_cancelled_terms_are_dropped(self):
+        # (a1 - a2)(a1 + a2) on P^1 x P^3 is -a2^2: the a1 a2 terms cancel
+        X = ProjProduct((1, 3))
+        ring = InvariantSubring(X)
+        pushed = ring.times_alpha({ring.orbit((1, 0)): 1, ring.orbit((0, 1)): -1})
+        assert pushed == {ring.orbit((0, 2)): -1}
+
+
+class TestProductLimit:
+    def test_product_above_the_limit_is_refused_before_any_pair(self):
+        class NoPairs(dict):
+            def items(self):
+                raise AssertionError("term pairs formed before the work check")
+
+        X = ProjProduct((1,) * 200)
+        message = (
+            f"product of 200 x 200 terms on 200 factors has predicted work 8000000, "
+            f"above the limit {MAX_PRODUCT_WORK}"
+        )
+        with pytest.raises(ValueError) as exc:
+            alpha(X) * alpha(X)
+        assert str(exc.value) == message
+        shifts = chow._layout(X.dims)[0]
+        packed = _sparse.pack(alpha(X).coeffs, shifts)
+        with pytest.raises(ValueError) as exc:
+            chow._mul(NoPairs(packed), packed, chow._layout(X.dims))
+        assert str(exc.value) == message
+
+    def test_power_steps_are_priced_as_products(self):
+        # pow multiplies through the same kernel: alpha ** 2 on 200 copies
+        # of P^1 is the product refused above, and alpha ** 3 on 100 copies
+        # is refused at its last step, alpha ** 2 times alpha
+        X = ProjProduct((1,) * 200)
+        with pytest.raises(ValueError, match="200 x 200 terms on 200 factors"):
+            alpha(X) ** 2
+        Y = ProjProduct((1,) * 100)
+        assert len((alpha(Y) ** 2).coeffs) == 4950
+        with pytest.raises(ValueError, match="4950 x 100 terms on 100 factors has predicted work 49500000"):
+            alpha(Y) ** 3
+
+    def test_work_counts_term_pairs_times_factor_count(self):
+        # 200 x 100 terms on 200 factors: 4 * 10**6, the limit itself
+        X = ProjProduct((1,) * 200)
+        assert MAX_PRODUCT_WORK == 4 * 10**6
+        first = ChowClass(X, {tuple(int(j == i) for j in range(200)): 1 for i in range(100)})
+        assert len((alpha(X) * first).coeffs) == 100 * 99 // 2 + 100 * 100
+        with pytest.raises(ValueError, match="predicted work 4040000"):
+            alpha(X) * (first + ChowClass.one(X))
+        # an empty factor costs nothing
+        assert (alpha(X) * ChowClass.zero(X)).coeffs == {}
 
 
 class TestBundles:

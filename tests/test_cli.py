@@ -251,12 +251,24 @@ class TestVerifyGenerators:
         msp_criterion.assert_not_called()
 
     def test_sweep_limit_refuses_before_seeking_primes(self, capsys):
-        with mock.patch.object(criterion, "is_odd_prime") as is_odd_prime:
+        # the primes come from a sieve of one byte per number up to the bound
+        with mock.patch.object(criterion, "odd_primes_up_to") as odd_primes_up_to:
             code, out, _ = run(
                 capsys, "verify-generators", "--all-primes-up-to", str(BIG), "--max-d", "1"
             )
         assert code == 2 and out == ""
-        is_odd_prime.assert_not_called()
+        odd_primes_up_to.assert_not_called()
+
+    @pytest.mark.parametrize("max_d", ["0", "-3"])
+    def test_no_row_is_refused_before_seeking_primes(self, capsys, max_d):
+        # the sieve would take one byte per number up to 10**10
+        with mock.patch.object(criterion, "odd_primes_up_to") as odd_primes_up_to:
+            code, out, err = run(
+                capsys, "verify-generators", "--all-primes-up-to", str(10**10), "--max-d", max_d
+            )
+        assert code == 2 and out == ""
+        assert err == "error: d_max must be positive\n"
+        odd_primes_up_to.assert_not_called()
 
     def test_zero_prime_bound_is_usage_error(self, capsys):
         code, out, err = run(
@@ -578,6 +590,45 @@ class TestChowCommand:
         code, out, _ = run(capsys, "chow", "--input", str(path))
         assert code == 0
         assert json.loads(out) == {"space": [1] * 500, "deg": "0"}
+
+    @pytest.mark.parametrize(
+        "space, factor, work",
+        [([1] * 500, "alpha", 500**3), ([1] * 16, {"op": "pow", "base": "alpha", "n": 8}, 12870**2 * 16)],
+        ids=["alpha-squared-on-500-factors", "12870-term-classes-on-16-factors"],
+    )
+    def test_product_above_the_limit_is_refused_at_once(self, capsys, tmp_path, space, factor, work):
+        # 66 s and 6 GB, and 165 million term pairs, when they ran
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": space, "expr": {"op": "mul", "factors": [factor, factor]}}))
+        start = time.process_time()
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: product of ") and len(err.splitlines()) == 1
+        assert f"predicted work {work}, above the limit {chow.MAX_PRODUCT_WORK}" in err
+
+    def test_product_at_the_limit_is_accepted(self, capsys, tmp_path):
+        # alpha * alpha on 158 copies of P^1: 158**3 = 3944312 <= 4 * 10**6
+        path = tmp_path / "expr.json"
+        payload = {"op": "deg", "of": {"op": "mul", "factors": ["alpha", "alpha"]}}
+        path.write_text(json.dumps({"space": [1] * 158, "expr": payload}))
+        code, out, _ = run(capsys, "chow", "--input", str(path))
+        assert code == 0 and json.loads(out)["deg"] == "0"
+        path.write_text(json.dumps({"space": [1] * 159, "expr": payload}))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 2 and "predicted work 4019679" in err
+
+    def test_failed_internal_check_exits_1_with_one_line(self, capsys, monkeypatch, tmp_path):
+        def non_integral(*args):
+            raise ArithmeticError("c_(2,) has a coefficient 1/2")
+
+        monkeypatch.setattr(chow, "cf_chern", non_integral)
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1, 1], "expr": {"op": "cf", "bundle": "tangent", "partition": [2]}}))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: c_(2,) has a coefficient 1/2\n"
+        assert "Traceback" not in err
 
     def test_pow_of_a_unit_returns_at_once(self):
         # the unit is not nilpotent: 10**8 factors must not be multiplied

@@ -1,7 +1,10 @@
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc import criterion
 from cobcalc.criterion import (
     CandidateFamily,
     aggregate_passed,
@@ -13,6 +16,7 @@ from cobcalc.criterion import (
     required_valuation_msp,
     stong_family,
 )
+from cobcalc.valuation import is_odd_prime
 
 
 class TestRequiredValuations:
@@ -127,6 +131,20 @@ class TestGlobalCriterion:
         assert odd_primes_up_to(13) == [3, 5, 7, 11, 13]
         assert odd_primes_up_to(13, excluded=(5, 11)) == [3, 7, 13]
 
+    def test_sieve_equals_trial_division(self):
+        # is_odd_prime decides by trial division below 2**20
+        excluded = (2, 3, 7, 9, 97, 7919, -5)
+        trial = [p for p in range(3, 10**4 + 1, 2) if is_odd_prime(p)]
+        for skip in ((), excluded):
+            kept = [p for p in trial if p not in skip]
+            for bound in range(-1, 10**4 + 1):
+                want = kept[: bisect_right(kept, bound)]
+                if want:
+                    assert odd_primes_up_to(bound, skip) == want, bound
+                else:
+                    with pytest.raises(ValueError, match=f"no odd prime up to {bound}"):
+                        odd_primes_up_to(bound, skip)
+
     def test_empty_sweep_refused(self):
         fam = CandidateFamily("msp", {1: 15, 2: 5, 3: 1, 4: 1})
         with pytest.raises(ValueError, match="no odd prime up to 2"):
@@ -135,6 +153,16 @@ class TestGlobalCriterion:
             global_criterion(fam, prime_bound=7, d_max=4, excluded=(3, 5, 7))
         with pytest.raises(ValueError):
             odd_primes_up_to(1)
+
+    def test_sweep_over_no_row_is_refused_before_the_sieve(self, monkeypatch):
+        def no_sieve(*args):
+            raise AssertionError("primes sought for a sweep over no row")
+
+        monkeypatch.setattr(criterion, "odd_primes_up_to", no_sieve)
+        fam = CandidateFamily("msp", {1: 15})
+        for d_max in (0, -1):
+            with pytest.raises(ValueError, match="d_max must be positive"):
+                global_criterion(fam, prime_bound=10**10, d_max=d_max)
 
 
 class TestConsistencyAcrossGradings:

@@ -1,14 +1,19 @@
+import math
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import chow
-from cobcalc.chow import ProjProduct
+from cobcalc import chow, stong, valuation
+from cobcalc.chow import LineTerm, ProjProduct, VirtualBundle, line_bundle
 from cobcalc.partitions import enumerate_partitions
 from cobcalc.stong import (
     MAX_EXPANSION_WORK,
     StongDatum,
     _check_expansion_work,
+    _invariant_newton_class,
     build_X,
     congruence_check,
     exceptional_exponent,
@@ -104,39 +109,115 @@ class TestSNumber:
         assert s_number_bruteforce(ProjProduct((1, 1))) == -4
 
     def test_expansion_work_limit(self, monkeypatch):
-        # rank 256 x 4 factors: above the old total-dimension cap of 14, now
-        # computed
+        # rank 256 x 4 factors in the full ring: above the old total-dimension
+        # cap of 14, computed
         assert s_number_bruteforce(ProjProduct((7, 7, 1, 1))) == s_number(ProjProduct((7, 7, 1, 1)))
         # nothing the old cap admitted at its largest, 16, is refused
         for w in range(2, 17, 2):
             for dims in enumerate_partitions(w):
                 if len(dims) % 2 == 0 and all(n % 2 for n in dims):
                     _check_expansion_work(ProjProduct(dims))
+        # (1^5, 7^5), refused by the full-ring rule (rank 2**5 * 8**5 x 10
+        # factors), has invariant rank C(6, 5) C(12, 5) = 4752 x 10 factors
+        _check_expansion_work(build_X(19, 7))
 
-        def no_product(*args):
-            raise AssertionError("ring product before the work check")
+        def no_ring_work(*args):
+            raise AssertionError("ring work before the work check")
 
-        monkeypatch.setattr(chow, "_mul", no_product)
-        # (1^5, 7^5): rank 2**5 * 8**5 = 1048576 x 10 factors
-        X = build_X(19, 7)
-        assert X == ProjProduct((1,) * 5 + (7,) * 5)
+        monkeypatch.setattr(chow.InvariantSubring, "__init__", no_ring_work)
+        monkeypatch.setattr(chow.InvariantSubring, "times_alpha", no_ring_work)
+        # (1^2, 3^2, 9^2, 27^2): invariant rank 3 * 10 * 55 * 406 x 8 factors
+        X = build_X(39, 3)
+        assert X == ProjProduct((1, 1, 3, 3, 9, 9, 27, 27))
         for route in (s_number_bruteforce, signed_char_number):
             with pytest.raises(ValueError) as exc:
                 route(X)
             message = str(exc.value)
-            assert "predicted work 10485760" in message
-            assert "rank 1048576 x 10 factors" in message
+            assert "predicted work 5359200" in message
+            assert "invariant rank 669900 x 8 factors" in message
             assert str(MAX_EXPANSION_WORK) in message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2**20), min_size=1, max_size=12))
+    def test_invariant_rank_never_exceeds_the_ring_rank(self, dims):
+        # so every space the full-ring rule (ring rank x factor count)
+        # admitted is still admitted
+        X = ProjProduct(tuple(dims))
+        assert chow.invariant_rank(X) <= math.prod(n + 1 for n in dims)
+
+    def test_one_large_factor_costs_linear_time_and_bounded_memory(self):
+        # P^65535 x P^1 has no equal factors: 65536 steps of two orbits each,
+        # whose keys are as wide as the full ring's, one field per factor
+        X = ProjProduct((2**16 - 1, 1))
+        start = time.process_time()
+        assert s_number_bruteforce(X) == s_number(X)
+        assert time.process_time() - start < 3.0
+        # the push moves kept per group are bounded, so memory does not
+        # grow with the C(n + a, a) parts of a group
+        tracemalloc.start()
+        try:
+            s_number_bruteforce(ProjProduct((2**13 - 1, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_closed_form_equals_expansion_for_construction(self, ell):
-        for d in range(1, (20 if ell == 7 else 30) + 1):
-            if (d, ell) == (19, 7):
-                continue  # refused: see test_expansion_work_limit
+        for d in range(1, 31):
             X = build_X(d, ell)
             s = s_number(X)
             assert s_number_bruteforce(X) == s, d
             assert signed_char_number(X) == (-1) ** (sign_exponent(X) + 1) * s, d
+
+    def test_expansion_routes_use_no_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("closed form in an expansion route")
+
+        for name in ("multinomial", "s_number", "nu_factorial"):
+            monkeypatch.setattr(stong, name, closed_form)
+        monkeypatch.setattr(valuation, "multinomial", closed_form)
+        for X in (build_X(19, 7), build_X(13, 3), ProjProduct((5, 3, 3, 1))):
+            assert s_number_bruteforce(X) == -2 * _multinomial(X.dims)
+            assert abs(signed_char_number(X)) == 2 * _multinomial(X.dims)
+
+
+def _multinomial(dims) -> int:
+    out = math.factorial(sum(dims))
+    for n in dims:
+        out //= math.factorial(n)
+    return out
+
+
+class TestInvariantNewtonClass:
+    @pytest.mark.parametrize(
+        "dims", [(1, 1), (1, 1, 1, 1), (3, 1, 1, 1), (3, 3, 1, 1), (1, 3, 1, 3), (5, 3, 1, 1), (1,) * 6]
+    )
+    def test_equals_the_full_newton_class_term_by_term(self, dims):
+        X = ProjProduct(dims)
+        ring = chow.InvariantSubring(X)
+        ones = (1,) * X.factor_count
+        v = VirtualBundle(X, (LineTerm(1, ones), LineTerm(1, ones))) + (-chow.tangent_bundle(X))
+        for n in range(1, X.total_dimension + 1):
+            want: dict = {}
+            for e, c in chow.newton_class(v, n).coeffs.items():
+                assert want.setdefault(ring.orbit(e), c) == c
+            assert _invariant_newton_class(ring, v, n) == want, n
+
+    def test_refuses_a_class_that_is_not_invariant(self):
+        X = ProjProduct((1, 1, 3))
+        ring = chow.InvariantSubring(X)
+        with pytest.raises(ValueError, match="differ in sign"):
+            _invariant_newton_class(ring, line_bundle(X, (1, 0, 0)), 1)
+        with pytest.raises(ValueError, match="neither all ones nor a unit"):
+            _invariant_newton_class(ring, line_bundle(X, (1, 1, 0)), 1)
+        with pytest.raises(ValueError, match="neither all ones nor a unit"):
+            _invariant_newton_class(ring, line_bundle(X, (0, 0, 2)), 1)
+        # a unit twist on a factor without an equal partner is invariant
+        assert _invariant_newton_class(ring, line_bundle(X, (0, 0, 1)), 2) == {ring.orbit((0, 0, 2)): 1}
+        # opposite terms of any twist cancel before they are read
+        v = line_bundle(X, (2, 0, 0)) + line_bundle(X, (2, 0, 0), sign=-1)
+        assert _invariant_newton_class(ring, v, 1) == {}
 
 
 class TestCongruence:
