@@ -21,6 +21,24 @@ Two actions are exposed:
   The twisted action does not satisfy the literal Cartan formula (already
   the unit has nonzero image), and supports operations of every even index.
 
+The fast path behind both assembles the answer from closed forms by
+multiplicativity, on packed keys.  The index-2a piece of the total
+operation on b_j is m_(ell^a 1^(j-a)), and the index-2b piece of the twist
+is m_((ell-1)^b); each is converted to the generators once and held as a
+dict, packed key -> coefficient, with the exponent of b_g in field g - 1
+of a `_sparse.layout`.  The layout is sized from the answer: its terms
+have half-weight at most top = weight(f)/2 + t(ell-1), so top fields wide
+enough for top (and at least 8 bits, so that most calls share one format)
+hold every exponent, and multiplying two b-monomials is one integer
+addition.  The total operation on each b_j**k, cut at index 2t, is
+cached by (j, k, t, ell) and the field width.  The monomials of f are
+grouped by their last factor, so the operation on the sum of each group's
+heads meets that factor once, and the graded products of all monomials are
+summed by index before the twist: the twist multiplies once per index,
+not once per monomial, and the last product forms only index 2t.  The
+sums are reduced mod ell as they are assembled, and only the answer is
+unpacked.
+
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with the engine of
 `expand_in_vars`, the definitional oracle of the basis conversions, and
@@ -42,7 +60,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from ._sparse import layout, pack, unpack
+from ._sparse import clean, layout, pack, unpack, wrap
 from .partitions import Partition
 from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, _expand_packed, bpoly_to_symfn, symfn_to_bpoly
 from .valuation import _require_odd_prime, multinomial
@@ -51,29 +69,79 @@ WEIGHT_CAP = 60
 
 
 # ---------------------------------------------------------------------------
-# fast path: closed forms for the graded pieces, assembled multiplicatively
+# fast path: closed forms for the graded pieces, assembled on packed keys
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _piece(parts: tuple[int, ...], ell: int) -> BPoly:
-    """The monomial symmetric function m_parts in the generators.  The
-    index-2a piece of the total untwisted operation on b_j is
+def _packed_piece(parts: tuple[int, ...], ell: int, width: int) -> dict:
+    """The monomial symmetric function m_parts in the generators, on
+    packed keys: the exponent of b_g in the field at bit (g - 1) * width.
+    The index-2a piece of the total untwisted operation on b_j is
     m_(ell^a 1^(j-a)), zero for a > j; the index-2b piece of the twist,
     e_b of the (ell-1)-st powers of the roots, is m_((ell-1)^b)."""
-    return symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
+    piece = symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
+    return {sum([k << (g - 1) * width for g, k in mono]): c for mono, c in piece.coeffs.items()}
 
 
-def _graded_mul(A: dict, B, imax: int) -> dict:
-    out: dict = {}
-    for ia, pa in A.items():
-        for ib, pb in B:
-            i = ia + ib
-            if i > imax:
-                continue
-            prod = pa * pb
-            out[i] = out[i] + prod if i in out else prod
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """Add a * b to out.  On packed keys the product of two b-monomials is
+    the sum of their keys."""
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+
+
+def _add_product(out: list, A: tuple, B: tuple, lo: int = 0) -> list:
+    """Add A * B to out, graded polynomials held as sequences by index 2a,
+    and return out.  Only the indices lo .. len(out) - 1 of the product
+    are formed."""
+    t = len(out) - 1
+    for a, pa in enumerate(A):
+        if pa:
+            for b in range(max(lo - a, 0), t + 1 - a):
+                if B[b]:
+                    _mul_into(out[a + b], pa, B[b])
     return out
+
+
+@lru_cache(maxsize=4096)
+def _graded_power(j: int, k: int, t: int, ell: int, width: int) -> tuple:
+    """The total untwisted operation on b_j**k cut at index 2t, as t + 1
+    packed polynomials reduced mod ell, entry a the index-2a piece: the
+    k-th power of the pieces m_(ell^a 1^(j-a)), built from the power
+    k - 1.  The key format is part of the cache key: fields of the given
+    width hold every exponent, as j*k + t*(ell - 1) < 2**(width - 1)."""
+    pieces = tuple(
+        _packed_piece((ell,) * a + (1,) * (j - a), ell, width) if a <= j else {}
+        for a in range(t + 1)
+    )
+    if k == 1:
+        return pieces
+    out = _add_product([{} for _ in pieces], _graded_power(j, k - 1, t, ell, width), pieces)
+    return tuple(clean(p, ell) for p in out)
+
+
+def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> list:
+    """The total untwisted operation on sum(c * mono) over terms, cut at
+    index 2t, as packed polynomials by index; only indices lo .. t are
+    formed.  Multiplicativity: the monomials are grouped by their last
+    factor b_j**k, and the operation on the sum of each group's heads,
+    recursively assembled, is multiplied by the graded power of b_j**k
+    once per group."""
+    out = [{} for _ in range(t + 1)]
+    groups: dict = {}
+    for mono, c in terms.items():
+        if mono:
+            groups.setdefault(mono[-1], {})[mono[:-1]] = c
+        elif lo == 0:
+            out[0][0] = c
+    for (j, k), heads in groups.items():
+        graded = _assemble(heads, t, ell, width, 0)
+        _add_product(out, graded, _graded_power(j, k, t, ell, width), lo)
+    return [clean(p, ell) if p else p for p in out]
 
 
 def _prepare(f: BPoly, ell: int) -> BPoly:
@@ -100,19 +168,20 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
             f"P{i} at prime {ell} needs a conversion of weight {weight}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
-    out = BPoly.zero(ell)
-    for mono, c in f.coeffs.items():
-        graded = {0: BPoly({(): c}, ell)}
-        for j, k in mono:
-            parts = [(ell,) * a + (1,) * (j - a) for a in range(min(j, t) + 1)]
-            pieces = [(2 * a, _piece(p, ell)) for a, p in enumerate(parts)]
-            for _ in range(k):
-                graded = _graded_mul(graded, pieces, i)
-        if twisted:
-            twist = [(2 * b, _piece((ell - 1,) * b, ell)) for b in range(t + 1)]
-            graded = _graded_mul(graded, twist, i)
-        out = out + graded.get(i, BPoly.zero(ell))
-    return out
+    # a term of the answer has half its weight at most top, so it uses the
+    # generators b_1 .. b_top, each with an exponent of at most top; fields
+    # of at least 8 bits give most calls one key format, so they share the
+    # cached pieces and powers
+    top = f.weight // 2 + t * (ell - 1)
+    shifts, mask, _ = layout(top, max(top, 127))
+    width = shifts.step
+    by = _assemble(f.coeffs, t, ell, width, 0 if twisted else t)
+    if twisted:
+        twist = [_packed_piece((ell - 1,) * b, ell, width) for b in range(t + 1)]
+        by = _add_product([{} for _ in by], by, twist, t)
+    answer = unpack(clean(by[t], ell), shifts, mask)
+    coeffs = {tuple([(g, e) for g, e in enumerate(exps, 1) if e]): c for exps, c in answer.items()}
+    return wrap(BPoly, coeffs, modulus=ell)
 
 
 def power_op(i: int, f: BPoly, ell: int) -> BPoly:

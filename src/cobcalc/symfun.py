@@ -51,10 +51,11 @@ DEFAULT_WEIGHT_CAP = 40
 def _reduce(coeffs: dict, modulus: int | None) -> dict:
     """Drop zero coefficients.  With a modulus, reduce into [0, modulus),
     a Fraction through the inverse of its denominator; without one, turn
-    integral Fractions into ints."""
+    integral Fractions into ints.  The exact type test is much cheaper
+    than isinstance against Fraction's abstract base class."""
     fixed = {}
     for k, c in coeffs.items():
-        if isinstance(c, Fraction):
+        if type(c) is Fraction:
             if modulus is not None:
                 c = c.numerator * pow(c.denominator, -1, modulus)
             elif c.denominator == 1:
@@ -121,35 +122,53 @@ def _mono_in_vars(parts: tuple[int, ...], shifts: range) -> dict:
     return dict.fromkeys([key for key, _ in placed], 1)
 
 
-def _vars_mul(a: dict, b: dict) -> dict:
-    # the factors have positive coefficients, so no term cancels
-    out: dict = {}
+def _vars_mul_into(out: dict, a: dict, b: dict) -> None:
+    """Add a * b to out."""
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
-    return out
 
 
 def _expand_packed(f: SymFn, shifts: range) -> dict:
     """f in the variables t1..tk, k = len(shifts), on packed keys whose
     fields must hold every exponent (at most f.weight).  A basis element
     is a product of monomial symmetric functions: m_lam itself, e_lam of
-    the m_(1^s), p_lam of the m_(s)."""
-    out: dict = {}
+    the m_(1^s), p_lam of the m_(s).  The terms are grouped by their last
+    factor, and the sum of each group's heads, expanded the same way, is
+    multiplied by that factor once; each distinct factor is expanded once.
+    The sums run on integers, f's coefficients times their common
+    denominator, which is divided out at the end."""
+    denominator = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    terms: dict = {}
     for lam, c in f.coeffs.items():
         if f.basis == "monomial":
-            factors = [tuple(lam)]
+            factors = (tuple(lam),)
         elif f.basis == "elementary":
-            factors = [(1,) * s for s in lam]
+            factors = tuple((1,) * s for s in lam)
         else:  # power-sum
-            factors = [(s,) for s in lam]
-        term = {0: 1}
-        for parts in factors:
-            term = _vars_mul(term, _mono_in_vars(parts, shifts))
-        for key, v in term.items():
-            out[key] = out.get(key, 0) + c * v
+            factors = tuple((s,) for s in lam)
+        terms[factors] = int(c * denominator)
+    expanded: dict = {}
+
+    def expand(terms: dict) -> dict:
+        out: dict = {}
+        groups: dict = {}
+        for factors, c in terms.items():
+            if factors:
+                groups.setdefault(factors[-1], {})[factors[:-1]] = c
+            else:
+                out[0] = c
+        for parts, heads in groups.items():
+            if parts not in expanded:
+                expanded[parts] = _mono_in_vars(parts, shifts)
+            _vars_mul_into(out, expand(heads), expanded[parts])
+        return out
+
+    out = expand(terms)
+    if denominator > 1:
+        out = {key: Fraction(v, denominator) for key, v in out.items()}
     return _sparse.clean(out, f.modulus)
 
 

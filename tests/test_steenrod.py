@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcalc._sparse import layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
@@ -211,6 +214,101 @@ class TestStructure:
             rhs = rhs + power_op(a, one, 3) * power_op(2 - a, one, 3)
         assert lhs != rhs
 
+
+def adem_sum(twice, a, b, ell):
+    """The right side of the Adem relation for P^a P^b, a < ell*b:
+    sum over j of (-1)^(a+j) C((ell-1)(b-j)-1, a-ell*j) P^(a+b-j) P^j,
+    where twice(k, j) is P^k P^j of the input."""
+    total = BPoly.zero(ell)
+    for j in range(a // ell + 1):
+        c = (-1) ** (a + j) * comb((ell - 1) * (b - j) - 1, a - ell * j)
+        total = total + twice(a + b - j, j).scale(c)
+    return total
+
+
+def composites(action, f, ell):
+    """twice(k, j) = P^k P^j f under action, P^k of index 2k, each
+    operation computed once."""
+    first, second = {}, {}
+
+    def twice(k, j):
+        if (k, j) not in second:
+            if j not in first:
+                first[j] = action(2 * j, f, ell)
+            second[k, j] = action(2 * k, first[j], ell)
+        return second[k, j]
+
+    return twice
+
+
+ADEM_INPUTS = [(), ((1, 1),), ((2, 1),), ((3, 1),), ((1, 2),), ((1, 1), (2, 1))]
+
+
+class TestAdemRelations:
+    @pytest.mark.parametrize("action", [power_op, power_op_untwisted])
+    def test_adem_range(self, action):
+        # both actions are reduced power operations: the twisted one is
+        # P(f * e_r) / e_r, so P^a P^b through it is P^a P^b (f * e_r) / e_r
+        checked = 0
+        for ell in (3, 5):
+            for mono in ADEM_INPUTS:
+                twice = composites(action, BPoly({mono: 1}, ell), ell)
+                for a, b in itertools.product(range(1, 5), range(1, 4)):
+                    if a < ell * b:
+                        assert twice(a, b) == adem_sum(twice, a, b, ell), (ell, mono, a, b)
+                        checked += 1
+        assert checked == 132
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([lam for w in range(5) for lam in enumerate_partitions(w)]),
+        st.sampled_from([3, 5]),
+        st.sampled_from([power_op, power_op_untwisted]),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    )
+    def test_adem_on_random_monomials(self, lam, ell, action, a, b):
+        if a >= ell * b:
+            a = ell * b - 1
+        twice = composites(action, partition_to_bmono(lam, ell), ell)
+        assert twice(a, b) == adem_sum(twice, a, b, ell)
+
+
+# P40(b1^30) at prime 3, recorded from the tuple-keyed assembly: 39 terms
+# reaching b_40 and exponent 37, where a key of 6-bit fields with a guard
+# bit would hold exponents up to 31 only
+P40_B1_30_AT_3 = [
+    (((1, 30), (2, 1), (38, 1)), 2), (((1, 30), (3, 1), (37, 1)), 1),
+    (((1, 30), (4, 1), (36, 1)), 2), (((1, 30), (5, 1), (35, 1)), 1),
+    (((1, 30), (6, 1), (34, 1)), 2), (((1, 30), (7, 1), (33, 1)), 1),
+    (((1, 30), (8, 1), (32, 1)), 2), (((1, 30), (9, 1), (31, 1)), 1),
+    (((1, 30), (10, 1), (30, 1)), 2), (((1, 30), (11, 1), (29, 1)), 1),
+    (((1, 30), (12, 1), (28, 1)), 2), (((1, 30), (13, 1), (27, 1)), 1),
+    (((1, 30), (14, 1), (26, 1)), 2), (((1, 30), (15, 1), (25, 1)), 1),
+    (((1, 30), (16, 1), (24, 1)), 2), (((1, 30), (17, 1), (23, 1)), 1),
+    (((1, 30), (18, 1), (22, 1)), 2), (((1, 30), (19, 1), (21, 1)), 1), (((1, 30), (20, 2)), 1),
+    (((1, 30), (40, 1)), 2), (((1, 31), (39, 1)), 1), (((1, 36), (2, 1), (32, 1)), 1),
+    (((1, 36), (3, 1), (31, 1)), 2), (((1, 36), (4, 1), (30, 1)), 1),
+    (((1, 36), (5, 1), (29, 1)), 2), (((1, 36), (6, 1), (28, 1)), 1),
+    (((1, 36), (7, 1), (27, 1)), 2), (((1, 36), (8, 1), (26, 1)), 1),
+    (((1, 36), (9, 1), (25, 1)), 2), (((1, 36), (10, 1), (24, 1)), 1),
+    (((1, 36), (11, 1), (23, 1)), 2), (((1, 36), (12, 1), (22, 1)), 1),
+    (((1, 36), (13, 1), (21, 1)), 2), (((1, 36), (14, 1), (20, 1)), 1),
+    (((1, 36), (15, 1), (19, 1)), 2), (((1, 36), (16, 1), (18, 1)), 1), (((1, 36), (17, 2)), 1),
+    (((1, 36), (34, 1)), 1), (((1, 37), (33, 1)), 2),
+]
+
+
+class TestPackedKeysAtTheWeightCap:
+    def test_untwisted_top_operation_of_b1_30(self):
+        # instability: P60 of a weight-60 class is its cube; the exponent
+        # 90 does not fit a 6-bit field
+        f = BPoly({((1, 30),): 1}, 3)
+        assert power_op_untwisted(60, f, 3).coeffs == {((1, 90),): 1}
+
+    def test_recorded_p40_of_b1_30(self):
+        got = power_op(40, BPoly({((1, 30),): 1}, 3), 3)
+        assert sorted(got.coeffs.items()) == P40_B1_30_AT_3
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens" / "power_ops.json"
