@@ -37,7 +37,8 @@ heads meets that factor once, and the graded products of all monomials are
 summed by index before the twist: the twist multiplies once per index,
 not once per monomial, and the last product forms only index 2t.  The
 sums are reduced mod ell as they are assembled, and only the answer is
-unpacked.
+unpacked.  A zero input, and an untwisted index above weight(f), return
+zero before anything is sized, so the work never grows with such an index.
 
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with the engine of
@@ -153,14 +154,14 @@ def _prepare(f: BPoly, ell: int) -> BPoly:
 
 def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
     f = _prepare(f, ell)
+    if not f.coeffs or i == 0:
+        return f
     if i < 0 or i % 2 == 1:
         return BPoly.zero(ell)
-    if i == 0:
-        return f
     # the largest symmetric-function conversion the pieces below need
     t = i // 2
     needed = [j + min(j, t) * (ell - 1) for mono in f.coeffs for j, _ in mono]
-    if twisted and f.coeffs:
+    if twisted:
         needed.append(t * (ell - 1))
     weight = max(needed, default=0)
     if weight > DEFAULT_WEIGHT_CAP:
@@ -168,6 +169,9 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
             f"P{i} at prime {ell} needs a conversion of weight {weight}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
+    if not twisted and i > f.weight:
+        # instability: each root factor absorbs index at most 2
+        return BPoly.zero(ell)
     # a term of the answer has half its weight at most top, so it uses the
     # generators b_1 .. b_top, each with an exponent of at most top; fields
     # of at least 8 bits give most calls one key format, so they share the

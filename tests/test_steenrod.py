@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -19,6 +23,9 @@ from cobcalc.steenrod import (
     total_power_on_monomial,
 )
 from cobcalc.symfun import BPoly
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def bmono(*pairs, ell):
@@ -309,6 +316,63 @@ class TestPackedKeysAtTheWeightCap:
     def test_recorded_p40_of_b1_30(self):
         got = power_op(40, BPoly({((1, 30),): 1}, 3), 3)
         assert sorted(got.coeffs.items()) == P40_B1_30_AT_3
+
+
+def _in_small_process(*argv):
+    """argv in a child Python limited to 512 MB of address space and 10 s,
+    so an allocation sized by the index fails the child, not the run."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+class TestLargeIndices:
+    def test_untwisted_above_the_weight_is_zero_at_once(self):
+        code = (
+            "from cobcalc.steenrod import power_op_untwisted\n"
+            "from cobcalc.symfun import BPoly\n"
+            "for f in (BPoly.one(3), BPoly.generator(1, 3), BPoly({((1, 2), (3, 1)): 1}, 3)):\n"
+            "    assert power_op_untwisted(10**12, f, 3).coeffs == {}\n"
+        )
+        done = _in_small_process("-c", code)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("cls", ["b1", "1"])
+    def test_untwisted_cli_above_the_weight_is_empty(self, cls):
+        done = _in_small_process(
+            "-m", "cobcalc.cli", "steenrod", "--untwisted", "--prime", "3",
+            "--op", "P2000000000", "--class", cls,
+        )
+        assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
+
+    def test_zero_class_stays_zero(self):
+        # 3*b1 is zero mod 3: no twist runs, so no conversion cap applies
+        zero = BPoly({((1, 1),): 3}, 3)
+        for op in (power_op, power_op_untwisted):
+            assert op(42, zero, 3).coeffs == {}
+        code = (
+            "from cobcalc.steenrod import power_op, power_op_untwisted\n"
+            "from cobcalc.symfun import BPoly\n"
+            "for op in (power_op, power_op_untwisted):\n"
+            "    assert op(10**12, BPoly({((1, 1),): 3}, 3), 3).coeffs == {}\n"
+        )
+        done = _in_small_process("-c", code)
+        assert done.returncode == 0, done.stderr
+
+    def test_zero_class_cli(self):
+        done = _in_small_process(
+            "-m", "cobcalc.cli", "steenrod", "--prime", "3", "--op", "P42", "--class", "3*b1"
+        )
+        assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens" / "power_ops.json"
