@@ -358,9 +358,12 @@ class VirtualBundle(Record):
         return VirtualBundle(self.space, self.terms + other.terms)
 
     def __neg__(self) -> "VirtualBundle":
-        return VirtualBundle(
-            self.space, tuple(LineTerm(-t.sign, t.twist) for t in self.terms)
-        )
+        # repeated term objects, as tangent_bundle makes, are negated once
+        negated: dict = {}
+        for t in self.terms:
+            if id(t) not in negated:
+                negated[id(t)] = LineTerm(-t.sign, t.twist)
+        return VirtualBundle(self.space, tuple([negated[id(t)] for t in self.terms]))
 
     def first_chern(self, term: LineTerm) -> ChowClass:
         out = ChowClass.zero(self.space)
@@ -387,12 +390,12 @@ def tangent_bundle(space: ProjProduct) -> VirtualBundle:
     if count > MAX_POW_STEPS:
         raise ValueError(f"tangent bundle: {count} line bundles exceed the limit {MAX_POW_STEPS}")
     m = space.factor_count
+    trivial = LineTerm(-1, (0,) * m)
     terms = []
     for i, n in enumerate(space.dims):
-        unit = [0] * m
-        unit[i] = 1
-        terms.extend(LineTerm(1, tuple(unit)) for _ in range(n + 1))
-        terms.append(LineTerm(-1, (0,) * m))
+        # one term object for the n + 1 equal copies
+        terms += [LineTerm(1, (0,) * i + (1,) + (0,) * (m - i - 1))] * (n + 1)
+        terms.append(trivial)
     return VirtualBundle(space, tuple(terms))
 
 

@@ -14,7 +14,7 @@ from itertools import compress
 
 from . import stong
 from ._record import Record
-from .valuation import nu, _require_odd_prime
+from .valuation import _nu, _require_odd_prime
 
 
 class CandidateFamily(Record):
@@ -77,15 +77,20 @@ class GeneratorVerdict(Record):
         return [r for r in self.rows if not r.passed]
 
 
+def _ell_powers(ell: int, bound: int) -> list[int]:
+    """ell**r for r >= 1 up to bound, after checking that ell is an odd
+    prime."""
+    _require_odd_prime(ell)
+    powers, p = [], ell
+    while p <= bound:
+        powers.append(p)
+        p *= ell
+    return powers
+
+
 def required_valuation_mgl(d: int, ell: int) -> int:
     """1 when d + 1 is a positive power of ell, else 0."""
-    _require_odd_prime(ell)
-    p = ell
-    while p <= d + 1:
-        if p == d + 1:
-            return 1
-        p *= ell
-    return 0
+    return int(d + 1 in _ell_powers(ell, d + 1))
 
 
 def required_valuation_msp(d: int, ell: int) -> int:
@@ -93,18 +98,20 @@ def required_valuation_msp(d: int, ell: int) -> int:
     return required_valuation_mgl(2 * d, ell)
 
 
-def _check_family(fam: CandidateFamily, ell: int, d_max: int, required) -> GeneratorVerdict:
+def _check_family(fam: CandidateFamily, ell: int, d_max: int, exceptional: set) -> GeneratorVerdict:
+    """Verdicts for d = 1..d_max at the odd prime ell, already checked, with
+    valuation 1 required exactly at the degrees in exceptional."""
     fam.require_range(d_max)
     rows = []
     for d in range(1, d_max + 1):
         value = fam.entries[d]
-        need = required(d, ell)
+        need = 1 if d in exceptional else 0
         if value == 0:
             rows.append(
                 DegreeVerdict(d, need, None, False, "zero characteristic number")
             )
             continue
-        seen = nu(value, ell)
+        seen = _nu(value, ell)
         rows.append(
             DegreeVerdict(
                 d,
@@ -122,7 +129,7 @@ def mgl_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     less than a power of ell, and valuation 0 otherwise."""
     if fam.kind != "mgl":
         raise ValueError("expected an mgl family")
-    return _check_family(fam, ell, d_max, required_valuation_mgl)
+    return _check_family(fam, ell, d_max, {p - 1 for p in _ell_powers(ell, d_max + 1)})
 
 
 def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdict:
@@ -130,7 +137,7 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     less than a power of ell, and valuation 0 otherwise."""
     if fam.kind != "msp":
         raise ValueError("expected an msp family")
-    return _check_family(fam, ell, d_max, required_valuation_msp)
+    return _check_family(fam, ell, d_max, {(p - 1) // 2 for p in _ell_powers(ell, 2 * d_max + 1)})
 
 
 # A check is refused, before any prime is sought, when its predicted work
@@ -139,11 +146,11 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
 # row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
 # valuation table builds each row from the one before, a row unit is about
-# 0.25 us on a 2-core x86 host, so one prime at d = 1252 takes about 0.3 s
-# as a command; a prime's fixed part is about 36 us.  The
-# largest sweep admitted, all primes up to 306232 at d = 1, takes about
-# 1.8 s: 8 ms to sieve the primes, about 1.1 s for the verdicts and the
-# rest to render the report.
+# 0.27 us on a 2-core x86 host, so one prime at d = 1250 takes about 0.35 s
+# as a command; a prime's fixed part is about 19 us.  The largest sweep
+# admitted, all primes up to 306232 at d = 1, takes about 1.5 s as a
+# command: 6 ms to sieve the primes, about 0.5 s for the verdicts and most
+# of the rest to render the report.
 MAX_SWEEP_WORK = 800_000
 
 

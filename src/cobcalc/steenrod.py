@@ -145,15 +145,21 @@ def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> list:
     return [clean(p, ell) if p else p for p in out]
 
 
-def _prepare(f: BPoly, ell: int) -> BPoly:
+def _prepare(f: BPoly, ell: int) -> tuple[BPoly, int]:
+    """f reduced mod ell, and its weight; refused when f weighs more than
+    WEIGHT_CAP.  An f already reduced mod ell is returned as it is."""
     _require_odd_prime(ell)
-    if f.weight > WEIGHT_CAP:
-        raise ValueError(f"weight {f.weight} exceeds cap {WEIGHT_CAP}")
-    return f.reduce_mod(ell)
+    weight = f.weight
+    if weight > WEIGHT_CAP:
+        raise ValueError(f"weight {weight} exceeds cap {WEIGHT_CAP}")
+    if f.modulus == ell:
+        return f, weight
+    f = f.reduce_mod(ell)
+    return f, f.weight  # reduction may drop the heaviest terms
 
 
 def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
-    f = _prepare(f, ell)
+    f, weight = _prepare(f, ell)
     if not f.coeffs or i == 0:
         return f
     if i < 0 or i % 2 == 1:
@@ -163,20 +169,20 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
     needed = [j + min(j, t) * (ell - 1) for mono in f.coeffs for j, _ in mono]
     if twisted:
         needed.append(t * (ell - 1))
-    weight = max(needed, default=0)
-    if weight > DEFAULT_WEIGHT_CAP:
+    conversion = max(needed, default=0)
+    if conversion > DEFAULT_WEIGHT_CAP:
         raise ValueError(
-            f"P{i} at prime {ell} needs a conversion of weight {weight}, "
+            f"P{i} at prime {ell} needs a conversion of weight {conversion}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
-    if not twisted and i > f.weight:
+    if not twisted and i > weight:
         # instability: each root factor absorbs index at most 2
         return BPoly.zero(ell)
     # a term of the answer has half its weight at most top, so it uses the
     # generators b_1 .. b_top, each with an exponent of at most top; fields
     # of at least 8 bits give most calls one key format, so they share the
     # cached pieces and powers
-    top = f.weight // 2 + t * (ell - 1)
+    top = weight // 2 + t * (ell - 1)
     shifts, mask, _ = layout(top, max(top, 127))
     width = shifts.step
     by = _assemble(f.coeffs, t, ell, width, 0 if twisted else t)
@@ -299,7 +305,7 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     """Twisted action by brute force: expand f * e_r into root monomials,
     apply the total operation termwise keeping the index-i graded piece,
     divide exactly by e_r, and re-express symmetrically."""
-    f = _prepare(f, ell)
+    f, _ = _prepare(f, ell)
     bound = stability_bound(f, i, ell)
     if r < bound:
         raise ValueError(f"need at least {bound} roots, got {r}")

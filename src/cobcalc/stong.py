@@ -25,6 +25,8 @@ its valuation and factors come from the digit counts.  `s_number` and
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import _sparse, chow
 from ._record import Record
 from .chow import LineTerm, ProjProduct, VirtualBundle
@@ -222,42 +224,51 @@ def _invariant_newton_class(ring: chow.InvariantSubring, v: VirtualBundle, n: in
 
 
 def _walk(ell: int, d_max: int):
-    """For d = 1..d_max, yield (d, counts, carries, r).  counts gives the
-    factors of build_X(d, ell) as (dimension, count) pairs in increasing
-    dimension; carries lists the digits i of n = 2d + 2 in base ell that
-    carried into digit i + 1 on the step from n - 2; r is the exponent with
-    2d + 1 = ell**r, or None.  One pass over the digits serves every row:
-    adding 2 to n touches digit 0 and, rarely, a chain of carries."""
+    """For d = 1..d_max, yield (d, digits, powers, carries, r): digits are
+    the base-ell digits of n = 2d + 2, least significant first, and powers
+    the matching ell**i, both the walker's own lists, which the next row
+    changes; carries counts the digits 0, 1, ... that carried into the next
+    one on the step from n - 2; r is the exponent with 2d + 1 = ell**r, or
+    None.  The prime is checked here, once for all the rows.  Adding 2 to n
+    touches digit 0 and, rarely, a chain of carries; a digit below ell plus
+    a carry of at most 2 carries at most 1, ell being odd."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
     digits, powers = [2], [1]  # n = 2, d = 0
     exceptional, r = ell + 1, 1  # the next n = ell**r + 1
     for d in range(1, d_max + 1):
-        carries, i, carry = [], 0, 2
-        while carry:
+        digits[0] += 2
+        i = 0
+        while digits[i] >= ell:
+            digits[i] -= ell
+            i += 1
             if i == len(digits):
                 digits.append(0)
                 powers.append(powers[-1] * ell)
-            # a digit below ell plus 2 carries at most 1, ell being odd
-            carry, digits[i] = divmod(digits[i] + carry, ell)
-            if carry:
-                carries.append(i)
-            i += 1
+            digits[i] += 1
         if 2 * d + 2 == exceptional:
-            counts = ((1, 1), (powers[r - 1], ell)) if r > 1 else ((1, ell + 1),)
-            yield d, counts, carries, r
+            yield d, digits, powers, i, r
             exceptional, r = (exceptional - 1) * ell + 1, r + 1
         else:
-            yield d, tuple((p, a) for p, a in zip(powers, digits) if a), carries, None
+            yield d, digits, powers, i, None
+
+
+def _exceptional_counts(r: int, ell: int) -> list[int]:
+    """Factor counts by digit position of P^1 x (P^(ell**(r-1)))**ell, the
+    ambient space where 2d + 1 = ell**r."""
+    counts = [1] + [0] * (r - 1)
+    counts[r - 1] += ell
+    return counts
 
 
 def factor_counts(ell: int, d_max: int):
     """Yield (d, counts) for d = 1..d_max, counts the factors of
     build_X(d, ell) as (dimension, count) pairs in increasing dimension;
     no space is built."""
-    for d, counts, _, _ in _walk(ell, d_max):
-        yield d, counts
+    for d, digits, powers, _, r in _walk(ell, d_max):
+        counts = digits if r is None else _exceptional_counts(r, ell)
+        yield d, tuple([(p, a) for p, a in zip(powers, counts) if a])
 
 
 def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
@@ -269,32 +280,38 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     M(n + 2) = M(n) (n + 1)(n + 2), divided exactly, for each carry out of
     digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial of
     the ell factors P^(ell**i) that the carry merges into one of the next
-    digit.  The exceptional rows, 2d + 1 = ell**r, use s_number directly.
-    Valuations and sign exponents come from the factor counts."""
-    merge: dict[int, int] = {}  # i -> G_i
+    digit.  The exceptional rows, 2d + 1 = ell**r, take the multinomial of
+    their own factors.  Every factor is a P^(ell**i), so a row's valuation
+    is nu(n!) less nu((ell**i)!) per factor, kept per digit position, and
+    its sign exponent is 1 + (n + factor count) / 2.  The factor dimensions
+    of the digits from i up are kept per i, so a row rebuilds those of the
+    digits it changed only."""
+    merge: list[int] = []  # G_i by digit i, from its first carry on
+    nu_fact: list[int] = []  # nu((ell**i)!) by digit i
+    tails: list[tuple[int, ...]] = [()]  # factor dimensions of the digits i and up
     generic = 2  # M(2) = 2! / (1!)**2
     rows = []
-    for d, counts, carries, r in _walk(ell, d_max):
+    for d, digits, powers, carries, r in _walk(ell, d_max):
         n = 2 * d + 2
         generic *= (n - 1) * n
-        for i in carries:
-            if i not in merge:
-                merge[i] = multinomial(ell ** (i + 1), (ell**i,) * ell)
+        for i in range(carries):
+            if i == len(merge):
+                merge.append(multinomial(powers[i + 1], (powers[i],) * ell))
             generic //= merge[i]
-        dims: tuple[int, ...] = ()
-        for p, a in counts:
-            dims += (p,) * a
-        X = ProjProduct(dims)
-        rows.append(
-            StongDatum(
-                prime=ell,
-                d=d,
-                factors=X,
-                s_number=-2 * generic if r is None else s_number(X),
-                # nu(|s|) = nu(multinomial): the factor 2 is prime to ell
-                valuation=nu_factorial(n, ell) - sum(a * nu_factorial(p, ell) for p, a in counts),
-                n_y=1 + sum(a * ((p + 1) // 2) for p, a in counts),
-                expected=0 if r is None else 1,
-            )
-        )
+        while len(nu_fact) < len(digits):  # a new top digit
+            nu_fact.append(nu_factorial(powers[len(nu_fact)], ell))
+            tails.append(())
+        for i in range(carries, -1, -1):
+            tails[i] = (powers[i],) * digits[i] + tails[i + 1]
+        if r is None:
+            counts, dims, number = digits, tails[0], -2 * generic
+        else:
+            counts = _exceptional_counts(r, ell)
+            dims = (1,) + (powers[r - 1],) * ell
+            number = -2 * multinomial(n, dims)
+        # nu(|number|) = nu(multinomial): the factor 2 is prime to ell, and
+        # nu(n!) = (n - digit sum) / (ell - 1) by Legendre's formula
+        valuation = (n - sum(digits)) // (ell - 1) - sum(map(mul, counts, nu_fact))
+        n_y = 1 + (n + sum(counts)) // 2
+        rows.append(StongDatum(ell, d, ProjProduct(dims), number, valuation, n_y, 0 if r is None else 1))
     return rows

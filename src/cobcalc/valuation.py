@@ -16,8 +16,10 @@ from ._record import Record
 
 # Miller-Rabin with these bases is exact below PRIME_TEST_LIMIT (Sorenson
 # and Webster, Math. Comp. 2017); numbers from there on are refused.  Below
-# 2**20 trial division is the cheaper test.
+# psi_2 = 1373653 the bases 2 and 3 alone are exact (Pomerance, Selfridge
+# and Wagstaff, Math. Comp. 1980).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_2 = 1373653
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
@@ -29,22 +31,18 @@ def is_odd_prime(ell: int) -> bool:
         raise ValueError(f"{ell} is too large: the primality test is exact only below {PRIME_TEST_LIMIT}")
     if ell < 3 or ell % 2 == 0:
         return False
-    if ell >= 1 << 20:
-        return _miller_rabin(ell)
-    f = 3
-    while f * f <= ell:
-        if ell % f == 0:
-            return False
-        f += 2
-    return True
+    if ell % 3 == 0:
+        return ell == 3  # 3 is a base below
+    return _miller_rabin(ell, _WITNESSES[:2] if ell < _PSI_2 else _WITNESSES)
 
 
-def _miller_rabin(n: int) -> bool:
-    """Whether the odd n > 41 is a strong probable prime to every base."""
+def _miller_rabin(n: int, bases: tuple[int, ...] = _WITNESSES) -> bool:
+    """Whether the odd n, greater than every base, is a strong probable
+    prime to every base."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -72,6 +70,11 @@ def nu(n: int, ell: int) -> int:
     _require_odd_prime(ell)
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
+    return _nu(n, ell)
+
+
+def _nu(n: int, ell: int) -> int:
+    """nu(n, ell) for a nonzero n and an ell known to be an odd prime."""
     n = abs(n)
     e = 0
     while n % ell == 0:

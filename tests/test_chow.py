@@ -348,6 +348,19 @@ class TestBundles:
             (1, (1, 0)),
         ]
 
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 1, 1, 1), (5, 4, 1)])
+    def test_tangent_is_the_euler_presentation_in_order(self, dims):
+        m = len(dims)
+        want = []
+        for i, n in enumerate(dims):
+            want += [LineTerm(1, tuple(int(j == i) for j in range(m))) for _ in range(n + 1)]
+            want.append(LineTerm(-1, (0,) * m))
+        space = ProjProduct(dims)
+        v = tangent_bundle(space)
+        assert v == VirtualBundle(space, tuple(want))
+        assert -v == VirtualBundle(space, tuple(LineTerm(-t.sign, t.twist) for t in want))
+        assert -(-v) == v
+
     def test_virtual_rank_is_dimension(self):
         for dims in [(1,), (3,), (1, 1), (3, 3), (5, 1, 1, 1)]:
             space = ProjProduct(dims)

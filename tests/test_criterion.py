@@ -108,6 +108,27 @@ class TestMspCriterion:
         assert msp_criterion(scaled, ell, 12).passed
 
 
+class TestRequiredDegrees:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 13])
+    def test_verdicts_require_what_the_degree_functions_do(self, ell):
+        d_max = 200
+        msp = msp_criterion(CandidateFamily("msp", {d: 1 for d in range(1, d_max + 1)}), ell, d_max)
+        mgl = mgl_criterion(CandidateFamily("mgl", {d: 1 for d in range(1, d_max + 1)}), ell, d_max)
+        assert [r.required for r in msp.rows] == [required_valuation_msp(d, ell) for d in range(1, d_max + 1)]
+        assert [r.required for r in mgl.rows] == [required_valuation_mgl(d, ell) for d in range(1, d_max + 1)]
+        powers = [ell**k for k in range(1, 6)]
+        assert [r.d for r in mgl.rows if r.required] == [p - 1 for p in powers if p - 1 <= d_max]
+        assert [r.d for r in msp.rows if r.required] == [(p - 1) // 2 for p in powers if p <= 2 * d_max + 1]
+
+    def test_bad_prime_refused_before_any_row(self):
+        fam = CandidateFamily("msp", {1: 3})
+        for ell in (1, 0, -3, 9):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                msp_criterion(fam, ell, 1)
+            with pytest.raises(ValueError, match="not an odd prime"):
+                mgl_criterion(CandidateFamily("mgl", {1: 3}), ell, 1)
+
+
 class TestGlobalCriterion:
     def test_two_prime_pass(self):
         fam = CandidateFamily("msp", {1: 3, 2: 5, 3: 1, 4: 3, 5: 1, 6: 1})

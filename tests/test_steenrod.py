@@ -100,6 +100,27 @@ class TestPowerOpBasics:
         assert a == b
 
 
+class TestReducedInput:
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_reduced_input_and_its_integer_twin_agree(self, ell):
+        # the twin's coefficients differ by multiples of ell, and its
+        # heaviest term vanishes mod ell; the reduced input is passed
+        # through as it is
+        coeffs = {((1, 1),): 1, ((1, 1), (2, 1)): ell - 1, ((4, 1),): ell}
+        twin = BPoly({m: c + ell for m, c in coeffs.items()})
+        reduced = BPoly(coeffs, ell)
+        assert twin.reduce_mod(ell) == reduced and reduced.weight < twin.weight
+        before = dict(reduced.coeffs)
+        for i in (0, 2, 4, 6):
+            for op in (power_op, power_op_untwisted):
+                assert op(i, reduced, ell) == op(i, twin, ell), (op.__name__, i)
+        for i in (0, 2):
+            r = stability_bound(twin, i, ell)
+            assert power_op_oracle(i, reduced, ell, r) == power_op_oracle(i, twin, ell, r), i
+        assert reduced.coeffs == before and reduced.modulus == ell
+        assert power_op(0, reduced, ell) is reduced
+
+
 class TestDifferential:
     @pytest.mark.parametrize("ell", [3, 5])
     @pytest.mark.parametrize("j", [1, 2, 3])

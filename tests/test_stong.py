@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -344,7 +345,30 @@ class TestValuationTable:
             valuation_table(9, 5)
 
 
+class TestTableRecords:
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_rows_behave_like_constructed_ones(self, ell):
+        # the table builds its rows from the digit walk; rows and spaces
+        # must hash, compare, print and pickle as the constructors' do
+        for row in valuation_table(ell, 40):
+            twin = closed_form_row(row.d, ell)
+            assert row == twin and hash(row) == hash(twin) and repr(row) == repr(twin)
+            assert hash(row.factors) == hash(twin.factors)
+            for obj in (row, row.factors):
+                back = pickle.loads(pickle.dumps(obj))
+                assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
+        assert len({*valuation_table(ell, 40), *closed_form_table(ell, 40)}) == 40
+
+
 class TestFactorCounts:
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_counts_match_table_rows(self, ell):
+        rows = valuation_table(ell, 400)
+        counted = list(factor_counts(ell, 400))
+        assert [d for d, _ in counted] == [row.d for row in rows]
+        for (d, counts), row in zip(counted, rows):
+            assert counts == chow.factor_groups(row.factors), d
+
     @pytest.mark.parametrize("ell", [3, 5, 7, 1000003])
     def test_counts_match_build_X(self, ell):
         seen = []

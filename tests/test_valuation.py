@@ -187,8 +187,9 @@ class TestLucas:
 
 class TestIsOddPrime:
     def test_miller_rabin_agrees_with_trial_division(self):
-        # below 2**20 is_odd_prime is trial division; it is checked against
-        # a sieve, and Miller-Rabin on every odd n above its largest base
+        # below psi_2 is_odd_prime is Miller-Rabin to the bases 2 and 3; it
+        # is checked against a sieve, and so is the test to all 13 bases on
+        # every odd n above the largest
         sieve = bytearray([0, 0]) + bytearray([1]) * 199998
         for f in range(2, 448):
             if sieve[f]:
@@ -197,6 +198,27 @@ class TestIsOddPrime:
             assert is_odd_prime(n) == (sieve[n] == 1 and n != 2), n
             if n > 41 and n % 2:
                 assert _miller_rabin(n) == is_odd_prime(n), n
+
+    def test_bases_2_and_3_below_psi_2(self):
+        # the strong pseudoprimes to base 2 below psi_2 = 1373653 (OEIS
+        # A001262); base 3 rejects each, and psi_2, the least strong
+        # pseudoprime to both bases, is left to all 13
+        pseudoprimes = (
+            2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+            74665, 80581, 85489, 88357, 90751, 104653, 130561, 196093, 220729, 233017,
+            252601, 253241, 256999, 271951, 280601, 314821, 357761, 390937, 458989,
+            476971, 486737, 489997, 514447, 580337, 635401, 647089, 741751, 800605,
+            818201, 838861, 873181, 877099, 916327, 976873, 983401, 1004653, 1016801,
+            1023121, 1082401, 1145257, 1194649, 1207361, 1251949, 1252697, 1302451,
+            1325843, 1357441,
+        )
+        for n in pseudoprimes:
+            assert _miller_rabin(n, (2,)) and not _miller_rabin(n, (3,)), n
+            assert any(n % f == 0 for f in range(3, math.isqrt(n) + 1, 2)), n
+            assert not is_odd_prime(n), n
+        assert 1373653 == 829 * 1657 and _miller_rabin(1373653, (2, 3))
+        assert not is_odd_prime(1373653)
+        assert is_odd_prime(1373639) and is_odd_prime(1373677)
 
     @pytest.mark.parametrize(
         "n, factors",
