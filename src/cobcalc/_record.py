@@ -8,6 +8,12 @@ fields of its own (`__slots__ = ()`) keeps those of the nearest class that
 does.  The standard library's class generator would do the same, but
 importing it imports `inspect` too, a cost every command would pay at
 start-up.
+
+Constructors check outside input: every value a caller hands in.  Values
+the package built itself (a ring operation's result from valid operands,
+a table row's factors from its digit walk) skip those checks through
+`trusted`, the one builder that sets a record's fields directly; it takes
+nothing from outside the package.
 """
 
 from __future__ import annotations
@@ -44,3 +50,13 @@ class Record:
     def __reduce__(self):
         # the constructor takes the fields in slot order and checks them again
         return self.__class__, self._values()
+
+
+def trusted(cls, **fields):
+    """Instance of the record class cls with the given fields, which the
+    package built itself and knows to be what cls's constructor would
+    store, skipping that constructor and its checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

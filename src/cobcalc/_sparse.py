@@ -50,17 +50,6 @@ def mul(a: dict, b: dict, combine, modulus: int | None = None) -> dict:
     return collect(terms, modulus)
 
 
-def wrap(cls, coeffs: dict, **fields):
-    """Instance of the frozen record class cls (a `_record.Record`) around
-    coefficients that a ring operation produced from valid operands,
-    skipping cls's own checks: its constructor is for outside input."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "coeffs", coeffs)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def layout(count: int, top: int) -> tuple[range, int, int]:
     """Packing of count exponents, each at most top, into one integer, as
     (shifts, mask, guard): exponent i sits at bit shifts[i] in a field of

@@ -38,7 +38,7 @@ from math import comb, lcm, prod
 from operator import gt, lshift
 
 from . import _sparse
-from ._record import Record
+from ._record import Record, trusted
 from .partitions import Partition
 
 # Horner steps of a power, min(n, total dimension): each is one product, so
@@ -143,7 +143,7 @@ class ChowClass(Record):
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
-        return _sparse.wrap(ChowClass, coeffs, space=self.space)
+        return trusted(ChowClass, space=self.space, coeffs=coeffs)
 
 
 @lru_cache(maxsize=256)
@@ -417,7 +417,7 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
         if sign
         for e, c in (v.first_chern(LineTerm(1, twist)) ** n).coeffs.items()
     )
-    return _sparse.wrap(ChowClass, _sparse.collect(terms), space=v.space)
+    return trusted(ChowClass, space=v.space, coeffs=_sparse.collect(terms))
 
 
 def cf_chern(v: VirtualBundle, I) -> ChowClass:

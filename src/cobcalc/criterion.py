@@ -13,7 +13,7 @@ import math
 from itertools import compress
 
 from . import stong
-from ._record import Record
+from ._record import Record, trusted
 from .valuation import _nu, _require_odd_prime
 
 
@@ -145,10 +145,11 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # bound / ln(bound)) times the cost of one prime, 20 units plus d + 12 for
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
 # row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
-# valuation table builds each row from the one before, a row unit is about
-# 0.27 us on a 2-core x86 host, so one prime at d = 1250 takes about 0.35 s
-# as a command; a prime's fixed part is about 19 us.  The largest sweep
-# admitted, all primes up to 306232 at d = 1, takes about 1.5 s as a
+# valuation table builds each row from the one before, and each row's space
+# without ProjProduct's checks, a row unit is about 0.045 us on a 2-core
+# x86 host, so one prime at d = 1250 takes about 35 ms in-process and
+# 0.15 s as a command; a prime's fixed part is about 19 us.  The largest
+# sweep admitted, all primes up to 306232 at d = 1, takes about 1.1 s as a
 # command: 6 ms to sieve the primes, about 0.5 s for the verdicts and most
 # of the rest to render the report.
 MAX_SWEEP_WORK = 800_000
@@ -212,4 +213,4 @@ def stong_family(ell: int, d_max: int) -> CandidateFamily:
     """Default candidate family: absolute characteristic numbers of the
     construction for the given prime."""
     rows = stong.valuation_table(ell, d_max)
-    return CandidateFamily("msp", {row.d: abs(row.s_number) for row in rows})
+    return trusted(CandidateFamily, kind="msp", entries={row.d: abs(row.s_number) for row in rows})

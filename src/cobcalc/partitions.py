@@ -7,7 +7,7 @@ subclass), so they work directly as dict keys throughout the package.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .valuation import _require_odd_prime
 
@@ -55,14 +55,40 @@ def concat(a: Iterable[int], b: Iterable[int]) -> Partition:
     return Partition(a).concat(b)
 
 
-def _descending_partitions(w: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # lexicographic-descending order: largest first part first
-    if w == 0:
-        yield ()
-        return
-    for p in range(min(w, max_part), 0, -1):
-        for rest in _descending_partitions(w - p, p):
-            yield (p,) + rest
+def _descending_partitions(n: int) -> list[tuple[int, ...]]:
+    """The partitions of n in lexicographic-descending order, as plain
+    tuples, by Knuth's Algorithm P (TAOCP 4A, 7.2.1.4): a[1..m] is the
+    current partition and q the index of its last part above 1.  Each step
+    lowers a[q] by one and refills the tail with copies of the new a[q]
+    and a remainder, without recursion."""
+    if n == 0:
+        return [()]
+    out = []
+    a = [0] * (n + 1)
+    a[1] = n
+    m, q = 1, 1 - (n == 1)
+    while True:
+        out.append(tuple(a[1 : m + 1]))
+        if a[q] == 2:  # change the 2 into 1 + 1
+            a[q] = 1
+            q -= 1
+            m += 1
+            a[m] = 1
+            continue
+        if q == 0:
+            return out
+        x = a[q] - 1
+        a[q] = x
+        rest, m = m - q + 1, q + 1
+        while rest > x:
+            a[m] = x
+            m += 1
+            rest -= x
+        a[m] = rest
+        q = m - (rest == 1)
+
+
+_new = tuple.__new__
 
 
 def enumerate_partitions(w: int, predicate: str = "all", ell: int | None = None) -> list[Partition]:
@@ -75,12 +101,13 @@ def enumerate_partitions(w: int, predicate: str = "all", ell: int | None = None)
         raise ValueError("weight must be nonnegative")
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}, expected one of {PREDICATES}")
+    # the tuples are already weakly decreasing, so Partition's sort is skipped
     if predicate == "all":
-        return [Partition(p) for p in _descending_partitions(w, w)]
+        return [_new(Partition, p) for p in _descending_partitions(w)]
     if w % 2 == 1:
         return []
     # even partitions of w are doubled partitions of w/2; doubling preserves order
-    evens = [Partition(tuple(2 * x for x in p)) for p in _descending_partitions(w // 2, w // 2)]
+    evens = [_new(Partition, [2 * x for x in p]) for p in _descending_partitions(w // 2)]
     if predicate == "even":
         return evens
     if ell is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import _sparse, chow
-from ._record import Record
+from ._record import Record, trusted
 from .chow import LineTerm, ProjProduct, VirtualBundle
 from .valuation import ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
@@ -285,7 +285,8 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     is nu(n!) less nu((ell**i)!) per factor, kept per digit position, and
     its sign exponent is 1 + (n + factor count) / 2.  The factor dimensions
     of the digits from i up are kept per i, so a row rebuilds those of the
-    digits it changed only."""
+    digits it changed only; they are powers of ell, so its space takes them
+    without ProjProduct's checks."""
     merge: list[int] = []  # G_i by digit i, from its first carry on
     nu_fact: list[int] = []  # nu((ell**i)!) by digit i
     tails: list[tuple[int, ...]] = [()]  # factor dimensions of the digits i and up
@@ -313,5 +314,6 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
         # nu(n!) = (n - digit sum) / (ell - 1) by Legendre's formula
         valuation = (n - sum(digits)) // (ell - 1) - sum(map(mul, counts, nu_fact))
         n_y = 1 + (n + sum(counts)) // 2
-        rows.append(StongDatum(ell, d, ProjProduct(dims), number, valuation, n_y, 0 if r is None else 1))
+        space = trusted(ProjProduct, dims=dims)
+        rows.append(StongDatum(ell, d, space, number, valuation, n_y, 0 if r is None else 1))
     return rows

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import _sparse
-from ._record import Record
+from ._record import Record, trusted
 from .partitions import Partition, enumerate_partitions
 from .valuation import _require_odd_prime
 
@@ -100,7 +100,7 @@ class SymFn(Record):
 def _symfn(coeffs: dict, basis: str, modulus: int | None) -> SymFn:
     """SymFn around Partition keys that a ring operation or a conversion
     built, skipping the public constructor's checks."""
-    return _sparse.wrap(SymFn, _reduce(coeffs, modulus), basis=basis, modulus=modulus)
+    return trusted(SymFn, coeffs=_reduce(coeffs, modulus), basis=basis, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ class BPoly(Record):
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "BPoly":
-        return _sparse.wrap(BPoly, _reduce(coeffs, self.modulus), modulus=self.modulus)
+        return trusted(BPoly, coeffs=_reduce(coeffs, self.modulus), modulus=self.modulus)
 
     def reduce_mod(self, ell: int) -> "BPoly":
         return BPoly(dict(self.coeffs), ell)
@@ -482,9 +482,12 @@ def _epartition_to_bmono(ep: Partition) -> BMono:
 
 
 def symfn_to_bpoly(f: SymFn) -> BPoly:
-    """Express f in the elementary basis and rename e_i -> b_i."""
+    """Express f in the elementary basis and rename e_i -> b_i.  Distinct
+    partitions rename to distinct canonical monomials, and the conversion
+    has already reduced the coefficients, so BPoly's checks are skipped."""
     ef = convert(f, "elementary")
-    return BPoly({_epartition_to_bmono(p): c for p, c in ef.coeffs.items()}, f.modulus)
+    coeffs = {_epartition_to_bmono(p): c for p, c in ef.coeffs.items()}
+    return trusted(BPoly, coeffs=coeffs, modulus=f.modulus)
 
 
 def bpoly_to_symfn(b: BPoly) -> SymFn:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow, cli, criterion, stong
+from cobcalc._record import trusted
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
@@ -114,11 +115,12 @@ class TestSnumbers:
     def test_each_row_space_is_built_once(self, capsys):
         built = []
 
-        def counting(dims):
-            built.append(dims)
-            return chow.ProjProduct(dims)
+        def counting(cls, **fields):
+            if cls is chow.ProjProduct:
+                built.append(fields["dims"])
+            return trusted(cls, **fields)
 
-        with mock.patch.object(stong, "ProjProduct", counting):
+        with mock.patch.object(stong, "trusted", counting):
             code, out, _ = run(capsys, "snumbers", "--prime", "5", "--max-d", "40")
         assert code == 0
         assert built == [tuple(row["factors"]) for row in json.loads(out)]

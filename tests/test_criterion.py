@@ -153,7 +153,8 @@ class TestGlobalCriterion:
         assert odd_primes_up_to(13, excluded=(5, 11)) == [3, 7, 13]
 
     def test_sieve_equals_trial_division(self):
-        # is_odd_prime decides by trial division below 2**20
+        # is_odd_prime decides by Miller-Rabin to the bases 2 and 3 below
+        # psi_2 = 1 373 653, where those two bases admit no strong pseudoprime
         excluded = (2, 3, 7, 9, 97, 7919, -5)
         trial = [p for p in range(3, 10**4 + 1, 2) if is_odd_prime(p)]
         for skip in ((), excluded):

@@ -346,7 +346,7 @@ class TestValuationTable:
 
 
 class TestTableRecords:
-    @pytest.mark.parametrize("ell", [3, 5])
+    @pytest.mark.parametrize("ell", [3, 5, 7, 13, 1000003])
     def test_rows_behave_like_constructed_ones(self, ell):
         # the table builds its rows from the digit walk; rows and spaces
         # must hash, compare, print and pickle as the constructors' do

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.symfun import (
     BASES,
+    BPoly,
     SymFn,
     ZClass,
     bpoly_to_symfn,
@@ -276,6 +278,36 @@ class TestConvertProperties:
         g = SymFn(g.coeffs, f.basis)
         lhs = convert(f + g, "monomial")
         assert lhs == convert(f, "monomial") + convert(g, "monomial")
+
+
+@st.composite
+def symfn_up_to_weight_12(draw):
+    modulus = draw(st.sampled_from([None, 3, 5, 7]))
+    support = draw(
+        st.dictionaries(
+            st.integers(0, 12).flatmap(lambda w: st.sampled_from(enumerate_partitions(w))),
+            st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from([1, 1, 2, 4])),
+            max_size=4,
+        )
+    )
+    return SymFn(support, draw(st.sampled_from(BASES)), modulus)
+
+
+class TestSymfnToBpoly:
+    @given(symfn_up_to_weight_12())
+    @settings(max_examples=80, deadline=None)
+    def test_result_behaves_like_constructed_one(self, f):
+        # the renaming builds its BPoly without the constructor's checks; it
+        # must compare, hash, print and pickle as the constructor's would
+        got = symfn_to_bpoly(f)
+        terms = {tuple(Counter(lam).items()): c for lam, c in convert(f, "elementary").coeffs.items()}
+        twin = BPoly(terms, f.modulus)
+        assert got == twin and twin == got and repr(got) == repr(twin)
+        for obj in (got, twin):
+            with pytest.raises(TypeError):
+                hash(obj)
+        back = pickle.loads(pickle.dumps(got))
+        assert type(back) is BPoly and back == twin and repr(back) == repr(twin)
 
 
 class TestUToB:
