@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .partitions import Partition
-from .valuation import _require_odd_prime
+from .valuation import _require_odd_prime, ell_powers
 
 
 class TriDegree(Record):
@@ -34,16 +34,6 @@ class TriDegree(Record):
     @property
     def internal(self) -> tuple[int, int]:
         return (self.t - self.s, self.u)
-
-
-def _exceptional_degrees(ell: int, bound: int) -> list[int]:
-    """The degrees ell**r - 1 <= bound for r >= 1, increasing."""
-    degrees = []
-    power = ell
-    while power - 1 <= bound:
-        degrees.append(power - 1)
-        power *= ell
-    return degrees
 
 
 def _non_ladic_even_degrees(ell: int, bound: int) -> list[int]:
@@ -68,7 +58,7 @@ def milnor_count(q: int, ell: int) -> int:
     _require_odd_prime(ell)
     if q < 0:
         raise ValueError("weight must be nonnegative")
-    return _counts(_exceptional_degrees(ell, q), q)[q]
+    return _counts([p - 1 for p in ell_powers(ell, q + 1)], q)[q]
 
 
 class DecompositionRow(Record):
@@ -112,7 +102,7 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
         raise ValueError(f"max_weight must be in 0..{MAX_DECOMPOSITION_WEIGHT}, got {max_weight}")
     even = _counts(list(range(2, max_weight + 1, 2)), max_weight)
     non_ladic = _counts(_non_ladic_even_degrees(ell, max_weight), max_weight)
-    milnor = _counts(_exceptional_degrees(ell, max_weight), max_weight)
+    milnor = _counts([p - 1 for p in ell_powers(ell, max_weight + 1)], max_weight)
     rows = [
         DecompositionRow(w, even[w], sum(non_ladic[v] * milnor[w - v] for v in range(0, w + 1, 2)))
         for w in range(0, max_weight + 1, 2)
@@ -152,7 +142,8 @@ def _generator_degrees(ell: int, max_degree: int) -> list[int]:
     """Positive even generator degrees up to max_degree: 2k for every
     non-l-adic 2k, and ell**r - 1 for r >= 1.  Jointly these tile the
     even degrees exactly once."""
-    return sorted(_non_ladic_even_degrees(ell, max_degree) + _exceptional_degrees(ell, max_degree))
+    exceptional = [p - 1 for p in ell_powers(ell, max_degree + 1)]
+    return sorted(_non_ladic_even_degrees(ell, max_degree) + exceptional)
 
 
 def e2_ranks_from_generators(d_max: int, ell: int) -> list[int]:
@@ -181,8 +172,8 @@ def ext_generators(ell: int, u_min: int) -> list[tuple[str, TriDegree]]:
     gens = [("1", TriDegree(0, 0, 0))]
     for g in _non_ladic_even_degrees(ell, -u_min):
         gens.append((f"z_({g})", TriDegree(0, -2 * g, -g)))
-    for r, g in enumerate([0] + _exceptional_degrees(ell, -u_min)):
-        gens.append((f"h'_{r}", TriDegree(1, -2 * g, -g)))
+    for r, p in enumerate([1] + ell_powers(ell, 1 - u_min)):
+        gens.append((f"h'_{r}", TriDegree(1, 2 * (1 - p), 1 - p)))
     gens.sort(key=lambda g: (-g[1].u, g[1].s, g[0]))
     return gens
 
@@ -199,7 +190,7 @@ def _diagonal_dimension(s: int, u: int, ell: int) -> int:
     # (s-degree 1): the z-part is one row, each h'_r raises s' by one
     dp = [_counts(_non_ladic_even_degrees(ell, target), target)]
     dp += [[0] * (target + 1) for _ in range(s)]
-    for g in _exceptional_degrees(ell, target):
+    for g in [p - 1 for p in ell_powers(ell, target + 1)]:
         for s_ in range(1, s + 1):
             for w in range(g, target + 1):
                 dp[s_][w] += dp[s_ - 1][w - g]

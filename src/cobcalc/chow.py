@@ -11,11 +11,11 @@ mask test per pair of terms, since adding the offset half - 1 - n_i to a
 field sets its top (guard) bit exactly when the exponent sum exceeds n_i
 (`_layout`).  Keys are packed on entry to a product and unpacked on exit.
 A product whose term pairs times factor count exceed MAX_PRODUCT_WORK is
-refused before any pair is formed (`_mul`).  A power expands binomially in
-the degree-0 coefficient and the nilpotent rest, so it takes at most
-total_dimension products whatever the exponent; its whole loop runs on
-packed keys, more than MAX_POW_STEPS of them are refused up front, and
-each is a product priced as above.
+refused before any pair is formed (`_mul`).  A power (c0 + N)**n, c0 the
+degree-0 coefficient and N the nilpotent rest, is the binomial sum of
+C(n, k) c0**(n-k) N**k, collected once on packed keys; it takes at most
+`ChowClass.power_steps` products whatever the exponent, more than
+MAX_POW_STEPS of them are refused up front, and each is priced as above.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
@@ -34,6 +34,7 @@ a negative summand needs no inverse series.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import comb, lcm, prod
 from operator import gt, lshift
 
@@ -41,8 +42,8 @@ from . import _sparse
 from ._record import Record, trusted
 from .partitions import Partition
 
-# Horner steps of a power, min(n, total dimension): each is one product, so
-# 10**6 of them on the smallest class take about two seconds
+# Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
+# them on the smallest class take about two seconds
 MAX_POW_STEPS = 10**6
 
 # Term pairs x factor count of one product: each pair is an addition of
@@ -113,31 +114,38 @@ class ChowClass(Record):
         return self._result(_sparse.unpack(product, shifts, mask))
 
     def __pow__(self, n: int) -> "ChowClass":
-        # (c0 + N)**n is the sum over k <= total_dimension of
-        # C(n, k) c0**(n-k) N**k, c0 the degree-0 coefficient and N the
-        # nilpotent rest, summed by Horner's rule: each step multiplies by
-        # the sparse N, where repeated squaring would pair large intermediates
+        # the binomial sum of the module docstring: each N**k is one product
+        # from N**(k-1), where repeated squaring would pair large intermediates
         if n < 0:
             raise ValueError("negative power")
-        steps = min(n, self.space.total_dimension)
+        steps = self.power_steps(n)
         if steps > MAX_POW_STEPS:
             raise ValueError(f"{steps} Horner steps exceed the limit {MAX_POW_STEPS}")
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
-        result: dict = {}
-        for k in range(steps, -1, -1):
-            if result:
-                result = _mul(result, nilpotent, layout)
-            # c0 = 0 leaves only the k = n term, so no other binomial is needed
-            if c0 or k == n:
-                coeff = comb(n, k) * c0 ** (n - k)
-                if coeff:
-                    # result is a multiple of N here, so it has no degree-0 term
-                    result[0] = coeff
-            elif not result:
-                break
-        return self._result(_sparse.unpack(result, shifts, mask))
+        # power is N**k and coeff C(n, k) c0**(n-k), each from the one before;
+        # c0 = 0 leaves only the k = n term, which vanishes when n > steps
+        power, coeff, terms = {0: 1}, c0**n, []
+        for k in range(steps + 1 if c0 or steps == n else 0):
+            if k:
+                power = _mul(power, nilpotent, layout)
+                if not power:
+                    break
+                coeff = coeff * (n - k + 1) // (k * c0) if c0 else int(k == n)
+            if coeff:
+                terms += [(key, coeff * c) for key, c in power.items()]
+        return self._result(_sparse.unpack(_sparse.collect(terms), shifts, mask))
+
+    def power_steps(self, n: int) -> int:
+        """min(n, K), K the total dimension of the factors that the
+        nilpotent part N touches over the least degree of its terms:
+        N**k vanishes for every k > K."""
+        nilpotent = [e for e in self.coeffs if any(e)]
+        if not nilpotent:
+            return 0
+        touched = sum(compress(self.space.dims, map(any, zip(*nilpotent))))
+        return min(n, touched // min(map(sum, nilpotent)))
 
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
@@ -301,19 +309,15 @@ def _exponents(space: ProjProduct, exps) -> tuple | None:
 def alpha(space: ProjProduct) -> ChowClass:
     """Sum of the hyperplane generators, the first Chern class of the
     (1,...,1) twist."""
+    return _linear(space, (1,) * space.factor_count)
+
+
+def _linear(space: ProjProduct, twist: tuple[int, ...]) -> ChowClass:
+    """The linear class sum(c_j a_j) of a twist c with one entry per
+    factor; a_j is never truncated, as every factor has dimension >= 1."""
     m = space.factor_count
-    coeffs = {}
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        coeffs[tuple(e)] = 1
-    return ChowClass(space, coeffs)
-
-
-def generator(space: ProjProduct, i: int) -> ChowClass:
-    e = [0] * space.factor_count
-    e[i] = 1
-    return ChowClass(space, {tuple(e): 1})
+    coeffs = {(0,) * j + (1,) + (0,) * (m - j - 1): c for j, c in enumerate(twist) if c}
+    return trusted(ChowClass, space=space, coeffs=coeffs)
 
 
 def deg(a: ChowClass) -> int:
@@ -365,12 +369,18 @@ class VirtualBundle(Record):
                 negated[id(t)] = LineTerm(-t.sign, t.twist)
         return VirtualBundle(self.space, tuple([negated[id(t)] for t in self.terms]))
 
+    def signed_twists(self) -> dict:
+        """Each twist, in order of first appearance, with the sum of the
+        signs of its terms."""
+        signs: dict = {}
+        for term in self.terms:
+            signs[term.twist] = signs.get(term.twist, 0) + term.sign
+        return signs
+
     def first_chern(self, term: LineTerm) -> ChowClass:
-        out = ChowClass.zero(self.space)
-        for j, c in enumerate(term.twist):
-            if c:
-                out = out + generator(self.space, j).scale(c)
-        return out
+        if len(term.twist) != self.space.factor_count:
+            raise ValueError("twist vector length mismatch")
+        return _linear(self.space, term.twist)
 
 
 def line_bundle(space: ProjProduct, twist, sign: int = 1) -> VirtualBundle:
@@ -401,21 +411,17 @@ def tangent_bundle(space: ProjProduct) -> VirtualBundle:
 
 def newton_class(v: VirtualBundle, n: int) -> ChowClass:
     """Signed sum of n-th powers of the first Chern classes of the terms.
-    Additive on concatenation of term lists by construction.  Terms are
-    grouped by twist first, so each distinct twist's power is computed
-    once, and not at all when its signs cancel.  The signed powers are
-    collected into one coefficient dict, so the sum is not copied once per
-    twist."""
+    Additive on concatenation of term lists by construction.  Each
+    distinct twist's power is computed once (`signed_twists`), and not at
+    all when its signs cancel.  The signed powers are collected into one
+    coefficient dict, so the sum is not copied once per twist."""
     if n < 1:
         raise ValueError("n must be positive")
-    signs: dict = {}
-    for term in v.terms:
-        signs[term.twist] = signs.get(term.twist, 0) + term.sign
     terms = (
         (e, sign * c)
-        for twist, sign in signs.items()
+        for twist, sign in v.signed_twists().items()
         if sign
-        for e, c in (v.first_chern(LineTerm(1, twist)) ** n).coeffs.items()
+        for e, c in (_linear(v.space, twist) ** n).coeffs.items()
     )
     return trusted(ChowClass, space=v.space, coeffs=_sparse.collect(terms))
 
@@ -441,12 +447,12 @@ def cf_chern(v: VirtualBundle, I) -> ChowClass:
             products[lam] = product(lam[:-1]) * newton[lam[-1]]
         return products[lam]
 
-    out = ChowClass.zero(v.space)
-    for lam, c in in_p.items():
-        out = out + product(lam).scale(int(c * denominator))
-    coeffs = {}
-    for e, c in out.coeffs.items():
+    terms = (
+        (e, c * int(q * denominator)) for lam, q in in_p.items() for e, c in product(lam).coeffs.items()
+    )
+    coeffs = _sparse.collect(terms)
+    for e, c in coeffs.items():
         coeffs[e], remainder = divmod(c, denominator)
         if remainder:
             raise ArithmeticError(f"c_{tuple(I)} has a coefficient {c}/{denominator}")
-    return out._result(coeffs)
+    return trusted(ChowClass, space=v.space, coeffs=coeffs)

@@ -31,7 +31,7 @@ MAX_DIGITS = 4300
 MAX_PARTITIONS = 10**5
 # factors a `chow` space has at most: each term of a class stores one
 # exponent per factor, and the Newton class of the tangent bundle, whose
-# cost grows with the square of the count, takes about 0.6 s on 500 P^1s
+# cost grows with the square of the count, takes about 0.5 s on 500 P^1s
 MAX_CHOW_FACTORS = 500
 
 
@@ -187,13 +187,17 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         if n < 0:
             raise ValueError(f"pow: exponent must be nonnegative, got {n}")
         base = eval_chow_expr(space, expr["base"])
-        c0 = base if isinstance(base, int) else base.coeffs.get((0,) * space.factor_count, 0)
-        # n may be far beyond float range, so it is compared, not multiplied
-        if abs(c0) >= 2 and n > MAX_DIGITS / math.log10(abs(c0)):
-            raise ValueError(f"pow: constant term ** {n} has over {MAX_DIGITS} digits")
+        if isinstance(base, int):
+            c0, steps = base, 0
+        else:
+            c0, steps = base.coeffs.get((0,) * space.factor_count, 0), base.power_steps(n)
+        # priced before the power runs; more steps than chow allows are
+        # refused by the power itself
+        if c0 and steps <= chow.MAX_POW_STEPS and _binomial_digits(n, steps, abs(c0)) >= MAX_DIGITS:
+            raise ValueError(f"pow: a coefficient has over {MAX_DIGITS} digits")
         try:
             power = base ** n
-        except ValueError as exc:  # beyond chow's Horner step limit
+        except ValueError as exc:  # beyond chow's step limit
             raise ValueError(f"pow: {exc}") from None
         # refused here, before an enclosing power multiplies its digits again
         coeffs = power.coeffs.values() if isinstance(power, chow.ChowClass) else ()
@@ -218,6 +222,22 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
             parse_bundle(space, expr["bundle"]), _ints(expr["partition"], "partition")
         )
     raise ValueError(f"unknown op {op!r}")
+
+
+def _binomial_digits(n: int, steps: int, c: int) -> float:
+    """log10 of the largest C(n, k) c**(n - k) over k <= steps, for c >= 1
+    and steps <= chow.MAX_POW_STEPS, estimated from log-gamma values: the
+    terms rise while k <= (n + 1) / (c + 1)."""
+    k = min(steps, (n + 1) // (c + 1))
+    # n may be far beyond float range, so it is compared, not multiplied
+    if c > 1 and n - k > MAX_DIGITS / math.log10(c):
+        return math.inf
+    j = min(k, n - k)
+    if n < 10**12:
+        ln_binomial = math.lgamma(n + 1) - math.lgamma(n - j + 1) - math.lgamma(j + 1)
+    else:  # j <= steps is far below n, so n!/(n - j)! is n**j to a few ppm
+        ln_binomial = j * math.log(n) - math.lgamma(j + 1)
+    return (ln_binomial + (math.log(c) * (n - k) if c > 1 else 0.0)) / math.log(10)
 
 
 def chow_result_to_json(value) -> dict:

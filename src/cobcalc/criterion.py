@@ -14,7 +14,7 @@ from itertools import compress
 
 from . import stong
 from ._record import Record, trusted
-from .valuation import _nu, _require_odd_prime
+from .valuation import _nu, ell_powers
 
 
 class CandidateFamily(Record):
@@ -77,20 +77,9 @@ class GeneratorVerdict(Record):
         return [r for r in self.rows if not r.passed]
 
 
-def _ell_powers(ell: int, bound: int) -> list[int]:
-    """ell**r for r >= 1 up to bound, after checking that ell is an odd
-    prime."""
-    _require_odd_prime(ell)
-    powers, p = [], ell
-    while p <= bound:
-        powers.append(p)
-        p *= ell
-    return powers
-
-
 def required_valuation_mgl(d: int, ell: int) -> int:
     """1 when d + 1 is a positive power of ell, else 0."""
-    return int(d + 1 in _ell_powers(ell, d + 1))
+    return int(d + 1 in ell_powers(ell, d + 1))
 
 
 def required_valuation_msp(d: int, ell: int) -> int:
@@ -129,7 +118,7 @@ def mgl_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     less than a power of ell, and valuation 0 otherwise."""
     if fam.kind != "mgl":
         raise ValueError("expected an mgl family")
-    return _check_family(fam, ell, d_max, {p - 1 for p in _ell_powers(ell, d_max + 1)})
+    return _check_family(fam, ell, d_max, {p - 1 for p in ell_powers(ell, d_max + 1)})
 
 
 def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdict:
@@ -137,7 +126,7 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
     less than a power of ell, and valuation 0 otherwise."""
     if fam.kind != "msp":
         raise ValueError("expected an msp family")
-    return _check_family(fam, ell, d_max, {(p - 1) // 2 for p in _ell_powers(ell, 2 * d_max + 1)})
+    return _check_family(fam, ell, d_max, {(p - 1) // 2 for p in ell_powers(ell, 2 * d_max + 1)})
 
 
 # A check is refused, before any prime is sought, when its predicted work

@@ -196,13 +196,10 @@ def _invariant_newton_class(ring: chow.InvariantSubring, v: VirtualBundle, n: in
     gives alpha**n and the trivial twist 0; the unit twists on one group
     of equal factors give that group's power sum x**n, a single orbit, and
     must carry equal signs, or the class would not be invariant."""
-    signs: dict = {}
-    for term in v.terms:
-        signs[term.twist] = signs.get(term.twist, 0) + term.sign
     dims = v.space.dims
     units = [0] * len(dims)  # the sign of the unit twist on each factor
     terms = []
-    for twist, sign in signs.items():
+    for twist, sign in v.signed_twists().items():
         if not sign or not any(twist):
             continue  # the trivial twist's first Chern class is 0, and n >= 1
         if set(twist) == {1}:

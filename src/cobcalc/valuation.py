@@ -60,6 +60,17 @@ def _require_odd_prime(ell: int) -> None:
         raise ValueError(f"{ell} is not an odd prime")
 
 
+def ell_powers(ell: int, bound: int) -> list[int]:
+    """ell**r for r >= 1 up to bound, increasing, after checking that ell
+    is an odd prime."""
+    _require_odd_prime(ell)
+    powers, p = [], ell
+    while p <= bound:
+        powers.append(p)
+        p *= ell
+    return powers
+
+
 def nu(n: int, ell: int) -> int:
     """Largest e such that ell**e divides n.
 

@@ -67,14 +67,45 @@ class TestRing:
         assert (alpha(P1xP1) ** 10**8).coeffs == {}
         assert time.process_time() - start < 1.0
 
-    @pytest.mark.parametrize("c0", [1, 2])
+    @pytest.mark.parametrize("c0", [-2, 0, 1, 2])
     def test_power_with_constant_term_matches_repeated_products(self, c0):
-        # (c0 + alpha)**n by the binomial expansion against n products
-        base = ChowClass.one(P1xP1).scale(c0) + alpha(P1xP1)
-        want = ChowClass.one(P1xP1)
-        for n in range(7):
-            assert base**n == want
-            want = want * base
+        # (c0 + N)**n by the binomial sum against n products: N = alpha on
+        # P^1 x P^1; an inhomogeneous N whose square already vanishes; and
+        # unequal factors, some of which N does not touch
+        X, Y = ProjProduct((1, 3)), ProjProduct((2, 1, 3))
+        for nilpotent in [
+            alpha(P1xP1),
+            ChowClass(X, {(1, 0): 1, (1, 1): 1}),
+            ChowClass(Y, {(1, 0, 0): 3, (0, 1, 0): -1, (1, 0, 2): 2}),
+            ChowClass(Y, {(0, 0, 1): 1, (0, 0, 2): 5}),
+        ]:
+            base = ChowClass.one(nilpotent.space).scale(c0) + nilpotent
+            want = ChowClass.one(nilpotent.space)
+            for n in range(9):
+                assert base**n == want, (nilpotent, n)
+                want = want * base
+
+    def test_power_steps_bound_the_nonvanishing_powers(self):
+        # K = (dimensions of the factors touched) // (least degree of a term)
+        X, Y = ProjProduct((1, 3)), ProjProduct((2, 1, 3))
+        for cls, K in [
+            (alpha(P1xP1), 2),
+            (ChowClass(X, {(1, 0): 1, (1, 1): 1}), 4),
+            (ChowClass(X, {(0, 0): -3, (1, 1): 1, (0, 2): 1}), 2),
+            (ChowClass(Y, {(0, 0, 1): 1, (0, 0, 2): 5}), 3),
+            (ChowClass(Y, {(0, 0, 0): 7}), 0),
+        ]:
+            assert cls.power_steps(10**9) == K and cls.power_steps(1) == min(1, K)
+            nilpotent = ChowClass(cls.space, {e: c for e, c in cls.coeffs.items() if any(e)})
+            assert (nilpotent ** (K + 1)).coeffs == {}
+
+    def test_power_of_a_unit_plus_a_generator_on_a_large_factor_pair(self):
+        # (1 + a_1)**n on P^1 x P^n is 1 + n a_1: K = 1, so no binomial
+        # beyond C(n, 1) is formed
+        X = ProjProduct((1, 10**9))
+        start = time.process_time()
+        assert (ChowClass(X, {(0, 0): 1, (1, 0): 1}) ** 10**9).coeffs == {(0, 0): 1, (1, 0): 10**9}
+        assert time.process_time() - start < 1.0
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):

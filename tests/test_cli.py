@@ -1,9 +1,12 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -647,6 +650,32 @@ class TestChowCommand:
         assert done.returncode == 0
         assert json.loads(done.stdout)["class"] == [{"exponents": [100000], "coeff": "1"}]
 
+    def test_pow_whose_nilpotent_part_touches_one_small_factor_answers(self, capsys, tmp_path):
+        # (1 + a_1) ** 10**6 on P^1 x P^(10**6) is 1 + 10**6 a_1: a_1**2 = 0
+        a_1 = {"op": "newton", "bundle": {"terms": [{"twist": [1, 0]}]}, "n": 1}
+        path = tmp_path / "expr.json"
+        base = {"op": "add", "terms": [UNIT, a_1]}
+        path.write_text(json.dumps({"space": [1, 10**6], "expr": {"op": "pow", "base": base, "n": 10**6}}))
+        start = time.process_time()
+        code, out, _ = run(capsys, "chow", "--input", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["class"] == [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "1000000"},
+        ]
+
+    def test_pow_with_unprintable_binomials_is_refused_before_it_runs(self, capsys, tmp_path):
+        # (1 + alpha) ** 10**6 on P^(10**6): C(10**6, 5 * 10**5) has 301 027 digits
+        path = tmp_path / "expr.json"
+        base = {"op": "add", "terms": ["alpha", UNIT]}
+        path.write_text(json.dumps({"space": [10**6], "expr": {"op": "pow", "base": base, "n": 10**6}}))
+        start = time.process_time()
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: pow: a coefficient has over 4300 digits\n"
+
     @pytest.mark.parametrize(
         "space, n",
         [([10**9], 10**9), ([10**6 + 1], 10**9), ([500000, 500001], 2 * 10**6)],
@@ -790,6 +819,165 @@ class TestChowFuzz:
         else:
             assert code == 2 and out.getvalue() == ""
             assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+# Whole command lines: each subcommand with a random subset of its own
+# options in random order, with values that are valid, at a limit, or
+# malformed, then possibly stray tokens.  Numbers stay small enough that
+# every accepted command finishes in milliseconds.  No token holds a path
+# separator, so a file named on the line lands in the example's own
+# directory.
+argv_ints = st.one_of(st.integers(-2, 12), st.sampled_from([BIG, -BIG, 2**63, 10**5, 5001])).map(str)
+argv_primes = st.one_of(st.sampled_from([2, 9, 1000003, 2**61 - 1, BIG]), st.integers(-2, 13)).map(str)
+argv_text = st.text(st.characters(blacklist_characters="/\\", blacklist_categories=("Cs",)), max_size=6)
+argv_files = st.sampled_from(["-", "missing.json", "", ".", "out.json"])
+argv_parts = st.one_of(
+    st.lists(st.integers(0, 9), max_size=4).map(lambda ps: ",".join(map(str, ps))),
+    st.sampled_from(["4,2", " 4 , 2 ", "41", "x", "4,,2", "-2"]),
+)
+formats = st.sampled_from(["json", "md", "csv", "xml"])
+output = {"--output": argv_files, "-o": argv_files}
+ARGV_COMMANDS = {
+    "snumbers": {"--prime": argv_primes, "--max-d": argv_ints, "--format": formats, **output},
+    "verify-generators": {
+        "--prime": argv_primes,
+        "--all-primes-up-to": argv_ints,
+        "--max-d": argv_ints,
+        "--family": argv_files,
+        "--exclude": argv_primes,
+        **output,
+    },
+    "steenrod": {
+        "--prime": st.sampled_from(["3", "5", "4", BIG]).map(str),
+        "--op": st.sampled_from(["P0", "P1", "P2", "P-1", "P41", "Q2", f"P{BIG}"]),
+        "--class": st.sampled_from(["b1", "b1^2*b2", "b0", "1", "", "b1^-1", f"b1^{BIG}", "b41"]),
+        "--untwisted": st.none(),
+        **output,
+    },
+    "decomp-check": {"--prime": argv_primes, "--max-weight": argv_ints, "--format": formats, **output},
+    "ranks": {"--max-d": argv_ints, "--prime": argv_primes, "--format": formats, **output},
+    "partition-tools": {
+        "--weight": argv_ints,
+        "--predicate": st.sampled_from(["all", "even", "even-non-ladic", "odd"]),
+        "--prime": argv_primes,
+        "--is-even": argv_parts,
+        "--is-ladic": argv_parts,
+        **output,
+    },
+    "u-to-b": {"--partition": argv_parts, "--modulus": argv_primes, **output},
+    "chow": {"--input": argv_files, **output},
+    "self-test": {},
+}
+
+
+ARGV_REQUIRED = {
+    "snumbers": ["--prime", "--max-d"],
+    "verify-generators": ["--max-d"],
+    "steenrod": ["--prime", "--op", "--class"],
+    "decomp-check": ["--prime", "--max-weight"],
+    "ranks": ["--max-d"],
+    "u-to-b": ["--partition"],
+    "chow": ["--input"],
+}
+
+
+def _argv_command(name: str):
+    """name, its required options and a random subset of the others, in
+    random order, each with a value of its kind; a flag takes none."""
+    options, required = ARGV_COMMANDS[name], ARGV_REQUIRED.get(name, [])
+    optional = sorted(set(options) - set(required))
+    chosen = st.lists(st.sampled_from(optional), unique=True) if optional else st.just([])
+    return chosen.flatmap(lambda extra: st.permutations(required + extra)).flatmap(
+        lambda names: st.tuples(*[options[n] for n in names]).map(
+            lambda values: [name] + [t for n, v in zip(names, values) for t in ([n] if v is None else [n, v])]
+        )
+    )
+
+
+argv_tokens = st.one_of(
+    st.sampled_from(sorted({o for options in ARGV_COMMANDS.values() for o in options} | {"--help", "-h"})),
+    argv_ints,
+    argv_text,
+)
+argv_lists = st.one_of(
+    st.sampled_from(sorted(ARGV_COMMANDS)).flatmap(_argv_command),
+    st.builds(
+        lambda command, stray: command + stray,
+        st.sampled_from(sorted(ARGV_COMMANDS)).flatmap(_argv_command),
+        st.lists(argv_tokens, max_size=3),
+    ),
+    st.lists(argv_tokens, max_size=6),
+)
+# what `chow --input -` reads from stdin
+argv_stdin = st.sampled_from(
+    [
+        '{"space": [1, 1, 1, 1], "expr": {"op": "deg", "of": {"op": "pow", "base": "alpha", "n": 4}}}',
+        '{"space": [1, 2], "expr": {"op": "cf", "bundle": "tangent", "partition": [2, 1]}}',
+        '{"space": [1], "expr": {"op": "pow", "base": {"op": "add", "terms": ["alpha", "alpha"]}, "n": 2}}',
+        "[]",
+        "{",
+        "",
+    ]
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=argv_lists, stdin=argv_stdin)
+    def test_exit_code_without_traceback(self, argv, stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as workdir, _working_directory(workdir), mock.patch(
+            "sys.stdin", io.StringIO(stdin)
+        ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: a usage error, or --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _limit_value(text: str) -> int:
+    """A value as the README's limit table writes it: "800 000", "10^6",
+    "4 * 10^6"."""
+    value = 1
+    for factor in text.replace(" ", "").split("*"):
+        base, _, exponent = factor.partition("^")
+        value *= int(base) ** int(exponent or 1)
+    return value
+
+
+class TestLimitTable:
+    def test_each_row_states_its_module_constant(self):
+        stated = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
+            match = len(cells) == 6 and re.fullmatch(r"`(\w+)\.(\w+)` = ([0-9 ^*]+)", cells[3])
+            if match:
+                module, name, value = match.groups()
+                stated[f"{module}.{name}"] = constant = _limit_value(value)
+                assert getattr(importlib.import_module(f"cobcalc.{module}"), name) == constant, line
+        # every limit the package defines has a row
+        pattern = re.compile(r"^(MAX_\w+|\w*WEIGHT_CAP|PRIME_TEST_LIMIT) = ", re.M)
+        limits = {
+            f"{path.stem}.{name}"
+            for path in (SRC / "cobcalc").glob("*.py")
+            for name in pattern.findall(path.read_text(encoding="utf-8"))
+        }
+        assert len(limits) == 12 and set(stated) == limits
 
 
 class TestDispatch:
