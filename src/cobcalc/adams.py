@@ -103,8 +103,9 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
     even = _counts(list(range(2, max_weight + 1, 2)), max_weight)
     non_ladic = _counts(_non_ladic_even_degrees(ell, max_weight), max_weight)
     milnor = _counts([p - 1 for p in ell_powers(ell, max_weight + 1)], max_weight)
+    make_row = DecompositionRow._trusted
     rows = [
-        DecompositionRow(w, even[w], sum(non_ladic[v] * milnor[w - v] for v in range(0, w + 1, 2)))
+        make_row(w, even[w], sum(non_ladic[v] * milnor[w - v] for v in range(0, w + 1, 2)))
         for w in range(0, max_weight + 1, 2)
     ]
     return DecompositionReport(ell, tuple(rows))

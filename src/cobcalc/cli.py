@@ -684,6 +684,15 @@ def main(argv: list[str] | None = None) -> int:
         # is not integral or an oracle's divisibility or symmetry check
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        message = "out of memory"
+    except Exception as exc:
+        # any other failure is still reported on one line, with exit 2
+        message = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+    # printed outside the handler, once the frames its traceback held, and
+    # the memory they hold, are released
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

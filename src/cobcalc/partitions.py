@@ -101,6 +101,11 @@ def enumerate_partitions(w: int, predicate: str = "all", ell: int | None = None)
         raise ValueError("weight must be nonnegative")
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}, expected one of {PREDICATES}")
+    if predicate == "even-non-ladic":
+        # checked for every weight, the odd ones too, which list nothing
+        if ell is None:
+            raise ValueError("even-non-ladic predicate needs a prime")
+        _require_odd_prime(ell)
     # the tuples are already weakly decreasing, so Partition's sort is skipped
     if predicate == "all":
         return [_new(Partition, p) for p in _descending_partitions(w)]
@@ -110,7 +115,4 @@ def enumerate_partitions(w: int, predicate: str = "all", ell: int | None = None)
     evens = [_new(Partition, [2 * x for x in p]) for p in _descending_partitions(w // 2)]
     if predicate == "even":
         return evens
-    if ell is None:
-        raise ValueError("even-non-ladic predicate needs a prime")
-    _require_odd_prime(ell)
     return [p for p in evens if not p.is_ladic(ell)]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow, cli, criterion, stong
-from cobcalc._record import trusted
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
@@ -116,14 +116,13 @@ class TestSnumbers:
         valuation_table.assert_not_called()
 
     def test_each_row_space_is_built_once(self, capsys):
-        built = []
+        built, build = [], chow.ProjProduct._trusted
 
-        def counting(cls, **fields):
-            if cls is chow.ProjProduct:
-                built.append(fields["dims"])
-            return trusted(cls, **fields)
+        def counting(dims):
+            built.append(dims)
+            return build(dims)
 
-        with mock.patch.object(stong, "trusted", counting):
+        with mock.patch.object(chow.ProjProduct, "_trusted", counting):
             code, out, _ = run(capsys, "snumbers", "--prime", "5", "--max-d", "40")
         assert code == 0
         assert built == [tuple(row["factors"]) for row in json.loads(out)]
@@ -402,6 +401,11 @@ class TestDecompAndRanks:
             # p(60) = 966467 and p(46) = 105558, above the listing limit
             ["partition-tools", "--weight", "60"],
             ["partition-tools", "--weight", "92", "--predicate", "even"],
+            # the prime is checked whatever the weight's parity
+            ["partition-tools", "--weight", "4", "--predicate", "even-non-ladic", "--prime", "4"],
+            ["partition-tools", "--weight", "5", "--predicate", "even-non-ladic", "--prime", "4"],
+            ["partition-tools", "--weight", "1", "--predicate", "even-non-ladic", "--prime", "9"],
+            ["partition-tools", "--weight", "0", "--predicate", "even-non-ladic", "--prime", "2"],
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, argv):
@@ -1020,3 +1024,40 @@ class TestDispatch:
         assert "FAIL power operation differential test, prime 3" in err
         assert "FAIL power operation differential test, prime 5" in err
         assert "Traceback" not in err
+
+
+class TestExitCodes:
+    def test_out_of_memory_is_one_line_with_exit_2(self):
+        # u_to_b at weight 66 needs far more than 100 MB; the interpreter
+        # and the package take about 20 MB of address space
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "cobcalc.cli", "u-to-b", "--partition", "66"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "exc, code, shown",
+        [
+            (MemoryError(), 2, "error: out of memory\n"),
+            (TypeError("unsupported operand"), 2, "error: TypeError: unsupported operand\n"),
+            (RuntimeError(), 2, "error: RuntimeError\n"),
+            (ZeroDivisionError("a failed check"), 1, "error: a failed check\n"),
+        ],
+        ids=["memory", "type", "runtime", "arithmetic"],
+    )
+    def test_an_escaping_exception_is_one_error_line(self, capsys, monkeypatch, exc, code, shown):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_ranks", failing)
+        assert run(capsys, "ranks", "--max-d", "3") == (code, "", shown)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cobcalc import criterion
 from cobcalc.criterion import (
     CandidateFamily,
+    DegreeVerdict,
     aggregate_passed,
     global_criterion,
     mgl_criterion,
@@ -16,7 +17,7 @@ from cobcalc.criterion import (
     required_valuation_msp,
     stong_family,
 )
-from cobcalc.valuation import is_odd_prime
+from cobcalc.valuation import is_odd_prime, nu
 
 
 class TestRequiredValuations:
@@ -127,6 +128,46 @@ class TestRequiredDegrees:
                 msp_criterion(fam, ell, 1)
             with pytest.raises(ValueError, match="not an odd prime"):
                 mgl_criterion(CandidateFamily("mgl", {1: 3}), ell, 1)
+
+
+class TestVerdictRows:
+    @pytest.mark.parametrize(
+        "kind, check, required",
+        [("msp", msp_criterion, required_valuation_msp), ("mgl", mgl_criterion, required_valuation_mgl)],
+    )
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_rows_equal_verdicts_built_one_by_one(self, kind, check, required, ell):
+        d_max = 130
+        # the exceptional degrees (at least three here) and the others each
+        # cycle through a pass, a wrong valuation, a zero and another wrong one
+        cycles = {1: [ell, 1, 0, ell**2], 0: [-1, -ell, 0, 5 * ell**3]}
+        seen_so_far = {1: 0, 0: 0}
+        entries = {}
+        for d in range(1, d_max + 1):
+            need = required(d, ell)
+            entries[d] = cycles[need][seen_so_far[need] % 4]
+            seen_so_far[need] += 1
+        assert seen_so_far[1] >= 3
+        rows = check(CandidateFamily(kind, entries), ell, d_max).rows
+        expected = []
+        for d in range(1, d_max + 1):
+            need = required(d, ell)
+            if entries[d] == 0:
+                expected.append(DegreeVerdict(d, need, None, False, "zero characteristic number"))
+                continue
+            observed = nu(entries[d], ell)
+            reason = "" if observed == need else f"valuation {observed}, required {need}"
+            expected.append(DegreeVerdict(d, need, observed, observed == need, reason))
+        assert len(rows) == len(expected) == d_max
+        for row, want in zip(rows, expected):
+            assert type(row) is DegreeVerdict
+            for name in DegreeVerdict.__slots__:
+                assert getattr(row, name) == getattr(want, name), (row, name)
+            assert row == want and hash(row) == hash(want) and repr(row) == repr(want)
+        cases = {(r.required, r.passed, r.observed is None) for r in rows}
+        assert cases == {(need, passed, False) for need in (0, 1) for passed in (True, False)} | {
+            (0, False, True), (1, False, True)
+        }
 
 
 class TestGlobalCriterion:

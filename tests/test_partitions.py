@@ -99,6 +99,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(4, "even-non-ladic")  # missing prime
 
+    @pytest.mark.parametrize("w", [0, 1, 4, 5])
+    @pytest.mark.parametrize("ell", [None, 2, 4, 9])
+    def test_prime_is_checked_for_every_weight(self, w, ell):
+        # an odd weight lists nothing, but a bad prime is still refused
+        with pytest.raises(ValueError):
+            enumerate_partitions(w, "even-non-ladic", ell)
+
     def test_ladic_filter_drops_all_relevant_parts(self):
         for p in enumerate_partitions(12, "even-non-ladic", 3):
             assert not p.is_ladic(3)

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from cobcalc._record import Record
+from cobcalc._record import Record, trusted
 from cobcalc.adams import DecompositionReport, DecompositionRow, TriDegree
 from cobcalc.chow import ChowClass, LineTerm, ProjProduct, VirtualBundle
 from cobcalc.criterion import CandidateFamily, DegreeVerdict, GeneratorVerdict
@@ -111,6 +111,32 @@ def test_subclass_without_fields_of_its_own_keeps_its_parents(a, b, shown):
     assert repr(a) == shown
 
 
+def rebuilt(obj) -> list:
+    """obj rebuilt from its fields by trusted, with every field named, and
+    by its class's positional builder."""
+    cls, values = type(obj), [getattr(obj, name) for name in type(obj)._fields]
+    return [trusted(cls, **dict(zip(cls._fields, values))), cls._trusted(*values)]
+
+
+@pytest.mark.parametrize(
+    "obj", [SubDigits(3, (1, 0, 2)), SubProduct((1, 2))], ids=["LadicDigits", "ProjProduct"]
+)
+def test_builders_of_a_subclass_without_fields_of_its_own_make_the_subclass(obj):
+    for built in rebuilt(obj):
+        assert type(built) is type(obj) and built == obj and hash(built) == hash(obj)
+        assert repr(built) == repr(obj)
+        twin = pickle.loads(pickle.dumps(built))
+        assert type(twin) is type(obj) and twin == obj
+
+
+def test_trusted_names_every_field_and_no_other():
+    for bad in [{}, {"dims": (1,), "space": None}, {"dim": (1,)}]:
+        with pytest.raises(TypeError):
+            trusted(ProjProduct, **bad)
+    with pytest.raises(TypeError):
+        ProjProduct._trusted()
+
+
 def test_factor_dimensions_have_no_width_limit():
     for dims in [(2**63,), (1, 2**64 + 1), (2**100, 3)]:
         X = ProjProduct(dims)
@@ -167,6 +193,17 @@ class TestRecord:
         obj = CASES[cls][0]()
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and type(copy) is cls
+
+    def test_builders_rebuild_an_instance_from_its_fields(self, cls):
+        make, hashable, _ = CASES[cls]
+        obj = make()
+        for built in rebuilt(obj):
+            assert type(built) is cls and built is not obj and built == obj
+            assert repr(built) == repr(obj)
+            if hashable:
+                assert hash(built) == hash(obj)
+            copy = pickle.loads(pickle.dumps(built))
+            assert type(copy) is cls and copy == obj and repr(copy) == repr(obj)
 
     def test_constructor_checks(self, cls):
         for bad in CASES[cls][2]:
