@@ -136,8 +136,8 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # unit is about 0.05 us on a 2-core x86 host, so one prime at d = 1250 takes
 # about 39 ms in-process and 0.15 s as a command; a prime's fixed part is
 # about 13 us.  The largest sweep admitted, all primes up to 306232 at
-# d = 1, takes about 1.2 s as a command: 7 ms to sieve the primes, about
-# 0.35-0.45 s for the verdicts and most of the rest to render the report.
+# d = 1, takes about 1.05 s as a command: 7 ms to sieve the primes, about
+# 0.35-0.45 s for the verdicts and about 0.2 s to render the report.
 MAX_SWEEP_WORK = 800_000
 
 

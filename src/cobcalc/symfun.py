@@ -13,11 +13,13 @@ answer.  It shares no code with the conversions it checks.
 
 Basis conversions work on positions in each weight's lex-descending list
 of partitions.  A row of a transition table (e_lam or p_lam in the m
-basis) is the row of lam without its smallest part, pushed through a
-cached one-partition step (m_mu times e_r or p_r), so rows share their
-prefixes and each step is built once.  A conversion expands its input in
-the m basis as one integer list per weight, then eliminates in one pass
-over the positions: lex-largest first towards e, as e_lam' is m_lam plus
+basis) is the row of lam without its smallest part r, pushed through the
+steps m_mu * e_r or m_mu * p_r, so rows share their prefixes.  The steps
+of each basis, weight and r are one table by position, each step added
+when first read; e_1 steps are p_1 steps, and e_2 steps are built from
+p-steps as (p_1^2 - p_2) / 2.  A conversion expands its input in the m
+basis as one integer list per weight, then eliminates in one pass over
+the positions: lex-largest first towards e, as e_lam' is m_lam plus
 lex-smaller terms, and lex-smallest first towards p, as p_lam is a
 multiple of m_lam plus lex-larger terms.  Over Z everything stays on
 integers: Fractions appear only in a final power-sum answer (the
@@ -34,7 +36,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from . import _sparse
 from ._record import Record, trusted
@@ -193,11 +195,10 @@ def expand_in_vars(f: SymFn, k: int) -> dict:
 @lru_cache(maxsize=None)
 def _index(w: int) -> tuple:
     """The partitions of w in lex-descending order, the map from each to
-    its position there, and the position of each one's conjugate.  The
-    transition tables and eliminations of weight w work on positions."""
+    its position there, and a list of the positions of their conjugates,
+    which `_m_to_e` fills as it pivots.  Tables work on positions."""
     parts = enumerate_partitions(w)
-    position = {lam: i for i, lam in enumerate(parts)}
-    return parts, position, tuple(position[_conjugate(lam)] for lam in parts)
+    return parts, {lam: i for i, lam in enumerate(parts)}, [None] * len(parts)
 
 
 def _conjugate(lam: tuple) -> tuple:
@@ -263,33 +264,50 @@ def _mul_p_m(r: int, mu: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _steps(basis: str, w: int, r: int) -> list:
+    """Steps m_mu * e_r ("elementary") or m_mu * p_r ("power-sum") by the
+    position of mu in weight w, each added when first read; e_1 = p_1."""
+    if basis == "elementary" and r == 1:
+        return _steps("power-sum", w, 1)
+    return {}
+
+
 def _step(basis: str, w: int, i: int, r: int) -> tuple:
-    """m_mu * e_r (basis "elementary") or m_mu * p_r ("power-sum") for mu
-    at position i of weight w: (position at weight w + r, coefficient)
-    pairs."""
-    mul = _mul_e_m if basis == "elementary" else _mul_p_m
-    position = _index(w + r)[1]
-    return tuple((position[key], c) for key, c in mul(r, _index(w)[0][i]).items())
+    """Entry i of a step table, filled when first read: the positions at
+    weight w + r of m_mu * e_r or m_mu * p_r, mu at position i of weight w,
+    and the coefficients.  e_2 = (p_1^2 - p_2) / 2; e_r, r >= 3: `_mul_e_m`."""
+    table = _steps(basis, w, r)
+    if i not in table:
+        if basis == "elementary" and r == 2:
+            terms = [(k, -v) for k, v in zip(*_step("power-sum", w, i, 2))]
+            for j, c in zip(*_step("power-sum", w, i, 1)):
+                terms += [(k, c * v) for k, v in zip(*_step("power-sum", w + 1, j, 1))]
+            terms = {k: v // 2 for k, v in _sparse.collect(terms).items()}
+        else:
+            mul = _mul_e_m if basis == "elementary" and r > 1 else _mul_p_m
+            position = _index(w + r)[1]
+            terms = {position[key]: c for key, c in mul(r, _index(w)[0][i]).items()}
+        table[i] = (tuple(terms), tuple(terms.values()))
+    return table[i]
 
 
 @lru_cache(maxsize=None)
 def _row(basis: str, w: int, i: int) -> tuple:
     """The basis element e_lam or p_lam, lam at position i of weight w, in
-    the m basis: the row of lam without its smallest part, pushed through
-    the step of that part into a list over weight w's positions.  Kept as
-    its nonzero positions, ascending, and their coefficients, since most
-    entries are zero."""
+    the m basis: the row of lam without its smallest part r, pushed through
+    the step table of r (fetched once) into a list over weight w's
+    positions, kept as its nonzero positions, ascending, and coefficients."""
     parts = _index(w)[0]
     lam = parts[i]
     if not lam:
         return array("I", (0,)), (1,)
     r = lam[-1]
+    table = _steps(basis, w - r, r)
     row = [0] * len(parts)
     for j, c in zip(*_row(basis, w - r, _index(w - r)[1][lam[:-1]])):
-        for k, v in _step(basis, w - r, j, r):
+        for k, v in zip(*(table.get(j) or _step(basis, w - r, j, r))):
             row[k] += c * v
-    nonzero = array("I", (k for k, v in enumerate(row) if v))
-    return nonzero, tuple(row[k] for k in nonzero)
+    return array("I", compress(range(len(row)), row)), tuple(compress(row, row))
 
 
 def _dense_m(coeffs: dict, basis: str, denominator: int) -> dict:
@@ -315,13 +333,15 @@ def _m_to_e(dense: list, w: int, modulus: int | None) -> dict:
     positions in order meets each pivot after every term it receives.
     With a modulus, a coefficient is reduced when it is read, so a pivot
     that cancels mod the modulus never needs its table."""
-    parts, _, conjugate = _index(w)
+    parts, position, conjugate = _index(w)
     out: dict = {}
     for i in range(len(dense)):
         c = dense[i] if modulus is None else dense[i] % modulus
         if not c:
             continue
         pivot = conjugate[i]
+        if pivot is None:
+            pivot = conjugate[i] = position[_conjugate(parts[i])]
         out[parts[pivot]] = c
         # this also clears position i, which the pass has already read
         for j, v in zip(*_row("elementary", w, pivot)):

@@ -1061,3 +1061,39 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "_cmd_ranks", failing)
         assert run(capsys, "ranks", "--max-d", "3") == (code, "", shown)
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.lists(st.integers())
+)
+JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text() | st.integers(), children)
+    | st.dictionaries(JSON_KEYS, children),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @given(JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    @example([[3, 1], [2, 2], [True, 1], []])
+    @example({"d": 6, "factors": [1, 1, 3, 9], "s": "-80080", "match": True, 7: None, "é\U0001d11e": 1.5})
+    @example({1.5: [1], None: {}, False: ()})
+    def test_same_bytes_as_json_dumps(self, value):
+        assert cli.json_text(value) == json.dumps(value, indent=2)
+
+    def test_types_json_cannot_write_are_refused_alike(self):
+        for value in ({(1, 2): 3}, [1, {2}], {"a": [object()]}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                cli.json_text(value)

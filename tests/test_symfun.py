@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc import symfun
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.symfun import (
     BASES,
@@ -202,6 +203,24 @@ def zero_one_matrices(rows: tuple, cols: tuple) -> int:
     )
 
 
+def block_maps(lam: tuple, mu: tuple) -> int:
+    """Number of maps from the parts of lam to the parts of mu under which
+    the parts sent to each part of mu sum to it, counted part by part."""
+
+    def count(j: int, room: list) -> int:
+        if j == len(lam):
+            return int(not any(room))
+        total = 0
+        for i, left in enumerate(room):
+            if left >= lam[j]:
+                room[i] -= lam[j]
+                total += count(j + 1, room)
+                room[i] += lam[j]
+        return total
+
+    return count(0, list(mu))
+
+
 def to_m_table(weight, basis="elementary") -> dict:
     """lam -> the basis element of lam in the m basis, over the partitions
     of weight."""
@@ -219,6 +238,15 @@ class TestTransitionMatrices:
         for lam, row in to_m_table(weight).items():
             for mu in enumerate_partitions(weight):
                 assert row.get(mu, 0) == zero_one_matrices(tuple(lam), tuple(mu))
+
+    @pytest.mark.parametrize("weight", range(0, 9))
+    def test_power_sum_entries_count_block_maps(self, weight):
+        # the coefficient of m_mu in p_lam is the number of maps from the
+        # parts of lam to the parts of mu with matching block sums
+        # (Macdonald I §6)
+        for lam, row in to_m_table(weight, "power-sum").items():
+            for mu in enumerate_partitions(weight):
+                assert row.get(mu, 0) == block_maps(tuple(lam), tuple(mu))
 
     @pytest.mark.parametrize("weight", range(0, 13))
     def test_elementary_matrix_is_symmetric(self, weight):
@@ -251,6 +279,57 @@ class TestTransitionMatrices:
                     for mu, v in table[nu].items():
                         back[mu] = back.get(mu, 0) + c * v
                 assert {mu: v for mu, v in back.items() if v} == {lam: 1}
+
+
+def clear_tables() -> None:
+    """Empty the transition tables, so the next conversion builds its own."""
+    for cached in (symfun._index, symfun._steps, symfun._row):
+        cached.cache_clear()
+
+
+def conversions(order) -> dict:
+    """(modulus, target, lam) -> m_lam converted to the target basis, or
+    the error it raised, for every lam of weight at most 9, taken in the
+    given order of (modulus, target) pairs."""
+    out = {}
+    for modulus, target in order:
+        for weight in range(10):
+            for lam in enumerate_partitions(weight):
+                try:
+                    got = convert(m(lam, modulus=modulus), target).coeffs
+                except ValueError as exc:
+                    got = str(exc)
+                out[modulus, target, lam] = got
+    return out
+
+
+class TestOnDemandTables:
+    @pytest.mark.parametrize("modulus", [None, 3, 5, 7])
+    def test_cold_one_part_monomial_is_newton_girard(self, modulus):
+        # m_(n) = p_n = sum over lam of n of
+        # (-1)^(n - len(lam)) n (len(lam) - 1)! / prod_i m_i(lam)!  e_lam
+        # (Newton-Girard; Macdonald I §2), each weight n met with its
+        # tables unbuilt
+        clear_tables()
+        for n in range(1, 19):
+            want = {}
+            for lam in enumerate_partitions(n):
+                c = (-1) ** (n - len(lam)) * n * math.factorial(len(lam) - 1)
+                c //= math.prod(math.factorial(k) for k in Counter(lam).values())
+                want[lam] = c
+            if modulus is not None:
+                want = {lam: c % modulus for lam, c in want.items() if c % modulus}
+            assert convert(m((n,), modulus=modulus), "elementary").coeffs == want
+
+    def test_build_order_does_not_change_conversions(self):
+        # the step tables and conjugates are filled as conversions read
+        # them, so every order of first reads must give the same answers
+        pairs = [(None, "elementary"), (None, "power-sum"), (5, "elementary"), (5, "power-sum")]
+        clear_tables()
+        want = conversions(pairs)
+        for order in (pairs[::-1], [pairs[3], pairs[1], pairs[2], pairs[0]]):
+            clear_tables()
+            assert conversions(order) == want
 
 
 @st.composite
