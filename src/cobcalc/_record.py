@@ -1,29 +1,28 @@
 """Frozen value classes on `__slots__`.
 
-A subclass names its fields in `__slots__` and sets them in its own
-`__init__` through `object.__setattr__`, after its checks.  The base
-compares, hashes, prints and pickles instances by those fields, and
-refuses to assign or delete them afterwards.  A subclass that declares no
-fields of its own (`__slots__ = ()`) keeps those of the nearest class that
-does.  The standard library's class generator would do the same, but
-importing it imports `inspect` too, a cost every command would pay at
-start-up.
+A subclass names its fields in `__slots__`.  The base compares, hashes,
+prints and pickles instances by those fields, and refuses to assign or
+delete them afterwards.  A subclass that declares no fields of its own
+(`__slots__ = ()`) keeps those of the nearest class that does.  The
+standard library's class generator would do the same, but importing it
+imports `inspect` too, a cost every command would pay at start-up.
 
-Constructors check outside input: every value a caller hands in.  Values
-the package built itself (a ring operation's result from valid operands,
-a table row's factors from its digit walk) skip those checks through
-`trusted`, the one builder that sets a record's fields directly; it takes
-nothing from outside the package.  Its fast form is each class's
-`_trusted`, generated when the class is created, as
-`collections.namedtuple` generates its `__new__`: a function of the fields
-in slot order that makes the instance and sets each slot through its
-member descriptor's `__set__`, with no keyword dict and no attribute
-lookup.  Hot loops call it positionally; `trusted` passes its keywords on
-to it.  Per `StongDatum` on a 2-core x86 host, Python 3.11.7 (medians of
-15 interleaved timings): the checked constructor 1.10 us, `_trusted`
-0.55 us, `trusted` with 7 keywords 1.24 us.  Generating the builders of
-the package's 15 classes takes about 0.5 ms at import, most of it
-compiling one template per field count.
+Fields are set in one place, this module, by two functions generated for
+each class when it is created, as `collections.namedtuple` generates its
+`__new__`.  Both take the fields in slot order (or by name) and set each
+slot through its member descriptor's `__set__`, with no attribute lookup:
+- `_set(self, ...)` sets the fields of an instance.  A class that
+  neither defines nor inherits a constructor has it as its constructor.
+  A constructor that checks outside input (every value a caller hands in)
+  ends in one call of it.
+- `_trusted(...)` makes a new instance and sets its fields, skipping the
+  constructor and its checks.  It takes values the package built itself
+  (a ring operation's result from valid operands, a table row's factors
+  from its digit walk), never outside input.  Hot loops call it
+  positionally.
+Both come from one template per field count.  Generating the two functions
+of each of the package's 15 classes takes about 1 ms at import, most of
+it compiling the templates.
 """
 
 from __future__ import annotations
@@ -38,7 +37,10 @@ class Record:
     def __init_subclass__(cls):
         owner = next((c for c in cls.__mro__ if vars(c).get("__slots__")), None)
         cls._fields = owner.__slots__ if owner else ()
-        cls._trusted = staticmethod(_builder(cls, owner))
+        cls._set, build = _setters(cls, owner)
+        cls._trusted = staticmethod(build)
+        if cls.__init__ is object.__init__:
+            cls.__init__ = cls._set
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -68,19 +70,21 @@ class Record:
 
 
 @lru_cache(maxsize=None)
-def _template(arity: int) -> CodeType:
-    """Code of a builder of arity fields: it makes an instance of the
-    global _cls and passes parameter i to the global _set{i}."""
-    params = [f"_{i}" for i in range(arity)]
-    lines = [f"def _trusted({', '.join(params)}):", "    _obj = _new(_cls)"]
-    lines += [f"    _set{i}(_obj, {name})" for i, name in enumerate(params)]
-    lines.append("    return _obj")
-    module = compile("\n".join(lines), "<record builder>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+def _templates(arity: int) -> tuple[CodeType, CodeType]:
+    """Code of the setter and the builder of arity fields: each passes its
+    parameter i to the global _set{i}, the setter with the instance it is
+    given, the builder with a new instance of the global _cls."""
+    params = ", ".join(f"_{i}" for i in range(arity))
+    sets = [f"    _set{i}(_obj, _{i})" for i in range(arity)]
+    lines = [f"def _set(_obj, {params}):", *(sets or ["    pass"])]
+    lines += [f"def _trusted({params}):", "    _obj = _new(_cls)", *sets, "    return _obj"]
+    module = compile("\n".join(lines), "<record setters>", "exec")
+    codes = {c.co_name: c for c in module.co_consts if isinstance(c, CodeType)}
+    return codes["_set"], codes["_trusted"]
 
 
-def _builder(cls, owner) -> FunctionType:
-    """cls's positional builder: the template of its arity with the
+def _setters(cls, owner) -> tuple[FunctionType, FunctionType]:
+    """cls's setter and builder: the templates of its arity with the
     parameters renamed to its fields, which the bytecode reads by position
     only, and globals holding cls and the member descriptors of owner, the
     class that declares the fields.  A compile costs about 30 us plus
@@ -89,14 +93,9 @@ def _builder(cls, owner) -> FunctionType:
     namespace = {"_cls": cls, "_new": object.__new__}
     for i, name in enumerate(fields):
         namespace[f"_set{i}"] = vars(owner)[name].__set__
-    build = FunctionType(_template(len(fields)).replace(co_varnames=fields + ("_obj",)), namespace)
+    set_code, build_code = _templates(len(fields))
+    setter = FunctionType(set_code.replace(co_varnames=("self",) + fields), namespace)
+    build = FunctionType(build_code.replace(co_varnames=fields + ("_obj",)), namespace)
+    setter.__qualname__ = f"{cls.__qualname__}._set"
     build.__qualname__ = f"{cls.__qualname__}._trusted"
-    return build
-
-
-def trusted(cls, **fields):
-    """Instance of the record class cls with the given fields, which the
-    package built itself and knows to be what cls's constructor would
-    store, skipping that constructor and its checks.  Every field is
-    named; a hot loop calls cls._trusted with them in slot order."""
-    return cls._trusted(**fields)
+    return setter, build

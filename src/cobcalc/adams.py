@@ -26,11 +26,6 @@ class TriDegree(Record):
 
     __slots__ = ("s", "t", "u")
 
-    def __init__(self, s: int, t: int, u: int) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
-
     @property
     def internal(self) -> tuple[int, int]:
         return (self.t - self.s, self.u)
@@ -64,11 +59,6 @@ def milnor_count(q: int, ell: int) -> int:
 class DecompositionRow(Record):
     __slots__ = ("weight", "even_partition_count", "module_count")
 
-    def __init__(self, weight: int, even_partition_count: int, module_count: int) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "even_partition_count", even_partition_count)
-        object.__setattr__(self, "module_count", module_count)
-
     @property
     def equal(self) -> bool:
         return self.even_partition_count == self.module_count
@@ -76,10 +66,6 @@ class DecompositionRow(Record):
 
 class DecompositionReport(Record):
     __slots__ = ("prime", "rows")
-
-    def __init__(self, prime: int, rows: tuple[DecompositionRow, ...]) -> None:
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def all_equal(self) -> bool:

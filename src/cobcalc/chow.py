@@ -39,7 +39,7 @@ from math import comb, lcm, prod
 from operator import gt, lshift
 
 from . import _sparse
-from ._record import Record, trusted
+from ._record import Record
 from .partitions import Partition
 
 # Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
@@ -61,7 +61,7 @@ class ProjProduct(Record):
         dims = tuple(map(int, dims))
         if not dims or min(dims) < 1:
             raise ValueError(f"factor dimensions must be positive: {dims}")
-        object.__setattr__(self, "dims", dims)
+        self._set(dims)
 
     @property
     def total_dimension(self) -> int:
@@ -82,8 +82,7 @@ class ChowClass(Record):
 
     def __init__(self, space: ProjProduct, coeffs: dict | None = None) -> None:
         terms = ((_exponents(space, e), c) for e, c in (coeffs or {}).items())
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", _sparse.collect(terms))
+        self._set(space, _sparse.collect(terms))
 
     @staticmethod
     def zero(space: ProjProduct) -> "ChowClass":
@@ -151,7 +150,7 @@ class ChowClass(Record):
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
-        return trusted(ChowClass, space=self.space, coeffs=coeffs)
+        return ChowClass._trusted(space=self.space, coeffs=coeffs)
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +316,7 @@ def _linear(space: ProjProduct, twist: tuple[int, ...]) -> ChowClass:
     factor; a_j is never truncated, as every factor has dimension >= 1."""
     m = space.factor_count
     coeffs = {(0,) * j + (1,) + (0,) * (m - j - 1): c for j, c in enumerate(twist) if c}
-    return trusted(ChowClass, space=space, coeffs=coeffs)
+    return ChowClass._trusted(space=space, coeffs=coeffs)
 
 
 def deg(a: ChowClass) -> int:
@@ -335,8 +334,7 @@ class LineTerm(Record):
     def __init__(self, sign: int, twist: tuple[int, ...]) -> None:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "twist", tuple(int(c) for c in twist))
+        self._set(sign, tuple(int(c) for c in twist))
 
 
 class VirtualBundle(Record):
@@ -349,8 +347,7 @@ class VirtualBundle(Record):
         for t in terms:
             if len(t.twist) != space.factor_count:
                 raise ValueError("twist vector length mismatch")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", terms)
+        self._set(space, terms)
 
     @property
     def virtual_rank(self) -> int:
@@ -423,7 +420,7 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
         if sign
         for e, c in (_linear(v.space, twist) ** n).coeffs.items()
     )
-    return trusted(ChowClass, space=v.space, coeffs=_sparse.collect(terms))
+    return ChowClass._trusted(space=v.space, coeffs=_sparse.collect(terms))
 
 
 def cf_chern(v: VirtualBundle, I) -> ChowClass:
@@ -455,4 +452,4 @@ def cf_chern(v: VirtualBundle, I) -> ChowClass:
         coeffs[e], remainder = divmod(c, denominator)
         if remainder:
             raise ArithmeticError(f"c_{tuple(I)} has a coefficient {c}/{denominator}")
-    return trusted(ChowClass, space=v.space, coeffs=coeffs)
+    return ChowClass._trusted(space=v.space, coeffs=coeffs)

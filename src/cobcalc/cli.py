@@ -702,6 +702,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# CPython 3.11 can lose a MemoryError raised inside a C call once the address
+# space runs out, and raise a SystemError with one of these messages instead
+_LOST_MEMORY_ERROR = ("returned NULL without setting an exception", "error return without exception set")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -725,6 +730,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # any other failure is still reported on one line, with exit 2
         message = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+        if isinstance(exc, SystemError) and str(exc).endswith(_LOST_MEMORY_ERROR):
+            message = "out of memory"
     # printed outside the handler, once the frames its traceback held, and
     # the memory they hold, are released
     print(f"error: {message}", file=sys.stderr)

@@ -6,8 +6,7 @@ A candidate family assigns one integer characteristic number to each
 degree index 1..d_max.  A zero entry is a hard per-degree failure (no
 valuation exists), never an exception, so batch tables cannot abort.
 The verdict rows are the package's own values, so they are built by
-`DegreeVerdict`'s positional builder, without its constructor, at half
-its cost a row.
+`DegreeVerdict`'s positional builder, without its constructor.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from itertools import compress
 
 from . import stong
-from ._record import Record, trusted
+from ._record import Record
 from .valuation import _nu, ell_powers
 
 
@@ -35,8 +34,7 @@ class CandidateFamily(Record):
             if d < 1:
                 raise ValueError("degree indices start at 1")
             clean[d] = int(value)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "entries", clean)
+        self._set(kind, clean)
 
     def require_range(self, d_max: int) -> None:
         missing = [d for d in range(1, d_max + 1) if d not in self.entries]
@@ -57,20 +55,11 @@ class DegreeVerdict(Record):
     def __init__(
         self, d: int, required: int, observed: int | None, passed: bool, reason: str = ""
     ) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "reason", reason)
+        self._set(d, required, observed, passed, reason)
 
 
 class GeneratorVerdict(Record):
     __slots__ = ("kind", "primes", "rows")
-
-    def __init__(self, kind: str, primes: tuple[int, ...], rows: tuple[DegreeVerdict, ...]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def passed(self) -> bool:
@@ -199,4 +188,4 @@ def stong_family(ell: int, d_max: int) -> CandidateFamily:
     """Default candidate family: absolute characteristic numbers of the
     construction for the given prime."""
     rows = stong.valuation_table(ell, d_max)
-    return trusted(CandidateFamily, kind="msp", entries={row.d: abs(row.s_number) for row in rows})
+    return CandidateFamily._trusted(kind="msp", entries={row.d: abs(row.s_number) for row in rows})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .valuation import _require_odd_prime
+from .valuation import _require_odd_prime, ell_powers
 
 PREDICATES = ("all", "even", "even-non-ladic")
 
@@ -33,15 +33,7 @@ class Partition(tuple):
 
     def is_ladic(self, ell: int) -> bool:
         """True when some part equals ell**m - 1 for some m >= 1."""
-        _require_odd_prime(ell)
-        if not self:
-            return False
-        v = ell - 1
-        while v <= self[0]:
-            if v in self:
-                return True
-            v = (v + 1) * ell - 1
-        return False
+        return any(p - 1 in self for p in ell_powers(ell, self[0] + 1 if self else 0))
 
     def concat(self, other: Iterable[int]) -> "Partition":
         """Multiset union of parts, reordered to be weakly decreasing."""

@@ -61,7 +61,6 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from ._record import trusted
 from ._sparse import clean, layout, pack, unpack
 from .partitions import Partition
 from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, _expand_packed, bpoly_to_symfn, symfn_to_bpoly
@@ -192,7 +191,7 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
         by = _add_product([{} for _ in by], by, twist, t)
     answer = unpack(clean(by[t], ell), shifts, mask)
     coeffs = {tuple([(g, e) for g, e in enumerate(exps, 1) if e]): c for exps, c in answer.items()}
-    return trusted(BPoly, coeffs=coeffs, modulus=ell)
+    return BPoly._trusted(coeffs=coeffs, modulus=ell)
 
 
 def power_op(i: int, f: BPoly, ell: int) -> BPoly:

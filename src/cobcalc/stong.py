@@ -30,7 +30,7 @@ from operator import mul
 from . import _sparse, chow
 from ._record import Record
 from .chow import LineTerm, ProjProduct, VirtualBundle
-from .valuation import ladic_digits, multinomial, nu_factorial, _require_odd_prime
+from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
 # Expansions refuse, before any ring arithmetic, a space whose predicted work
 # (invariant rank x factor count, see _check_expansion_work) exceeds this.
@@ -64,24 +64,6 @@ class StongDatum(Record):
 
     __slots__ = ("prime", "d", "factors", "s_number", "valuation", "n_y", "expected")
 
-    def __init__(
-        self,
-        prime: int,
-        d: int,
-        factors: ProjProduct,
-        s_number: int,
-        valuation: int,
-        n_y: int,
-        expected: int,
-    ) -> None:
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "s_number", s_number)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "n_y", n_y)
-        object.__setattr__(self, "expected", expected)
-
     @property
     def matches(self) -> bool:
         return self.valuation == self.expected
@@ -89,15 +71,8 @@ class StongDatum(Record):
 
 def exceptional_exponent(d: int, ell: int) -> int | None:
     """r >= 1 with 2d = ell**r - 1, or None."""
-    _require_odd_prime(ell)
-    target = 2 * d + 1
-    power, r = ell, 1
-    while power <= target:
-        if power == target:
-            return r
-        power *= ell
-        r += 1
-    return None
+    powers = ell_powers(ell, 2 * d + 1)
+    return len(powers) if powers and powers[-1] == 2 * d + 1 else None
 
 
 def build_X(d: int, ell: int) -> ProjProduct:
@@ -288,10 +263,7 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     dimensions of the digits from i up are kept per i, so a row rebuilds
     those of the digits it changed only.  They are powers of ell, so the
     row's space and the row itself come from their classes' positional
-    builders, without the constructors' checks.  With the running sums,
-    that takes a table at d_max = 1000, ell <= 13, to 0.62-0.64 of the CPU
-    time it takes with the constructors and the sums taken anew on every
-    row (timings in the README)."""
+    builders, without the constructors' checks."""
     make_space, make_row = ProjProduct._trusted, StongDatum._trusted
     merge: list[int] = []  # G_i by digit i, from its first carry on
     nu_fact: list[int] = []  # nu((ell**i)!) by digit i

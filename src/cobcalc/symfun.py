@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 
 from . import _sparse
-from ._record import Record, trusted
+from ._record import Record
 from .partitions import Partition, enumerate_partitions
 from .valuation import _require_odd_prime
 
@@ -77,9 +77,7 @@ class SymFn(Record):
         if modulus is not None:
             _require_odd_prime(modulus)
         clean = _reduce({Partition(k): c for k, c in coeffs.items()}, modulus)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "modulus", modulus)
+        self._set(clean, basis, modulus)
 
     @property
     def weight(self) -> int:
@@ -102,7 +100,7 @@ class SymFn(Record):
 def _symfn(coeffs: dict, basis: str, modulus: int | None) -> SymFn:
     """SymFn around Partition keys that a ring operation or a conversion
     built, skipping the public constructor's checks."""
-    return trusted(SymFn, coeffs=_reduce(coeffs, modulus), basis=basis, modulus=modulus)
+    return SymFn._trusted(coeffs=_reduce(coeffs, modulus), basis=basis, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +452,7 @@ class BPoly(Record):
         if modulus is not None:
             _require_odd_prime(modulus)
         terms = ((_bmono(mono), c) for mono, c in _reduce(coeffs or {}, modulus).items())
-        object.__setattr__(self, "coeffs", _reduce(_sparse.collect(terms), modulus))
-        object.__setattr__(self, "modulus", modulus)
+        self._set(_reduce(_sparse.collect(terms), modulus), modulus)
 
     @staticmethod
     def zero(modulus: int | None = None) -> "BPoly":
@@ -491,7 +488,7 @@ class BPoly(Record):
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "BPoly":
-        return trusted(BPoly, coeffs=_reduce(coeffs, self.modulus), modulus=self.modulus)
+        return BPoly._trusted(coeffs=_reduce(coeffs, self.modulus), modulus=self.modulus)
 
     def reduce_mod(self, ell: int) -> "BPoly":
         return BPoly(dict(self.coeffs), ell)
@@ -507,7 +504,7 @@ def symfn_to_bpoly(f: SymFn) -> BPoly:
     has already reduced the coefficients, so BPoly's checks are skipped."""
     ef = convert(f, "elementary")
     coeffs = {_epartition_to_bmono(p): c for p, c in ef.coeffs.items()}
-    return trusted(BPoly, coeffs=coeffs, modulus=f.modulus)
+    return BPoly._trusted(coeffs=coeffs, modulus=f.modulus)
 
 
 def bpoly_to_symfn(b: BPoly) -> SymFn:
@@ -574,8 +571,7 @@ class ZClass(Record):
                 raise ValueError(f"{tuple(p)} is not even")
             if p.is_ladic(prime):
                 raise ValueError(f"{tuple(p)} is {prime}-adic")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "coeffs", _sparse.clean(coeffs, prime))
+        self._set(prime, _sparse.clean(coeffs, prime))
 
     @staticmethod
     def basis_element(omega, ell: int) -> "ZClass":

@@ -140,8 +140,7 @@ class LadicDigits(Record):
             raise ValueError("digit out of range")
         if digits and digits[-1] == 0:
             raise ValueError("trailing zero digit")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "digits", digits)
+        self._set(prime, digits)
 
     def value(self) -> int:
         return sum(d * self.prime**i for i, d in enumerate(self.digits))

@@ -1026,6 +1026,10 @@ class TestDispatch:
         assert "Traceback" not in err
 
 
+OOM = "error: out of memory\n"
+LRU_WRAPPER = "<functools._lru_cache_wrapper object at 0x7f3a2c1d5e40>"
+
+
 class TestExitCodes:
     def test_out_of_memory_is_one_line_with_exit_2(self):
         # u_to_b at weight 66 needs far more than 100 MB; the interpreter
@@ -1052,8 +1056,12 @@ class TestExitCodes:
             (TypeError("unsupported operand"), 2, "error: TypeError: unsupported operand\n"),
             (RuntimeError(), 2, "error: RuntimeError\n"),
             (ZeroDivisionError("a failed check"), 1, "error: a failed check\n"),
+            # the two messages of a MemoryError that CPython lost in a C call
+            (SystemError(f"{LRU_WRAPPER} returned NULL without setting an exception"), 2, OOM),
+            (SystemError("error return without exception set"), 2, OOM),
+            (SystemError("bad argument"), 2, "error: SystemError: bad argument\n"),
         ],
-        ids=["memory", "type", "runtime", "arithmetic"],
+        ids=["memory", "type", "runtime", "arithmetic", "lost-null", "lost-error", "system"],
     )
     def test_an_escaping_exception_is_one_error_line(self, capsys, monkeypatch, exc, code, shown):
         def failing(args):

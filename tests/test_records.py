@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from cobcalc._record import Record, trusted
+from cobcalc._record import Record
 from cobcalc.adams import DecompositionReport, DecompositionRow, TriDegree
 from cobcalc.chow import ChowClass, LineTerm, ProjProduct, VirtualBundle
 from cobcalc.criterion import CandidateFamily, DegreeVerdict, GeneratorVerdict
@@ -26,7 +26,8 @@ def verdicts():
 
 
 # class: (a new instance, each call equal to the last; hashable; the calls
-# that each break one constructor check)
+# that each break one constructor check).  Each call names its class as a
+# global of this module, so a test can put a subclass in its place.
 CASES = {
     LadicDigits: (
         lambda: LadicDigits(3, (2, 0, 1)),
@@ -84,6 +85,10 @@ CASES = {
 }
 
 
+# the classes whose constructor is their generated setter, with no checks
+CHECK_FREE = {TriDegree, DecompositionRow, DecompositionReport, GeneratorVerdict, StongDatum}
+
+
 def fields(obj) -> tuple:
     return type(obj).__slots__
 
@@ -112,10 +117,10 @@ def test_subclass_without_fields_of_its_own_keeps_its_parents(a, b, shown):
 
 
 def rebuilt(obj) -> list:
-    """obj rebuilt from its fields by trusted, with every field named, and
-    by its class's positional builder."""
+    """obj rebuilt from its fields by its class's builder, with every field
+    named and positionally."""
     cls, values = type(obj), [getattr(obj, name) for name in type(obj)._fields]
-    return [trusted(cls, **dict(zip(cls._fields, values))), cls._trusted(*values)]
+    return [cls._trusted(**dict(zip(cls._fields, values))), cls._trusted(*values)]
 
 
 @pytest.mark.parametrize(
@@ -132,7 +137,7 @@ def test_builders_of_a_subclass_without_fields_of_its_own_make_the_subclass(obj)
 def test_trusted_names_every_field_and_no_other():
     for bad in [{}, {"dims": (1,), "space": None}, {"dim": (1,)}]:
         with pytest.raises(TypeError):
-            trusted(ProjProduct, **bad)
+            ProjProduct._trusted(**bad)
     with pytest.raises(TypeError):
         ProjProduct._trusted()
 
@@ -204,8 +209,21 @@ class TestRecord:
                 assert hash(built) == hash(obj)
             copy = pickle.loads(pickle.dumps(built))
             assert type(copy) is cls and copy == obj and repr(copy) == repr(obj)
+        assert (cls.__init__ is cls._set) == (cls in CHECK_FREE)
+        if cls in CHECK_FREE:
+            values = obj._values()
+            assert cls(*values) == obj and cls(**dict(zip(cls._fields, values))) == obj
+            for wrong in (values[:-1], values + (None,)):
+                with pytest.raises(TypeError):
+                    cls(*wrong)
 
-    def test_constructor_checks(self, cls):
-        for bad in CASES[cls][2]:
-            with pytest.raises(ValueError):
-                bad()
+    def test_constructor_checks(self, cls, monkeypatch):
+        make, _, calls = CASES[cls]
+        subclass = type("Sub" + cls.__name__, (cls,), {"__slots__": ()})
+        for each in (cls, subclass):
+            # a subclass without fields of its own keeps its parent's checks
+            monkeypatch.setitem(globals(), cls.__name__, each)
+            assert type(make()) is each
+            for bad in calls:
+                with pytest.raises(ValueError):
+                    bad()
