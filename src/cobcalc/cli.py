@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -334,7 +335,20 @@ def _emit(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
+
+
+def _print(text: str) -> None:
+    """Print text on stdout.  A reader that closes the pipe early (`| head`)
+    ends the output, not the command, whose exit code stays its verdict:
+    the rest is dropped, and stdout is pointed at os.devnull so that the
+    flush at exit stays silent."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +618,7 @@ def _cmd_self_test(args) -> int:
     anchor = BPoly({((1, 3),): 2, ((1, 1), (2, 1)): 1}, 3)
     check("anchored value P2(b1) at prime 3", steenrod.power_op(2, BPoly.generator(1, 3), 3) == anchor)
 
-    print("self-test: all passed" if failures == 0 else f"self-test: {failures} failed")
+    _print("self-test: all passed" if failures == 0 else f"self-test: {failures} failed")
     return 0 if failures == 0 else 1
 
 

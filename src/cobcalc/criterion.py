@@ -120,13 +120,14 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # bound / ln(bound)) times the cost of one prime, 20 units plus d + 12 for
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
 # row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
-# valuation table builds each row from the one before, and each row, its
-# space and its verdict through their classes' positional builders, a row
-# unit is about 0.05 us on a 2-core x86 host, so one prime at d = 1250 takes
-# about 39 ms in-process and 0.15 s as a command; a prime's fixed part is
-# about 13 us.  The largest sweep admitted, all primes up to 306232 at
-# d = 1, takes about 1.05 s as a command: 7 ms to sieve the primes, about
-# 0.35-0.45 s for the verdicts and about 0.2 s to render the report.
+# valuation table builds its rows a run at a time, each from the one before,
+# and each row, its space and its verdict through their classes' positional
+# builders, a row unit is about 0.035 us on a 2-core x86 host, so one prime
+# at d = 1250 takes about 28 ms in-process and 0.17 s as a command; a
+# prime's fixed part is about 10-15 us.  The largest sweep admitted, all
+# primes up to 306232 at d = 1, takes about 0.95 s as a command: 7 ms to
+# sieve the primes, about 0.41-0.45 s for the verdicts and about 0.35 s to
+# build and render the report.
 MAX_SWEEP_WORK = 800_000
 
 

@@ -17,15 +17,16 @@ other closed form enters.  Each is priced first by its invariant rank
 times the factor count.
 
 The valuation table walks the base-ell digits of 2d+2 once for all its
-rows: each generic row's multinomial follows from the previous row's by one
-small multiplication and, where a digit carries, one exact division, and
-its valuation and factors come from the digit counts.  `s_number` and
+rows, by runs: between two carries out of digit 0 only digit 0 moves.  The
+carries, the higher digits' factors and the valuation are dealt with once
+per run, and each row of a run costs one small multiplication of the
+running multinomial, its factor tuple and the row.  `s_number` and
 `build_X` stay the row-by-row route the tests check the table against.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from math import perm
 
 from . import _sparse, chow
 from ._record import Record
@@ -196,21 +197,25 @@ def _invariant_newton_class(ring: chow.InvariantSubring, v: VirtualBundle, n: in
 
 
 def _walk(ell: int, d_max: int):
-    """For d = 1..d_max, yield (d, digits, powers, carries, r): digits are
-    the base-ell digits of n = 2d + 2, least significant first, and powers
-    the matching ell**i, both the walker's own lists, which the next row
-    changes; carries counts the digits 0, 1, ... that carried into the next
-    one on the step from n - 2; r is the exponent with 2d + 1 = ell**r, or
-    None.  The prime is checked here, once for all the rows.  Adding 2 to n
-    touches digit 0 and, rarely, a chain of carries; a digit below ell plus
-    a carry of at most 2 carries at most 1, ell being odd."""
+    """Walk n = 2d + 2, d = 1..d_max, by runs: between two carries out of
+    digit 0 only digit 0 moves, by 2 a row.  Yield (d, digits, powers,
+    carries, r, run) at each run's head d, the rows d + k, k < run, with
+    digit 0 at digits[0] + 2k: digits are the base-ell digits of n, least
+    significant first, and powers the matching ell**i, both the walker's
+    own lists, which the next head changes; carries counts the digits 0,
+    1, ... that carried into the next one on the step from n - 2; r is the
+    exponent with 2d + 1 = ell**r, a row that carries and so a head, or
+    None.  The prime is checked here, once for all the rows.  A digit below
+    ell plus a carry of at most 2 carries at most 1, ell being odd."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
     digits, powers = [2], [1]  # n = 2, d = 0
     exceptional, r = ell + 1, 1  # the next n = ell**r + 1
-    for d in range(1, d_max + 1):
-        digits[0] += 2
+    d, run = 0, 1
+    while d + run <= d_max:
+        d += run
+        digits[0] += 2 * run
         i = 0
         while digits[i] >= ell:
             digits[i] -= ell
@@ -219,11 +224,12 @@ def _walk(ell: int, d_max: int):
                 digits.append(0)
                 powers.append(powers[-1] * ell)
             digits[i] += 1
+        run = min((ell - 1 - digits[0]) // 2 + 1, d_max - d + 1)
         if 2 * d + 2 == exceptional:
-            yield d, digits, powers, i, r
+            yield d, digits, powers, i, r, run
             exceptional, r = (exceptional - 1) * ell + 1, r + 1
         else:
-            yield d, digits, powers, i, None
+            yield d, digits, powers, i, None, run
 
 
 def _exceptional_counts(r: int, ell: int) -> list[int]:
@@ -236,11 +242,12 @@ def _exceptional_counts(r: int, ell: int) -> list[int]:
 
 def factor_counts(ell: int, d_max: int):
     """Yield (d, counts) for d = 1..d_max, counts the factors of
-    build_X(d, ell) as (dimension, count) pairs in increasing dimension;
-    no space is built."""
-    for d, digits, powers, _, r in _walk(ell, d_max):
-        counts = digits if r is None else _exceptional_counts(r, ell)
-        yield d, tuple([(p, a) for p, a in zip(powers, counts) if a])
+    build_X(d, ell) as (dimension, count) pairs in increasing dimension,
+    row by row from the runs of the walk; no space is built."""
+    for head, digits, powers, _, r, run in _walk(ell, d_max):
+        for k in range(run):
+            counts = [digits[0] + 2 * k, *digits[1:]] if k or r is None else _exceptional_counts(r, ell)
+            yield head + k, tuple([(p, a) for p, a in zip(powers, counts) if a])
 
 
 def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
@@ -255,46 +262,54 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     digit.  The exceptional rows, 2d + 1 = ell**r, take the multinomial of
     their own factors.  Every factor is a P^(ell**i), so a row's valuation
     is nu(n!) less nu((ell**i)!) per factor, and its sign exponent is
-    1 + (n + factor count) / 2.  The digit sum, which is the generic
-    factor count, and the sum of nu((ell**i)!) over the generic factors run
-    along too: a step adds 2 to the first and nothing to the second
-    (nu(1!) = 0), and a carry out of digit i adds -(ell - 1) to the first
-    and nu((ell**(i+1))!) - ell nu((ell**i)!) to the second.  The factor
-    dimensions of the digits from i up are kept per i, so a row rebuilds
-    those of the digits it changed only.  They are powers of ell, so the
-    row's space and the row itself come from their classes' positional
-    builders, without the constructors' checks."""
+    1 + (n + factor count) / 2.  All run along: a step adds to nu(n!) the
+    number of digits it carries (Legendre), a carry out of digit i adds
+    nu((ell**(i+1))!) - ell nu((ell**i)!) to the factors' part, and the
+    factor count, n's digit sum, gains 2 a step and loses ell - 1 a carry.
+
+    The walk hands over the rows a run at a time.  The carries, the factor
+    dimensions of the digits from 1 up (kept per digit, so a head rebuilds
+    those it changed only) and the exceptional row are dealt with at the
+    head, whose number is the last head's times n! / m! / prod(G_i), m the
+    last head's n: an integer when only digit 0 carried into both heads,
+    so one big-integer product, no division.  Along a run the valuation
+    stays and the sign exponent gains 2 a row; a run row costs one
+    big-integer product, its factor tuple and its space and row, made by
+    their classes' positional builders, without the checks."""
     make_space, make_row = ProjProduct._trusted, StongDatum._trusted
-    merge: list[int] = []  # G_i by digit i, from its first carry on
-    nu_fact: list[int] = []  # nu((ell**i)!) by digit i
-    tails: list[tuple[int, ...]] = [()]  # factor dimensions of the digits i and up
-    generic = -4  # -2 M(2), M(2) = 2! / (1!)**2
-    digit_sum, nu_sum = 2, 0  # of n = 2: one digit 2, two factors P^1
+    carry = [(1, 0)]  # by carries c: prod(G_i) and the change of the factors' nu, over i < c
+    tails: list[tuple[int, ...]] = [(), ()]  # factor dimensions of the digits i and up
+    generic, last = -4, 2  # -2 M(n) at the last head, n = 2: M(2) = 2! / (1!)**2
+    nu_n, nu_sum, n_y = 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y at n = 2: two P^1
     rows = []
-    for d, digits, powers, carries, r in _walk(ell, d_max):
-        n = 2 * d + 2
-        generic *= (n - 1) * n
-        while len(nu_fact) < len(digits):  # a new top digit
-            nu_fact.append(nu_factorial(powers[len(nu_fact)], ell))
+    for head, digits, powers, carries, r, run in _walk(ell, d_max):
+        n = 2 * head + 2
+        if carries == len(carry):  # a new top digit: the first carry out of the one below
+            top, below = powers[carries], powers[carries - 1]
+            merged, nu_merged = carry[-1]
+            nu_merged += nu_factorial(top, ell) - ell * nu_factorial(below, ell)
+            carry.append((merged * multinomial(top, (below,) * ell), nu_merged))
             tails.append(())
-        for i in range(carries):
-            if i == len(merge):
-                merge.append(multinomial(powers[i + 1], (powers[i],) * ell))
-            generic //= merge[i]
-            nu_sum += nu_fact[i + 1] - ell * nu_fact[i]
-        digit_sum += 2 - carries * (ell - 1)
-        for i in range(carries, -1, -1):
+        divisor, nu_step = carry[carries]
+        rise, last = perm(n, n - last), n  # n! / m!, m the last head's n
+        step, rest = divmod(rise, divisor)
+        generic = generic * step if not rest else generic * rise // divisor
+        for i in range(carries, 0, -1):
             tails[i] = (powers[i],) * digits[i] + tails[i + 1]
+        # nu(|number|) = nu(multinomial): the factor 2 is prime to ell
+        nu_n, nu_sum = nu_n + carries, nu_sum + nu_step
+        valuation, n_y = nu_n - nu_sum, n_y + 2 - carries * (ell - 1) // 2
+        dims = (1,) * digits[0] + tails[1]
         if r is None:
-            dims, number, count, nu_parts = tails[0], generic, digit_sum, nu_sum
-        else:
-            counts = _exceptional_counts(r, ell)
-            dims = (1,) + (powers[r - 1],) * ell
-            number = -2 * multinomial(n, dims)
-            count, nu_parts = sum(counts), sum(map(mul, counts, nu_fact))
-        # nu(|number|) = nu(multinomial): the factor 2 is prime to ell, and
-        # nu(n!) = (n - digit sum) / (ell - 1) by Legendre's formula
-        valuation = (n - digit_sum) // (ell - 1) - nu_parts
-        n_y = 1 + (n + count) // 2
-        rows.append(make_row(ell, d, make_space(dims), number, valuation, n_y, 0 if r is None else 1))
+            rows.append(make_row(ell, head, make_space(dims), generic, valuation, n_y, 0))
+        else:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
+            own = (1,) + (powers[r - 1],) * ell
+            nu_own, n_y_own = nu_n - ell * nu_factorial(powers[r - 1], ell), n_y + (ell - 1) // 2
+            rows.append(make_row(ell, head, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1))
+        number = generic
+        for d in range(head + 1, head + run):
+            number *= (2 * d + 1) * (2 * d + 2)
+            dims = (1, 1) + dims
+            n_y += 2
+            rows.append(make_row(ell, d, make_space(dims), number, valuation, n_y, 0))
     return rows

@@ -1050,6 +1050,41 @@ class TestExitCodes:
         assert done.stderr == "error: out of memory\n"
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["snumbers", "--prime", "3", "--max-d", "3206", "--format", "csv"], 0),
+            (["verify-generators", "--prime", "3", "--max-d", "1250", "--family", "FAMILY"], 1),
+        ],
+        ids=["passed", "failed"],
+    )
+    def test_a_reader_closing_the_pipe_early_keeps_the_verdict(self, tmp_path, argv, code):
+        # `| head -n 1`: the reader takes one line and closes the pipe while
+        # the command still writes; every degree's family entry 1 fails
+        # where the valuation must be 1
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"kind": "msp", "entries": {str(d): 1 for d in range(1, 1251)}}))
+        argv = [str(family) if a == "FAMILY" else a for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        command = [sys.executable, "-m", "cobcalc.cli", *argv]
+        report = tmp_path / "report.txt"
+        done = subprocess.run([*command, "--output", str(report)], capture_output=True, timeout=60, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (code, b"", b"")
+        written = report.read_bytes()
+        # more than a pipe holds by default, with the reader's buffer
+        assert len(written) > 2**16 + io.DEFAULT_BUFFER_SIZE
+        child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            assert child.wait(timeout=60) == code
+        finally:
+            child.kill()
+            child.wait()
+        assert child.stderr.read() == b""
+        child.stderr.close()
+        assert first == written.splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize(
         "exc, code, shown",
         [
             (MemoryError(), 2, "error: out of memory\n"),

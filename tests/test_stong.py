@@ -333,6 +333,13 @@ class TestValuationTable:
         for d_max in sorted(d_maxes):
             assert valuation_table(ell, d_max) == closed_form_table(ell, d_max), d_max
 
+    @pytest.mark.parametrize("ell, d_top", [(3, 200), (5, 200), (7, 200), (11, 200), (13, 200), (1000003, 40)])
+    def test_tables_cut_at_any_d_max_agree(self, ell, d_top):
+        # a table that ends inside a run of rows ends where it should
+        full = valuation_table(ell, d_top)
+        for d_max in range(1, d_top + 1):
+            assert valuation_table(ell, d_max) == full[:d_max], d_max
+
     @settings(max_examples=40, deadline=None)
     @given(ell=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), d_max=st.integers(1, 200))
     def test_recurrence_equals_closed_form_fuzz(self, ell, d_max):
@@ -361,7 +368,7 @@ class TestTableRecords:
 
 
 class TestFactorCounts:
-    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
     def test_counts_match_table_rows(self, ell):
         rows = valuation_table(ell, 400)
         counted = list(factor_counts(ell, 400))
