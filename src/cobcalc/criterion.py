@@ -37,9 +37,19 @@ class CandidateFamily(Record):
         self._set(kind, clean)
 
     def require_range(self, d_max: int) -> None:
+        """Refuse a family without an entry for each of 1..d_max, naming
+        the missing degrees as runs, so the message stays short."""
         missing = [d for d in range(1, d_max + 1) if d not in self.entries]
-        if missing:
-            raise ValueError(f"family is missing degrees {missing}")
+        if not missing:
+            return
+        runs: list = []  # [first, last] of each run of missing degrees
+        for d in missing:
+            if runs and runs[-1][1] == d - 1:
+                runs[-1][1] = d
+            else:
+                runs.append([d, d])
+        named = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+        raise ValueError(f"family is missing degrees {named}")
 
     def with_entry(self, d: int, value: int) -> "CandidateFamily":
         entries = dict(self.entries)

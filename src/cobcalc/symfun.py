@@ -13,13 +13,19 @@ answer.  It shares no code with the conversions it checks.
 
 Basis conversions work on positions in each weight's lex-descending list
 of partitions.  A row of a transition table (e_lam or p_lam in the m
-basis) is the row of lam without its smallest part r, pushed through the
-steps m_mu * e_r or m_mu * p_r, so rows share their prefixes.  The steps
-of each basis, weight and r are one table by position, each step added
-when first read; e_1 steps are p_1 steps, and e_2 steps are built from
-p-steps as (p_1^2 - p_2) / 2.  A conversion expands its input in the m
-basis as one integer list per weight, then eliminates in one pass over
-the positions: lex-largest first towards e, as e_lam' is m_lam plus
+basis) is the row of lam without one part r, pushed through the steps
+m_mu * e_r or m_mu * p_r, so rows share their prefixes.  An e-row drops
+lam's smallest part, as e_r steps grow with r; a p-row drops its largest,
+as a p_r step has one term per distinct part of mu, and one more,
+whatever r is, so the shortest prefix row does the pushing.  The steps of
+each basis, weight and r are one table by position, each step added when
+first read as one tuple of (position, coefficient) pairs.  A p_r step
+splices v + r into mu for each distinct part v of mu and for v = 0; an
+e_r step raises j of mu's largest parts and takes the rest from the
+e_(r-j) step of mu without them, so e-steps share their tails through
+the tables; e_1 steps are p_1 steps.  A conversion expands its input in
+the m basis as one integer list per weight, then eliminates in one pass
+over the positions: lex-largest first towards e, as e_lam' is m_lam plus
 lex-smaller terms, and lex-smallest first towards p, as p_lam is a
 multiple of m_lam plus lex-larger terms.  Over Z everything stays on
 integers: Fractions appear only in a final power-sum answer (the
@@ -208,61 +214,88 @@ def _conjugate(lam: tuple) -> tuple:
     return tuple(out)
 
 
-def _mul_e_m(s: int, mu: tuple) -> dict:
-    """m_mu * e_s in the m basis, s >= 1: add 1 to s distinct slots.
-    Raising j_v of the parts equal to v (zeros included) gives the term
-    whose coefficient is the product over v of C(new multiplicity of v + 1,
-    j_v)."""
-    out: dict = {}
-    groups = [(0, s)] + sorted(Counter(mu).items())  # (value, count), ascending
-    # room[i]: the slots of groups i, i+1, ...; mu[:room[i]] their parts
-    room = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        room[i] = room[i + 1] + groups[i][1]
+def _top(w: int, b: int) -> tuple:
+    """The lex-largest partition of w with parts at most b >= 1."""
+    return (b,) * (w // b) + ((w % b,) if w % b else ())
 
-    def rec(i, rem, carried, coeff, parts):
-        # parts: the result's parts below groups[i - 1] + 1, descending;
-        # carried: how many parts of groups[i - 1] were raised
-        if carried:
-            top = groups[i - 1][0] + 1
-            if i == len(groups) or groups[i][0] != top:
-                parts, carried = (top,) * carried + parts, 0
-        if rem == 0:
-            # groups i, i+1, ... keep their parts; the carried ones join groups[i]
-            if carried:
-                v, n = groups[i]
-                coeff *= math.comb(n + carried, carried)
-                parts = (v,) * carried + parts
-            key = mu[: room[i]] + parts
-            out[key] = out.get(key, 0) + coeff
-            return
-        v, n = groups[i]
-        for j in range(max(0, rem - room[i + 1]), min(n, rem) + 1):
-            left = n - j + carried
-            kept = (v,) * left + parts if v else parts
-            rec(i + 1, rem - j, j, coeff * math.comb(left, carried), kept)
 
-    rec(0, s, 0, 1, ())
+def _mul_e_m(s: int, mu: tuple, w: int) -> list:
+    """m_mu * e_s in the m basis, s >= 1, mu of weight w, as (position at
+    weight w + s, coefficient) pairs: add 1 to s distinct slots of mu
+    padded with zeros.  Say mu has n parts equal to its largest, v, and the
+    rest below.  A term raises j <= n of the v's and s - j slots of the
+    rest, a term of m_rest * e_(s-j) read from its step table; its
+    coefficient is that term's times C(n - j + c, c), as the c parts of
+    that term equal to v (raised from v - 1) join the n - j v's left.
+
+    The term is the block of v + 1's and v's followed by the rest's term,
+    whose parts are at most the block's last, b.  In the lex-descending
+    list the partitions that start with the block form one run, ordered by
+    their tails, and the partitions of the tails' weight with parts at most
+    b form the run that ends their list; so each term's position is its
+    tail's plus one offset per j, and no term is built as a tuple."""
+    if not mu:
+        return [(len(_index(s)[0]) - 1, 1)]  # m_(1^s), the lex-smallest
+    v = mu[0]
+    n = mu.count(v)
+    rest = mu[n:]
+    rest_w = w - n * v
+    i = _index(rest_w)[1][rest]
+    position = _index(w + s)[1]
+    adjacent = (rest[0] if rest else 0) == v - 1
+    out: list = []
+    for j in range(min(n, s) + 1):
+        block = (v + 1,) * j + (v,) * (n - j)
+        t = rest_w + s - j  # the weight of the tails
+        top = _top(t, block[-1])
+        offset = position[block + top] - _index(t)[1][top]
+        tails = _step("elementary", rest_w, i, s - j) if j < s else ((i, 1),)
+        if adjacent:
+            parts = _index(t)[0]
+            for k, c in tails:
+                joined = parts[k].count(v)
+                out.append((k + offset, c * math.comb(n - j + joined, joined) if joined else c))
+        else:
+            out += [(k + offset, c) for k, c in tails]
     return out
 
 
-def _mul_p_m(r: int, mu: tuple) -> dict:
-    """m_mu * p_r in the m basis: add r to one slot (possibly new).  The
-    new part v + r then has the multiplicity it had in mu plus one, which
-    is the coefficient."""
-    out: dict = {}
-    counts = Counter(mu)
-    for v in set(mu) | {0}:
-        rest = list(mu)
+def _mul_p_m(r: int, mu: tuple, w: int) -> list:
+    """m_mu * p_r in the m basis, mu of weight w, as (position at weight
+    w + r, coefficient) pairs: add r to one slot, a part v of mu or a new
+    one (v = 0).  The new part v + r is spliced into the descending tuple
+    after its equals, and its multiplicity there, that in mu plus one, is
+    the coefficient."""
+    position = _index(w + r)[1]
+    out = []
+    n = len(mu)
+    above = 0  # the parts of mu larger than v + r
+    i = 0  # the first part equal to v
+    while True:
+        v = mu[i] if i < n else 0
+        end = i  # one past the parts equal to v
+        while end < n and mu[end] == v:
+            end += 1
+        new = v + r
+        while above < n and mu[above] > new:
+            above += 1
+        at = above
+        while at < n and mu[at] == new:
+            at += 1
         if v:
-            rest.remove(v)
-        key = tuple(sorted(rest + [v + r], reverse=True))
-        out[key] = counts[v + r] + 1
-    return out
+            out.append((position[mu[:at] + (new,) + mu[at : end - 1] + mu[end:]], at - above + 1))
+        else:
+            out.append((position[mu[:at] + (new,) + mu[at:]], at - above + 1))
+            return out
+        i = end
+
+
+# one object per distinct (position, coefficient) pair of the step tables
+_intern = {}.setdefault
 
 
 @lru_cache(maxsize=None)
-def _steps(basis: str, w: int, r: int) -> list:
+def _steps(basis: str, w: int, r: int) -> dict:
     """Steps m_mu * e_r ("elementary") or m_mu * p_r ("power-sum") by the
     position of mu in weight w, each added when first read; e_1 = p_1."""
     if basis == "elementary" and r == 1:
@@ -271,39 +304,40 @@ def _steps(basis: str, w: int, r: int) -> list:
 
 
 def _step(basis: str, w: int, i: int, r: int) -> tuple:
-    """Entry i of a step table, filled when first read: the positions at
-    weight w + r of m_mu * e_r or m_mu * p_r, mu at position i of weight w,
-    and the coefficients.  e_2 = (p_1^2 - p_2) / 2; e_r, r >= 3: `_mul_e_m`."""
+    """Entry i of a step table, filled when first read: m_mu * e_r or
+    m_mu * p_r, mu at position i of weight w, as one tuple of (position at
+    weight w + r, coefficient) pairs (`_mul_e_m`, `_mul_p_m`).  Equal
+    pairs are shared, which keeps the tables as small as two parallel
+    tuples of positions and coefficients would be."""
     table = _steps(basis, w, r)
     if i not in table:
-        if basis == "elementary" and r == 2:
-            terms = [(k, -v) for k, v in zip(*_step("power-sum", w, i, 2))]
-            for j, c in zip(*_step("power-sum", w, i, 1)):
-                terms += [(k, c * v) for k, v in zip(*_step("power-sum", w + 1, j, 1))]
-            terms = {k: v // 2 for k, v in _sparse.collect(terms).items()}
-        else:
-            mul = _mul_e_m if basis == "elementary" and r > 1 else _mul_p_m
-            position = _index(w + r)[1]
-            terms = {position[key]: c for key, c in mul(r, _index(w)[0][i]).items()}
-        table[i] = (tuple(terms), tuple(terms.values()))
+        mul = _mul_e_m if basis == "elementary" and r > 1 else _mul_p_m
+        table[i] = tuple([_intern(kv, kv) for kv in mul(r, _index(w)[0][i], w)])
     return table[i]
 
 
 @lru_cache(maxsize=None)
 def _row(basis: str, w: int, i: int) -> tuple:
     """The basis element e_lam or p_lam, lam at position i of weight w, in
-    the m basis: the row of lam without its smallest part r, pushed through
+    the m basis, kept as its nonzero positions, ascending, and their
+    coefficients.  It is the row of lam without one part r, pushed through
     the step table of r (fetched once) into a list over weight w's
-    positions, kept as its nonzero positions, ascending, and coefficients."""
+    positions.  An e-row drops lam's smallest part, as e_r steps grow with
+    r; a p-row drops its largest, as a p_r step has one term per distinct
+    part of mu and one more whatever r is, and the row it pushes is then
+    the shortest."""
     parts = _index(w)[0]
     lam = parts[i]
     if not lam:
         return array("I", (0,)), (1,)
-    r = lam[-1]
+    if basis == "elementary":
+        r, rest = lam[-1], lam[:-1]
+    else:
+        r, rest = lam[0], lam[1:]
     table = _steps(basis, w - r, r)
     row = [0] * len(parts)
-    for j, c in zip(*_row(basis, w - r, _index(w - r)[1][lam[:-1]])):
-        for k, v in zip(*(table.get(j) or _step(basis, w - r, j, r))):
+    for j, c in zip(*_row(basis, w - r, _index(w - r)[1][rest])):
+        for k, v in table.get(j) or _step(basis, w - r, j, r):
             row[k] += c * v
     return array("I", compress(range(len(row)), row)), tuple(compress(row, row))
 
@@ -368,7 +402,9 @@ def _m_to_p(dense: list, w: int, modulus: int | None) -> dict:
         if not c:
             continue
         lam = parts[i]
-        lead = math.prod(math.factorial(mult) for mult in Counter(lam).values())
+        positions, coeffs = _row("power-sum", w, i)
+        # p_lam's own term, the last of its row, as the others are lex-larger
+        lead = coeffs[-1]
         if modulus is None:
             coeff, remainder = divmod(c, lead)
             if remainder:
@@ -381,7 +417,7 @@ def _m_to_p(dense: list, w: int, modulus: int | None) -> dict:
                 f"not invertible mod {modulus}"
             )
         out[lam] = coeff
-        for j, v in zip(*_row("power-sum", w, i)):
+        for j, v in zip(positions, coeffs):
             dense[j] -= coeff * v
     if modulus is None:
         return {lam: Fraction(c, math.factorial(w)) for lam, c in out.items()}

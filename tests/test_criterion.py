@@ -86,6 +86,31 @@ class TestMspCriterion:
         with pytest.raises(ValueError):
             msp_criterion(fam, 3, 3)
 
+    @pytest.mark.parametrize(
+        "entries, d_max, named",
+        [
+            ({1: 3, 3: 1}, 3, "2"),
+            ({1: 9}, 1000, "2-1000"),
+            ({2: 1, 5: 1, 6: 1}, 9, "1, 3-4, 7-9"),
+        ],
+    )
+    def test_missing_degrees_are_named_as_runs(self, entries, d_max, named):
+        with pytest.raises(ValueError) as exc:
+            CandidateFamily("msp", entries).require_range(d_max)
+        assert str(exc.value) == f"family is missing degrees {named}"
+
+    def test_one_entry_family_is_refused_on_one_short_line(self, tmp_path, capsys):
+        # verify-generators used to print every missing degree, about 5 KB
+        from cobcalc import cli
+
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "msp", "entries": {"1": 9}}')
+        argv = ["verify-generators", "--prime", "3", "--max-d", "1000", "--family", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: family is missing degrees 2-1000\n"
+
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_end_to_end_up_to_20(self, ell):
         fam = stong_family(ell, 20)

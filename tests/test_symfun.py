@@ -332,6 +332,65 @@ class TestOnDemandTables:
             assert conversions(order) == want
 
 
+def dominant_product(mu: tuple, basis: str, r: int) -> dict:
+    """m_mu * e_r (or p_r) on its dominant monomials, from the expand_in_vars
+    expansions of the two factors in len(mu) + r variables, enough for every
+    term: the coefficient of x^nu, nu a partition, is the sum over the
+    monomials x^b of the second factor of its coefficient times that of
+    x^(nu - b) in the first."""
+    k = len(mu) + r
+    first = expand_in_vars(m(mu), k)
+    second = expand_in_vars(SymFn.basis_element((r,), basis), k)
+    out = {}
+    for nu in enumerate_partitions(sum(mu) + r):
+        if len(nu) > k:
+            continue
+        vec = tuple(nu) + (0,) * (k - len(nu))
+        c = sum(cb * first.get(tuple(x - y for x, y in zip(vec, eb)), 0) for eb, cb in second.items())
+        if c:
+            out[nu] = c
+    return out
+
+
+class TestStepKernels:
+    @given(
+        st.integers(0, 8).flatmap(lambda w: st.sampled_from(enumerate_partitions(w))),
+        st.sampled_from(["elementary", "power-sum"]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_is_the_product_of_the_expansions(self, mu, basis, r):
+        # each step entry, built cold, is m_mu * e_r or m_mu * p_r
+        clear_tables()
+        w = mu.weight
+        entry = symfun._step(basis, w, symfun._index(w)[1][mu], r)
+        positions = [k for k, _ in entry]
+        assert len(set(positions)) == len(positions)
+        got = {symfun._index(w + r)[0][k]: c for k, c in entry}
+        assert got == dominant_product(tuple(mu), basis, r)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_power_sum_rows_in_any_order(self, order):
+        # a p-row is pushed from lam without its largest part, so a row
+        # read cold builds prefixes at weight w - lam_1; whichever rows
+        # are read first, every row is the same
+        lams = [lam for w in range(13) for lam in enumerate_partitions(w)]
+        if order == "descending":
+            lams.reverse()
+        elif order == "shuffled":
+            random.Random(12).shuffle(lams)
+        clear_tables()
+        rows = {lam: convert(p(lam), "monomial").coeffs for lam in lams}
+        clear_tables()
+        for w in range(13):
+            for lam in enumerate_partitions(w):
+                assert convert(p(lam), "monomial").coeffs == rows[lam]
+        for w in range(7):
+            for lam in enumerate_partitions(w):
+                for mu in enumerate_partitions(w):
+                    assert rows[lam].get(mu, 0) == block_maps(tuple(lam), tuple(mu))
+
+
 @st.composite
 def small_symfn(draw):
     basis = draw(st.sampled_from(BASES))
