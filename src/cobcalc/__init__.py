@@ -13,7 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "valuation": ("LadicDigits", "ladic_digits", "multinomial", "nu", "nu_factorial", "nu_multinomial"),
     "partitions": ("Partition", "concat", "enumerate_partitions"),
-    "symfun": ("BPoly", "SymFn", "ZClass", "convert", "diagonal", "expand_in_vars", "pair", "u_to_b", "z_mul"),
+    "symfun": (
+        "BPoly", "SymFn", "ZClass", "convert", "diagonal", "expand_in_vars", "pair", "u_to_b", "z_mul",
+    ),
     "chow": (
         "ChowClass", "LineTerm", "ProjProduct", "VirtualBundle",
         "alpha", "cf_chern", "deg", "newton_class", "tangent_bundle",

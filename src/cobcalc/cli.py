@@ -43,15 +43,10 @@ MAX_CHOW_FACTORS = 500
 
 def bpoly_to_json(p: BPoly) -> list:
     """Sparse monomial list: [{"exponents": {"1": k1, ...}, "coeff": c}]."""
-    rows = []
-    for mono in sorted(p.coeffs):
-        rows.append(
-            {
-                "exponents": {str(i): k for i, k in mono},
-                "coeff": int(p.coeffs[mono]),
-            }
-        )
-    return rows
+    return [
+        {"exponents": {str(i): k for i, k in mono}, "coeff": int(c)}
+        for mono, c in sorted(p.coeffs.items())
+    ]
 
 
 def bpoly_from_json(rows: list, modulus: int | None = None) -> BPoly:
@@ -86,10 +81,7 @@ def parse_b_class(text: str) -> dict:
 
 
 def family_to_json(fam: criterion.CandidateFamily) -> dict:
-    return {
-        "kind": fam.kind,
-        "entries": {str(d): str(fam.entries[d]) for d in sorted(fam.entries)},
-    }
+    return {"kind": fam.kind, "entries": {str(d): str(fam.entries[d]) for d in sorted(fam.entries)}}
 
 
 def family_from_json(obj) -> criterion.CandidateFamily:
@@ -106,28 +98,18 @@ def family_from_json(obj) -> criterion.CandidateFamily:
 def snumbers_rows(ell: int, d_max: int) -> list[dict]:
     from . import stong
 
-    rows = []
-    for row in stong.valuation_table(ell, d_max):
-        rows.append(
-            {
-                "d": row.d,
-                "factors": list(row.factors.dims),
-                "s": str(row.s_number),
-                "nu": row.valuation,
-                "expected": row.expected,
-                "match": row.matches,
-            }
-        )
-    return rows
+    return [
+        {"d": row.d, "factors": list(row.factors.dims), "s": str(row.s_number), "nu": row.valuation,
+         "expected": row.expected, "match": row.matches}
+        for row in stong.valuation_table(ell, d_max)
+    ]
 
 
 def family_from_snumbers_rows(rows: list[dict]) -> criterion.CandidateFamily:
     """Read a snumbers JSON report back as a candidate family."""
     from . import criterion
 
-    return criterion.CandidateFamily(
-        "msp", {int(r["d"]): abs(int(r["s"])) for r in rows}
-    )
+    return criterion.CandidateFamily("msp", {int(r["d"]): abs(int(r["s"])) for r in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +142,7 @@ def parse_bundle(space: chow.ProjProduct, spec) -> chow.VirtualBundle:
         for t in spec["terms"]:
             if not isinstance(t, dict):
                 raise ValueError(f"bundle term must be an object, got {t!r}")
-            terms.append(
-                chow.LineTerm(_int(t.get("sign", 1), "sign"), _ints(t["twist"], "twist"))
-            )
+            terms.append(chow.LineTerm(_int(t.get("sign", 1), "sign"), _ints(t["twist"], "twist")))
         return chow.VirtualBundle(space, tuple(terms))
     raise ValueError(f"cannot parse bundle {spec!r}")
 
@@ -311,14 +291,10 @@ def render_table(rows: list[dict], fmt: str) -> str:
     headers = list(rows[0])
     cells = [[_cell(r[h]) for h in headers] for r in rows]
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines += [",".join(row) for row in cells]
-        return "\n".join(lines)
+        return "\n".join(",".join(row) for row in [headers, *cells])
     if fmt == "md":
-        lines = ["| " + " | ".join(headers) + " |"]
-        lines.append("|" + "|".join(" --- " for _ in headers) + "|")
-        lines += ["| " + " | ".join(row) + " |" for row in cells]
-        return "\n".join(lines)
+        lines = ["| " + " | ".join(row) + " |" for row in [headers, *cells]]
+        return "\n".join([lines[0], "|" + "|".join(" --- " for _ in headers) + "|", *lines[1:]])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -352,11 +328,11 @@ def _print(text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and whether every check passed
 # ---------------------------------------------------------------------------
 
 
-def _cmd_snumbers(args) -> int:
+def _cmd_snumbers(args) -> tuple[list, bool]:
     from . import stong
 
     # row d prints s = -2 * multinomial(2d + 2; dims): refuse at the first d
@@ -366,105 +342,72 @@ def _cmd_snumbers(args) -> int:
         if ln_s >= MAX_DIGITS * math.log(10):
             raise ValueError(f"--max-d {args.max_d}: row d = {d} would print over {MAX_DIGITS} digits")
     rows = snumbers_rows(args.prime, args.max_d)
-    _emit(render_table(rows, args.format), args.output)
-    return 0 if all(r["match"] for r in rows) else 1
+    return rows, all(r["match"] for r in rows)
 
 
-def _cmd_verify_generators(args) -> int:
+def verdict_json(v: criterion.GeneratorVerdict) -> list[dict]:
+    """The rows of a verdict, as the single-prime and sweep reports print them."""
+    rows = []
+    for r in v.rows:
+        row = {"d": r.d, "required": r.required, "observed": r.observed, "pass": r.passed}
+        if r.reason:
+            row["reason"] = r.reason
+        rows.append(row)
+    return rows
+
+
+def _cmd_verify_generators(args) -> tuple[dict, bool]:
     from . import criterion
 
-    d_max = args.max_d
-    fam = None
+    if args.prime is not None and args.exclude is not None:
+        raise ValueError("--exclude applies only to --all-primes-up-to")
+    d_max, fam = args.max_d, None
     if args.family:
         with open(args.family, encoding="utf-8") as fh:
             fam = family_from_json(json.load(fh))
-
-    def verdict(ell: int) -> criterion.GeneratorVerdict:
-        # no family given: each prime checks its own construction
-        f = fam if fam is not None else criterion.stong_family(ell, d_max)
-        return criterion.msp_criterion(f, ell, d_max)
-
-    def verdict_json(v: criterion.GeneratorVerdict) -> list[dict]:
-        rows = []
-        for r in v.rows:
-            row = {
-                "d": r.d,
-                "required": r.required,
-                "observed": r.observed,
-                "pass": r.passed,
-            }
-            if r.reason:
-                row["reason"] = r.reason
-            rows.append(row)
-        return rows
-
-    if args.all_primes_up_to is not None:
-        criterion.check_sweep_work(args.all_primes_up_to, d_max)
-        primes = criterion.odd_primes_up_to(args.all_primes_up_to, args.exclude)
-        verdicts = {ell: verdict(ell) for ell in primes}
-        ok = criterion.aggregate_passed(verdicts)
-        report = {
-            "kind": "msp",
-            "prime_bound": args.all_primes_up_to,
-            "excluded": sorted(args.exclude),
-            "primes": primes,
-            "max_d": d_max,
-            "pass": ok,
-            "verdicts": [
-                {"prime": ell, "pass": verdicts[ell].passed, "rows": verdict_json(verdicts[ell])}
-                for ell in primes
-            ],
-        }
-    else:
+    # no family given: each prime checks its own construction
+    if args.prime is not None:
         criterion.check_sweep_work(args.prime, d_max, primes=1)
-        v = verdict(args.prime)
-        ok = v.passed
+        v = criterion.msp_criterion(fam or criterion.stong_family(args.prime, d_max), args.prime, d_max)
+        ok, rows = v.passed, verdict_json(v)
+        report = {"kind": "msp", "prime": args.prime, "max_d": d_max, "pass": ok, "rows": rows}
+    else:
+        excluded = [2] if args.exclude is None else sorted(args.exclude)
+        verdicts = criterion.global_criterion(fam, args.all_primes_up_to, d_max, excluded)
+        ok = criterion.aggregate_passed(verdicts)
+        rows = [{"prime": ell, "pass": v.passed, "rows": verdict_json(v)} for ell, v in verdicts.items()]
         report = {
-            "kind": "msp",
-            "prime": args.prime,
-            "max_d": d_max,
-            "pass": ok,
-            "rows": verdict_json(v),
+            "kind": "msp", "prime_bound": args.all_primes_up_to, "excluded": excluded,
+            "primes": list(verdicts), "max_d": d_max, "pass": ok, "verdicts": rows,
         }
-    _emit(json_text(report), args.output)
-    return 0 if ok else 1
+    return report, ok
 
 
-def _cmd_steenrod(args) -> int:
+def _cmd_steenrod(args) -> tuple[list, bool]:
     from . import steenrod
     from .symfun import BPoly
 
     m = re.fullmatch(r"P(-?[0-9]+)", args.op)
     if not m:
         raise ValueError(f"cannot parse operation {args.op!r}, expected like P2")
-    i = int(m.group(1))
-    f = BPoly(parse_b_class(args.cls), args.prime)
-    if args.untwisted:
-        result = steenrod.power_op_untwisted(i, f, args.prime)
-    else:
-        result = steenrod.power_op(i, f, args.prime)
-    _emit(json_text(bpoly_to_json(result)), args.output)
-    return 0
+    i, f = int(m.group(1)), BPoly(parse_b_class(args.cls), args.prime)
+    power_op = steenrod.power_op_untwisted if args.untwisted else steenrod.power_op
+    return bpoly_to_json(power_op(i, f, args.prime)), True
 
 
-def _cmd_decomp_check(args) -> int:
+def _cmd_decomp_check(args) -> tuple[list, bool]:
     from . import adams
 
     report = adams.decomposition_check(args.max_weight, args.prime)
     rows = [
-        {
-            "weight": r.weight,
-            "even_partitions": r.even_partition_count,
-            "module_side": r.module_count,
-            "equal": r.equal,
-        }
+        {"weight": r.weight, "even_partitions": r.even_partition_count, "module_side": r.module_count,
+         "equal": r.equal}
         for r in report.rows
     ]
-    _emit(render_table(rows, args.format), args.output)
-    return 0 if report.all_equal else 1
+    return rows, report.all_equal
 
 
-def _cmd_ranks(args) -> int:
+def _cmd_ranks(args) -> tuple[list, bool]:
     from . import adams
 
     ranks = adams.e2_ranks(args.max_d)
@@ -473,8 +416,7 @@ def _cmd_ranks(args) -> int:
         {"d": d, "rank": rank, "by_generators": by_gens, "equal": rank == by_gens}
         for d, (rank, by_gens) in enumerate(zip(ranks, by_generators), 1)
     ]
-    _emit(render_table(rows, args.format), args.output)
-    return 0 if all(r["equal"] for r in rows) else 1
+    return rows, all(r["equal"] for r in rows)
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
@@ -490,49 +432,37 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in parts)
 
 
-def _cmd_partition_tools(args) -> int:
+def _cmd_partition_tools(args) -> tuple[object, bool]:
     from . import partitions
 
+    # argparse admits exactly one of --weight, --is-even and --is-ladic
     if args.is_even is not None:
         p = partitions.Partition(_parse_parts(args.is_even))
-        report = {"partition": list(p), "is_even": p.is_even()}
-        _emit(json_text(report), args.output)
-        return 0
+        return {"partition": list(p), "is_even": p.is_even()}, True
     if args.is_ladic is not None:
         p = partitions.Partition(_parse_parts(args.is_ladic))
-        report = {"partition": list(p), "prime": args.prime, "is_ladic": p.is_ladic(args.prime)}
-        _emit(json_text(report), args.output)
-        return 0
-    if args.weight is None:
-        raise ValueError("need --weight (or --is-even / --is-ladic)")
+        return {"partition": list(p), "prime": args.prime, "is_ladic": p.is_ladic(args.prime)}, True
     if args.weight < 0:
         raise ValueError("weight must be nonnegative")
     # the even predicates enumerate the partitions of weight / 2 and double them
-    if args.predicate == "all":
-        n = args.weight
-    else:
-        n = args.weight // 2 if args.weight % 2 == 0 else 0
+    w = args.weight
+    n = w if args.predicate == "all" else (w // 2 if w % 2 == 0 else 0)
     from . import adams
 
     # p increases, and p(100) is far above the limit, so counting stops there
     if adams._partition_numbers(min(n, 100))[-1] > MAX_PARTITIONS:
         raise ValueError(f"--weight {args.weight} would list more than {MAX_PARTITIONS} partitions")
     ell = args.prime if args.predicate == "even-non-ladic" else None
-    plist = partitions.enumerate_partitions(args.weight, args.predicate, ell)
-    _emit(json_text([list(p) for p in plist]), args.output)
-    return 0
+    return [list(p) for p in partitions.enumerate_partitions(args.weight, args.predicate, ell)], True
 
 
-def _cmd_u_to_b(args) -> int:
+def _cmd_u_to_b(args) -> tuple[list, bool]:
     from . import symfun
 
-    omega = _parse_parts(args.partition)
-    result = symfun.u_to_b(omega, modulus=args.modulus)
-    _emit(json_text(bpoly_to_json(result)), args.output)
-    return 0
+    return bpoly_to_json(symfun.u_to_b(_parse_parts(args.partition), modulus=args.modulus)), True
 
 
-def _cmd_chow(args) -> int:
+def _cmd_chow(args) -> tuple[dict, bool]:
     from . import chow
 
     if args.input == "-":
@@ -547,88 +477,84 @@ def _cmd_chow(args) -> int:
         raise ValueError(f"space: {len(dims)} factors exceed the limit {MAX_CHOW_FACTORS}")
     space = chow.ProjProduct(dims)
     value = eval_chow_expr(space, payload["expr"])
-    report = {"space": list(space.dims)}
-    report.update(chow_result_to_json(value))
-    _emit(json_text(report), args.output)
-    return 0
+    return {"space": list(space.dims), **chow_result_to_json(value)}, True
 
 
-def _cmd_self_test(args) -> int:
+def _cmd_self_test(args) -> tuple[str, bool]:
+    from functools import partial
+
     from . import adams, criterion, steenrod, stong
     from .symfun import BPoly
 
-    failures = 0
+    def congruences_hold(ell: int) -> bool:
+        gen = [d for d in range(1, 16) if stong.exceptional_exponent(d, ell) is None]
+        return all(stong.congruence_check(d, ell)[2] for d in gen)
 
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
-        if not ok:
-            failures += 1
+    def table_matches(ell: int) -> bool:
+        return all(r.matches for r in stong.valuation_table(ell, 15))
 
-    for ell in (3, 5):
-        rows = stong.valuation_table(ell, 15)
-        check(f"valuation dichotomy d<=15, prime {ell}", all(r.matches for r in rows))
-        gen = [
-            d
-            for d in range(1, 16)
-            if stong.exceptional_exponent(d, ell) is None
-        ]
-        check(
-            f"digit-factorial congruence d<=15, prime {ell}",
-            all(stong.congruence_check(d, ell)[2] for d in gen),
-        )
-        report = adams.decomposition_check(40, ell)
-        check(f"decomposition identity w<=40, prime {ell}", report.all_equal)
-
-    for ell in (3, 5, 7):
+    def closed_form_matches(ell: int) -> bool:
         X = stong.build_X(2, ell)
-        check(
-            f"closed form vs expansion, d=2, prime {ell}",
-            stong.s_number(X) == stong.s_number_bruteforce(X),
-        )
-        fam = criterion.stong_family(ell, 10)
-        check(
-            f"generator criterion d<=10, prime {ell}",
-            criterion.msp_criterion(fam, ell, 10).passed,
-        )
+        return stong.s_number(X) == stong.s_number_bruteforce(X)
 
-    for ell in (3, 5):
-        ok = True
-        for j in (1, 2):
-            for i in (0, 1, 2, 3, 4):
-                f = BPoly.generator(j, ell)
-                r = steenrod.stability_bound(f, i, ell)
-                try:
-                    if steenrod.power_op(i, f, ell) != steenrod.power_op_oracle(i, f, ell, r):
-                        ok = False
-                except ArithmeticError:
-                    # the oracle's own divisibility or symmetry check failed
-                    ok = False
-        check(f"power operation differential test, prime {ell}", ok)
+    def power_ops_agree(ell: int) -> bool:
+        pairs = [(i, BPoly.generator(j, ell)) for j in (1, 2) for i in range(5)]
+        try:
+            return all(
+                steenrod.power_op(i, f, ell)
+                == steenrod.power_op_oracle(i, f, ell, steenrod.stability_bound(f, i, ell))
+                for i, f in pairs
+            )
+        except ArithmeticError:
+            # the oracle's own divisibility or symmetry check failed
+            return False
 
-    check(
-        "rank bookkeeping d<=15",
-        all(
-            adams.e2_rank(d) == adams.e2_rank_from_generators(d, ell)
-            for d in range(1, 16)
-            for ell in (3, 5, 7)
-        ),
-    )
+    def ranks_agree() -> bool:
+        pairs = [(d, ell) for d in range(1, 16) for ell in (3, 5, 7)]
+        return all(adams.e2_rank(d) == adams.e2_rank_from_generators(d, ell) for d, ell in pairs)
 
-    anchor = BPoly({((1, 3),): 2, ((1, 1), (2, 1)): 1}, 3)
-    check("anchored value P2(b1) at prime 3", steenrod.power_op(2, BPoly.generator(1, 3), 3) == anchor)
+    def anchor_holds() -> bool:
+        anchor = BPoly({((1, 3),): 2, ((1, 1), (2, 1)): 1}, 3)
+        return steenrod.power_op(2, BPoly.generator(1, 3), 3) == anchor
 
-    _print("self-test: all passed" if failures == 0 else f"self-test: {failures} failed")
-    return 0 if failures == 0 else 1
+    # the named checks in the order they run: each group's checks for each
+    # of its primes in turn, the prime bound when the check is named
+    groups = [
+        ((3, 5), {
+            "valuation dichotomy d<=15": table_matches,
+            "digit-factorial congruence d<=15": congruences_hold,
+            "decomposition identity w<=40": lambda ell: adams.decomposition_check(40, ell).all_equal,
+        }),
+        ((3, 5, 7), {
+            "closed form vs expansion, d=2": closed_form_matches,
+            "generator criterion d<=10": lambda ell: criterion.msp_criterion(
+                criterion.stong_family(ell, 10), ell, 10
+            ).passed,
+        }),
+        ((3, 5), {"power operation differential test": power_ops_agree}),
+    ]
+    checks = [
+        (f"{name}, prime {ell}", partial(check, ell))
+        for primes, group in groups
+        for ell in primes
+        for name, check in group.items()
+    ]
+    checks += [
+        ("rank bookkeeping d<=15", ranks_agree),
+        ("anchored value P2(b1) at prime 3", anchor_holds),
+    ]
+
+    failures = 0
+    for name, check in checks:
+        ok = check()
+        print(f"{'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
+        failures += not ok
+    return ("self-test: all passed" if failures == 0 else f"self-test: {failures} failed"), failures == 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", "-o", help="write the report to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,77 +567,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("snumbers", help="characteristic-number valuation table")
+    def command(name, func, help, render=lambda report, _format: json_text(report), output=True):
+        """A subcommand: main renders what func returns as render(report, format).
+        A table renderer brings --format; output=False drops --output."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, render=render, format=None, output=None)
+        if render is render_table:
+            p.add_argument("--format", choices=("json", "md", "csv"), default="json")
+        if output:
+            p.add_argument("--output", "-o", help="write the report to a file instead of stdout")
+        return p
+
+    p = command("snumbers", _cmd_snumbers, "characteristic-number valuation table", render_table)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--format", choices=("json", "md", "csv"), default="json")
-    _add_output(p)
-    p.set_defaults(func=_cmd_snumbers)
 
-    p = sub.add_parser("verify-generators", help="run the generator criterion")
+    p = command("verify-generators", _cmd_verify_generators, "run the generator criterion")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--prime", type=int)
     g.add_argument("--all-primes-up-to", type=int)
     p.add_argument("--max-d", type=int, required=True)
     p.add_argument("--family", help="JSON family file; default: the construction")
     p.add_argument(
-        "--exclude",
-        type=int,
-        nargs="*",
-        default=[2],
-        help="primes excluded from the all-primes sweep",
+        "--exclude", type=int, nargs="*", help="primes excluded from the all-primes sweep (default: 2)"
     )
-    _add_output(p)
-    p.set_defaults(func=_cmd_verify_generators)
 
-    p = sub.add_parser("steenrod", help="apply a power operation to a b-monomial")
+    p = command("steenrod", _cmd_steenrod, "apply a power operation to a b-monomial")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--op", required=True, help="operation, e.g. P2")
     p.add_argument("--class", dest="cls", required=True, help='e.g. "b1^2*b2"')
     p.add_argument(
-        "--untwisted",
-        action="store_true",
+        "--untwisted", action="store_true",
         help="classifying-space action instead of the rank-twisted one",
     )
-    _add_output(p)
-    p.set_defaults(func=_cmd_steenrod)
 
-    p = sub.add_parser("decomp-check", help="graded-dimension decomposition identity")
+    p = command("decomp-check", _cmd_decomp_check, "graded-dimension decomposition identity",
+                render_table)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
-    p.add_argument("--format", choices=("json", "md", "csv"), default="json")
-    _add_output(p)
-    p.set_defaults(func=_cmd_decomp_check)
 
-    p = sub.add_parser("ranks", help="per-degree diagonal ranks, two ways")
+    p = command("ranks", _cmd_ranks, "per-degree diagonal ranks, two ways", render_table)
     p.add_argument("--max-d", type=int, required=True)
     p.add_argument("--prime", type=int, default=3, help="prime for the generator route")
-    p.add_argument("--format", choices=("json", "md", "csv"), default="json")
-    _add_output(p)
-    p.set_defaults(func=_cmd_ranks)
 
-    p = sub.add_parser("partition-tools", help="partition enumeration and predicates")
-    p.add_argument("--weight", type=int)
+    p = command("partition-tools", _cmd_partition_tools, "partition enumeration and predicates")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--weight", type=int)
+    mode.add_argument("--is-even", metavar="PARTS", help='e.g. "4,2"')
+    mode.add_argument("--is-ladic", metavar="PARTS", help='e.g. "8,4"')
     p.add_argument("--predicate", choices=PREDICATES, default="all")
     p.add_argument("--prime", type=int, default=3)
-    p.add_argument("--is-even", metavar="PARTS", help='e.g. "4,2"')
-    p.add_argument("--is-ladic", metavar="PARTS", help='e.g. "8,4"')
-    _add_output(p)
-    p.set_defaults(func=_cmd_partition_tools)
 
-    p = sub.add_parser("u-to-b", help="b-polynomial of an even partition")
+    p = command("u-to-b", _cmd_u_to_b, "b-polynomial of an even partition")
     p.add_argument("--partition", required=True, help='e.g. "4,2"; empty for ()')
     p.add_argument("--modulus", type=int, default=None)
-    _add_output(p)
-    p.set_defaults(func=_cmd_u_to_b)
 
-    p = sub.add_parser("chow", help="evaluate a degree/class expression")
+    p = command("chow", _cmd_chow, "evaluate a degree/class expression")
     p.add_argument("--input", required=True, help="JSON file, or - for stdin")
-    _add_output(p)
-    p.set_defaults(func=_cmd_chow)
 
-    p = sub.add_parser("self-test", help="run the built-in invariant suite")
-    p.set_defaults(func=_cmd_self_test)
+    command("self-test", _cmd_self_test, "run the built-in invariant suite",
+            render=lambda text, _format: text, output=False)
 
     return parser
 
@@ -725,7 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, ok = args.func(args)
+        _emit(args.render(report, args.format), args.output)
+        return 0 if ok else 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -180,15 +180,16 @@ def odd_primes_up_to(bound: int, excluded=()) -> list[int]:
 
 
 def global_criterion(
-    fam: CandidateFamily, prime_bound: int, d_max: int, excluded=(2,)
+    fam: CandidateFamily | None, prime_bound: int, d_max: int, excluded=(2,)
 ) -> dict[int, GeneratorVerdict]:
     """Run the local criterion for every odd prime up to prime_bound not in
-    excluded, on the same family.  Only finitely many primes are checkable;
-    the unit condition away from the exceptional degrees is verified as
-    valuation 0 at every checked prime."""
+    excluded, on the same family, or with fam None on each prime's own
+    construction, `stong_family(ell, d_max)`.  Only finitely many primes are
+    checkable; the unit condition away from the exceptional degrees is
+    verified as valuation 0 at every checked prime."""
     check_sweep_work(prime_bound, d_max)
     primes = odd_primes_up_to(prime_bound, excluded)
-    return {ell: msp_criterion(fam, ell, d_max) for ell in primes}
+    return {ell: msp_criterion(fam or stong_family(ell, d_max), ell, d_max) for ell in primes}
 
 
 def aggregate_passed(verdicts: dict[int, GeneratorVerdict]) -> bool:

@@ -305,7 +305,8 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
         else:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
             own = (1,) + (powers[r - 1],) * ell
             nu_own, n_y_own = nu_n - ell * nu_factorial(powers[r - 1], ell), n_y + (ell - 1) // 2
-            rows.append(make_row(ell, head, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1))
+            s_own = -2 * multinomial(n, own)
+            rows.append(make_row(ell, head, make_space(own), s_own, nu_own, n_y_own, 1))
         number = generic
         for d in range(head + 1, head + run):
             number *= (2 * d + 1) * (2 * d + 2)

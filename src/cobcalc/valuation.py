@@ -28,7 +28,9 @@ PRIME_TEST_LIMIT = 3317044064679887385961981
 @lru_cache(maxsize=256)
 def is_odd_prime(ell: int) -> bool:
     if ell >= PRIME_TEST_LIMIT:
-        raise ValueError(f"{ell} is too large: the primality test is exact only below {PRIME_TEST_LIMIT}")
+        raise ValueError(
+            f"{ell} is too large: the primality test is exact only below {PRIME_TEST_LIMIT}"
+        )
     if ell < 3 or ell % 2 == 0:
         return False
     if ell % 3 == 0:

@@ -285,6 +285,22 @@ class TestVerifyGenerators:
         fam = stong_family(5, 9)
         assert cli.family_from_json(cli.family_to_json(fam)) == fam
 
+    @pytest.mark.parametrize("exclude", [["3"], ["2"], []])
+    def test_exclude_with_one_prime_is_usage_error(self, capsys, exclude):
+        argv = ["verify-generators", "--prime", "3", "--max-d", "2", "--exclude", *exclude]
+        assert run(capsys, *argv) == (2, "", "error: --exclude applies only to --all-primes-up-to\n")
+
+    def test_exclude_with_one_prime_exits_2_as_a_command(self):
+        done = run_process("verify-generators", "--prime", "3", "--max-d", "2", "--exclude", "3")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: --exclude applies only to --all-primes-up-to\n"
+
+    def test_sweep_excludes_2_by_default(self, capsys):
+        argv = ["verify-generators", "--all-primes-up-to", "7", "--max-d", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["excluded"] == [2]
+        assert run(capsys, *argv, "--exclude", "2") == (0, out, "")
+
 
 class TestSteenrodCommand:
     def test_anchor_value(self, capsys):
@@ -426,6 +442,36 @@ class TestDecompAndRanks:
         assert err.startswith("error: 3317044064679887385961981 is too large")
 
 
+def _cell(value) -> str:
+    """A report value as the md and csv tables print it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "x".join(map(str, value))
+    return str(value)
+
+
+TABLE_COMMANDS = {
+    "snumbers": ["snumbers", "--prime", "3", "--max-d", "9"],
+    "decomp-check": ["decomp-check", "--prime", "5", "--max-weight", "16"],
+    "ranks": ["ranks", "--max-d", "7", "--prime", "5"],
+}
+
+
+class TestTableFormats:
+    @pytest.mark.parametrize("name", sorted(TABLE_COMMANDS))
+    def test_formats_give_the_same_rows(self, capsys, name):
+        runs = {fmt: run(capsys, *TABLE_COMMANDS[name], "--format", fmt) for fmt in ("json", "md", "csv")}
+        assert {(code, err) for code, _, err in runs.values()} == {(0, "")}
+        rows = json.loads(runs["json"][1])
+        headers = list(rows[0])
+        want = [headers] + [[_cell(r[h]) for h in headers] for r in rows]
+        assert [line.split(",") for line in runs["csv"][1].splitlines()] == want
+        md = runs["md"][1].splitlines()
+        assert md[1] == "|" + "|".join(" --- " for _ in headers) + "|"
+        assert [line.removeprefix("| ").removesuffix(" |").split(" | ") for line in md[:1] + md[2:]] == want
+
+
 class TestPartitionTools:
     def test_enumeration(self, capsys):
         code, out, _ = run(
@@ -460,6 +506,34 @@ class TestPartitionTools:
         code, out, _ = run(capsys, "partition-tools", "--is-even", " 4 , 2 ")
         assert code == 0
         assert json.loads(out)["partition"] == [4, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--weight", "4", "--is-even", "4,2"],
+            ["--is-even", "4,2", "--is-ladic", "8,4"],
+            ["--weight", "8", "--is-ladic", "8,4", "--prime", "3"],
+            ["--weight", "4", "--is-even", "4,2", "--is-ladic", "4,2"],
+        ],
+    )
+    def test_two_modes_are_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["partition-tools", *argv])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "not allowed with argument" in err
+
+    @pytest.mark.parametrize("argv", [[], ["--predicate", "even"], ["--prime", "5"]])
+    def test_no_mode_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["partition-tools", *argv])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "one of the arguments --weight --is-even --is-ladic is required" in err
+
+    def test_two_modes_exit_2_as_a_command(self):
+        done = run_process("partition-tools", "--weight", "4", "--is-even", "4,2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "not allowed with argument" in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("flag", ["--is-even", "--is-ladic"])
     @pytest.mark.parametrize("parts", ["\u0668,4", "4_0,2", "8,+4", "8,-4", "8,,4", "8;4"])
@@ -984,6 +1058,21 @@ class TestLimitTable:
         assert len(limits) == 12 and set(stated) == limits
 
 
+README_CHOW = {"space": [1, 1, 1, 1], "expr": {"op": "deg", "of": {"op": "pow", "base": "alpha", "n": 4}}}
+# one run of each command that writes a report; a ".json" token names a file
+# the test writes (a family whose degree 1 fails at 3, so that run exits 1)
+OUTPUT_COMMANDS = {
+    "snumbers": ["snumbers", "--prime", "3", "--max-d", "4"],
+    "verify-generators": ["verify-generators", "--prime", "3", "--max-d", "2", "--family", "family.json"],
+    "steenrod": ["steenrod", "--prime", "3", "--op", "P2", "--class", "b1^2*b2"],
+    "decomp-check": ["decomp-check", "--prime", "3", "--max-weight", "12", "--format", "md"],
+    "ranks": ["ranks", "--max-d", "6", "--format", "csv"],
+    "partition-tools": ["partition-tools", "--weight", "6"],
+    "u-to-b": ["u-to-b", "--partition", "4,2"],
+    "chow": ["chow", "--input", "expr.json"],
+}
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1003,6 +1092,21 @@ class TestDispatch:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())[0]["d"] == 1
+
+    @pytest.mark.parametrize("flag", ["--output", "-o"])
+    @pytest.mark.parametrize("name", sorted(OUTPUT_COMMANDS))
+    def test_output_file_holds_the_bytes_printed(self, capsys, tmp_path, name, flag):
+        (tmp_path / "expr.json").write_text(json.dumps(README_CHOW))
+        (tmp_path / "family.json").write_text(json.dumps({"kind": "msp", "entries": {"1": 9, "2": 1}}))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in OUTPUT_COMMANDS[name]]
+        code, out, err = run(capsys, *argv)
+        path = tmp_path / "report.txt"
+        assert run(capsys, *argv, flag, str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_every_command_but_self_test_is_written_to_a_file(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(OUTPUT_COMMANDS) == set(commands) - {"self-test"}
 
     def test_self_test(self, capsys):
         code, out, err = run(capsys, "self-test")

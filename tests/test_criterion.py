@@ -252,6 +252,39 @@ class TestGlobalCriterion:
             with pytest.raises(ValueError, match="d_max must be positive"):
                 global_criterion(fam, prime_bound=10**10, d_max=d_max)
 
+    def test_no_family_checks_each_prime_on_its_own_construction(self):
+        own = {}  # (prime, d_max): the verdict on the prime's own construction
+        for bound in range(32):
+            for d_max in range(1, 13):
+                if bound < 3:
+                    with pytest.raises(ValueError, match=f"no odd prime up to {bound}"):
+                        global_criterion(None, bound, d_max)
+                    continue
+                want = {}
+                for ell in odd_primes_up_to(bound):
+                    if (ell, d_max) not in own:
+                        own[ell, d_max] = msp_criterion(stong_family(ell, d_max), ell, d_max)
+                    want[ell] = own[ell, d_max]
+                assert global_criterion(None, bound, d_max) == want, (bound, d_max)
+
+    def test_a_given_family_is_applied_unchanged_at_every_prime(self, monkeypatch):
+        fam = CandidateFamily("msp", {1: 3, 2: 5, 3: 1, 4: 3, 5: 1, 6: 1})
+        seen = []
+
+        def recording(f, ell, d_max):
+            seen.append((f, ell, d_max))
+            return msp_criterion(f, ell, d_max)
+
+        def no_construction(*args):
+            raise AssertionError("the construction built for a given family")
+
+        monkeypatch.setattr(criterion, "msp_criterion", recording)
+        monkeypatch.setattr(criterion, "stong_family", no_construction)
+        verdicts = global_criterion(fam, prime_bound=13, d_max=6)
+        assert [ell for _, ell, _ in seen] == list(verdicts) == [3, 5, 7, 11, 13]
+        assert all(f is fam and d_max == 6 for f, _, d_max in seen)
+        assert fam == CandidateFamily("msp", {1: 3, 2: 5, 3: 1, 4: 3, 5: 1, 6: 1})
+
 
 class TestConsistencyAcrossGradings:
     @pytest.mark.parametrize("ell", [3, 5])
