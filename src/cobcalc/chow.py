@@ -185,7 +185,7 @@ def _mul(a: dict, b: dict, layout: tuple) -> dict:
             if not (shifted + kb) & guard:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+    return _sparse.clean(out)
 
 
 # The push moves found from a group's part of a key are kept for reuse, up

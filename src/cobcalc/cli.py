@@ -151,13 +151,12 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
     """Evaluate an expression tree; returns a ChowClass or an int (deg)."""
     from . import chow
 
-    if expr == "alpha":
+    # "alpha" and {"op": "alpha"} both name the class alpha
+    op = expr["op"] if isinstance(expr, dict) and "op" in expr else expr
+    if op == "alpha":
         return chow.alpha(space)
     if not isinstance(expr, dict) or "op" not in expr:
         raise ValueError(f"cannot parse expression {expr!r}")
-    op = expr["op"]
-    if op == "alpha":
-        return chow.alpha(space)
     if op == "deg":
         value = eval_chow_expr(space, expr["of"])
         if not isinstance(value, chow.ChowClass):
@@ -247,15 +246,15 @@ def chow_class_from_json(space: chow.ProjProduct, rows: list) -> chow.ChowClass:
 # ---------------------------------------------------------------------------
 
 
-# the encoders of JSON leaves and object keys, by exact type
+# the encoders of JSON leaves, by exact type; an object key is a str
+_quote = json.encoder.encode_basestring_ascii
 _JSON_LEAF = {
-    str: json.encoder.encode_basestring_ascii,
+    str: _quote,
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-_JSON_KEY = {str: _JSON_LEAF[str], int: lambda k: '"' + int.__repr__(k) + '"'}
-_INT_ONLY = frozenset({int})
+_INT_ONLY, _STR_ONLY = frozenset({int}), frozenset({str})
 
 
 def json_text(value, newline: str = "\n") -> str:
@@ -263,22 +262,23 @@ def json_text(value, newline: str = "\n") -> str:
     the given nesting (newline: a line break and the indent of value's own
     line).  Containers and leaves are dispatched by their exact type and a
     list of ints is joined in C, where json.dumps would run its pure-Python
-    encoder; any other type (a float, a subclass) is left to json.dumps."""
+    encoder; any other type (a float, a tuple, a subclass) and a dict with a
+    key that is not a str are left to json.dumps."""
     kind = type(value)
     if kind in _JSON_LEAF:
         return _JSON_LEAF[kind](value)
     inner = newline + "  "
-    if (kind is list or kind is tuple) and value:
+    if kind is list and value:
         if set(map(type, value)) == _INT_ONLY:
             items = map(int.__repr__, value)
         else:
             items = [json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and value and set(map(type, value)) <= _JSON_KEY.keys():
+    if kind is dict and value and set(map(type, value)) == _STR_ONLY:
         items = []
         for k, v in value.items():
             leaf = _JSON_LEAF.get(type(v))
-            items.append(_JSON_KEY[type(k)](k) + ": " + (leaf(v) if leaf else json_text(v, inner)))
+            items.append(_quote(k) + ": " + (leaf(v) if leaf else json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return json.dumps(value, indent=2).replace("\n", newline)
 
@@ -286,8 +286,6 @@ def json_text(value, newline: str = "\n") -> str:
 def render_table(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return json_text(rows)
-    if not rows:
-        return ""
     headers = list(rows[0])
     cells = [[_cell(r[h]) for h in headers] for r in rows]
     if fmt == "csv":
@@ -295,7 +293,6 @@ def render_table(rows: list[dict], fmt: str) -> str:
     if fmt == "md":
         lines = ["| " + " | ".join(row) + " |" for row in [headers, *cells]]
         return "\n".join([lines[0], "|" + "|".join(" --- " for _ in headers) + "|", *lines[1:]])
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _cell(value) -> str:
@@ -435,25 +432,29 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 def _cmd_partition_tools(args) -> tuple[object, bool]:
     from . import partitions
 
-    # argparse admits exactly one of --weight, --is-even and --is-ladic
+    # argparse admits exactly one of --weight, --is-even and --is-ladic; the
+    # parts are parsed before an option the mode does not read is refused
+    if args.weight is None:
+        p = partitions.Partition(_parse_parts(args.is_ladic if args.is_even is None else args.is_even))
+    if args.predicate is not None and args.weight is None:
+        raise ValueError("--predicate applies only to --weight")
+    if args.prime is not None and args.is_ladic is None and args.predicate != "even-non-ladic":
+        raise ValueError("--prime applies only to --is-ladic and --predicate even-non-ladic")
     if args.is_even is not None:
-        p = partitions.Partition(_parse_parts(args.is_even))
         return {"partition": list(p), "is_even": p.is_even()}, True
+    ell = 3 if args.prime is None else args.prime
     if args.is_ladic is not None:
-        p = partitions.Partition(_parse_parts(args.is_ladic))
-        return {"partition": list(p), "prime": args.prime, "is_ladic": p.is_ladic(args.prime)}, True
-    if args.weight < 0:
-        raise ValueError("weight must be nonnegative")
+        return {"partition": list(p), "prime": ell, "is_ladic": p.is_ladic(ell)}, True
     # the even predicates enumerate the partitions of weight / 2 and double them
     w = args.weight
-    n = w if args.predicate == "all" else (w // 2 if w % 2 == 0 else 0)
+    predicate = "all" if args.predicate is None else args.predicate
+    n = w if predicate == "all" else (w // 2 if w % 2 == 0 else 0)
     from . import adams
 
     # p increases, and p(100) is far above the limit, so counting stops there
     if adams._partition_numbers(min(n, 100))[-1] > MAX_PARTITIONS:
-        raise ValueError(f"--weight {args.weight} would list more than {MAX_PARTITIONS} partitions")
-    ell = args.prime if args.predicate == "even-non-ladic" else None
-    return [list(p) for p in partitions.enumerate_partitions(args.weight, args.predicate, ell)], True
+        raise ValueError(f"--weight {w} would list more than {MAX_PARTITIONS} partitions")
+    return [list(p) for p in partitions.enumerate_partitions(w, predicate, ell)], True
 
 
 def _cmd_u_to_b(args) -> tuple[list, bool]:
@@ -615,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--weight", type=int)
     mode.add_argument("--is-even", metavar="PARTS", help='e.g. "4,2"')
     mode.add_argument("--is-ladic", metavar="PARTS", help='e.g. "8,4"')
-    p.add_argument("--predicate", choices=PREDICATES, default="all")
-    p.add_argument("--prime", type=int, default=3)
+    p.add_argument("--predicate", choices=PREDICATES, help="with --weight; default: all")
+    p.add_argument("--prime", type=int, help="with --is-ladic or even-non-ladic; default: 3")
 
     p = command("u-to-b", _cmd_u_to_b, "b-polynomial of an even partition")
     p.add_argument("--partition", required=True, help='e.g. "4,2"; empty for ()')
@@ -643,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
         report, ok = args.func(args)
         _emit(args.render(report, args.format), args.output)
         return 0 if ok else 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -232,7 +232,7 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
     gaining k*(ell-1) at the factor C(a, k).  levels[u] holds the partial
     raises of one term that used u < t of the t, each slot taken once."""
     if t == 0:
-        return {x: y % ell for x, y in p.items() if y % ell}
+        return clean(p, ell)
     shifts, mask, _ = lay
     out: dict = {}
     get = out.get
@@ -255,7 +255,7 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
                     for x, y in src:
                         x += d
                         out[x] = get(x, 0) + y * b
-    return {x: y % ell for x, y in out.items() if y % ell}
+    return clean(out, ell)
 
 
 def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:

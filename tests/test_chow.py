@@ -111,6 +111,25 @@ class TestRing:
         with pytest.raises(ValueError):
             alpha(P1) * alpha(P3)
 
+    def test_negation_and_subtraction(self):
+        space = ProjProduct((1, 2))
+        x = alpha(space)
+        y = ChowClass(space, {(0, 0): 3, (1, 1): 2, (0, 2): 1})
+        zero = ChowClass.zero(space)
+        assert x - x == zero and (x - x).coeffs == {}
+        assert -x + x == zero
+        assert (-x).coeffs == {(1, 0): -1, (0, 1): -1}
+        assert (x - y).coeffs == {(1, 0): 1, (0, 1): 1, (0, 0): -3, (1, 1): -2, (0, 2): -1}
+        assert (y - x) == -(x - y) and -(-y) == y
+        assert x * x - (y - ChowClass.one(space).scale(3)) == zero
+
+    def test_subtraction_across_spaces_is_refused(self):
+        x, other = alpha(ProjProduct((1, 2))), alpha(ProjProduct((2, 1)))
+        with pytest.raises(ValueError, match="ambient space mismatch"):
+            x - other
+        with pytest.raises(ValueError, match="ambient space mismatch"):
+            -other - x
+
     def test_deg_examples(self):
         assert deg(alpha(P1_4) ** 4) == 24
         assert deg(alpha(P3x2)) == 0

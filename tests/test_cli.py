@@ -542,6 +542,63 @@ class TestPartitionTools:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse part ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--is-even", "4,2", "--predicate", "even-non-ladic", "--prime", "7"], "--predicate"),
+            (["--is-ladic", "8,4", "--predicate", "even"], "--predicate"),
+            (["--is-even", "4,2", "--predicate", "all"], "--predicate"),
+            (["--is-even", "4,2", "--prime", "7"], "--prime"),
+            (["--weight", "4", "--prime", "9"], "--prime"),
+            (["--weight", "4", "--predicate", "even", "--prime", "3"], "--prime"),
+        ],
+    )
+    def test_an_option_the_mode_does_not_read_is_a_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, "partition-tools", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} applies only to ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--weight", "8", "--predicate", "even-non-ladic", "--prime", "3"], [[4, 4]]),
+            (["--weight", "8", "--predicate", "even-non-ladic"], [[4, 4]]),
+            (
+                ["--is-ladic", "8,4", "--prime", "7"],
+                {"partition": [8, 4], "prime": 7, "is_ladic": False},
+            ),
+            (["--is-ladic", "8,4", "--prime", "5"], {"partition": [8, 4], "prime": 5, "is_ladic": True}),
+            (["--is-ladic", "8,4"], {"partition": [8, 4], "prime": 3, "is_ladic": True}),
+        ],
+    )
+    def test_options_the_mode_reads_still_answer(self, capsys, argv, expected):
+        code, out, err = run(capsys, "partition-tools", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+    def test_weight_alone_lists_every_partition(self, capsys):
+        code, out, _ = run(capsys, "partition-tools", "--weight", "8")
+        assert code == 0 and len(json.loads(out)) == 22
+
+    @pytest.mark.parametrize(
+        "mode", [["--is-ladic", "8,4"], ["--weight", "8", "--predicate", "even-non-ladic"]]
+    )
+    def test_an_explicit_prime_zero_is_refused_as_not_a_prime(self, capsys, mode):
+        code, out, err = run(capsys, "partition-tools", *mode, "--prime", "0")
+        assert (code, out, err) == (2, "", "error: 0 is not an odd prime\n")
+
+    @pytest.mark.parametrize("argv", [["--prime", "7"], ["--predicate", "even"]])
+    def test_an_unparsed_part_is_reported_before_an_unread_option(self, capsys, argv):
+        code, out, err = run(capsys, "partition-tools", "--is-even", "4,x", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse part 'x', expected a nonnegative integer\n"
+
+    def test_an_unread_option_exits_2_as_a_command(self):
+        done = run_process("partition-tools", "--weight", "4", "--prime", "9")
+        assert (done.returncode, done.stdout) == (2, "")
+        message = "--prime applies only to --is-ladic and --predicate even-non-ladic"
+        assert done.stderr == f"error: {message}\n"
+
 
 class TestUToB:
     def test_output_schema(self, capsys):
@@ -796,6 +853,19 @@ class TestChowCommand:
         assert done.returncode == 2 and done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+    def test_alpha_as_a_name_or_an_op(self):
+        space = chow.ProjProduct((1, 2))
+        assert cli.eval_chow_expr(space, {"op": "alpha"}) == cli.eval_chow_expr(space, "alpha")
+        assert cli.eval_chow_expr(space, "alpha") == chow.alpha(space)
+
+    @pytest.mark.parametrize("depth", [100_000, 990])
+    def test_nesting_too_deep_for_the_stack_is_one_usage_error(self, depth):
+        # far beyond the interpreter's recursion limit of 1000 frames, and near it
+        pows = '{"op": "pow", "n": 1, "base": ' * depth + '"alpha"' + "}" * depth
+        text = '{"space": [1], "expr": ' + pows + "}"
+        done = run_chow_process(text)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: input nested too deeply\n")
 
     def test_pow_refuses_an_unprintable_constant_term(self, capsys, tmp_path):
         # 2**20000 has 6021 digits
