@@ -4,7 +4,9 @@ power operations, and polynomial-generator criteria.
 `import cobcalc` loads no submodule.  Each public name below is imported
 from its home module on first access (PEP 562), so `cobcalc.build_X` loads
 `stong` and what it needs, and `from cobcalc import *` loads everything.
-The command line likewise imports only what the command runs.
+The command line likewise imports only what the command runs: `cli` holds
+the parser, dispatch and renderers, and each group of commands has its own
+private module `_cmd_*`, which no library module imports.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +18,9 @@ _EXPORTS = {
     "symfun": (
         "BPoly", "SymFn", "ZClass", "convert", "diagonal", "expand_in_vars", "pair", "u_to_b", "z_mul",
     ),
+    "space": ("ProjProduct",),
     "chow": (
-        "ChowClass", "LineTerm", "ProjProduct", "VirtualBundle",
+        "ChowClass", "LineTerm", "VirtualBundle",
         "alpha", "cf_chern", "deg", "newton_class", "tangent_bundle",
     ),
     "stong": (

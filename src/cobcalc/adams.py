@@ -16,7 +16,7 @@ the degrees ell**r - 1 tile the even degrees.
 from __future__ import annotations
 
 from ._record import Record
-from .partitions import Partition
+from .partitions import Partition, _partition_numbers
 from .valuation import _require_odd_prime, ell_powers
 
 
@@ -95,20 +95,6 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
         for w in range(0, max_weight + 1, 2)
     ]
     return DecompositionReport(ell, tuple(rows))
-
-
-def _partition_numbers(top: int) -> list[int]:
-    """p(0..top) by Euler's pentagonal-number recurrence: p(n) is the sum
-    over k >= 1 of (-1)**(k - 1) (p(n - k(3k - 1)/2) + p(n - k(3k + 1)/2))."""
-    p = [1] + [0] * top
-    for n in range(1, top + 1):
-        k, pentagonal = 1, 1
-        while pentagonal <= n:
-            term = p[n - pentagonal] + (p[n - pentagonal - k] if pentagonal + k <= n else 0)
-            p[n] += term if k % 2 else -term
-            k += 1
-            pentagonal += 3 * k - 2
-    return p
 
 
 def e2_ranks(d_max: int) -> list[int]:

@@ -1,5 +1,6 @@
-"""Degree-diagonal cohomology of a product of projective spaces, as the
-truncated polynomial ring Z[a1..am]/(a_i^{n_i+1}), with the degree map,
+"""Degree-diagonal cohomology of a product of projective spaces
+(`space.ProjProduct`, which this module re-exports), as the truncated
+polynomial ring Z[a1..am]/(a_i^{n_i+1}), with the degree map,
 virtual sums of line bundles under the additive first-Chern-class law, and
 their Newton and Conner-Floyd classes.
 
@@ -41,6 +42,7 @@ from operator import gt, lshift
 from . import _sparse
 from ._record import Record
 from .partitions import Partition
+from .space import ProjProduct
 
 # Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
 # them on the smallest class take about two seconds
@@ -50,29 +52,6 @@ MAX_POW_STEPS = 10**6
 # keys of factor_count fields, and each output term unpacks to that many
 # exponents.  Products refuse more than this before any pair is formed
 MAX_PRODUCT_WORK = 4 * 10**6
-
-
-class ProjProduct(Record):
-    """Product of projective spaces with the given factor dimensions."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims: tuple[int, ...]) -> None:
-        dims = tuple(map(int, dims))
-        if not dims or min(dims) < 1:
-            raise ValueError(f"factor dimensions must be positive: {dims}")
-        self._set(dims)
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.dims)
-
-    def __repr__(self) -> str:
-        return self.__class__.__name__ + repr(self.dims)
 
 
 class ChowClass(Record):

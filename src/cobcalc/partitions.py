@@ -1,4 +1,6 @@
-"""Integer partitions: predicates, concatenation, bounded enumeration.
+"""Integer partitions: predicates, concatenation, bounded enumeration,
+their count by Euler's recurrence, and the parser of the command line's
+comma-separated parts.
 
 A partition is a weakly decreasing tuple of positive integers; the empty
 partition is valid with weight 0.  Partitions are immutable values (a tuple
@@ -80,6 +82,20 @@ def _descending_partitions(n: int) -> list[tuple[int, ...]]:
         q = m - (rest == 1)
 
 
+def _partition_numbers(top: int) -> list[int]:
+    """p(0..top) by Euler's pentagonal-number recurrence: p(n) is the sum
+    over k >= 1 of (-1)**(k - 1) (p(n - k(3k - 1)/2) + p(n - k(3k + 1)/2))."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k, pentagonal = 1, 1
+        while pentagonal <= n:
+            term = p[n - pentagonal] + (p[n - pentagonal - k] if pentagonal + k <= n else 0)
+            p[n] += term if k % 2 else -term
+            k += 1
+            pentagonal += 3 * k - 2
+    return p
+
+
 _new = tuple.__new__
 
 
@@ -108,3 +124,16 @@ def enumerate_partitions(w: int, predicate: str = "all", ell: int | None = None)
     if predicate == "even":
         return evens
     return [p for p in evens if not p.is_ladic(ell)]
+
+
+def _parse_parts(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII digits, blanks allowed around each part; empty
+    text is the empty partition."""
+    text = text.strip()
+    if not text:
+        return ()
+    parts = [x.strip() for x in text.split(",")]
+    for x in parts:
+        if not (x.isascii() and x.isdigit()):
+            raise ValueError(f"cannot parse part {x!r}, expected a nonnegative integer")
+    return tuple(int(x) for x in parts)

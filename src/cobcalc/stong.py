@@ -22,16 +22,25 @@ carries, the higher digits' factors and the valuation are dealt with once
 per run, and each row of a run costs one small multiplication of the
 running multinomial, its factor tuple and the row.  `s_number` and
 `build_X` stay the row-by-row route the tests check the table against.
+
+The rows hold `space.ProjProduct`s.  Only the expansions import `chow` and
+`_sparse`, where they run, so the table, and the `snumbers` and
+`verify-generators` commands built on it, compile neither.
 """
 
 from __future__ import annotations
 
 from math import perm
 
-from . import _sparse, chow
 from ._record import Record
-from .chow import LineTerm, ProjProduct, VirtualBundle
+from .space import ProjProduct
 from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _require_odd_prime
+
+# This import serves the annotations only: type checkers take TYPE_CHECKING
+# as true, and defining it here spares importing typing.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import chow
 
 # Expansions refuse, before any ring arithmetic, a space whose predicted work
 # (invariant rank x factor count, see _check_expansion_work) exceeds this.
@@ -50,6 +59,8 @@ def _check_expansion_work(X: ProjProduct) -> None:
     equal factors whose work is above MAX_EXPANSION_WORK.  alpha**N visits
     every orbit once; from each one a push step reads the key's factor_count
     fields at most and makes at most one move per field."""
+    from . import chow
+
     rank = chow.invariant_rank(X)
     work = rank * X.factor_count
     if work > MAX_EXPANSION_WORK:
@@ -114,6 +125,8 @@ def s_number(X: ProjProduct) -> int:
 def s_number_bruteforce(X: ProjProduct) -> int:
     """Same number by expansion of alpha**N in the subring of the truncated
     ring invariant under permuting equal factors."""
+    from . import chow
+
     _check_construction(X)
     _check_expansion_work(X)
     ring = chow.InvariantSubring(X)
@@ -154,11 +167,14 @@ def signed_char_number(X: ProjProduct) -> int:
     this equals (-1)**(n_Y + 1) times s_number(X); only the valuation is
     consumed downstream.
     """
+    from . import chow
+
     two_d = _check_construction(X)
     _check_expansion_work(X)
     # -T_Y restricted from X: the normal bundle xi + xi minus the tangent bundle
     ones = (1,) * X.factor_count
-    v = VirtualBundle(X, (LineTerm(1, ones), LineTerm(1, ones))) + (-chow.tangent_bundle(X))
+    normal = chow.VirtualBundle(X, (chow.LineTerm(1, ones), chow.LineTerm(1, ones)))
+    v = normal + (-chow.tangent_bundle(X))
     if two_d == 0:
         # degenerate d = 0: the Newton class of degree 0 is not defined
         raise ValueError("signed characteristic number needs d >= 1")
@@ -167,11 +183,13 @@ def signed_char_number(X: ProjProduct) -> int:
     return (-1) ** sign_exponent(X) * ring.deg(pushed)
 
 
-def _invariant_newton_class(ring: chow.InvariantSubring, v: VirtualBundle, n: int) -> dict:
+def _invariant_newton_class(ring: chow.InvariantSubring, v: chow.VirtualBundle, n: int) -> dict:
     """The Newton class of v in ring, twist by twist: the all-ones twist
     gives alpha**n and the trivial twist 0; the unit twists on one group
     of equal factors give that group's power sum x**n, a single orbit, and
     must carry equal signs, or the class would not be invariant."""
+    from . import _sparse
+
     dims = v.space.dims
     units = [0] * len(dims)  # the sign of the unit twist on each factor
     terms = []

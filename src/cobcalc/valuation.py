@@ -22,6 +22,10 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_2 = 1373653
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
+# Python's default limit on the digits of an int converted to a string: the
+# most digits a printed number may have (`snumbers`, `chow` `pow`)
+MAX_DIGITS = 4300
+
 
 # One query checks the same prime many times over (build_X alone checks
 # it four times), so the answers are cached.

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cobcalc import chow, cli, criterion, stong
+from cobcalc import _cmd_chow, _cmd_counting, _cmd_stong, _cmd_symfun, chow, cli, criterion, stong
 from cobcalc.criterion import CandidateFamily, stong_family
 from cobcalc.symfun import BPoly
 
@@ -133,7 +133,7 @@ class TestSnumbers:
 
     def test_rows_round_trip_as_family(self, capsys):
         _, out, _ = run(capsys, "snumbers", "--prime", "3", "--max-d", "8")
-        fam = cli.family_from_snumbers_rows(json.loads(out))
+        fam = _cmd_stong.family_from_snumbers_rows(json.loads(out))
         assert fam == stong_family(3, 8)
 
 
@@ -148,13 +148,13 @@ class TestVerifyGenerators:
     def test_family_file(self, capsys, tmp_path):
         fam = CandidateFamily("msp", {1: 6, 2: 1})
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(cli.family_to_json(fam)))
+        path.write_text(json.dumps(_cmd_stong.family_to_json(fam)))
         code, out, _ = run(
             capsys, "verify-generators", "--prime", "3", "--max-d", "2", "--family", str(path)
         )
         assert code == 0
         fam_bad = fam.with_entry(1, 9)
-        path.write_text(json.dumps(cli.family_to_json(fam_bad)))
+        path.write_text(json.dumps(_cmd_stong.family_to_json(fam_bad)))
         code, out, _ = run(
             capsys, "verify-generators", "--prime", "3", "--max-d", "2", "--family", str(path)
         )
@@ -166,7 +166,7 @@ class TestVerifyGenerators:
     def test_all_primes(self, capsys, tmp_path):
         fam = CandidateFamily("msp", {1: 3, 2: 5, 3: 1, 4: 3, 5: 1, 6: 1})
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(cli.family_to_json(fam)))
+        path.write_text(json.dumps(_cmd_stong.family_to_json(fam)))
         code, out, _ = run(
             capsys,
             "verify-generators",
@@ -206,6 +206,14 @@ class TestVerifyGenerators:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_family_without_kind_is_named(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"entries": {"1": "48"}}))
+        code, out, err = run(
+            capsys, "verify-generators", "--prime", "3", "--max-d", "1", "--family", str(path)
+        )
+        assert (code, out, err) == (2, "", 'error: family has no "kind"\n')
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -217,7 +225,7 @@ class TestVerifyGenerators:
     )
     def test_empty_prime_sweep_is_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(cli.family_to_json(stong_family(3, 4))))
+        path.write_text(json.dumps(_cmd_stong.family_to_json(stong_family(3, 4))))
         argv = [str(path) if a == "FAMILY" else a for a in argv]
         code, out, err = run(capsys, "verify-generators", *argv)
         assert code == 2 and out == ""
@@ -283,7 +291,7 @@ class TestVerifyGenerators:
 
     def test_family_round_trip(self):
         fam = stong_family(5, 9)
-        assert cli.family_from_json(cli.family_to_json(fam)) == fam
+        assert _cmd_stong.family_from_json(_cmd_stong.family_to_json(fam)) == fam
 
     @pytest.mark.parametrize("exclude", [["3"], ["2"], []])
     def test_exclude_with_one_prime_is_usage_error(self, capsys, exclude):
@@ -306,7 +314,7 @@ class TestSteenrodCommand:
     def test_anchor_value(self, capsys):
         code, out, _ = run(capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "b1")
         assert code == 0
-        got = cli.bpoly_from_json(json.loads(out), 3)
+        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 3),): 2, ((1, 1), (2, 1)): 1}, 3)
 
     def test_monomial_parsing(self, capsys):
@@ -314,7 +322,7 @@ class TestSteenrodCommand:
             capsys, "steenrod", "--prime", "3", "--op", "P0", "--class", "b1^2*b2"
         )
         assert code == 0
-        got = cli.bpoly_from_json(json.loads(out), 3)
+        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 2), (2, 1)): 1}, 3)
 
     def test_untwisted_flag(self, capsys):
@@ -322,7 +330,7 @@ class TestSteenrodCommand:
             capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "b1", "--untwisted"
         )
         assert code == 0
-        got = cli.bpoly_from_json(json.loads(out), 3)
+        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 3),): 1}, 3)
 
     def test_bad_class_is_usage_error(self, capsys):
@@ -345,7 +353,7 @@ class TestSteenrodCommand:
 
     def test_bpoly_json_round_trip(self):
         p = BPoly({((1, 2), (3, 1)): 2, ((2, 1),): 1}, 5)
-        assert cli.bpoly_from_json(cli.bpoly_to_json(p), 5) == p
+        assert _cmd_symfun.bpoly_from_json(_cmd_symfun.bpoly_to_json(p), 5) == p
 
     @pytest.mark.parametrize(
         "cls, factor", [("b\u0663", "b\u0663"), ("b1^\u0663", "b1^\u0663"), ("\u0663*b1", "\u0663")]
@@ -705,6 +713,32 @@ class TestChowCommand:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"space": [1, 1]}, 'chow input has no "expr"'),
+            ({"space": [1, 1], "expr": {"op": "deg"}}, 'deg expression has no "of"'),
+            ({"space": [1, 1], "expr": {"op": "pow", "base": "alpha"}}, 'pow expression has no "n"'),
+            ({"space": [1, 1], "expr": {"op": "pow", "n": 2}}, 'pow expression has no "base"'),
+            ({"space": [1], "expr": {"op": "newton", "n": 1}}, 'newton expression has no "bundle"'),
+            ({"space": [1], "expr": {"op": "newton", "bundle": "tangent"}}, 'newton expression has no "n"'),
+            ({"space": [1], "expr": {"op": "cf", "bundle": "tangent"}}, 'cf expression has no "partition"'),
+            (
+                {"space": [1], "expr": {"op": "newton", "n": 1, "bundle": {"terms": [{"sign": -1}]}}},
+                'bundle term has no "twist"',
+            ),
+        ],
+    )
+    def test_missing_field_is_named_with_where(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "chow", "--input", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_missing_expression_is_named_by_the_command(self):
+        done = run_chow_process({"space": [1, 1]})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == 'error: chow input has no "expr"\n'
+
     def test_cf_above_the_conversion_cap_is_refused(self, capsys, tmp_path):
         payload = {"space": [41], "expr": {"op": "cf", "bundle": "tangent", "partition": [41]}}
         path = tmp_path / "expr.json"
@@ -856,8 +890,8 @@ class TestChowCommand:
 
     def test_alpha_as_a_name_or_an_op(self):
         space = chow.ProjProduct((1, 2))
-        assert cli.eval_chow_expr(space, {"op": "alpha"}) == cli.eval_chow_expr(space, "alpha")
-        assert cli.eval_chow_expr(space, "alpha") == chow.alpha(space)
+        assert _cmd_chow.eval_chow_expr(space, {"op": "alpha"}) == _cmd_chow.eval_chow_expr(space, "alpha")
+        assert _cmd_chow.eval_chow_expr(space, "alpha") == chow.alpha(space)
 
     @pytest.mark.parametrize("depth", [100_000, 990])
     def test_nesting_too_deep_for_the_stack_is_one_usage_error(self, depth):
@@ -900,7 +934,7 @@ class TestChowCommand:
         path.write_text(json.dumps(payload))
         _, out, _ = run(capsys, "chow", "--input", str(path))
         rows = json.loads(out)["class"]
-        assert cli.chow_class_from_json(space, rows) == value
+        assert _cmd_chow.chow_class_from_json(space, rows) == value
 
 
 fuzz_ints = st.one_of(st.integers(-1, 3), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))
@@ -1276,7 +1310,7 @@ class TestExitCodes:
         def failing(args):
             raise exc
 
-        monkeypatch.setattr(cli, "_cmd_ranks", failing)
+        monkeypatch.setattr(_cmd_counting, "run_ranks", failing)
         assert run(capsys, "ranks", "--max-d", "3") == (code, "", shown)
 
 

@@ -148,3 +148,79 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_dir_lists_the_public_names():
     assert set(cobcalc.__all__) <= set(dir(cobcalc))
+
+
+CMD_MODULES = {"cobcalc._cmd_chow", "cobcalc._cmd_counting", "cobcalc._cmd_self_test",
+               "cobcalc._cmd_stong", "cobcalc._cmd_symfun"}
+RING = {"cobcalc.chow", "cobcalc._sparse"}
+# one run of each command, with its own command module and the library
+# modules it must not load; a "chow.json" argument names README_CHOW
+COMMANDS = {
+    "snumbers": (["snumbers", "--prime", "3", "--max-d", "5"], "_cmd_stong", RING | {"cobcalc.criterion"}),
+    "verify-generators": (["verify-generators", "--prime", "3", "--max-d", "5"], "_cmd_stong", RING),
+    "steenrod": (["steenrod", "--prime", "3", "--op", "P2", "--class", "b1"], "_cmd_symfun",
+                 {"cobcalc.chow", "cobcalc.stong"}),
+    "u-to-b": (["u-to-b", "--partition", "4,2"], "_cmd_symfun", {"cobcalc.steenrod", "cobcalc.chow"}),
+    "decomp-check": (["decomp-check", "--prime", "3", "--max-weight", "20"], "_cmd_counting", HEAVY),
+    "ranks": (["ranks", "--max-d", "10"], "_cmd_counting", HEAVY),
+    "partition-tools": (["partition-tools", "--weight", "8"], "_cmd_counting", HEAVY | {"cobcalc.adams"}),
+    "chow": (["chow", "--input", "chow.json"], "_cmd_chow", {"cobcalc.stong", "cobcalc.symfun"}),
+    "self-test": (["self-test"], "_cmd_self_test", set()),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_its_own_command_module(command, tmp_path):
+    argv, own, skipped = COMMANDS[command]
+    (tmp_path / "chow.json").write_text(README_CHOW)
+    argv = [str(tmp_path / a) if a == "chow.json" else a for a in argv]
+    loaded = loaded_by_main(argv)
+    assert loaded & CMD_MODULES == {f"cobcalc.{own}"}
+    assert not loaded & skipped
+
+
+def test_library_imports_load_no_command_module():
+    paths = (SRC / "cobcalc").glob("*.py")
+    libraries = [p.stem for p in paths if not p.stem.startswith(("_cmd_", "cli", "__init__"))]
+    loaded = loaded_by("\n".join(f"import cobcalc.{name}" for name in libraries))
+    assert "cobcalc.criterion" in loaded and not loaded & CMD_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["snumbers", "--prime", "3", "--max-d", "5"], None),
+        (["u-to-b", "--partition", "4,2"], None),
+        (["partition-tools", "--weight", "8"], None),
+        (["chow", "--input", "-"], README_CHOW),
+        (["self-test"], None),
+    ],
+    ids=["_cmd_stong", "_cmd_symfun", "_cmd_counting", "_cmd_chow", "_cmd_self_test"],
+)
+def test_module_entry_point_imports_cli_once(argv, stdin):
+    # run as `python -m cobcalc.cli`, the front end is __main__; a command
+    # module that imported cobcalc.cli would compile and run it again
+    loaded = imported_modules("-m", "cobcalc.cli", *argv, stdin=stdin)
+    assert "cobcalc.partitions" in loaded and "cobcalc.cli" not in loaded
+
+
+def test_proj_product_is_one_class():
+    from cobcalc import chow, space
+
+    assert chow.ProjProduct is cobcalc.ProjProduct is space.ProjProduct
+
+
+def test_table_rows_pickle_compare_and_print_without_the_ring():
+    loaded = loaded_by(
+        "import pickle\n"
+        "from cobcalc import stong\n"
+        "row, X = stong.valuation_table(3, 4)[-1], stong.build_X(4, 3)\n"
+        "for obj in (row, row.factors, X):\n"
+        "    back = pickle.loads(pickle.dumps(obj))\n"
+        "    assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)\n"
+        "    assert repr(back) == repr(obj)\n"
+        "assert row.factors == X and repr(row) == ("
+        "'StongDatum(prime=3, d=4, factors=ProjProduct(1, 3, 3, 3), s_number=-33600, '"
+        "'valuation=1, n_y=8, expected=1)')"
+    )
+    assert "cobcalc.stong" in loaded and not loaded & RING
