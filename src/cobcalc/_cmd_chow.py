@@ -9,7 +9,6 @@ missing field of the input is named with where it is missing, as in
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 from . import chow
@@ -75,13 +74,9 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         if n < 0:
             raise ValueError(f"pow: exponent must be nonnegative, got {n}")
         base = eval_chow_expr(space, _field(expr, "base", "pow expression"))
-        if isinstance(base, int):
-            c0, steps = base, 0
-        else:
-            c0, steps = base.coeffs.get((0,) * space.factor_count, 0), base.power_steps(n)
-        # priced before the power runs; more steps than chow allows are
-        # refused by the power itself
-        if c0 and steps <= chow.MAX_POW_STEPS and _binomial_digits(n, steps, abs(c0)) >= MAX_DIGITS:
+        # priced before the power runs; a deg is a class with no steps
+        digits = chow.binomial_digits(n, 0, abs(base)) if isinstance(base, int) else base.power_digits(n)
+        if digits >= MAX_DIGITS:
             raise ValueError(f"pow: a coefficient has over {MAX_DIGITS} digits")
         try:
             power = base ** n
@@ -110,22 +105,6 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         bundle = parse_bundle(space, _field(expr, "bundle", "cf expression"))
         return chow.cf_chern(bundle, _ints(_field(expr, "partition", "cf expression"), "partition"))
     raise ValueError(f"unknown op {op!r}")
-
-
-def _binomial_digits(n: int, steps: int, c: int) -> float:
-    """log10 of the largest C(n, k) c**(n - k) over k <= steps, for c >= 1
-    and steps <= chow.MAX_POW_STEPS, estimated from log-gamma values: the
-    terms rise while k <= (n + 1) / (c + 1)."""
-    k = min(steps, (n + 1) // (c + 1))
-    # n may be far beyond float range, so it is compared, not multiplied
-    if c > 1 and n - k > MAX_DIGITS / math.log10(c):
-        return math.inf
-    j = min(k, n - k)
-    if n < 10**12:
-        ln_binomial = math.lgamma(n + 1) - math.lgamma(n - j + 1) - math.lgamma(j + 1)
-    else:  # j <= steps is far below n, so n!/(n - j)! is n**j to a few ppm
-        ln_binomial = j * math.log(n) - math.lgamma(j + 1)
-    return (ln_binomial + (math.log(c) * (n - k) if c > 1 else 0.0)) / math.log(10)
 
 
 def chow_result_to_json(value) -> dict:

@@ -66,10 +66,9 @@ def verdict_json(v: criterion.GeneratorVerdict) -> list[dict]:
 
 
 def run_snumbers(args) -> tuple[list, bool]:
-    # row d prints s = -2 * multinomial(2d + 2; dims): refuse at the first d
-    # whose s has more than MAX_DIGITS digits, before any row is built
-    for d, counts in stong.factor_counts(args.prime, args.max_d):
-        ln_s = math.log(2) + math.lgamma(2 * d + 3) - sum(a * math.lgamma(n + 1) for n, a in counts)
+    # refuse at the first d whose s has more than MAX_DIGITS digits, before
+    # any row is built
+    for d, ln_s in stong.log_s_numbers(args.prime, args.max_d):
         if ln_s >= MAX_DIGITS * math.log(10):
             raise ValueError(f"--max-d {args.max_d}: row d = {d} would print over {MAX_DIGITS} digits")
     rows = snumbers_rows(args.prime, args.max_d)

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import comb, lcm, prod
+from math import comb, inf, lcm, lgamma, log, log10, prod
 from operator import gt, lshift
 
 from . import _sparse
 from ._record import Record
 from .partitions import Partition
 from .space import ProjProduct
+from .valuation import MAX_DIGITS
 
 # Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
 # them on the smallest class take about two seconds
@@ -98,7 +99,7 @@ class ChowClass(Record):
             raise ValueError("negative power")
         steps = self.power_steps(n)
         if steps > MAX_POW_STEPS:
-            raise ValueError(f"{steps} Horner steps exceed the limit {MAX_POW_STEPS}")
+            raise ValueError(f"{steps} products exceed the limit {MAX_POW_STEPS}")
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
@@ -125,11 +126,36 @@ class ChowClass(Record):
         touched = sum(compress(self.space.dims, map(any, zip(*nilpotent))))
         return min(n, touched // min(map(sum, nilpotent)))
 
+    def power_digits(self, n: int) -> float:
+        """binomial_digits of self**n, priced before the power runs; 0 when
+        the power will refuse its own steps (more than MAX_POW_STEPS)."""
+        c0, steps = self.coeffs.get((0,) * self.space.factor_count, 0), self.power_steps(n)
+        return binomial_digits(n, steps, abs(c0)) if steps <= MAX_POW_STEPS else 0.0
+
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
         return ChowClass._trusted(space=self.space, coeffs=coeffs)
+
+
+def binomial_digits(n: int, steps: int, c: int) -> float:
+    """log10 of the largest term C(n, k) c**(n - k), k <= steps <= MAX_POW_STEPS,
+    of a power whose degree-0 coefficient is c >= 0, from log-gamma values
+    (terms rise while k <= (n + 1) / (c + 1)); inf once c**(n - k) alone
+    has MAX_DIGITS digits."""
+    if not c:  # no binomial term: only k = n can be nonzero, 1 * 0**0
+        return 0.0
+    k = min(steps, (n + 1) // (c + 1))
+    # n may be far beyond float range, so it is compared, not multiplied
+    if c > 1 and n - k > MAX_DIGITS / log10(c):
+        return inf
+    j = min(k, n - k)
+    if n < 10**12:
+        ln_binomial = lgamma(n + 1) - lgamma(n - j + 1) - lgamma(j + 1)
+    else:  # j <= steps is far below n, so n!/(n - j)! is n**j to a few ppm
+        ln_binomial = j * log(n) - lgamma(j + 1)
+    return (ln_binomial + (log(c) * (n - k) if c > 1 else 0.0)) / log(10)
 
 
 @lru_cache(maxsize=256)

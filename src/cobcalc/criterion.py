@@ -184,9 +184,9 @@ def global_criterion(
 ) -> dict[int, GeneratorVerdict]:
     """Run the local criterion for every odd prime up to prime_bound not in
     excluded, on the same family, or with fam None on each prime's own
-    construction, `stong_family(ell, d_max)`.  Only finitely many primes are
-    checkable; the unit condition away from the exceptional degrees is
-    verified as valuation 0 at every checked prime."""
+    construction, `stong_family(ell, d_max)`, where a bound of 2 d_max + 2
+    decides every odd prime: above it each build_X(d, ell) is (P^1)**(2d + 2),
+    of valuation 0, as the unit condition away from 2d + 1 = ell**r asks."""
     check_sweep_work(prime_bound, d_max)
     primes = odd_primes_up_to(prime_bound, excluded)
     return {ell: msp_criterion(fam or stong_family(ell, d_max), ell, d_max) for ell in primes}

@@ -1,4 +1,4 @@
-"""Mod-ell reduced power operations on the polynomial ring Z/ell[b1,b2,...].
+"""Complex-side (MGL) mod-ell reduced power operations on Z/ell[b1,b2,...].
 
 A class in weight 2j is the j-th elementary symmetric polynomial in roots
 of weight 2.  On a root x the total operation is x + x**ell: only the
@@ -38,7 +38,8 @@ summed by index before the twist: the twist multiplies once per index,
 not once per monomial, and the last product forms only index 2t.  The
 sums are reduced mod ell as they are assembled, and only the answer is
 unpacked.  A zero input, and an untwisted index above weight(f), return
-zero before anything is sized, so the work never grows with such an index.
+zero before anything is sized or priced, so the work never grows with
+such an index.
 
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with the engine of
@@ -162,7 +163,8 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
     f, weight = _prepare(f, ell)
     if not f.coeffs or i == 0:
         return f
-    if i < 0 or i % 2 == 1:
+    # untwisted above the weight, instability: each root factor absorbs index at most 2
+    if i < 0 or i % 2 == 1 or not twisted and i > weight:
         return BPoly.zero(ell)
     # the largest symmetric-function conversion the pieces below need
     t = i // 2
@@ -175,9 +177,6 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
             f"P{i} at prime {ell} needs a conversion of weight {conversion}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
-    if not twisted and i > weight:
-        # instability: each root factor absorbs index at most 2
-        return BPoly.zero(ell)
     # a term of the answer has half its weight at most top, so it uses the
     # generators b_1 .. b_top, each with an exponent of at most top; fields
     # of at least 8 bits give most calls one key format, so they share the

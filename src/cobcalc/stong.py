@@ -30,7 +30,7 @@ The rows hold `space.ProjProduct`s.  Only the expansions import `chow` and
 
 from __future__ import annotations
 
-from math import perm
+from math import lgamma, log, perm
 
 from ._record import Record
 from .space import ProjProduct
@@ -266,6 +266,13 @@ def factor_counts(ell: int, d_max: int):
         for k in range(run):
             counts = [digits[0] + 2 * k, *digits[1:]] if k or r is None else _exceptional_counts(r, ell)
             yield head + k, tuple([(p, a) for p, a in zip(powers, counts) if a])
+
+
+def log_s_numbers(ell: int, d_max: int):
+    """Yield (d, ln|s|), s the number of row d of valuation_table(ell, d_max),
+    from log-gamma values: |s| = 2 (2d + 2)! / prod((n!)**a) over factor_counts."""
+    for d, counts in factor_counts(ell, d_max):
+        yield d, log(2) + lgamma(2 * d + 3) - sum(a * lgamma(n + 1) for n, a in counts)
 
 
 def valuation_table(ell: int, d_max: int) -> list[StongDatum]:

@@ -428,10 +428,10 @@ def convert(f: SymFn, target: str) -> SymFn:
     """Re-express f in the target basis.  Round trips are exact."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
-    if f.weight > DEFAULT_WEIGHT_CAP:
-        raise ValueError(f"weight {f.weight} exceeds cap {DEFAULT_WEIGHT_CAP}")
     if target == f.basis:
         return f
+    if f.weight > DEFAULT_WEIGHT_CAP:
+        raise ValueError(f"weight {f.weight} exceeds cap {DEFAULT_WEIGHT_CAP}")
     # the m-basis sums run over Z on f's coefficients times their common
     # denominator, so Fractions appear only in the answer
     denominator = math.lcm(*(c.denominator for c in f.coeffs.values()))

@@ -99,6 +99,26 @@ class TestRing:
             nilpotent = ChowClass(cls.space, {e: c for e, c in cls.coeffs.items() if any(e)})
             assert (nilpotent ** (K + 1)).coeffs == {}
 
+    @pytest.mark.parametrize(
+        "n, steps, c",
+        [(2000, 2000, 1), (5000, 40, 1), (5000, 5000, 3), (300, 2, 7), (3000, 3000, 2),
+         (10**12, 5, 1), (10**30, 1000, 1), pytest.param(10**4000, 1, 1, id="10**4000-1-1")],
+    )
+    def test_binomial_digits_estimate_the_largest_term(self, n, steps, c):
+        # n < 10**12 takes log-gamma values of n, larger n the power n**j
+        exact = max(math.comb(n, k) * c ** (n - k) for k in range(min(steps, n) + 1))
+        assert abs(chow.binomial_digits(n, steps, c) - math.log10(exact)) < 0.5
+
+    def test_power_digits_price_the_binomial_terms(self):
+        X = ProjProduct((1, 3))
+        cls = ChowClass(X, {(0, 0): -3, (1, 1): 1, (0, 2): 1})
+        assert cls.power_digits(5000) == chow.binomial_digits(5000, cls.power_steps(5000), 3)
+        assert chow.binomial_digits(10**9, 0, 2) == math.inf
+        # no binomial term when c0 = 0; beyond MAX_POW_STEPS the power refuses itself
+        assert ChowClass(X, {(1, 1): 5, (0, 2): 1}).power_digits(10**9) == 0
+        Y = ProjProduct((10**9,))
+        assert (ChowClass.one(Y) + alpha(Y)).power_digits(MAX_POW_STEPS + 1) == 0
+
     def test_power_of_a_unit_plus_a_generator_on_a_large_factor_pair(self):
         # (1 + a_1)**n on P^1 x P^n is 1 + n a_1: K = 1, so no binomial
         # beyond C(n, 1) is formed
@@ -243,10 +263,10 @@ class TestPackedKernel:
     def test_power_beyond_the_step_limit_is_refused_at_once(self):
         X = ProjProduct((10**9,))
         start = time.process_time()
-        with pytest.raises(ValueError, match="1000001 Horner steps exceed the limit"):
+        with pytest.raises(ValueError, match="1000001 products exceed the limit"):
             alpha(X) ** (MAX_POW_STEPS + 1)
         # newton and cf take their powers through the same check
-        with pytest.raises(ValueError, match="100000000 Horner steps exceed the limit"):
+        with pytest.raises(ValueError, match="100000000 products exceed the limit"):
             newton_class(line_bundle(X, (1,)), 10**8)
         assert time.process_time() - start < 1.0
 

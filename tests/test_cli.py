@@ -351,6 +351,24 @@ class TestSteenrodCommand:
             "above the cap 40\n"
         )
 
+    def test_untwisted_above_the_weight_is_zero_before_any_conversion(self, capsys):
+        # P62 on b30 would need a conversion of weight 90, but instability
+        # answers first
+        code, out, err = run(
+            capsys, "steenrod", "--untwisted", "--prime", "3", "--op", "P62", "--class", "b30"
+        )
+        assert (code, json.loads(out), err) == (0, [], "")
+
+    @pytest.mark.parametrize(
+        "cls, code, err",
+        [("b31", 2, "error: weight 62 exceeds cap 60\n"), ("b1^30", 0, "")],
+        ids=["b31", "b1^30"],
+    )
+    def test_class_weight_cap(self, capsys, cls, code, err):
+        got = run(capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", cls)
+        assert (got[0], got[2]) == (code, err)
+        assert (got[1] == "") == bool(code)
+
     def test_bpoly_json_round_trip(self):
         p = BPoly({((1, 2), (3, 1)): 2, ((2, 1),): 1}, 5)
         assert _cmd_symfun.bpoly_from_json(_cmd_symfun.bpoly_to_json(p), 5) == p
@@ -692,7 +710,7 @@ class TestChowCommand:
                     "n": -1,
                 },
             },
-            # a factor beyond 64 bits is held, but not 2**63 Horner steps
+            # a factor beyond 64 bits is held, but not 2**63 products
             {"space": [1, 2**63], "expr": {"op": "pow", "base": "alpha", "n": 2**63}},
             # constant term 2 to a power beyond float range
             {
@@ -845,12 +863,29 @@ class TestChowCommand:
         assert code == 2 and out == ""
         assert err == "error: pow: a coefficient has over 4300 digits\n"
 
+    def test_pow_of_a_pow_is_refused_by_its_coefficients(self, capsys, tmp_path):
+        # (1 + alpha) ** 10**4000 on P^1 is 1 + 10**4000 alpha; its 10**400-th
+        # power is priced at 400 digits from c0 = 1, and refused once it is
+        # 1 + 10**4400 alpha, before an enclosing power could grow it again
+        inner = {"op": "pow", "base": {"op": "add", "terms": ["alpha", UNIT]}, "n": 10**4000}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1], "expr": inner}))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["class"] == [
+            {"exponents": [0], "coeff": "1"},
+            {"exponents": [1], "coeff": str(10**4000)},
+        ]
+        done = run_chow_process({"space": [1], "expr": {"op": "pow", "base": inner, "n": 10**400}})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: pow: a coefficient has over 4300 digits\n"
+
     @pytest.mark.parametrize(
         "space, n",
         [([10**9], 10**9), ([10**6 + 1], 10**9), ([500000, 500001], 2 * 10**6)],
     )
     def test_pow_beyond_the_step_limit_is_refused_at_once(self, space, n):
-        # min(n, total dimension) Horner steps above 10**6
+        # min(n, total dimension) products above 10**6
         payload = {"space": space, "expr": {"op": "pow", "base": "alpha", "n": n}}
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""
@@ -862,7 +897,7 @@ class TestChowCommand:
         ids=["newton", "tangent"],
     )
     def test_newton_beyond_the_step_limit_is_refused_at_once(self, space, bundle, n):
-        # 10**8 Horner steps; 10**7 + 2 line bundles in the tangent bundle
+        # 10**8 products; 10**7 + 2 line bundles in the tangent bundle
         payload = {"space": space, "expr": {"op": "newton", "bundle": bundle, "n": n}}
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""

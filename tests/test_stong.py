@@ -19,6 +19,7 @@ from cobcalc.stong import (
     congruence_check,
     exceptional_exponent,
     factor_counts,
+    log_s_numbers,
     s_number,
     s_number_bruteforce,
     sign_exponent,
@@ -375,6 +376,20 @@ class TestFactorCounts:
         assert [d for d, _ in counted] == [row.d for row in rows]
         for (d, counts), row in zip(counted, rows):
             assert counts == chow.factor_groups(row.factors), d
+
+    @pytest.mark.parametrize("ell, first", [(3, 3207), (11, 2577)])
+    def test_log_s_numbers_find_the_first_unprintable_row(self, ell, first):
+        # each estimate is ln|s| of its row, and the first at or above the
+        # print limit is the first row whose s has over MAX_DIGITS digits
+        rows, estimates = valuation_table(ell, first), list(log_s_numbers(ell, first))
+        assert [d for d, _ in estimates] == [row.d for row in rows]
+        for (d, ln_s), row in zip(estimates, rows):
+            assert math.isclose(ln_s, math.log(abs(row.s_number)), rel_tol=1e-9), d
+        big = [row.d for row in rows if abs(row.s_number) >= 10**valuation.MAX_DIGITS]
+        limit = valuation.MAX_DIGITS * math.log(10)
+        assert big[0] == first == next(d for d, ln_s in estimates if ln_s >= limit)
+        for row in rows[: first - 1]:
+            str(row.s_number)
 
     @pytest.mark.parametrize("ell", [3, 5, 7, 1000003])
     def test_counts_match_build_X(self, ell):

@@ -141,6 +141,11 @@ class TestConvert:
         with pytest.raises(ValueError):
             convert(m((30, 20)), "elementary")
 
+    def test_weight_cap_prices_only_conversions(self):
+        # an input already in the target basis needs no conversion
+        f = m((50,))
+        assert convert(f, "monomial") is f
+
     def test_mod_ell_conversion(self):
         got = convert(p((2,), modulus=3), "elementary")
         assert got.coeffs == {Partition((1, 1)): 1, Partition((2,)): 1}
