@@ -20,10 +20,11 @@ MAX_POW_STEPS of them are refused up front, and each is priced as above.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
-exponents of each group of equal factors.  It knows only
-multiplication by alpha (a push step that moves one factor of a group up
-by one exponent), so it holds the powers of alpha and whatever is pushed
-from them; `stong`'s expansions run there.
+exponents of each group of equal factors.  Its product, the push step,
+multiplies by a weighted sum of the groups' power sums p_k of hyperplane
+classes (alpha is the sum of the p_1), and its Newton class takes twists
+constant on each group or in orbits of single-factor twists: `stong`'s
+expansions run there, and the full ring is their second route.
 
 Only sums of line bundles appear as bundles: every bundle computed with
 here splits into such a sum.  The Conner-Floyd class c_I is the monomial
@@ -193,9 +194,9 @@ def _mul(a: dict, b: dict, layout: tuple) -> dict:
     return _sparse.clean(out)
 
 
-# The push moves found from a group's part of a key are kept for reuse, up
-# to this many parts per group: a group (n, a) has C(n + a, a) parts, too
-# many to list when n is large, while a step reaches only a few of them
+# The push moves found from a group's part of a key are kept, up to this
+# many parts per group, k and weight: a group (n, a) has C(n + a, a) parts,
+# too many to list when n is large, while a step reaches only a few of them
 _MOVES_KEPT = 4096
 
 
@@ -208,82 +209,119 @@ class InvariantSubring:
     the group's factors, which the key holds sorted in the group's a
     fields of one `_sparse` layout: as wide as a key of the full ring.
     The unit orbit is key 0, and the top orbit, every exponent at its
-    dimension, holds the top monomial alone.  Multiplying by alpha moves
-    one factor of a group from exponent v to v + 1, so adds 1 to the last
-    field holding v, which keeps the fields sorted: the orbit sum so
-    reached collects each of its monomials once from every factor at
-    v + 1, so the push step's coefficient is the new count of v + 1.
+    dimension, holds the top monomial alone.  Multiplying by the power sum
+    p_k(g) of the hyperplane classes of a group g is a push step: it moves
+    one factor of g from an exponent v to v + k (`_push_moves`), and the
+    orbit sum so reached collects each of its monomials once from every
+    factor at v + k, so the step's coefficient is the new count of v + k.
     """
 
-    __slots__ = ("_groups", "_members", "top")
+    __slots__ = ("_groups", "top")
 
     unit = 0
 
     def __init__(self, space: ProjProduct) -> None:
+        # a group is (mask of its fields, fields, field mask, n, its factors, move tables)
         shifts, mask, _ = _sparse.layout(space.factor_count, max(space.dims))
-        first, groups, members = 0, [], []
+        first, self._groups = 0, []
         for n, a in factor_groups(space):
             fields = shifts[first : first + a]
-            groups.append((((1 << (a * mask.bit_length())) - 1) << fields[0], fields, mask, n, {}))
-            members.append((fields, [i for i, m in enumerate(space.dims) if m == n]))
+            factors = [i for i, m in enumerate(space.dims) if m == n]
+            group_mask = ((1 << (a * mask.bit_length())) - 1) << fields[0]
+            self._groups.append((group_mask, fields, mask, n, factors, {}))
             first += a
-        self._groups, self._members = groups, members
         self.top = self.orbit(space.dims)
 
     def orbit(self, exps) -> int:
         """Key of the orbit of the monomial with exponents exps."""
-        key = 0
-        for fields, factors in self._members:
-            key += sum(map(lshift, sorted(exps[i] for i in factors), fields))
-        return key
+        return sum(sum(map(lshift, sorted(exps[i] for i in g[4]), g[1])) for g in self._groups)
 
-    def times_alpha(self, cls: dict) -> dict:
-        """cls times alpha, without zero coefficients."""
-        out: dict = {}
-        get = out.get
-        items = cls.items()
-        # one group at a time: a key's part in a group is one mask away
-        for group in self._groups:
-            group_mask, moves = group[0], group[-1]
-            for key, c in items:
-                part = key & group_mask
-                steps = moves.get(part)
-                if steps is None:
-                    if len(moves) == _MOVES_KEPT:
-                        moves.clear()
-                    steps = moves[part] = _push_moves(part, group)
-                for step, count in steps:
-                    k = key + step
-                    out[k] = get(k, 0) + c * count
-        return _sparse.clean(out)
-
-    def alpha_power(self, n: int) -> dict:
-        """alpha**n, by n push steps from the unit orbit."""
-        cls = {self.unit: 1}
-        for _ in range(n):
+    def push(self, cls: dict, weights: dict, k: int = 1, times: int = 1) -> dict:
+        """cls times (sum of c_g p_k(g) over the groups g)**times, without zero
+        coefficients; weights maps the factor dimension of g to c_g, 0 when
+        absent (alpha: every c_g 1, k = 1).  Moves are kept per k and c_g."""
+        tables = [(g, g[-1].setdefault((k, w), {}), w) for g in self._groups if (w := weights.get(g[3]))]
+        for _ in range(times):
             if not cls:
                 break
-            cls = self.times_alpha(cls)
+            out: dict = {}
+            get = out.get
+            items = cls.items()
+            # one group at a time: a key's part in a group is one mask away
+            for group, moves, weight in tables:
+                group_mask = group[0]
+                for key, c in items:
+                    part = key & group_mask
+                    steps = moves.get(part)
+                    if steps is None:
+                        if len(moves) == _MOVES_KEPT:
+                            moves.clear()
+                        steps = moves[part] = _push_moves(part, group, k, weight)
+                    for step, count in steps:
+                        new = key + step
+                        out[new] = get(new, 0) + c * count
+            cls = _sparse.clean(out)
         return cls
+
+    def newton_class(self, v: VirtualBundle, n: int) -> dict:
+        """The Newton class of v (`newton_class`) from its signed twists.  A
+        twist constant on each group, c_g on g, gives its count times
+        (sum c_g p_1(g))**n, by n push steps.  A twist c on one factor of g
+        lies in the orbit of the twists c on each factor of g, which must
+        all carry one count s, and the orbit gives s c**n p_n(g); all orbits
+        take one push step with k = n.  Any other twist is refused."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        dims, terms, orbits = v.space.dims, [], {}
+        for twist, sign in v.signed_twists().items():
+            if not sign:
+                continue
+            if len(twist) - twist.count(0) == 1:
+                c = sum(twist)
+                orbits.setdefault((dims[twist.index(c)], c), []).append(sign)
+                continue
+            weights = dict(zip(dims, twist))
+            if tuple(map(weights.get, dims)) != twist:
+                raise ValueError(f"twist {twist} is neither constant on each group nor on one factor")
+            terms += self.push({self.unit: sign}, weights, 1, n).items()
+        weights = dict.fromkeys(dims, 0)
+        for (dim, c), signs in orbits.items():
+            if signs != signs[:1] * dims.count(dim):
+                raise ValueError(f"the twists {c} on the copies of P^{dim} differ in signed count")
+            weights[dim] += signs[0] * c**n
+        return _sparse.collect([*terms, *self.push({self.unit: 1}, weights, n).items()])
 
     def deg(self, cls: dict) -> int:
         """Coefficient of the top orbit, which is the top monomial alone."""
         return cls.get(self.top, 0)
 
 
-def _push_moves(part: int, group: tuple) -> list:
-    """The push moves from one group's part of an orbit key, as (key
-    increment, new count of v + 1), one per exponent value v < n held:
-    the fields are read from the top down, counting each run of a value."""
-    _, fields, mask, n, _ = group
+def _push_moves(part: int, group: tuple, k: int, weight: int) -> list:
+    """The moves of a push step by weight p_k from one group's part of an
+    orbit key, as (key increment, weight times the new count of v + k), one
+    per exponent v held with v + k <= n, read from the top field down.  The
+    top field of v's run moves to v + k and the runs in (v, v + k] shift
+    down one field; only k > 1 reaches past the run just above."""
+    _, fields, mask, n, _, _ = group
     moves = []
-    above, run = None, 0
+    above, top, run = n + k + 1, 0, 0  # no value above the top field
     for s in reversed(fields):
         e = part >> s & mask
         if e != above:
-            if e < n:
-                moves.append((1 << s, run + 1 if above == e + 1 else 1))
-            above, run = e, 0
+            target = e + k
+            if target <= n and above >= target:
+                moves.append((k << s, weight * (run + 1) if above == target else weight))
+            elif target <= n:
+                step, v, h, count = (above - e) << s, above, top, 1
+                for t in range(top + fields.step, fields.stop, fields.step):
+                    w = part >> t & mask
+                    if w > target:
+                        break
+                    if w != v:
+                        step, v = step + ((w - v) << h), w
+                    h, count = t, count + (w == target)
+                moves.append((step + ((target - v) << h), weight * count))
+            above, top, run = e, s, 0
         run += 1
     return moves
 

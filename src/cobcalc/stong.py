@@ -12,9 +12,9 @@ brute-force expansion.  The expansions (`s_number_bruteforce`,
 permuting equal factors fixes (`chow.InvariantSubring`): alpha, the
 tangent bundle and their Newton classes all lie there, and build_X repeats
 its factors, so the orbits of monomials are far fewer than the monomials.
-They push alpha step by step and read the top orbit; no multinomial or
-other closed form enters.  Each is priced first by its invariant rank
-times the factor count.
+They are the subring's push steps and Newton class, read at the top
+orbit; no multinomial or other closed form enters.  Each is priced first
+by its invariant rank times the factor count.
 
 The valuation table walks the base-ell digits of 2d+2 once for all its
 rows, by runs: between two carries out of digit 0 only digit 0 moves.  The
@@ -23,9 +23,9 @@ per run, and each row of a run costs one small multiplication of the
 running multinomial, its factor tuple and the row.  `s_number` and
 `build_X` stay the row-by-row route the tests check the table against.
 
-The rows hold `space.ProjProduct`s.  Only the expansions import `chow` and
-`_sparse`, where they run, so the table, and the `snumbers` and
-`verify-generators` commands built on it, compile neither.
+The rows hold `space.ProjProduct`s.  Only the expansions import `chow`,
+and with it `_sparse`, where they run, so the table, and the `snumbers`
+and `verify-generators` commands built on it, compile neither.
 """
 
 from __future__ import annotations
@@ -36,21 +36,16 @@ from ._record import Record
 from .space import ProjProduct
 from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
-# This import serves the annotations only: type checkers take TYPE_CHECKING
-# as true, and defining it here spares importing typing.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from . import chow
-
 # Expansions refuse, before any ring arithmetic, a space whose predicted work
 # (invariant rank x factor count, see _check_expansion_work) exceeds this.
 # One route costs 0.35-0.5 us per unit on build_X's spaces on a 2-core x86
-# host, so about 2 s at the limit, and more on one large factor beside a
-# P^1, whose steps hold two orbits each: 1.2 us (2.6 us with the tangent
-# bundle of N lines), and 4 s for P^999999 x P^1.  The invariant rank is at
-# most the ring rank prod(n_i + 1), so this admits every space the full-ring
-# rule (ring rank x factor count <= 2**22) did, and build_X(d, l) for every
-# d <= 38 at l = 3, d <= 44 at l = 5 and d <= 46 at l = 7.
+# host, so about 2 s at the limit (build_X(88, 3), work 4083600: 1.5 s per
+# route), and more on one large factor beside a P^1, whose steps hold two
+# orbits each: 1.2 us (2.6 us with the tangent bundle of N lines), and 4 s
+# for P^999999 x P^1.  The invariant rank is at most the ring rank
+# prod(n_i + 1), so this admits every space the full-ring rule (ring rank
+# x factor count <= 2**22) did, and build_X(d, l) for every d <= 38 at
+# l = 3, d <= 44 at l = 5 and d <= 46 at l = 7.
 MAX_EXPANSION_WORK = 2**22
 
 
@@ -123,14 +118,14 @@ def s_number(X: ProjProduct) -> int:
 
 
 def s_number_bruteforce(X: ProjProduct) -> int:
-    """Same number by expansion of alpha**N in the subring of the truncated
-    ring invariant under permuting equal factors."""
+    """Same number by expansion of alpha**N, N push steps, in the subring of
+    the truncated ring invariant under permuting equal factors."""
     from . import chow
 
     _check_construction(X)
     _check_expansion_work(X)
     ring = chow.InvariantSubring(X)
-    return -2 * ring.deg(ring.alpha_power(X.total_dimension))
+    return -2 * ring.deg(ring.push({ring.unit: 1}, dict.fromkeys(X.dims, 1), 1, X.total_dimension))
 
 
 def congruence_check(d: int, ell: int) -> tuple[int, int, bool]:
@@ -170,48 +165,15 @@ def signed_char_number(X: ProjProduct) -> int:
     from . import chow
 
     two_d = _check_construction(X)
-    _check_expansion_work(X)
-    # -T_Y restricted from X: the normal bundle xi + xi minus the tangent bundle
-    ones = (1,) * X.factor_count
-    normal = chow.VirtualBundle(X, (chow.LineTerm(1, ones), chow.LineTerm(1, ones)))
-    v = normal + (-chow.tangent_bundle(X))
     if two_d == 0:
         # degenerate d = 0: the Newton class of degree 0 is not defined
         raise ValueError("signed characteristic number needs d >= 1")
+    _check_expansion_work(X)
     ring = chow.InvariantSubring(X)
-    pushed = ring.times_alpha(ring.times_alpha(_invariant_newton_class(ring, v, two_d)))
-    return (-1) ** sign_exponent(X) * ring.deg(pushed)
-
-
-def _invariant_newton_class(ring: chow.InvariantSubring, v: chow.VirtualBundle, n: int) -> dict:
-    """The Newton class of v in ring, twist by twist: the all-ones twist
-    gives alpha**n and the trivial twist 0; the unit twists on one group
-    of equal factors give that group's power sum x**n, a single orbit, and
-    must carry equal signs, or the class would not be invariant."""
-    from . import _sparse
-
-    dims = v.space.dims
-    units = [0] * len(dims)  # the sign of the unit twist on each factor
-    terms = []
-    for twist, sign in v.signed_twists().items():
-        if not sign or not any(twist):
-            continue  # the trivial twist's first Chern class is 0, and n >= 1
-        if set(twist) == {1}:
-            terms.extend((k, sign * c) for k, c in ring.alpha_power(n).items())
-        elif sum(twist) == 1 and set(twist) == {0, 1}:
-            units[twist.index(1)] = sign
-        else:
-            raise ValueError(f"twist {twist} is neither all ones nor a unit")
-    for dim in set(dims):
-        group = {sign for sign, n_i in zip(units, dims) if n_i == dim}
-        if len(group) > 1:
-            raise ValueError(f"unit twists on the copies of P^{dim} differ in sign")
-        sign = group.pop()
-        if sign and n <= dim:
-            exps = [0] * len(dims)
-            exps[dims.index(dim)] = n
-            terms.append((ring.orbit(exps), sign))
-    return _sparse.collect(terms)
+    # -T_Y restricted from X: the normal bundle xi + xi minus the tangent bundle
+    normal = chow.VirtualBundle(X, (chow.LineTerm(1, (1,) * X.factor_count),) * 2)
+    newton = ring.newton_class(normal + (-chow.tangent_bundle(X)), two_d)
+    return (-1) ** sign_exponent(X) * ring.deg(ring.push(newton, dict.fromkeys(X.dims, 1), 1, 2))
 
 
 def _walk(ell: int, d_max: int):

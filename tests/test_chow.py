@@ -294,13 +294,40 @@ def _by_orbit(ring: InvariantSubring, coeffs: dict) -> dict:
     return out
 
 
+@st.composite
+def invariant_bundles(draw):
+    """A small space with a repeated factor and, on it, a bundle of twists
+    constant on each group of equal factors and of single-factor twist
+    orbits, with random signs; n <= the total dimension, and a weight per
+    group and k <= 3 for a push."""
+    counts = draw(
+        st.dictionaries(st.integers(1, 3), st.integers(1, 3), min_size=1, max_size=3).filter(
+            lambda c: max(c.values()) > 1
+        )
+    )
+    X = ProjProduct(tuple(draw(st.permutations([n for n, a in counts.items() for _ in range(a)]))))
+    m, signs, weights = X.factor_count, st.sampled_from((1, -1)), st.integers(-2, 2)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        twist = dict(zip(counts, draw(st.lists(weights, min_size=len(counts), max_size=len(counts)))))
+        terms.append(LineTerm(draw(signs), tuple(twist[n] for n in X.dims)))
+    for _ in range(draw(st.integers(0, 3))):
+        group, c, count = draw(st.sampled_from(sorted(counts))), draw(weights.filter(bool)), draw(weights)
+        for i in (i for i, n in enumerate(X.dims) if n == group):
+            twist = (0,) * i + (c,) + (0,) * (m - i - 1)
+            terms += [LineTerm(1 if count > 0 else -1, twist)] * abs(count)
+    push = {n: draw(weights) for n in counts}
+    return VirtualBundle(X, tuple(terms)), draw(st.integers(1, X.total_dimension)), push, draw(st.integers(1, 3))
+
+
 class TestInvariantSubring:
     @pytest.mark.parametrize("dims", _odd_shapes(10))
     def test_alpha_powers_equal_the_full_ring_term_by_term(self, dims):
         X = ProjProduct(dims)
         ring = InvariantSubring(X)
+        ones = dict.fromkeys(dims, 1)
         for k in range(X.total_dimension + 2):
-            assert ring.alpha_power(k) == _by_orbit(ring, (alpha(X) ** k).coeffs), k
+            assert ring.push({ring.unit: 1}, ones, 1, k) == _by_orbit(ring, (alpha(X) ** k).coeffs), k
 
     def test_orbits_count_the_invariant_rank(self):
         for dims in [(1,), (1, 1), (3, 1, 3), (1, 1, 1, 5, 5), (3, 3, 3), (2, 2, 1, 2)]:
@@ -325,21 +352,54 @@ class TestInvariantSubring:
         # (counts 1, 1, 1), whose monomials each arise once
         X = ProjProduct((2, 2, 2))
         ring = InvariantSubring(X)
-        pushed = ring.times_alpha({ring.orbit((1, 1, 0)): 5})
+        pushed = ring.push({ring.orbit((1, 1, 0)): 5}, {2: 1})
         assert pushed == {ring.orbit((1, 1, 1)): 15, ring.orbit((2, 1, 0)): 5}
+
+    def test_push_by_a_higher_power_sum_resorts_the_fields(self):
+        # on (P^3)^3: p_2 times the orbit sum of a2 a3^2 (exponents 0, 1, 2).
+        # 0 -> 2 passes the exponent 1 and gives the orbit of (1, 2, 2),
+        # whose monomials each arise from both copies at 2; 1 -> 3 passes 2
+        # and gives the orbit of (0, 2, 3), each monomial once; 2 -> 4 is
+        # truncated
+        X = ProjProduct((3, 3, 3))
+        ring = InvariantSubring(X)
+        pushed = ring.push({ring.orbit((0, 1, 2)): 5}, {3: 1}, 2)
+        assert pushed == {ring.orbit((1, 2, 2)): 10, ring.orbit((0, 2, 3)): 5}
+        p2 = ChowClass(X, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        orbit = ChowClass(X, {e: 5 for e in itertools.permutations((0, 1, 2))})
+        assert pushed == _by_orbit(ring, (orbit * p2).coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_bundles())
+    def test_newton_classes_and_pushes_equal_the_full_ring(self, case):
+        v, n, weights, k = case
+        X, m = v.space, v.space.factor_count
+        ring = InvariantSubring(X)
+        full = newton_class(v, n)
+        newton = ring.newton_class(v, n)
+        assert newton == _by_orbit(ring, full.coeffs)
+        # times sum c_g p_k(g), the power sums of the groups' hyperplane classes
+        power_sums = ChowClass(X, {(0,) * i + (k,) + (0,) * (m - i - 1): weights[d] for i, d in enumerate(X.dims)})
+        assert ring.push(newton, weights, k) == _by_orbit(ring, (full * power_sums).coeffs)
+        # one copy of a repeated factor with one more twist than the others
+        group = next(d for d in X.dims if X.dims.count(d) > 1)
+        i = X.dims.index(group)
+        with pytest.raises(ValueError, match="differ in signed count"):
+            ring.newton_class(v + line_bundle(X, (0,) * i + (k,) + (0,) * (m - i - 1)), n)
 
     def test_degree_is_the_top_orbit(self):
         X = ProjProduct((1, 1, 3))
         ring = InvariantSubring(X)
-        assert ring.deg(ring.alpha_power(5)) == deg(alpha(X) ** 5) == multinomial(5, (1, 1, 3))
-        assert ring.deg(ring.alpha_power(4)) == 0
-        assert ring.alpha_power(6) == {}
+        ones = {1: 1, 3: 1}
+        assert ring.deg(ring.push({ring.unit: 1}, ones, 1, 5)) == deg(alpha(X) ** 5) == multinomial(5, (1, 1, 3))
+        assert ring.deg(ring.push({ring.unit: 1}, ones, 1, 4)) == 0
+        assert ring.push({ring.unit: 1}, ones, 1, 6) == {}
 
     def test_cancelled_terms_are_dropped(self):
         # (a1 - a2)(a1 + a2) on P^1 x P^3 is -a2^2: the a1 a2 terms cancel
         X = ProjProduct((1, 3))
         ring = InvariantSubring(X)
-        pushed = ring.times_alpha({ring.orbit((1, 0)): 1, ring.orbit((0, 1)): -1})
+        pushed = ring.push({ring.orbit((1, 0)): 1, ring.orbit((0, 1)): -1}, {1: 1, 3: 1})
         assert pushed == {ring.orbit((0, 2)): -1}
 
 

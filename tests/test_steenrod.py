@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobcalc import chow
 from cobcalc._sparse import layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
@@ -325,6 +326,66 @@ P40_B1_30_AT_3 = [
     (((1, 36), (15, 1), (19, 1)), 2), (((1, 36), (16, 1), (18, 1)), 1), (((1, 36), (17, 2)), 1),
     (((1, 36), (34, 1)), 1), (((1, 37), (33, 1)), 2),
 ]
+
+
+def thom_pairings(dims, ell, action) -> list[int]:
+    """On M, the product of projective spaces of the given dimensions, of
+    complex dimension n, with stable normal bundle nu = -T_M: for each
+    t >= 1 and each b-monomial f of half-weight n - t(ell - 1), the pairing
+    sum over J of coeff_J(action(2t, f, ell)) c_J(nu)[M] mod ell, reading
+    b_j as the Chern class c_j = cf_chern(nu, (1,)*j)."""
+    M = chow.ProjProduct(dims)
+    n, nu = M.total_dimension, -chow.tangent_bundle(M)
+    chern = [chow.cf_chern(nu, (1,) * j) for j in range(n + 1)]
+    numbers: dict = {}
+
+    def number(J) -> int:
+        if J not in numbers:
+            c = chow.ChowClass.one(M)
+            for j, k in J:
+                for _ in range(k):
+                    c = c * chern[j]
+            numbers[J] = chow.deg(c)
+        return numbers[J]
+
+    pairings = []
+    for t in range(1, n // (ell - 1) + 1):
+        for lam in enumerate_partitions(n - t * (ell - 1)):
+            image = action(2 * t, partition_to_bmono(lam, ell), ell)
+            pairings.append(sum(c * number(J) for J, c in image.coeffs.items()) % ell)
+    return pairings
+
+
+class TestThomRelations:
+    """The Hurewicz image of a closed stably complex manifold M is
+    spherical, so every operation of positive index on the Thom class
+    pairs to zero with [M]: the operations through the rank twist kill the
+    Chern numbers of the stable normal bundle mod ell (Milnor and Stasheff,
+    Characteristic Classes, 1974; Stong, Notes on Cobordism Theory, 1968).
+    This ties the geometry of `chow` to the action of `steenrod`."""
+
+    SPACES = [tuple(lam) for n in range(1, 7) for lam in enumerate_partitions(n)]
+
+    @pytest.mark.parametrize("ell, relations", [(3, 136), (5, 34)])
+    def test_positive_operations_kill_the_chern_numbers(self, ell, relations):
+        count = 0
+        for dims in self.SPACES:
+            pairings = thom_pairings(dims, ell, power_op)
+            assert not any(pairings), dims
+            count += len(pairings)
+        assert count == relations
+
+    @pytest.mark.parametrize(
+        "ell, spaces",
+        [
+            (3, [(3,), (4,), (3, 1), (4, 1), (3, 1, 1), (6,), (4, 1, 1), (3, 3), (3, 1, 1, 1)]),
+            (5, [(5,), (6,), (5, 1)]),
+        ],
+    )
+    def test_the_untwisted_action_fails_them(self, ell, spaces):
+        # the classifying-space action is not the Thom-spectrum one
+        for dims in spaces:
+            assert any(thom_pairings(dims, ell, power_op_untwisted)), dims
 
 
 class TestPackedKeysAtTheWeightCap:

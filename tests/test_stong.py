@@ -14,7 +14,6 @@ from cobcalc.stong import (
     MAX_EXPANSION_WORK,
     StongDatum,
     _check_expansion_work,
-    _invariant_newton_class,
     build_X,
     congruence_check,
     exceptional_exponent,
@@ -105,6 +104,16 @@ class TestSNumber:
         with pytest.raises(ValueError):
             s_number(ProjProduct((1, 1, 1)))  # odd factor count
 
+    def test_signed_number_refuses_d_zero_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("pricing or ring work before the d = 0 refusal")
+
+        monkeypatch.setattr(stong, "_check_expansion_work", no_work)
+        for name in ("InvariantSubring", "VirtualBundle", "tangent_bundle"):
+            monkeypatch.setattr(chow, name, no_work)
+        with pytest.raises(ValueError, match="needs d >= 1"):
+            signed_char_number(ProjProduct((1, 1)))
+
     def test_bruteforce_examples(self):
         assert s_number_bruteforce(ProjProduct((1, 1, 1, 1))) == -48
         assert s_number_bruteforce(ProjProduct((3, 3))) == -40
@@ -126,8 +135,8 @@ class TestSNumber:
         def no_ring_work(*args):
             raise AssertionError("ring work before the work check")
 
-        monkeypatch.setattr(chow.InvariantSubring, "__init__", no_ring_work)
-        monkeypatch.setattr(chow.InvariantSubring, "times_alpha", no_ring_work)
+        for name in ("__init__", "push", "newton_class"):
+            monkeypatch.setattr(chow.InvariantSubring, name, no_ring_work)
         # (1^2, 3^2, 9^2, 27^2): invariant rank 3 * 10 * 55 * 406 x 8 factors
         X = build_X(39, 3)
         assert X == ProjProduct((1, 1, 3, 3, 9, 9, 27, 27))
@@ -183,6 +192,27 @@ class TestSNumber:
             assert s_number_bruteforce(X) == -2 * _multinomial(X.dims)
             assert abs(signed_char_number(X)) == 2 * _multinomial(X.dims)
 
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_full_ring_chern_number_is_a_third_route(self, ell, monkeypatch):
+        # s_(2d)[Y] = deg(alpha^2 c_(2d)(T_X - 2 xi)) in the full ring, where
+        # c_(2d) = m_(2d) of the Chern roots comes from cf_chern: neither the
+        # invariant subring nor a multinomial enters
+        def forbidden(*args):
+            raise AssertionError("subring or multinomial in the full-ring route")
+
+        numbers = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(chow, "InvariantSubring", forbidden)
+            for module in (stong, valuation):
+                patch.setattr(module, "multinomial", forbidden)
+            for d in range(1, 9):
+                X = build_X(d, ell)
+                ones = (1,) * X.factor_count
+                v = chow.tangent_bundle(X) + (-line_bundle(X, ones)) + (-line_bundle(X, ones))
+                numbers[d] = chow.deg(chow.alpha(X) ** 2 * chow.cf_chern(v, (2 * d,)))
+        for d, number in numbers.items():
+            assert number == s_number(build_X(d, ell)), d
+
 
 def _multinomial(dims) -> int:
     out = math.factorial(sum(dims))
@@ -204,22 +234,31 @@ class TestInvariantNewtonClass:
             want: dict = {}
             for e, c in chow.newton_class(v, n).coeffs.items():
                 assert want.setdefault(ring.orbit(e), c) == c
-            assert _invariant_newton_class(ring, v, n) == want, n
+            assert ring.newton_class(v, n) == want, n
 
     def test_refuses_a_class_that_is_not_invariant(self):
         X = ProjProduct((1, 1, 3))
         ring = chow.InvariantSubring(X)
         with pytest.raises(ValueError, match="differ in sign"):
-            _invariant_newton_class(ring, line_bundle(X, (1, 0, 0)), 1)
-        with pytest.raises(ValueError, match="neither all ones nor a unit"):
-            _invariant_newton_class(ring, line_bundle(X, (1, 1, 0)), 1)
-        with pytest.raises(ValueError, match="neither all ones nor a unit"):
-            _invariant_newton_class(ring, line_bundle(X, (0, 0, 2)), 1)
+            ring.newton_class(line_bundle(X, (1, 0, 0)), 1)
+        # twists constant on each group of equal factors are answered, and
+        # equal the full ring's Newton class term by term
+        for twist in ((1, 1, 0), (0, 0, 2)):
+            v = line_bundle(X, twist)
+            for n in range(1, X.total_dimension + 2):
+                want: dict = {}
+                for e, c in chow.newton_class(v, n).coeffs.items():
+                    assert want.setdefault(ring.orbit(e), c) == c
+                assert ring.newton_class(v, n) == want, (twist, n)
+        assert ring.newton_class(line_bundle(X, (0, 0, 2)), 2) == {ring.orbit((0, 0, 2)): 4}
+        assert ring.newton_class(line_bundle(X, (1, 1, 0)), 2) == {ring.orbit((1, 1, 0)): 2}
+        with pytest.raises(ValueError, match="neither constant on each group"):
+            ring.newton_class(line_bundle(X, (1, 2, 0)), 1)
         # a unit twist on a factor without an equal partner is invariant
-        assert _invariant_newton_class(ring, line_bundle(X, (0, 0, 1)), 2) == {ring.orbit((0, 0, 2)): 1}
+        assert ring.newton_class(line_bundle(X, (0, 0, 1)), 2) == {ring.orbit((0, 0, 2)): 1}
         # opposite terms of any twist cancel before they are read
         v = line_bundle(X, (2, 0, 0)) + line_bundle(X, (2, 0, 0), sign=-1)
-        assert _invariant_newton_class(ring, v, 1) == {}
+        assert ring.newton_class(v, 1) == {}
 
 
 class TestCongruence:
