@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import chow
-from .valuation import MAX_DIGITS
+from .valuation import MAX_DIGITS, printable
 
 # factors a `chow` space has at most: each term of a class stores one
 # exponent per factor, and the Newton class of the tangent bundle, whose
@@ -74,17 +74,16 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
         if n < 0:
             raise ValueError(f"pow: exponent must be nonnegative, got {n}")
         base = eval_chow_expr(space, _field(expr, "base", "pow expression"))
-        # priced before the power runs; a deg is a class with no steps
-        digits = chow.binomial_digits(n, 0, abs(base)) if isinstance(base, int) else base.power_digits(n)
-        if digits >= MAX_DIGITS:
-            raise ValueError(f"pow: a coefficient has over {MAX_DIGITS} digits")
+        if isinstance(base, int):  # a deg
+            if not printable(base, n):
+                raise ValueError(f"pow: a coefficient has over {MAX_DIGITS} digits")
+            return base**n
         try:
             power = base ** n
-        except ValueError as exc:  # beyond chow's step limit
+        except ValueError as exc:  # beyond chow's step limit, or a term that would not print
             raise ValueError(f"pow: {exc}") from None
-        # refused here, before an enclosing power multiplies its digits again
-        coeffs = power.coeffs.values() if isinstance(power, chow.ChowClass) else ()
-        if max(map(abs, coeffs), default=0) >= 10**MAX_DIGITS:
+        # sums of terms, and terms times N**k, may not print: an enclosing power would grow them
+        if not all(map(printable, power.coeffs.values())):
             raise ValueError(f"pow: a coefficient has over {MAX_DIGITS} digits")
         return power
     if op in ("mul", "add"):

@@ -10,10 +10,9 @@ compiles only `stong` and what it needs.
 from __future__ import annotations
 
 import json
-import math
 
 from . import stong
-from .valuation import MAX_DIGITS
+from .valuation import MAX_DIGITS, printable
 
 # This import serves the annotations only: type checkers take TYPE_CHECKING
 # as true, and defining it here spares importing typing.
@@ -39,14 +38,6 @@ def family_from_json(obj) -> criterion.CandidateFamily:
     return criterion.CandidateFamily(obj["kind"], obj["entries"])
 
 
-def snumbers_rows(ell: int, d_max: int) -> list[dict]:
-    return [
-        {"d": row.d, "factors": list(row.factors.dims), "s": str(row.s_number), "nu": row.valuation,
-         "expected": row.expected, "match": row.matches}
-        for row in stong.valuation_table(ell, d_max)
-    ]
-
-
 def family_from_snumbers_rows(rows: list[dict]) -> criterion.CandidateFamily:
     """Read a snumbers JSON report back as a candidate family."""
     from . import criterion
@@ -66,13 +57,19 @@ def verdict_json(v: criterion.GeneratorVerdict) -> list[dict]:
 
 
 def run_snumbers(args) -> tuple[list, bool]:
-    # refuse at the first d whose s has more than MAX_DIGITS digits, before
-    # any row is built
-    for d, ln_s in stong.log_s_numbers(args.prime, args.max_d):
-        if ln_s >= MAX_DIGITS * math.log(10):
-            raise ValueError(f"--max-d {args.max_d}: row d = {d} would print over {MAX_DIGITS} digits")
-    rows = snumbers_rows(args.prime, args.max_d)
-    return rows, all(r["match"] for r in rows)
+    # each row's number is checked as it is made, and no row is rendered
+    # before the whole table has passed: a refusal costs only the rows before it
+    table = []
+    for row in stong.valuation_rows(args.prime, args.max_d):
+        if not printable(row.s_number):
+            raise ValueError(f"--max-d {args.max_d}: row d = {row.d} would print over {MAX_DIGITS} digits")
+        table.append(row)
+    rows = [
+        {"d": row.d, "factors": list(row.factors.dims), "s": str(row.s_number), "nu": row.valuation,
+         "expected": row.expected, "match": row.matches}
+        for row in table
+    ]
+    return rows, all(row.matches for row in table)
 
 
 def run_verify_generators(args) -> tuple[dict, bool]:

@@ -17,6 +17,8 @@ degree-0 coefficient and N the nilpotent rest, is the binomial sum of
 C(n, k) c0**(n-k) N**k, collected once on packed keys; it takes at most
 `ChowClass.power_steps` products whatever the exponent, more than
 MAX_POW_STEPS of them are refused up front, and each is priced as above.
+Its numbers are checked where they are formed (`valuation.printable`):
+c0**n before it is formed, then C(n, k) c0**(n-k) for each nonzero N**k.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
@@ -37,14 +39,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import comb, inf, lcm, lgamma, log, log10, prod
+from math import comb, lcm, prod
 from operator import gt, lshift
 
 from . import _sparse
 from ._record import Record
 from .partitions import Partition
 from .space import ProjProduct
-from .valuation import MAX_DIGITS
+from .valuation import MAX_DIGITS, printable
 
 # Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
 # them on the smallest class take about two seconds
@@ -104,6 +106,8 @@ class ChowClass(Record):
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
+        if not printable(c0, n):
+            raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
         # power is N**k and coeff C(n, k) c0**(n-k), each from the one before;
         # c0 = 0 leaves only the k = n term, which vanishes when n > steps
         power, coeff, terms = {0: 1}, c0**n, []
@@ -113,6 +117,8 @@ class ChowClass(Record):
                 if not power:
                     break
                 coeff = coeff * (n - k + 1) // (k * c0) if c0 else int(k == n)
+                if not printable(coeff):
+                    raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
             if coeff:
                 terms += [(key, coeff * c) for key, c in power.items()]
         return self._result(_sparse.unpack(_sparse.collect(terms), shifts, mask))
@@ -127,36 +133,11 @@ class ChowClass(Record):
         touched = sum(compress(self.space.dims, map(any, zip(*nilpotent))))
         return min(n, touched // min(map(sum, nilpotent)))
 
-    def power_digits(self, n: int) -> float:
-        """binomial_digits of self**n, priced before the power runs; 0 when
-        the power will refuse its own steps (more than MAX_POW_STEPS)."""
-        c0, steps = self.coeffs.get((0,) * self.space.factor_count, 0), self.power_steps(n)
-        return binomial_digits(n, steps, abs(c0)) if steps <= MAX_POW_STEPS else 0.0
-
     def scale(self, a: int) -> "ChowClass":
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
         return ChowClass._trusted(space=self.space, coeffs=coeffs)
-
-
-def binomial_digits(n: int, steps: int, c: int) -> float:
-    """log10 of the largest term C(n, k) c**(n - k), k <= steps <= MAX_POW_STEPS,
-    of a power whose degree-0 coefficient is c >= 0, from log-gamma values
-    (terms rise while k <= (n + 1) / (c + 1)); inf once c**(n - k) alone
-    has MAX_DIGITS digits."""
-    if not c:  # no binomial term: only k = n can be nonzero, 1 * 0**0
-        return 0.0
-    k = min(steps, (n + 1) // (c + 1))
-    # n may be far beyond float range, so it is compared, not multiplied
-    if c > 1 and n - k > MAX_DIGITS / log10(c):
-        return inf
-    j = min(k, n - k)
-    if n < 10**12:
-        ln_binomial = lgamma(n + 1) - lgamma(n - j + 1) - lgamma(j + 1)
-    else:  # j <= steps is far below n, so n!/(n - j)! is n**j to a few ppm
-        ln_binomial = j * log(n) - lgamma(j + 1)
-    return (ln_binomial + (log(c) * (n - k) if c > 1 else 0.0)) / log(10)
 
 
 @lru_cache(maxsize=256)
@@ -434,11 +415,12 @@ def trivial_bundle(space: ProjProduct, sign: int = 1) -> VirtualBundle:
 def tangent_bundle(space: ProjProduct) -> VirtualBundle:
     """Factorwise Euler presentation: for each factor of dimension n,
     (n+1) copies of the unit twist on that factor, minus one trivial
-    line bundle.  It has total_dimension + 2 factor_count terms, refused
-    above MAX_POW_STEPS before any is built."""
-    count = space.total_dimension + 2 * space.factor_count
-    if count > MAX_POW_STEPS:
-        raise ValueError(f"tangent bundle: {count} line bundles exceed the limit {MAX_POW_STEPS}")
+    line bundle.  A space of total dimension above MAX_POW_STEPS, the most
+    steps of a power of a class on it, is refused before any term is
+    built."""
+    dim = space.total_dimension
+    if dim > MAX_POW_STEPS:
+        raise ValueError(f"tangent bundle: {dim} dimensions exceed the limit {MAX_POW_STEPS}")
     m = space.factor_count
     trivial = LineTerm(-1, (0,) * m)
     terms = []

@@ -203,7 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args.render(report, args.format), args.output)
         return 0 if ok else 1
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.startswith("Exceeds the limit ("):
+            # Python's int-to-string refusal, whose advice the command line cannot follow
+            message = f"a number has over {sys.get_int_max_str_digits()} digits"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except RecursionError:
         # a deeply nested payload exhausts the stack of the JSON decoder

@@ -20,7 +20,9 @@ The valuation table walks the base-ell digits of 2d+2 once for all its
 rows, by runs: between two carries out of digit 0 only digit 0 moves.  The
 carries, the higher digits' factors and the valuation are dealt with once
 per run, and each row of a run costs one small multiplication of the
-running multinomial, its factor tuple and the row.  `s_number` and
+running multinomial, its factor tuple and the row.  The rows are yielded
+as they are made (`valuation_rows`), so a caller can check each number
+as it is formed and stop at the first it refuses.  `s_number` and
 `build_X` stay the row-by-row route the tests check the table against.
 
 The rows hold `space.ProjProduct`s.  Only the expansions import `chow`,
@@ -30,7 +32,7 @@ and `verify-generators` commands built on it, compile neither.
 
 from __future__ import annotations
 
-from math import lgamma, log, perm
+from math import perm
 
 from ._record import Record
 from .space import ProjProduct
@@ -41,8 +43,8 @@ from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _req
 # One route costs 0.35-0.5 us per unit on build_X's spaces on a 2-core x86
 # host, so about 2 s at the limit (build_X(88, 3), work 4083600: 1.5 s per
 # route), and more on one large factor beside a P^1, whose steps hold two
-# orbits each: 1.2 us (2.6 us with the tangent bundle of N lines), and 4 s
-# for P^999999 x P^1.  The invariant rank is at most the ring rank
+# orbits each: P^999999 x P^1 takes 3.1 s, and 4.0-4.5 s with its tangent
+# bundle (signed_char_number).  The invariant rank is at most the ring rank
 # prod(n_i + 1), so this admits every space the full-ring rule (ring rank
 # x factor count <= 2**22) did, and build_X(d, l) for every d <= 38 at
 # l = 3, d <= 44 at l = 5 and d <= 46 at l = 7.
@@ -212,34 +214,15 @@ def _walk(ell: int, d_max: int):
             yield d, digits, powers, i, None, run
 
 
-def _exceptional_counts(r: int, ell: int) -> list[int]:
-    """Factor counts by digit position of P^1 x (P^(ell**(r-1)))**ell, the
-    ambient space where 2d + 1 = ell**r."""
-    counts = [1] + [0] * (r - 1)
-    counts[r - 1] += ell
-    return counts
-
-
-def factor_counts(ell: int, d_max: int):
-    """Yield (d, counts) for d = 1..d_max, counts the factors of
-    build_X(d, ell) as (dimension, count) pairs in increasing dimension,
-    row by row from the runs of the walk; no space is built."""
-    for head, digits, powers, _, r, run in _walk(ell, d_max):
-        for k in range(run):
-            counts = [digits[0] + 2 * k, *digits[1:]] if k or r is None else _exceptional_counts(r, ell)
-            yield head + k, tuple([(p, a) for p, a in zip(powers, counts) if a])
-
-
-def log_s_numbers(ell: int, d_max: int):
-    """Yield (d, ln|s|), s the number of row d of valuation_table(ell, d_max),
-    from log-gamma values: |s| = 2 (2d + 2)! / prod((n!)**a) over factor_counts."""
-    for d, counts in factor_counts(ell, d_max):
-        yield d, log(2) + lgamma(2 * d + 3) - sum(a * lgamma(n + 1) for n, a in counts)
-
-
 def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
-    """Rows d = 1..d_max with the closed-form number, its valuation by the
-    Legendre path, and the expected dichotomy flag.
+    """The rows of valuation_rows(ell, d_max), as a list."""
+    return list(valuation_rows(ell, d_max))
+
+
+def valuation_rows(ell: int, d_max: int):
+    """Yield rows d = 1..d_max, each made when it is asked for, with the
+    closed-form number, its valuation by the Legendre path, and the
+    expected dichotomy flag.
 
     The generic number is -2 M(n), n = 2d + 2 with base-ell digits a_i and
     M(n) = n! / prod((ell**i)!)**a_i, so it is a running value:
@@ -268,7 +251,6 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     tails: list[tuple[int, ...]] = [(), ()]  # factor dimensions of the digits i and up
     generic, last = -4, 2  # -2 M(n) at the last head, n = 2: M(2) = 2! / (1!)**2
     nu_n, nu_sum, n_y = 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y at n = 2: two P^1
-    rows = []
     for head, digits, powers, carries, r, run in _walk(ell, d_max):
         n = 2 * head + 2
         if carries == len(carry):  # a new top digit: the first carry out of the one below
@@ -288,16 +270,15 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
         valuation, n_y = nu_n - nu_sum, n_y + 2 - carries * (ell - 1) // 2
         dims = (1,) * digits[0] + tails[1]
         if r is None:
-            rows.append(make_row(ell, head, make_space(dims), generic, valuation, n_y, 0))
+            yield make_row(ell, head, make_space(dims), generic, valuation, n_y, 0)
         else:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
             own = (1,) + (powers[r - 1],) * ell
             nu_own, n_y_own = nu_n - ell * nu_factorial(powers[r - 1], ell), n_y + (ell - 1) // 2
             s_own = -2 * multinomial(n, own)
-            rows.append(make_row(ell, head, make_space(own), s_own, nu_own, n_y_own, 1))
+            yield make_row(ell, head, make_space(own), s_own, nu_own, n_y_own, 1)
         number = generic
         for d in range(head + 1, head + run):
             number *= (2 * d + 1) * (2 * d + 2)
             dims = (1, 1) + dims
             n_y += 2
-            rows.append(make_row(ell, d, make_space(dims), number, valuation, n_y, 0))
-    return rows
+            yield make_row(ell, d, make_space(dims), number, valuation, n_y, 0)

@@ -22,9 +22,19 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_2 = 1373653
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
-# Python's default limit on the digits of an int converted to a string: the
-# most digits a printed number may have (`snumbers`, `chow` `pow`)
+# Python's default limit on the digits of an int converted to a string (from
+# Python 3.10.7 on): the most digits a printed number may have, checked on
+# each number where it is formed (`printable`)
 MAX_DIGITS = 4300
+_PRINT_BOUND = 10**MAX_DIGITS
+
+
+def printable(c: int, n: int = 1) -> bool:
+    """Whether c**n has at most MAX_DIGITS digits, formed only when it is
+    below the bound squared: |c| >= 2**(b - 1), b its bit length, so a
+    power with (b - 1) n bits or more has too many."""
+    c = abs(c)
+    return c < 2 or (c.bit_length() - 1) * n < _PRINT_BOUND.bit_length() and c**n < _PRINT_BOUND
 
 
 # One query checks the same prime many times over (build_X alone checks

@@ -29,13 +29,16 @@ from cobcalc.chow import (
     _layout,
 )
 from cobcalc.partitions import Partition, enumerate_partitions
-from cobcalc.valuation import multinomial
+from cobcalc.valuation import MAX_DIGITS, multinomial
 
 P1 = ProjProduct((1,))
 P3 = ProjProduct((3,))
 P1xP1 = ProjProduct((1, 1))
 P1_4 = ProjProduct((1, 1, 1, 1))
 P3x2 = ProjProduct((3, 3))
+
+# the last n with C(n, 2) < 10**MAX_DIGITS, about 1.4 * 10**2150
+LAST_C_N_2 = next(n for n in itertools.count(math.isqrt(2 * 10**MAX_DIGITS)) if n * (n + 1) // 2 >= 10**MAX_DIGITS)
 
 
 class TestRing:
@@ -99,25 +102,73 @@ class TestRing:
             nilpotent = ChowClass(cls.space, {e: c for e, c in cls.coeffs.items() if any(e)})
             assert (nilpotent ** (K + 1)).coeffs == {}
 
-    @pytest.mark.parametrize(
-        "n, steps, c",
-        [(2000, 2000, 1), (5000, 40, 1), (5000, 5000, 3), (300, 2, 7), (3000, 3000, 2),
-         (10**12, 5, 1), (10**30, 1000, 1), pytest.param(10**4000, 1, 1, id="10**4000-1-1")],
-    )
-    def test_binomial_digits_estimate_the_largest_term(self, n, steps, c):
-        # n < 10**12 takes log-gamma values of n, larger n the power n**j
-        exact = max(math.comb(n, k) * c ** (n - k) for k in range(min(steps, n) + 1))
-        assert abs(chow.binomial_digits(n, steps, c) - math.log10(exact)) < 0.5
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_power_refuses_exactly_its_unprintable_terms(self, data):
+        # (c0 + N)**n, N homogeneous of one degree, against n products: it
+        # is refused exactly when c0**n or some C(n, k) c0**(n-k) with
+        # N**k nonzero has over MAX_DIGITS digits
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        space = ProjProduct(dims)
+        degree = data.draw(st.integers(1, space.total_dimension))
+        monomials = [e for e in itertools.product(*(range(m + 1) for m in dims)) if sum(e) == degree]
+        support = data.draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+        nilpotent = ChowClass(space, {e: data.draw(st.integers(-3, 3).filter(bool)) for e in support})
+        c0 = data.draw(st.one_of(st.integers(-3, 3), st.integers(-(10**100), 10**100)))
+        n = data.draw(st.integers(0, 60))
+        base = ChowClass.one(space).scale(c0) + nilpotent
+        unprintable, power = False, ChowClass.one(space)
+        for k in range(n + 1):
+            if not power.coeffs:
+                break
+            unprintable |= abs(math.comb(n, k) * c0 ** (n - k)) >= 10**MAX_DIGITS
+            power = power * nilpotent
+        if unprintable:
+            with pytest.raises(ValueError, match=f"a coefficient has over {MAX_DIGITS} digits"):
+                base**n
+        else:
+            want = ChowClass.one(space)
+            for _ in range(n):
+                want = want * base
+            assert base**n == want
 
-    def test_power_digits_price_the_binomial_terms(self):
-        X = ProjProduct((1, 3))
-        cls = ChowClass(X, {(0, 0): -3, (1, 1): 1, (0, 2): 1})
-        assert cls.power_digits(5000) == chow.binomial_digits(5000, cls.power_steps(5000), 3)
-        assert chow.binomial_digits(10**9, 0, 2) == math.inf
-        # no binomial term when c0 = 0; beyond MAX_POW_STEPS the power refuses itself
-        assert ChowClass(X, {(1, 1): 5, (0, 2): 1}).power_digits(10**9) == 0
-        Y = ProjProduct((10**9,))
-        assert (ChowClass.one(Y) + alpha(Y)).power_digits(MAX_POW_STEPS + 1) == 0
+    @pytest.mark.parametrize(
+        "c0, m, last",
+        [
+            (1, 2, LAST_C_N_2),  # C(n, 2) on P^2 is the largest term
+            (-1, 2, LAST_C_N_2),
+            (2, 0, 14284),  # the constant term alone: 2**14285 has 4301 digits
+            (2, 1, 14271),  # 14272 * 2**14271 has 4301 digits, 2**14272 4297
+            (10**43, 1, 99),  # 10**4300, the first number of 4301 digits
+        ],
+    )
+    def test_power_at_the_print_limit(self, c0, m, last):
+        # (c0 + alpha)**n on P^m (m = 0: c0 alone on P^1) is
+        # sum C(n, k) c0**(n-k) alpha**k over k <= m
+        X = ProjProduct((max(m, 1),))
+        base = ChowClass(X, {(0,): c0, (1,): int(m > 0)})
+        start = time.process_time()
+        power = base**last
+        assert power.coeffs == {(k,): math.comb(last, k) * c0 ** (last - k) for k in range(m + 1)}
+        assert all(abs(c) < 10**MAX_DIGITS for c in power.coeffs.values())
+        with pytest.raises(ValueError, match=f"a coefficient has over {MAX_DIGITS} digits"):
+            base ** (last + 1)
+        assert time.process_time() - start < 0.2
+
+    @pytest.mark.parametrize("c0", [0, 1, -1])
+    def test_power_of_a_unit_or_zero_plus_a_generator_on_a_line(self, c0):
+        # c0 + a on P^1 to n = 10**4000: c0**n and n c0**(n-1) a print
+        base = ChowClass(P1, {(0,): c0, (1,): 1})
+        n = 10**4000
+        assert (base**n).coeffs == {e: c for e, c in {(0,): c0**n, (1,): n * c0 ** (n - 1)}.items() if c}
+
+    def test_power_whose_nilpotent_part_dies_early_answers(self):
+        # (1 + a_1 a_2)**(10**6) on P^1 x P^(10**6) is 1 + 10**6 a_1 a_2:
+        # (a_1 a_2)**2 = 0, so no C(10**6, k) beyond k = 1 is formed
+        X = ProjProduct((1, 10**6))
+        start = time.process_time()
+        assert (ChowClass(X, {(0, 0): 1, (1, 1): 1}) ** 10**6).coeffs == {(0, 0): 1, (1, 1): 10**6}
+        assert time.process_time() - start < 1.0
 
     def test_power_of_a_unit_plus_a_generator_on_a_large_factor_pair(self):
         # (1 + a_1)**n on P^1 x P^n is 1 + n a_1: K = 1, so no binomial
@@ -458,14 +509,19 @@ class TestBundles:
 
     def test_tangent_bundle_beyond_the_step_limit_is_refused_before_building(self, monkeypatch):
         start = time.process_time()
-        with pytest.raises(ValueError, match="10000002 line bundles exceed the limit"):
+        with pytest.raises(ValueError, match="10000000 dimensions exceed the limit"):
             tangent_bundle(ProjProduct((10**7,)))
         assert time.process_time() - start < 0.1
-        # total dimension + 2 factor count line bundles, up to the limit
+        # total dimension up to the limit
         monkeypatch.setattr(chow, "MAX_POW_STEPS", 10)
-        assert len(tangent_bundle(ProjProduct((5, 1))).terms) == 10
-        with pytest.raises(ValueError, match="11 line bundles exceed the limit 10"):
-            tangent_bundle(ProjProduct((6, 1)))
+        assert len(tangent_bundle(ProjProduct((9, 1))).terms) == 14
+        with pytest.raises(ValueError, match="11 dimensions exceed the limit 10"):
+            tangent_bundle(ProjProduct((10, 1)))
+
+    def test_tangent_bundle_at_the_step_limit(self):
+        # P^999999 x P^1, which stong's expansions admit: total dimension 10**6
+        v = tangent_bundle(ProjProduct((999999, 1)))
+        assert v.signed_twists() == {(1, 0): 10**6, (0, 1): 2, (0, 0): -2}
 
     def test_tangent_p1xp1(self):
         t = tangent_bundle(P1xP1)

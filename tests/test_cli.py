@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -88,7 +89,8 @@ class TestSnumbers:
         assert out1 == out2
 
     @pytest.mark.parametrize(
-        "prime, max_d, first_d", [("3", 10**12, 3207), ("3", 3207, 3207), ("11", 2700, 2577)]
+        "prime, max_d, first_d",
+        [("3", 10**12, 3207), ("3", 3207, 3207), ("11", 2700, 2577), ("1000003", 10**12, 779)],
     )
     def test_unprintable_rows_are_refused_at_once(self, prime, max_d, first_d):
         done = run_process("snumbers", "--prime", prime, "--max-d", str(max_d))
@@ -105,15 +107,21 @@ class TestSnumbers:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
-    def test_refusal_comes_before_any_space_or_number(self, capsys):
-        with mock.patch.object(stong, "build_X") as build_X, mock.patch.object(
-            stong, "valuation_table"
-        ) as valuation_table:
+    def test_refusal_prints_nothing_and_renders_no_row(self, capsys):
+        # the rows up to the refused one are made, none is rendered: a
+        # table rendered as it goes takes about 0.25 s to reach d = 3207.
+        # The collector is off while it runs, as a full collection of the
+        # test session's heap costs more than the command itself
+        gc.disable()
+        try:
+            start = time.process_time()
             code, out, err = run(capsys, "snumbers", "--prime", "3", "--max-d", "3207")
+            elapsed = time.process_time() - start
+        finally:
+            gc.enable()
+        assert elapsed < 0.1
         assert code == 2 and out == ""
         assert err == "error: --max-d 3207: row d = 3207 would print over 4300 digits\n"
-        build_X.assert_not_called()
-        valuation_table.assert_not_called()
 
     def test_each_row_space_is_built_once(self, capsys):
         built, build = [], chow.ProjProduct._trusted
@@ -852,8 +860,9 @@ class TestChowCommand:
             {"exponents": [1, 0], "coeff": "1000000"},
         ]
 
-    def test_pow_with_unprintable_binomials_is_refused_before_it_runs(self, capsys, tmp_path):
-        # (1 + alpha) ** 10**6 on P^(10**6): C(10**6, 5 * 10**5) has 301 027 digits
+    def test_pow_with_unprintable_binomials_is_refused_at_the_first(self, capsys, tmp_path):
+        # (1 + alpha) ** 10**6 on P^(10**6): C(10**6, 5 * 10**5) has 301 027
+        # digits, and C(10**6, k) has over 4300 from k = 1296 on
         path = tmp_path / "expr.json"
         base = {"op": "add", "terms": ["alpha", UNIT]}
         path.write_text(json.dumps({"space": [10**6], "expr": {"op": "pow", "base": base, "n": 10**6}}))
@@ -863,10 +872,39 @@ class TestChowCommand:
         assert code == 2 and out == ""
         assert err == "error: pow: a coefficient has over 4300 digits\n"
 
+    def test_pow_whose_nilpotent_part_dies_early_answers(self):
+        # (1 + a_1 a_2) ** 10**6 on P^1 x P^(10**6) is 1 + 10**6 a_1 a_2,
+        # though C(10**6, k) has over 4300 digits from k = 1296 on
+        a_1, a_2 = ({"op": "newton", "bundle": {"terms": [{"twist": t}]}, "n": 1} for t in ([1, 0], [0, 1]))
+        base = {"op": "add", "terms": [UNIT, {"op": "mul", "factors": [a_1, a_2]}]}
+        done = run_chow_process({"space": [1, 10**6], "expr": {"op": "pow", "base": base, "n": 10**6}})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["class"] == [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 1], "coeff": "1000000"},
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # deg of (1 + alpha) ** 10**4000 on P^1 is 10**4000, its square 10**8000
+            json.dumps({"space": [1], "expr": {"op": "mul", "factors": [
+                {"op": "deg", "of": {"op": "pow", "base": {"op": "add", "terms": ["alpha", UNIT]}, "n": 10**4000}}
+            ] * 2}}),
+            '{"space": [1], "expr": {"op": "newton", "n": 1, "bundle": {"terms": [{"twist": [' + "9" * 4301 + "]}]}}}",
+        ],
+        ids=["report", "input"],
+    )
+    def test_a_number_too_long_to_print_or_read_is_one_usage_error(self, text):
+        done = run_chow_process(text)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: a number has over 4300 digits\n"
+
     def test_pow_of_a_pow_is_refused_by_its_coefficients(self, capsys, tmp_path):
-        # (1 + alpha) ** 10**4000 on P^1 is 1 + 10**4000 alpha; its 10**400-th
-        # power is priced at 400 digits from c0 = 1, and refused once it is
-        # 1 + 10**4400 alpha, before an enclosing power could grow it again
+        # (1 + alpha) ** 10**4000 on P^1 is 1 + 10**4000 alpha; the binomial
+        # terms of its 10**400-th power print (c0 = 1, C(10**400, 1)), and it
+        # is refused once it is 1 + 10**4400 alpha, before an enclosing power
+        # could grow it again
         inner = {"op": "pow", "base": {"op": "add", "terms": ["alpha", UNIT]}, "n": 10**4000}
         path = tmp_path / "expr.json"
         path.write_text(json.dumps({"space": [1], "expr": inner}))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import time
@@ -17,12 +18,11 @@ from cobcalc.stong import (
     build_X,
     congruence_check,
     exceptional_exponent,
-    factor_counts,
-    log_s_numbers,
     s_number,
     s_number_bruteforce,
     sign_exponent,
     signed_char_number,
+    valuation_rows,
     valuation_table,
 )
 from cobcalc.valuation import is_odd_prime, ladic_digits, nu, nu_multinomial
@@ -385,6 +385,14 @@ class TestValuationTable:
     def test_recurrence_equals_closed_form_fuzz(self, ell, d_max):
         assert valuation_table(ell, d_max) == closed_form_table(ell, d_max)
 
+    @pytest.mark.parametrize("ell", [3, 11, 1000003])
+    def test_rows_are_made_as_they_are_asked_for(self, ell):
+        # the first rows of an endless table cost only themselves
+        start = time.process_time()
+        rows = list(itertools.islice(valuation_rows(ell, 10**12), 300))
+        assert time.process_time() - start < 0.1
+        assert rows == valuation_table(ell, 300)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="d_max must be positive"):
             valuation_table(3, 0)
@@ -407,37 +415,3 @@ class TestTableRecords:
         assert len({*valuation_table(ell, 40), *closed_form_table(ell, 40)}) == 40
 
 
-class TestFactorCounts:
-    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
-    def test_counts_match_table_rows(self, ell):
-        rows = valuation_table(ell, 400)
-        counted = list(factor_counts(ell, 400))
-        assert [d for d, _ in counted] == [row.d for row in rows]
-        for (d, counts), row in zip(counted, rows):
-            assert counts == chow.factor_groups(row.factors), d
-
-    @pytest.mark.parametrize("ell, first", [(3, 3207), (11, 2577)])
-    def test_log_s_numbers_find_the_first_unprintable_row(self, ell, first):
-        # each estimate is ln|s| of its row, and the first at or above the
-        # print limit is the first row whose s has over MAX_DIGITS digits
-        rows, estimates = valuation_table(ell, first), list(log_s_numbers(ell, first))
-        assert [d for d, _ in estimates] == [row.d for row in rows]
-        for (d, ln_s), row in zip(estimates, rows):
-            assert math.isclose(ln_s, math.log(abs(row.s_number)), rel_tol=1e-9), d
-        big = [row.d for row in rows if abs(row.s_number) >= 10**valuation.MAX_DIGITS]
-        limit = valuation.MAX_DIGITS * math.log(10)
-        assert big[0] == first == next(d for d, ln_s in estimates if ln_s >= limit)
-        for row in rows[: first - 1]:
-            str(row.s_number)
-
-    @pytest.mark.parametrize("ell", [3, 5, 7, 1000003])
-    def test_counts_match_build_X(self, ell):
-        seen = []
-        for d, counts in factor_counts(ell, 400):
-            dims = []
-            for n, a in counts:
-                dims += [n] * a
-            assert ProjProduct(tuple(dims)) == build_X(d, ell), d
-            assert [n for n, _ in counts] == sorted({n for n, _ in counts})
-            seen.append(d)
-        assert seen == list(range(1, 401))

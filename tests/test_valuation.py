@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc.valuation import (
+    MAX_DIGITS,
     PRIME_TEST_LIMIT,
     LadicDigits,
     _miller_rabin,
@@ -14,6 +16,7 @@ from cobcalc.valuation import (
     nu,
     nu_factorial,
     nu_multinomial,
+    printable,
 )
 
 
@@ -244,3 +247,33 @@ class TestIsOddPrime:
             with pytest.raises(ValueError, match="too large"):
                 is_odd_prime(n)
         assert not is_odd_prime(PRIME_TEST_LIMIT - 1)
+
+
+class TestPrintable:
+    @pytest.mark.parametrize(
+        "c, n, fits",
+        [
+            pytest.param(10**MAX_DIGITS - 1, 1, True, id="10**4300-1"),
+            pytest.param(10**MAX_DIGITS, 1, False, id="10**4300"),
+            pytest.param(-(10**MAX_DIGITS - 1), 1, True, id="-(10**4300-1)"),
+            pytest.param(-(10**MAX_DIGITS), 1, False, id="-10**4300"),
+            (10, MAX_DIGITS - 1, True), (10, MAX_DIGITS, False), (-10, MAX_DIGITS, False),
+            (2, 14284, True), (2, 14285, False), (10**43, 99, True), (10**43, 100, False),
+            (0, 10**4000, True), (1, 10**4000, True), (-1, 10**4000 + 1, True), (2, 10**4000, False),
+            pytest.param(10**5000, 0, True, id="10**5000-0"),
+            pytest.param(10**5000, 1, False, id="10**5000-1"),
+        ],
+    )
+    def test_at_the_limit(self, c, n, fits):
+        # at most MAX_DIGITS digits, sign aside: below 10**MAX_DIGITS
+        assert printable(c, n) is fits
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(10**60), 10**60), st.integers(0, 6000))
+    def test_matches_the_exact_power(self, c, n):
+        assert printable(c, n) == (abs(c) ** n < 10**MAX_DIGITS)
+
+    def test_a_huge_power_is_not_formed(self):
+        start = time.process_time()
+        assert not printable(3, 10**4000) and not printable(10**4299, 2)
+        assert time.process_time() - start < 0.1
