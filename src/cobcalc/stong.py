@@ -4,26 +4,25 @@ l-adic valuation table those numbers produce.
 
 The ambient space for a given degree d and odd prime ell is built from the
 base-ell digits of 2d+2, except when 2d+1 is a power of ell, where a single
-alternative product of equal factors is used instead.  The characteristic
-number of the zero locus is -2 times the top self-intersection degree of
-the (1,...,1) twist, available both as a multinomial closed form and as a
-brute-force expansion.  The expansions (`s_number_bruteforce`,
-`signed_char_number`) run in the subring of the truncated ring that
-permuting equal factors fixes (`chow.InvariantSubring`): alpha, the
-tangent bundle and their Newton classes all lie there, and build_X repeats
-its factors, so the orbits of monomials are far fewer than the monomials.
-They are the subring's push steps and Newton class, read at the top
-orbit; no multinomial or other closed form enters.  Each is priced first
-by its invariant rank times the factor count.
+alternative product of equal factors is used instead.  The s-number is -2
+times the top self-intersection degree of the (1,...,1) twist, available
+both as a multinomial closed form and as a brute-force expansion; up to
+sign it is the zero locus's characteristic number except on P^(2d+1) x
+P^1, where the tangent bundle's term cancels it.  The expansions
+(`s_number_bruteforce`, `signed_char_number`) run in the subring of the
+truncated ring that permuting equal factors fixes (`chow.InvariantSubring`):
+alpha, the tangent bundle and their Newton classes all lie there, and
+build_X repeats its factors, so the orbits of monomials are far fewer than
+the monomials.  They are the subring's push steps and Newton class, read
+at the top orbit; no multinomial or other closed form enters.  Each is
+priced first by its invariant rank times the factor count.
 
-The valuation table walks the base-ell digits of 2d+2 once for all its
-rows, by runs: between two carries out of digit 0 only digit 0 moves.  The
-carries, the higher digits' factors and the valuation are dealt with once
-per run, and each row of a run costs one small multiplication of the
-running multinomial, its factor tuple and the row.  The rows are yielded
-as they are made (`valuation_rows`), so a caller can check each number
-as it is formed and stop at the first it refuses.  `s_number` and
-`build_X` stay the row-by-row route the tests check the table against.
+The valuation table is one generator, `valuation_rows`, that walks the
+base-ell digits of 2d+2 by runs and reads the exceptional row off the
+carry into a new top digit.  It yields each row as it is made, so a
+caller can check each number as it is formed and stop at the first it
+refuses.  `s_number` and `build_X` stay the row-by-row route the tests
+check the table against.
 
 The rows hold `space.ProjProduct`s.  Only the expansions import `chow`,
 and with it `_sparse`, where they run, so the table, and the `snumbers`
@@ -44,10 +43,11 @@ from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _req
 # host, so about 2 s at the limit (build_X(88, 3), work 4083600: 1.5 s per
 # route), and more on one large factor beside a P^1, whose steps hold two
 # orbits each: P^999999 x P^1 takes 3.1 s, and 4.0-4.5 s with its tangent
-# bundle (signed_char_number).  The invariant rank is at most the ring rank
-# prod(n_i + 1), so this admits every space the full-ring rule (ring rank
-# x factor count <= 2**22) did, and build_X(d, l) for every d <= 38 at
-# l = 3, d <= 44 at l = 5 and d <= 46 at l = 7.
+# bundle (signed_char_number, which is 0 there, not +-s_number).  The
+# invariant rank is at most the ring rank prod(n_i + 1), so this admits
+# every space the full-ring rule (ring rank x factor count <= 2**22) did,
+# and build_X(d, l) for every d <= 38 at l = 3, d <= 44 at l = 5 and
+# d <= 46 at l = 7.
 MAX_EXPANSION_WORK = 2**22
 
 
@@ -158,12 +158,12 @@ def sign_exponent(X: ProjProduct) -> int:
 
 def signed_char_number(X: ProjProduct) -> int:
     """Characteristic number of the associated symplectic class, with its
-    sign: (-1)**n_Y times the degree of a^2 * c_(2d)(xi + xi - T_X),
-    evaluated directly in the subring of the truncated ring invariant under
-    permuting equal factors.  By the comparison of the two computations
-    this equals (-1)**(n_Y + 1) times s_number(X); only the valuation is
-    consumed downstream.
-    """
+    sign: (-1)**n_Y times the degree of a^2 * c_(2d)(xi + xi - T_X), in the
+    subring of the truncated ring invariant under permuting equal factors.
+    Newton classes add, so this is (-1)**(n_Y + 1) (s_number(X) + t), t the
+    sum of (n_i + 1) deg(a_i**(2d) a^2).  Odd factor dimensions in even
+    number make t nonzero only on P^(2d+1) x P^1, where t = -s_number(X)
+    and the number is 0.  Only the valuation is consumed downstream."""
     from . import chow
 
     two_d = _check_construction(X)
@@ -178,42 +178,6 @@ def signed_char_number(X: ProjProduct) -> int:
     return (-1) ** sign_exponent(X) * ring.deg(ring.push(newton, dict.fromkeys(X.dims, 1), 1, 2))
 
 
-def _walk(ell: int, d_max: int):
-    """Walk n = 2d + 2, d = 1..d_max, by runs: between two carries out of
-    digit 0 only digit 0 moves, by 2 a row.  Yield (d, digits, powers,
-    carries, r, run) at each run's head d, the rows d + k, k < run, with
-    digit 0 at digits[0] + 2k: digits are the base-ell digits of n, least
-    significant first, and powers the matching ell**i, both the walker's
-    own lists, which the next head changes; carries counts the digits 0,
-    1, ... that carried into the next one on the step from n - 2; r is the
-    exponent with 2d + 1 = ell**r, a row that carries and so a head, or
-    None.  The prime is checked here, once for all the rows.  A digit below
-    ell plus a carry of at most 2 carries at most 1, ell being odd."""
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
-    _require_odd_prime(ell)
-    digits, powers = [2], [1]  # n = 2, d = 0
-    exceptional, r = ell + 1, 1  # the next n = ell**r + 1
-    d, run = 0, 1
-    while d + run <= d_max:
-        d += run
-        digits[0] += 2 * run
-        i = 0
-        while digits[i] >= ell:
-            digits[i] -= ell
-            i += 1
-            if i == len(digits):
-                digits.append(0)
-                powers.append(powers[-1] * ell)
-            digits[i] += 1
-        run = min((ell - 1 - digits[0]) // 2 + 1, d_max - d + 1)
-        if 2 * d + 2 == exceptional:
-            yield d, digits, powers, i, r, run
-            exceptional, r = (exceptional - 1) * ell + 1, r + 1
-        else:
-            yield d, digits, powers, i, None, run
-
-
 def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
     """The rows of valuation_rows(ell, d_max), as a list."""
     return list(valuation_rows(ell, d_max))
@@ -222,43 +186,60 @@ def valuation_table(ell: int, d_max: int) -> list[StongDatum]:
 def valuation_rows(ell: int, d_max: int):
     """Yield rows d = 1..d_max, each made when it is asked for, with the
     closed-form number, its valuation by the Legendre path, and the
-    expected dichotomy flag.
+    expected dichotomy flag; the arguments are checked at the first row.
 
     The generic number is -2 M(n), n = 2d + 2 with base-ell digits a_i and
     M(n) = n! / prod((ell**i)!)**a_i, so it is a running value:
     M(n + 2) = M(n) (n + 1)(n + 2), divided exactly, for each carry out of
     digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial of
     the ell factors P^(ell**i) that the carry merges into one of the next
-    digit.  The exceptional rows, 2d + 1 = ell**r, take the multinomial of
-    their own factors.  Every factor is a P^(ell**i), so a row's valuation
-    is nu(n!) less nu((ell**i)!) per factor, and its sign exponent is
+    digit.  Every factor is a P^(ell**i), so a row's valuation is nu(n!)
+    less nu((ell**i)!) per factor, and its sign exponent is
     1 + (n + factor count) / 2.  All run along: a step adds to nu(n!) the
     number of digits it carries (Legendre), a carry out of digit i adds
     nu((ell**(i+1))!) - ell nu((ell**i)!) to the factors' part, and the
     factor count, n's digit sum, gains 2 a step and loses ell - 1 a carry.
 
-    The walk hands over the rows a run at a time.  The carries, the factor
-    dimensions of the digits from 1 up (kept per digit, so a head rebuilds
-    those it changed only) and the exceptional row are dealt with at the
-    head, whose number is the last head's times n! / m! / prod(G_i), m the
+    The digits are walked by runs: between two carries out of digit 0 only
+    digit 0 moves, by 2 a row.  A run's head takes the carries, a new top
+    digit bringing its G_i and nu change, the factor dimensions of the
+    digits from 1 up (kept per digit, so a head rebuilds those it changed
+    only) and its number, the last head's times n! / m! / prod(G_i), m the
     last head's n: an integer when only digit 0 carried into both heads,
-    so one big-integer product, no division.  Along a run the valuation
-    stays and the sign exponent gains 2 a row; a run row costs one
-    big-integer product, its factor tuple and its space and row, made by
-    their classes' positional builders, without the checks."""
+    so one big-integer product, no division.  The step to n makes a new
+    top digit r exactly when n - 2 = ell**r - 1: that head is the
+    exceptional row 2d + 1 = ell**r, which takes the multinomial of its
+    own factors.  Along a run the valuation stays and the sign exponent
+    gains 2 a row; a run row costs one big-integer product, its factor
+    tuple and its space and row, made by their classes' positional
+    builders, without the checks."""
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
+    _require_odd_prime(ell)
     make_space, make_row = ProjProduct._trusted, StongDatum._trusted
+    digits, powers = [2], [1]  # n = 2 in base ell, least significant first, and the ell**i
     carry = [(1, 0)]  # by carries c: prod(G_i) and the change of the factors' nu, over i < c
     tails: list[tuple[int, ...]] = [(), ()]  # factor dimensions of the digits i and up
     generic, last = -4, 2  # -2 M(n) at the last head, n = 2: M(2) = 2! / (1!)**2
     nu_n, nu_sum, n_y = 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y at n = 2: two P^1
-    for head, digits, powers, carries, r, run in _walk(ell, d_max):
+    head, run = 0, 1
+    while head + run <= d_max:
+        head += run
         n = 2 * head + 2
-        if carries == len(carry):  # a new top digit: the first carry out of the one below
-            top, below = powers[carries], powers[carries - 1]
-            merged, nu_merged = carry[-1]
-            nu_merged += nu_factorial(top, ell) - ell * nu_factorial(below, ell)
-            carry.append((merged * multinomial(top, (below,) * ell), nu_merged))
-            tails.append(())
+        digits[0] += 2 * run
+        carries, below = 0, 0
+        while digits[carries] >= ell:  # a digit below ell plus at most 2 carries at most 1
+            digits[carries] -= ell
+            carries += 1
+            if carries == len(digits):  # a new top digit r: n - 2 = ell**r - 1
+                below = powers[-1]  # ell**(r-1)
+                merged, nu_merged = carry[-1]
+                nu_merged += nu_factorial(below * ell, ell) - ell * nu_factorial(below, ell)
+                carry.append((merged * multinomial(below * ell, (below,) * ell), nu_merged))
+                digits.append(0)
+                powers.append(below * ell)
+                tails.append(())
+            digits[carries] += 1
         divisor, nu_step = carry[carries]
         rise, last = perm(n, n - last), n  # n! / m!, m the last head's n
         step, rest = divmod(rise, divisor)
@@ -269,13 +250,13 @@ def valuation_rows(ell: int, d_max: int):
         nu_n, nu_sum = nu_n + carries, nu_sum + nu_step
         valuation, n_y = nu_n - nu_sum, n_y + 2 - carries * (ell - 1) // 2
         dims = (1,) * digits[0] + tails[1]
-        if r is None:
+        if below:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
+            own = (1,) + (below,) * ell
+            nu_own, n_y_own = nu_n - ell * nu_factorial(below, ell), n_y + (ell - 1) // 2
+            yield make_row(ell, head, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1)
+        else:
             yield make_row(ell, head, make_space(dims), generic, valuation, n_y, 0)
-        else:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
-            own = (1,) + (powers[r - 1],) * ell
-            nu_own, n_y_own = nu_n - ell * nu_factorial(powers[r - 1], ell), n_y + (ell - 1) // 2
-            s_own = -2 * multinomial(n, own)
-            yield make_row(ell, head, make_space(own), s_own, nu_own, n_y_own, 1)
+        run = min((ell - 1 - digits[0]) // 2 + 1, d_max - head + 1)
         number = generic
         for d in range(head + 1, head + run):
             number *= (2 * d + 1) * (2 * d + 2)

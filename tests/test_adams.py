@@ -66,6 +66,10 @@ class TestMilnorCount:
         for q in range(bound + 1):
             assert milnor_count(q, ell) == series[q]
 
+    def test_negative_weight_is_refused(self):
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            milnor_count(-1, 3)
+
 
 class TestDecomposition:
     def test_small_weights_prime_3(self):
@@ -177,6 +181,10 @@ class TestExtGenerators:
             for _, td in ext_generators(ell, -20):
                 assert td.t == 2 * td.u
 
+    def test_positive_weight_bound_is_refused(self):
+        with pytest.raises(ValueError, match="u_min must be <= 0"):
+            ext_generators(3, 1)
+
 
 class TestVanishing:
     def test_above_diagonal(self):
@@ -206,6 +214,11 @@ class TestVanishing:
         # weight -2: the single-part class exists at prime 5 but not 3
         assert vanishing_check(0, -4, -2, 3)
         assert not vanishing_check(0, -4, -2, 5)
+
+    def test_diagonal_at_positive_weight_or_negative_filtration_vanishes(self):
+        # no generator has positive weight, and no monomial negative filtration
+        assert vanishing_check(0, 2, 1, 3)
+        assert vanishing_check(-1, 0, 0, 3)
 
     def test_diagonal_dimension_matches_rank(self):
         # with enough filtration allowed, the monomial count at weight -2d

@@ -42,6 +42,10 @@ LAST_C_N_2 = next(n for n in itertools.count(math.isqrt(2 * 10**MAX_DIGITS)) if 
 
 
 class TestRing:
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError, match="negative power"):
+            alpha(P1xP1) ** -1
+
     def test_alpha_examples(self):
         assert alpha(P1_4).coeffs == {
             (1, 0, 0, 0): 1,
@@ -372,6 +376,10 @@ def invariant_bundles(draw):
 
 
 class TestInvariantSubring:
+    def test_newton_class_of_degree_zero_is_refused(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            InvariantSubring(P1xP1).newton_class(tangent_bundle(P1xP1), 0)
+
     @pytest.mark.parametrize("dims", _odd_shapes(10))
     def test_alpha_powers_equal_the_full_ring_term_by_term(self, dims):
         X = ProjProduct(dims)
@@ -499,6 +507,14 @@ class TestProductLimit:
 
 
 class TestBundles:
+    def test_bundles_on_different_spaces_do_not_add(self):
+        with pytest.raises(ValueError, match="ambient space mismatch"):
+            tangent_bundle(P1xP1) + tangent_bundle(P3)
+
+    def test_first_chern_of_a_twist_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="twist vector length mismatch"):
+            tangent_bundle(P1xP1).first_chern(LineTerm(1, (1,)))
+
     def test_tangent_p1(self):
         t = tangent_bundle(P1)
         assert sorted((term.sign, term.twist) for term in t.terms) == [

@@ -222,6 +222,14 @@ class TestVerifyGenerators:
         )
         assert (code, out, err) == (2, "", 'error: family has no "kind"\n')
 
+    def test_mgl_family_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "mgl", "entries": {"1": "48"}}))
+        code, out, err = run(
+            capsys, "verify-generators", "--prime", "3", "--max-d", "1", "--family", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: expected an msp family\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -345,6 +353,13 @@ class TestSteenrodCommand:
         code, _, err = run(capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "q7")
         assert code == 2
         assert "error" in err
+
+    def test_unknown_operation_is_named(self, capsys):
+        assert run(capsys, "steenrod", "--prime", "3", "--op", "Q2", "--class", "b1") == (
+            2,
+            "",
+            "error: cannot parse operation 'Q2', expected like P2\n",
+        )
 
     @pytest.mark.parametrize(
         "prime, op, cls, weight", [("3", "P100", "b1", 100), ("7", "P4", "b30", 42)]
@@ -764,6 +779,19 @@ class TestChowCommand:
         done = run_chow_process({"space": [1, 1]})
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == 'error: chow input has no "expr"\n'
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ({"op": "newton", "n": 1, "bundle": "cotangent"}, "cannot parse bundle 'cotangent'"),
+            (["alpha"], "cannot parse expression ['alpha']"),
+            ({"op": "exp", "base": "alpha"}, "unknown op 'exp'"),
+        ],
+    )
+    def test_unparsed_bundle_expression_or_op_is_named(self, capsys, tmp_path, expr, message):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps({"space": [1, 1], "expr": expr}))
+        assert run(capsys, "chow", "--input", str(path)) == (2, "", f"error: {message}\n")
 
     def test_cf_above_the_conversion_cap_is_refused(self, capsys, tmp_path):
         payload = {"space": [41], "expr": {"op": "cf", "bundle": "tangent", "partition": [41]}}

@@ -60,6 +60,10 @@ class TestMspCriterion:
         fam = stong_family(3, 13)
         assert msp_criterion(fam, 3, 13).passed
 
+    def test_kind_checked(self):
+        with pytest.raises(ValueError, match="expected an msp family"):
+            msp_criterion(CandidateFamily("mgl", {1: 48}), 3, 1)
+
     def test_single_scaled_entry_fails_there(self):
         fam = stong_family(3, 13)
         scaled = fam.with_entry(1, fam.entries[1] * 3)

@@ -99,6 +99,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(4, "even-non-ladic")  # missing prime
 
+    def test_negative_weight_is_refused(self):
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            enumerate_partitions(-1)
+
     @pytest.mark.parametrize("w", [0, 1, 4, 5])
     @pytest.mark.parametrize("ell", [None, 2, 4, 9])
     def test_prime_is_checked_for_every_weight(self, w, ell):

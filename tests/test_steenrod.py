@@ -52,6 +52,10 @@ class TestTotalPowerOnMonomial:
     def test_constant(self):
         assert total_power_on_monomial((), 3) == {(): 1}
 
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            total_power_on_monomial((1, -1), 3)
+
     def test_multiplicative_over_roots(self):
         a = total_power_on_monomial((2, 1), 5)
         left = total_power_on_monomial((2, 0), 5)

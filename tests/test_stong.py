@@ -274,6 +274,10 @@ class TestCongruence:
         with pytest.raises(ValueError):
             congruence_check(4, 3)
 
+    def test_d_zero_is_refused(self):
+        with pytest.raises(ValueError, match="d must be positive"):
+            congruence_check(0, 3)
+
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_generic_d_up_to_30(self, ell):
         for d in range(1, 31):
@@ -283,6 +287,20 @@ class TestCongruence:
             assert equal
             # digits are below the prime, so the right side is a unit
             assert rhs != 0
+
+
+def tangent_term(X: ProjProduct) -> int:
+    """Oracle: sum over factors of (n_i + 1) deg(a_i**(2d) alpha^2).  A
+    nonzero a_i**(2d) leaves the exponents e, n_i - 2d on factor i and n_j
+    on the others, which sum to 2; their coefficient in alpha^2 is
+    2 / prod(e_j!)."""
+    two_d = X.total_dimension - 2
+    t = 0
+    for i, n in enumerate(X.dims):
+        if n >= two_d:
+            e = X.dims[:i] + (n - two_d,) + X.dims[i + 1 :]
+            t += (n + 1) * 2 // math.prod(map(math.factorial, e))
+    return t
 
 
 class TestSignedCharNumber:
@@ -305,6 +323,31 @@ class TestSignedCharNumber:
 
     def test_example_p3_squared(self):
         assert abs(signed_char_number(ProjProduct((3, 3)))) == 40
+
+    def test_identity_with_the_tangent_term(self):
+        # Newton classes add: (-1)**n_Y signed = -s_number - t, and t is 0
+        # except on P^(2d+1) x P^1, the one space with a factor of dimension
+        # >= 2d, where it cancels -s_number
+        spaces = [
+            ProjProduct(dims)
+            for w in range(4, 17, 2)
+            for dims in enumerate_partitions(w)
+            if len(dims) % 2 == 0 and all(n % 2 for n in dims)
+        ]
+        assert len(spaces) == 91
+        for X in spaces:
+            sign = (-1) ** (sign_exponent(X) + 1)
+            got = signed_char_number(X)
+            assert got == sign * (s_number(X) + tangent_term(X)), X
+            beside_a_line = X.factor_count == 2 and X.dims[1] == 1
+            assert (got == sign * s_number(X)) != beside_a_line, X
+
+    @pytest.mark.parametrize("k", [3, 99, 9999])
+    def test_zero_beside_a_line(self, k):
+        X = ProjProduct((k, 1))
+        assert signed_char_number(X) == 0
+        assert s_number(X) == -2 * (k + 1)
+        assert tangent_term(X) == 2 * (k + 1)
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_valuation_invariance(self, ell):

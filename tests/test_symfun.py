@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -578,3 +579,29 @@ class TestZClasses:
                             want = 1 if om1.concat(om2) == omega else 0
                             assert pair(product, omega) == want
                             assert pair_through_diagonal(z1, z2, omega) == want
+
+
+def _z6(ell: int) -> ZClass:
+    # 6 is neither 3**i - 1 nor 5**i - 1
+    return ZClass.basis_element((6,), ell)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SymFn({(1,): 1}) + SymFn({(1,): 1}, "power-sum"), "basis/modulus mismatch"),
+            (lambda: expand_in_vars(SymFn({(1,): 1}), 0), "need at least one variable"),
+            (lambda: convert(SymFn({(1,): 1}), "schur"), "unknown basis 'schur'"),
+            (lambda: BPoly.one(3) + BPoly.one(5), "modulus mismatch"),
+            (lambda: BPoly.one(3) * BPoly.one(), "modulus mismatch"),
+            (lambda: diagonal((3,)), "(3,) is not an even partition"),
+            (lambda: _z6(3) + _z6(5), "prime mismatch"),
+            (lambda: z_mul(_z6(3), _z6(5)), "prime mismatch"),
+            (lambda: pair_through_diagonal(_z6(3), _z6(5), (6, 6)), "prime mismatch"),
+        ],
+        ids=["symfn-add", "no-variables", "convert", "bpoly-add", "bpoly-mul", "diagonal", "zclass-add", "z-mul", "pair"],
+    )
+    def test_refused_with_its_message(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

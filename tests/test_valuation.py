@@ -87,6 +87,10 @@ class TestNuFactorial:
         assert nu_factorial(n, 3) == nu(math.factorial(n), 3)
         assert nu_factorial(n, 7) == nu(math.factorial(n), 7)
 
+    def test_negative_is_refused(self):
+        with pytest.raises(ValueError, match="factorial of a negative integer"):
+            nu_factorial(-1, 3)
+
 
 @st.composite
 def composition(draw, max_total=200, max_parts=6):
@@ -110,6 +114,10 @@ class TestMultinomial:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             multinomial(5, [3, 3])
+
+    def test_negative_part_is_refused(self):
+        with pytest.raises(ValueError, match="multinomial parts must be nonnegative"):
+            multinomial(3, (-1, 4))
 
     @given(composition(max_total=2500, max_parts=12))
     @settings(max_examples=300)
@@ -141,6 +149,10 @@ class TestNuMultinomial:
                 if value != 0:
                     assert nu_multinomial(n, parts, 3) == factor_valuation(value, 3)
 
+    def test_mismatch(self):
+        with pytest.raises(ValueError, match="parts sum to 3, expected 4"):
+            nu_multinomial(4, (1, 2), 3)
+
 
 class TestLadicDigits:
     def test_examples(self):
@@ -162,6 +174,10 @@ class TestLadicDigits:
             LadicDigits(3, (3, 1))
         with pytest.raises(ValueError):
             LadicDigits(3, (1, 0))
+
+    def test_negative_is_refused(self):
+        with pytest.raises(ValueError, match="expansion of a negative integer"):
+            ladic_digits(-1, 3)
 
 
 def lucas_multinomial_mod(n: int, parts, ell: int) -> int:
