@@ -247,15 +247,15 @@ class InvariantSubring:
     def newton_class(self, v: VirtualBundle, n: int) -> dict:
         """The Newton class of v (`newton_class`) from its signed twists.  A
         twist constant on each group, c_g on g, gives its count times
-        (sum c_g p_1(g))**n, by n push steps.  A twist c on one factor of g
-        lies in the orbit of the twists c on each factor of g, which must
-        all carry one count s, and the orbit gives s c**n p_n(g); all orbits
-        take one push step with k = n.  Any other twist is refused."""
+        (sum c_g p_1(g))**n, by n push steps, none for the zero twist.  A
+        twist c on one factor of g lies in the orbit of the twists c on each
+        factor of g, which must all carry one count s, and the orbit gives
+        s c**n p_n(g); all orbits take one k = n push.  Others are refused."""
         if n < 1:
             raise ValueError("n must be positive")
         dims, terms, orbits = v.space.dims, [], {}
         for twist, sign in v.signed_twists().items():
-            if not sign:
+            if not sign or not any(twist):
                 continue
             if len(twist) - twist.count(0) == 1:
                 c = sum(twist)

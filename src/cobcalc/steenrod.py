@@ -25,19 +25,20 @@ The fast path behind both assembles the answer from closed forms by
 multiplicativity, on packed keys.  The index-2a piece of the total
 operation on b_j is m_(ell^a 1^(j-a)), and the index-2b piece of the twist
 is m_((ell-1)^b); each is converted to the generators once and held as a
-dict, packed key -> coefficient, with the exponent of b_g in field g - 1
-of a `_sparse.layout`.  The layout is sized from the answer: its terms
-have half-weight at most top = weight(f)/2 + t(ell-1), so top fields wide
-enough for top (and at least 8 bits, so that most calls share one format)
-hold every exponent, and multiplying two b-monomials is one integer
-addition.  The total operation on each b_j**k, cut at index 2t, is
-cached by (j, k, t, ell) and the field width.  The monomials of f are
-grouped by their last factor, so the operation on the sum of each group's
-heads meets that factor once, and the graded products of all monomials are
-summed by index before the twist: the twist multiplies once per index,
-not once per monomial, and the last product forms only index 2t.  The
-sums are reduced mod ell as they are assembled, and only the answer is
-unpacked.  A zero input, and an untwisted index above weight(f), return
+dict, packed key -> coefficient, with the exponent of b_g in field g - 1.
+The fields are sized from the answer: its terms have half-weight at most
+top = weight(f)/2 + t(ell-1), so fields a bit wider than top (and at least
+8 bits, so that most calls share one format) hold every exponent, and
+multiplying two b-monomials is one integer addition.  The total operation
+on each b_j**k, cut at index 2t, is cached by (j, k, t, ell) and the
+field width.  The monomials of f are grouped by their last factor, so the
+operation on the sum of each group's heads meets that factor once, and
+the graded products of all monomials are summed by index before the
+twist, which multiplies once per index, not once per monomial; the last
+product forms only index 2t.  The sums are reduced mod ell as they are
+assembled, and the answer is decoded in one pass, each key field by field
+into the (g, e) pairs of its nonzero fields, as its coefficient is
+reduced.  A zero input, and an untwisted index above weight(f), return
 zero before anything is sized or priced, so the work never grows with
 such an index.
 
@@ -146,6 +147,16 @@ def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> list:
     return [clean(p, ell) if p else p for p in out]
 
 
+def _decode(key: int, width: int) -> tuple:
+    """The b-monomial of a packed key: its nonzero fields, from the low end, as (g, e) pairs."""
+    mask, mono, g = (1 << width) - 1, [], 1
+    while key:
+        if key & mask:
+            mono.append((g, key & mask))
+        key, g = key >> width, g + 1
+    return tuple(mono)
+
+
 def _prepare(f: BPoly, ell: int) -> tuple[BPoly, int]:
     """f reduced mod ell, and its weight; refused when f weighs more than
     WEIGHT_CAP.  An f already reduced mod ell is returned as it is."""
@@ -177,19 +188,13 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
             f"P{i} at prime {ell} needs a conversion of weight {conversion}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
-    # a term of the answer has half its weight at most top, so it uses the
-    # generators b_1 .. b_top, each with an exponent of at most top; fields
-    # of at least 8 bits give most calls one key format, so they share the
-    # cached pieces and powers
-    top = weight // 2 + t * (ell - 1)
-    shifts, mask, _ = layout(top, max(top, 127))
-    width = shifts.step
+    # fields of at least 8 bits give most calls one key format (module docstring)
+    width = max(weight // 2 + t * (ell - 1), 127).bit_length() + 1
     by = _assemble(f.coeffs, t, ell, width, 0 if twisted else t)
     if twisted:
         twist = [_packed_piece((ell - 1,) * b, ell, width) for b in range(t + 1)]
         by = _add_product([{} for _ in by], by, twist, t)
-    answer = unpack(clean(by[t], ell), shifts, mask)
-    coeffs = {tuple([(g, e) for g, e in enumerate(exps, 1) if e]): c for exps, c in answer.items()}
+    coeffs = {_decode(key, width): c % ell for key, c in by[t].items() if c % ell}
     return BPoly._trusted(coeffs=coeffs, modulus=ell)
 
 

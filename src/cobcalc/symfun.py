@@ -28,11 +28,12 @@ the m basis as one integer list per weight, then eliminates in one pass
 over the positions: lex-largest first towards e, as e_lam' is m_lam plus
 lex-smaller terms, and lex-smallest first towards p, as p_lam is a
 multiple of m_lam plus lex-larger terms.  Over Z everything stays on
-integers: Fractions appear only in a final power-sum answer (the
-coefficient of p_lam is an integer over z_lam), or where the input
-already has them.  With a modulus set, coefficients live in [0, ell), the
-elimination reduces each coefficient when it reads it, and divisions use
-modular inverses.
+integers: Fractions appear only in a final power-sum answer (an integer
+over z_lam) or from the input.  With a modulus set, coefficients live in
+[0, ell), the elimination reduces each one when it reads it, and divisions
+use modular inverses.  Every target, m too, emits only nonzero
+coefficients; `_reduce` (run by constructors, ring operations and
+conversions) makes a Fraction pass only when one is present.
 """
 
 from __future__ import annotations
@@ -59,17 +60,15 @@ DEFAULT_WEIGHT_CAP = 40
 def _reduce(coeffs: dict, modulus: int | None) -> dict:
     """Drop zero coefficients.  With a modulus, reduce into [0, modulus),
     a Fraction through the inverse of its denominator; without one, turn
-    integral Fractions into ints.  The exact type test is much cheaper
-    than isinstance against Fraction's abstract base class."""
-    fixed = {}
-    for k, c in coeffs.items():
-        if type(c) is Fraction:
-            if modulus is not None:
-                c = c.numerator * pow(c.denominator, -1, modulus)
-            elif c.denominator == 1:
-                c = c.numerator
-        fixed[k] = c
-    return _sparse.clean(fixed, modulus)
+    integral Fractions into ints.  That pass runs only when a Fraction is
+    present, found by exact type, much cheaper than isinstance against
+    Fraction's abstract base class."""
+    if Fraction in map(type, coeffs.values()):
+        if modulus is None:
+            coeffs = {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
+        else:
+            coeffs = {k: c.numerator * pow(c.denominator, -1, modulus) for k, c in coeffs.items()}
+    return _sparse.clean(coeffs, modulus)
 
 
 class SymFn(Record):
@@ -438,7 +437,8 @@ def convert(f: SymFn, target: str) -> SymFn:
     out: dict = {}
     for w, dense in sorted(_dense_m(f.coeffs, f.basis, denominator).items()):
         if target == "monomial":
-            out.update(zip(reversed(_index(w)[0]), reversed(dense)))
+            dense = dense[::-1]
+            out.update(zip(compress(reversed(_index(w)[0]), dense), filter(None, dense)))
         elif target == "elementary":
             out.update(_m_to_e(dense, w, f.modulus))
         else:
@@ -527,11 +527,19 @@ class BPoly(Record):
         return BPoly._trusted(coeffs=_reduce(coeffs, self.modulus), modulus=self.modulus)
 
     def reduce_mod(self, ell: int) -> "BPoly":
+        if self.modulus not in (None, ell):
+            raise ValueError("modulus mismatch")
         return BPoly(dict(self.coeffs), ell)
 
 
 def _epartition_to_bmono(ep: Partition) -> BMono:
-    return tuple(sorted(Counter(ep).items()))
+    """Each distinct part of ep with the length of its run, ascending."""
+    mono, end = [], len(ep)
+    while end:
+        start = ep.index(ep[end - 1])
+        mono.append((ep[end - 1], end - start))
+        end = start
+    return tuple(mono)
 
 
 def symfn_to_bpoly(f: SymFn) -> BPoly:
@@ -563,8 +571,10 @@ def u_to_b(omega, modulus: int | None = None) -> BPoly:
     omega = Partition(omega)
     if not omega.is_even():
         raise ValueError(f"{tuple(omega)} is not an even partition")
-    half = Partition(p // 2 for p in omega)
-    return symfn_to_bpoly(SymFn({half: 1}, "monomial", modulus))
+    if modulus is not None:
+        _require_odd_prime(modulus)
+    half = tuple.__new__(Partition, [p // 2 for p in omega])  # still descending
+    return symfn_to_bpoly(SymFn._trusted({half: 1}, "monomial", modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from cobcalc import chow
 from cobcalc._sparse import layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
+    _decode,
     _divide_and_collect,
     power_op,
     power_op_oracle,
@@ -124,6 +125,18 @@ class TestReducedInput:
             assert power_op_oracle(i, reduced, ell, r) == power_op_oracle(i, twin, ell, r), i
         assert reduced.coeffs == before and reduced.modulus == ell
         assert power_op(0, reduced, ell) is reduced
+
+    def test_class_reduced_mod_another_prime_is_refused(self):
+        # 4 mod 5 is not 1 mod 3: the class is refused, not reread
+        f = BPoly({((1, 1),): 4}, 5)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            f.reduce_mod(3)
+        for op in (power_op, power_op_untwisted):
+            with pytest.raises(ValueError, match="modulus mismatch"):
+                op(2, f, 3)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            power_op_oracle(2, f, 3, stability_bound(f, 2, 3))
+        assert f.reduce_mod(5) == f
 
 
 class TestDifferential:
@@ -390,6 +403,29 @@ class TestThomRelations:
         # the classifying-space action is not the Thom-spectrum one
         for dims in spaces:
             assert any(thom_pairings(dims, ell, power_op_untwisted)), dims
+
+
+@st.composite
+def packed_keys(draw):
+    """(keys, field width, field count): keys of up to 12 fields of 8 to
+    10 bits, some fields zero and some full."""
+    width = draw(st.integers(8, 10))
+    mask = (1 << width) - 1
+    count = draw(st.integers(1, 12))
+    field = st.one_of(st.just(0), st.just(mask), st.integers(0, mask))
+    keys = draw(st.lists(st.lists(field, min_size=count, max_size=count), max_size=20))
+    shifts = range(0, width * count, width)
+    return [sum(e << s for e, s in zip(exps, shifts)) for exps in keys], width, count
+
+
+class TestDecode:
+    @given(packed_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unpack_without_zero_fields(self, drawn):
+        keys, width, count = drawn
+        unpacked = unpack(dict.fromkeys(keys, 1), range(0, width * count, width), (1 << width) - 1)
+        want = [tuple([(g, e) for g, e in enumerate(exps, 1) if e]) for exps in unpacked]
+        assert [_decode(key, width) for key in dict.fromkeys(keys)] == want
 
 
 class TestPackedKeysAtTheWeightCap:

@@ -260,6 +260,23 @@ class TestInvariantNewtonClass:
         v = line_bundle(X, (2, 0, 0)) + line_bundle(X, (2, 0, 0), sign=-1)
         assert ring.newton_class(v, 1) == {}
 
+    @pytest.mark.parametrize("d, ell", [(3, 3), (2, 5), (4, 3)])
+    def test_trivial_twist_takes_no_push(self, d, ell, monkeypatch):
+        # build_X's normal bundle holds trivial twists, whose Newton class
+        # is 0 for n >= 1; the signed number stays the same without them
+        X = build_X(d, ell)
+        want = signed_char_number(X)
+        pushed = []
+        push = chow.InvariantSubring.push
+
+        def spy(self, cls, weights, k=1, times=1):
+            pushed.append(dict(weights))
+            return push(self, cls, weights, k, times)
+
+        monkeypatch.setattr(chow.InvariantSubring, "push", spy)
+        assert signed_char_number(X) == want
+        assert pushed and all(any(w.values()) for w in pushed), pushed
+
 
 class TestCongruence:
     def test_example_d2(self):

@@ -486,6 +486,11 @@ class TestUToB:
         f = e((3, 1)) + e((2,)).scale(-4)
         assert bpoly_to_symfn(symfn_to_bpoly(f)) == f
 
+    def test_renaming_by_run_length(self):
+        for w in range(21):
+            for lam in enumerate_partitions(w):
+                assert symfun._epartition_to_bmono(lam) == tuple(sorted(Counter(lam).items())), lam
+
 
 class TestDiagonal:
     def test_single_part(self):
@@ -599,8 +604,14 @@ class TestRefusals:
             (lambda: _z6(3) + _z6(5), "prime mismatch"),
             (lambda: z_mul(_z6(3), _z6(5)), "prime mismatch"),
             (lambda: pair_through_diagonal(_z6(3), _z6(5), (6, 6)), "prime mismatch"),
+            (lambda: BPoly.one(5).reduce_mod(3), "modulus mismatch"),
+            (lambda: u_to_b((3, 2), 4), "(3, 2) is not an even partition"),
+            (lambda: u_to_b((4, 2), 9), "9 is not an odd prime"),
         ],
-        ids=["symfn-add", "no-variables", "convert", "bpoly-add", "bpoly-mul", "diagonal", "zclass-add", "z-mul", "pair"],
+        ids=[
+            "symfn-add", "no-variables", "convert", "bpoly-add", "bpoly-mul", "diagonal", "zclass-add", "z-mul",
+            "pair", "reduce-mod", "u-to-b-odd", "u-to-b-modulus",
+        ],
     )
     def test_refused_with_its_message(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
