@@ -57,19 +57,18 @@ def verdict_json(v: criterion.GeneratorVerdict) -> list[dict]:
 
 
 def run_snumbers(args) -> tuple[list, bool]:
-    # each row's number is checked as it is made, and no row is rendered
-    # before the whole table has passed: a refusal costs only the rows before it
-    table = []
+    # each row's number is checked as it is made, and written in decimal only
+    # once every row has passed: a refusal costs only the rows before it, and
+    # not their decimal strings
+    rows = []
     for row in stong.valuation_rows(args.prime, args.max_d):
         if not printable(row.s_number):
             raise ValueError(f"--max-d {args.max_d}: row d = {row.d} would print over {MAX_DIGITS} digits")
-        table.append(row)
-    rows = [
-        {"d": row.d, "factors": list(row.factors.dims), "s": str(row.s_number), "nu": row.valuation,
-         "expected": row.expected, "match": row.matches}
-        for row in table
-    ]
-    return rows, all(row.matches for row in table)
+        rows.append({"d": row.d, "factors": list(row.factors.dims), "s": row.s_number,
+                     "nu": row.valuation, "expected": row.expected, "match": row.matches})
+    for r in rows:
+        r["s"] = str(r["s"])
+    return rows, all(r["match"] for r in rows)
 
 
 def run_verify_generators(args) -> tuple[dict, bool]:
@@ -88,7 +87,7 @@ def run_verify_generators(args) -> tuple[dict, bool]:
         ok, rows = v.passed, verdict_json(v)
         report = {"kind": "msp", "prime": args.prime, "max_d": d_max, "pass": ok, "rows": rows}
     else:
-        excluded = [2] if args.exclude is None else sorted(args.exclude)
+        excluded = [2] if args.exclude is None else sorted(set(args.exclude))
         verdicts = criterion.global_criterion(fam, args.all_primes_up_to, d_max, excluded)
         ok = criterion.aggregate_passed(verdicts)
         rows = [{"prime": ell, "pass": v.passed, "rows": verdict_json(v)} for ell, v in verdicts.items()]

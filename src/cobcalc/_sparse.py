@@ -22,7 +22,7 @@ def clean(coeffs: dict, modulus: int | None = None) -> dict:
     """Copy of coeffs without zero coefficients, reduced mod modulus."""
     if modulus is None:
         return {k: c for k, c in coeffs.items() if c}
-    return {k: c % modulus for k, c in coeffs.items() if c % modulus}
+    return {k: r for k, c in coeffs.items() if (r := c % modulus)}
 
 
 def collect(terms, modulus: int | None = None) -> dict:

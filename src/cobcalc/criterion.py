@@ -130,14 +130,14 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # bound / ln(bound)) times the cost of one prime, 20 units plus d + 12 for
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
 # row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
-# valuation table builds its rows a run at a time, each from the one before,
-# and each row, its space and its verdict through their classes' positional
-# builders, a row unit is about 0.035 us on a 2-core x86 host, so one prime
-# at d = 1250 takes about 28 ms in-process and 0.17 s as a command; a
-# prime's fixed part is about 10-15 us.  The largest sweep admitted, all
-# primes up to 306232 at d = 1, takes about 0.95 s as a command: 7 ms to
-# sieve the primes, about 0.41-0.45 s for the verdicts and about 0.35 s to
-# build and render the report.
+# valuation table builds each row from the one before, the family keeps no
+# row, and each row, its space and its verdict go through their classes'
+# positional builders, a row unit is about 0.018 us on a 2-core x86 host, so
+# one prime at d = 1250 takes about 14 ms in-process and 0.10 s as a
+# command; a prime's fixed part is about 11 us.  The largest sweep admitted,
+# all primes up to 306232 at d = 1, takes about 0.6 s as a command: 6 ms to
+# sieve the primes, about 0.3 s for the verdicts and about 0.25 s to build
+# and render the report.
 MAX_SWEEP_WORK = 800_000
 
 
@@ -198,6 +198,6 @@ def aggregate_passed(verdicts: dict[int, GeneratorVerdict]) -> bool:
 
 def stong_family(ell: int, d_max: int) -> CandidateFamily:
     """Default candidate family: absolute characteristic numbers of the
-    construction for the given prime."""
-    rows = stong.valuation_table(ell, d_max)
-    return CandidateFamily._trusted(kind="msp", entries={row.d: abs(row.s_number) for row in rows})
+    construction for the given prime, read off the rows as they are made."""
+    entries = {row.d: abs(row.s_number) for row in stong.valuation_rows(ell, d_max)}
+    return CandidateFamily._trusted(kind="msp", entries=entries)

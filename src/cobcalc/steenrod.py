@@ -194,7 +194,7 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
     if twisted:
         twist = [_packed_piece((ell - 1,) * b, ell, width) for b in range(t + 1)]
         by = _add_product([{} for _ in by], by, twist, t)
-    coeffs = {_decode(key, width): c % ell for key, c in by[t].items() if c % ell}
+    coeffs = {_decode(key, width): r for key, c in by[t].items() if (r := c % ell)}
     return BPoly._trusted(coeffs=coeffs, modulus=ell)
 
 

@@ -18,11 +18,12 @@ at the top orbit; no multinomial or other closed form enters.  Each is
 priced first by its invariant rank times the factor count.
 
 The valuation table is one generator, `valuation_rows`, that walks the
-base-ell digits of 2d+2 by runs and reads the exceptional row off the
-carry into a new top digit.  It yields each row as it is made, so a
-caller can check each number as it is formed and stop at the first it
-refuses.  `s_number` and `build_X` stay the row-by-row route the tests
-check the table against.
+base-ell digits of 2d+2 one row at a time, each row made from the one
+before, and reads the exceptional row off the carry into a new top digit.
+It yields each row as it is made, so a caller can check each number as it
+is formed and stop at the first it refuses, and keep no row it has read.
+`s_number` and `build_X` stay the route, one multinomial per row, that the
+tests check the table against.
 
 The rows hold `space.ProjProduct`s.  Only the expansions import `chow`,
 and with it `_sparse`, where they run, so the table, and the `snumbers`
@@ -30,8 +31,6 @@ and `verify-generators` commands built on it, compile neither.
 """
 
 from __future__ import annotations
-
-from math import perm
 
 from ._record import Record
 from .space import ProjProduct
@@ -189,30 +188,27 @@ def valuation_rows(ell: int, d_max: int):
     expected dichotomy flag; the arguments are checked at the first row.
 
     The generic number is -2 M(n), n = 2d + 2 with base-ell digits a_i and
-    M(n) = n! / prod((ell**i)!)**a_i, so it is a running value:
-    M(n + 2) = M(n) (n + 1)(n + 2), divided exactly, for each carry out of
-    digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial of
-    the ell factors P^(ell**i) that the carry merges into one of the next
-    digit.  Every factor is a P^(ell**i), so a row's valuation is nu(n!)
-    less nu((ell**i)!) per factor, and its sign exponent is
-    1 + (n + factor count) / 2.  All run along: a step adds to nu(n!) the
-    number of digits it carries (Legendre), a carry out of digit i adds
-    nu((ell**(i+1))!) - ell nu((ell**i)!) to the factors' part, and the
-    factor count, n's digit sum, gains 2 a step and loses ell - 1 a carry.
+    M(n) = n! / prod((ell**i)!)**a_i, so each row is made from the one
+    before: M(n) = M(n - 2) (n - 1) n, divided exactly, for each carry out
+    of digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial
+    of the ell factors P^(ell**i) that the carry merges into one of the
+    next digit.  Every factor is a P^(ell**i), so a row's valuation is
+    nu(n!) less nu((ell**i)!) per factor, and its sign exponent is
+    1 + (n + factor count) / 2.  All are running sums: a step adds to
+    nu(n!) the number of digits it carries (Legendre), a carry out of digit
+    i adds nu((ell**(i+1))!) - ell nu((ell**i)!) to the factors' part, and
+    the factor count, n's digit sum, gains 2 a step and loses ell - 1 a
+    carry.
 
-    The digits are walked by runs: between two carries out of digit 0 only
-    digit 0 moves, by 2 a row.  A run's head takes the carries, a new top
-    digit bringing its G_i and nu change, the factor dimensions of the
-    digits from 1 up (kept per digit, so a head rebuilds those it changed
-    only) and its number, the last head's times n! / m! / prod(G_i), m the
-    last head's n: an integer when only digit 0 carried into both heads,
-    so one big-integer product, no division.  The step to n makes a new
-    top digit r exactly when n - 2 = ell**r - 1: that head is the
-    exceptional row 2d + 1 = ell**r, which takes the multinomial of its
-    own factors.  Along a run the valuation stays and the sign exponent
-    gains 2 a row; a run row costs one big-integer product, its factor
-    tuple and its space and row, made by their classes' positional
-    builders, without the checks."""
+    A step that does not carry out of digit 0 prepends two P^1 to the last
+    row's factors and keeps its valuation: one big-integer product, the
+    factor tuple and the row's space and record, made by their classes'
+    positional builders, without the checks.  A step that carries divides
+    by the carried G_i, a new top digit bringing its G_i and nu change, and
+    rebuilds the factor dimensions of the digits it changed from 1 up (kept
+    per digit).  It makes a new top digit r exactly when n - 2 = ell**r - 1:
+    that row is the exceptional one, 2d + 1 = ell**r, which takes the
+    multinomial of its own factors."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
@@ -220,13 +216,17 @@ def valuation_rows(ell: int, d_max: int):
     digits, powers = [2], [1]  # n = 2 in base ell, least significant first, and the ell**i
     carry = [(1, 0)]  # by carries c: prod(G_i) and the change of the factors' nu, over i < c
     tails: list[tuple[int, ...]] = [(), ()]  # factor dimensions of the digits i and up
-    generic, last = -4, 2  # -2 M(n) at the last head, n = 2: M(2) = 2! / (1!)**2
-    nu_n, nu_sum, n_y = 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y at n = 2: two P^1
-    head, run = 0, 1
-    while head + run <= d_max:
-        head += run
-        n = 2 * head + 2
-        digits[0] += 2 * run
+    dims, generic = (1, 1), -4  # at n = 2: two P^1, -2 M(2) = -2 * 2! / (1!)**2
+    nu_n, nu_sum, valuation, n_y = 0, 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y
+    for d in range(1, d_max + 1):
+        n = 2 * d + 2
+        rise = (n - 1) * n
+        digits[0] += 2
+        if digits[0] < ell:
+            generic *= rise
+            dims, n_y = (1, 1) + dims, n_y + 2
+            yield make_row(ell, d, make_space(dims), generic, valuation, n_y, 0)
+            continue
         carries, below = 0, 0
         while digits[carries] >= ell:  # a digit below ell plus at most 2 carries at most 1
             digits[carries] -= ell
@@ -241,7 +241,7 @@ def valuation_rows(ell: int, d_max: int):
                 tails.append(())
             digits[carries] += 1
         divisor, nu_step = carry[carries]
-        rise, last = perm(n, n - last), n  # n! / m!, m the last head's n
+        # at ell = 3 a carry out of digit 0 alone divides (n - 1) n by 3! exactly
         step, rest = divmod(rise, divisor)
         generic = generic * step if not rest else generic * rise // divisor
         for i in range(carries, 0, -1):
@@ -253,13 +253,6 @@ def valuation_rows(ell: int, d_max: int):
         if below:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
             own = (1,) + (below,) * ell
             nu_own, n_y_own = nu_n - ell * nu_factorial(below, ell), n_y + (ell - 1) // 2
-            yield make_row(ell, head, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1)
+            yield make_row(ell, d, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1)
         else:
-            yield make_row(ell, head, make_space(dims), generic, valuation, n_y, 0)
-        run = min((ell - 1 - digits[0]) // 2 + 1, d_max - head + 1)
-        number = generic
-        for d in range(head + 1, head + run):
-            number *= (2 * d + 1) * (2 * d + 2)
-            dims = (1, 1) + dims
-            n_y += 2
-            yield make_row(ell, d, make_space(dims), number, valuation, n_y, 0)
+            yield make_row(ell, d, make_space(dims), generic, valuation, n_y, 0)

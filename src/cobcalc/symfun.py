@@ -391,7 +391,11 @@ def _m_to_p(dense: list, w: int, modulus: int | None) -> dict:
     a lead factorial is exact integer division, and Fractions appear only
     in the answer.  With a modulus, the divisions are modular inverses, a
     coefficient is reduced when it is read, and a factorial divisible by
-    the modulus is an error."""
+    the modulus l is an error only under a nonzero coefficient.  At weight
+    >= l the p_lam are not a basis mod l (p_2^3 = p_6 mod 3), so the answer
+    is one representative, not always the reduction of the integral one:
+    m_(2,2,1,1) mod 3 gives 2 p_6, the integral answer reduced 2 p_(2,2,2)
+    and no p_6, and both convert back to m_(2,2,1,1)."""
     parts = _index(w)[0]
     if modulus is None:
         dense = [c * math.factorial(w) for c in dense]
@@ -424,7 +428,9 @@ def _m_to_p(dense: list, w: int, modulus: int | None) -> dict:
 
 
 def convert(f: SymFn, target: str) -> SymFn:
-    """Re-express f in the target basis.  Round trips are exact."""
+    """Re-express f in the target basis.  Round trips are exact.  Mod l, a
+    power-sum answer at weight >= l is one representative of f, not always
+    the reduction of the integral answer (see _m_to_p)."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == f.basis:

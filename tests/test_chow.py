@@ -428,6 +428,18 @@ class TestInvariantSubring:
         orbit = ChowClass(X, {e: 5 for e in itertools.permutations((0, 1, 2))})
         assert pushed == _by_orbit(ring, (orbit * p2).coeffs)
 
+    def test_push_by_a_higher_power_sum_stops_below_a_larger_exponent(self):
+        # on (P^5)^3: p_2 times the orbit sum of a2 a3^4 (exponents 0, 1, 4).
+        # 0 -> 2 passes the 1 and stops below the 4, giving the orbit of
+        # (1, 2, 4); 1 -> 3 gives the orbit of (0, 3, 4); 4 -> 6 is truncated
+        X = ProjProduct((5, 5, 5))
+        ring = InvariantSubring(X)
+        pushed = ring.push({ring.orbit((0, 1, 4)): 7}, {5: 1}, 2)
+        assert pushed == {ring.orbit((1, 2, 4)): 7, ring.orbit((0, 3, 4)): 7}
+        p2 = ChowClass(X, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        orbit = ChowClass(X, {e: 7 for e in itertools.permutations((0, 1, 4))})
+        assert pushed == _by_orbit(ring, (orbit * p2).coeffs)
+
     @settings(max_examples=150, deadline=None)
     @given(invariant_bundles())
     def test_newton_classes_and_pushes_equal_the_full_ring(self, case):

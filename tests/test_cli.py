@@ -325,6 +325,12 @@ class TestVerifyGenerators:
         assert code == 0 and json.loads(out)["excluded"] == [2]
         assert run(capsys, *argv, "--exclude", "2") == (0, out, "")
 
+    def test_sweep_lists_each_excluded_prime_once(self, capsys):
+        argv = ["verify-generators", "--all-primes-up-to", "7", "--max-d", "2", "--exclude"]
+        code, out, _ = run(capsys, *argv, "5", "3", "3")
+        assert code == 0 and json.loads(out)["excluded"] == [3, 5]
+        assert run(capsys, *argv, "3", "5") == (0, out, "")
+
 
 class TestSteenrodCommand:
     def test_anchor_value(self, capsys):

@@ -159,6 +159,20 @@ class TestConvert:
         got = convert(m((5,) * 6, modulus=5), "elementary")
         assert got.coeffs == {Partition((6,) * 5): 1}
 
+    def test_mod_ell_power_sums_are_one_representative(self):
+        # p_2^3 = p_6 mod 3: the pivot p_(2,2,2), whose factor 3! is 0 mod 3,
+        # has coefficient 0 there and is skipped, so p_6 takes its part; the
+        # integral answer reduced mod 3 has 2 p_(2,2,2) and no p_6 instead
+        got = convert(m((2, 2, 1, 1), modulus=3), "power-sum")
+        assert got.coeffs[Partition((6,))] == 2
+        assert Partition((2, 2, 2)) not in got.coeffs
+        integral = convert(m((2, 2, 1, 1)), "power-sum").coeffs
+        reduced = {lam: c.numerator * pow(c.denominator, -1, 3) % 3 for lam, c in integral.items()}
+        assert reduced[Partition((2, 2, 2))] == 2 and reduced[Partition((6,))] == 0
+        assert {lam: c for lam, c in reduced.items() if c} != got.coeffs
+        for answer in (got, SymFn(reduced, "power-sum", 3)):
+            assert convert(answer, "monomial").coeffs == {Partition((2, 2, 1, 1)): 1}
+
     @pytest.mark.parametrize("n", range(0, 11))
     def test_elementary_in_power_sums_closed_form(self, n):
         # e_n = sum over mu of n of (-1)^(n - len(mu)) p_mu / z_mu, with
