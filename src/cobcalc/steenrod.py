@@ -49,12 +49,15 @@ applies the total operation term by term to root polynomials held as
 dicts, packed key -> coefficient.  A key is an exponent vector packed by
 `_sparse`, root m in field m, whose top bit is a guard that stays clear;
 the expansion arrives packed.  Multiplying by e_r adds 1 to every field,
-and raising root m by k steps of ell - 1 is one integer addition.  Two
-checks guard the result, each one word-parallel subtraction per key with
-all guard bits set first, and a failed one raises ArithmeticError: the
-division by e_r needs every field at least 1, and the quotient must be
-symmetric, its sorted representatives (fields that never rise) having
-orbits that account for every term.
+and raising root m by k steps of ell - 1 is one integer addition.  The
+graded piece is left unreduced, and the division pass reduces each
+coefficient mod ell as it reads it, skipping the terms that vanish, so a
+call holds one dict of the piece, not a raw and a reduced copy.  Two
+checks guard the result, each one word-parallel subtraction per nonzero
+term with all guard bits set first, and a failed one raises
+ArithmeticError: the division by e_r needs every field at least 1, and
+the quotient must be symmetric, its sorted representatives (fields that
+never rise) having orbits that account for every nonzero term.
 """
 
 from __future__ import annotations
@@ -234,9 +237,10 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
     """Index-2t piece of the total operation applied to the packed root
     polynomial p: raise t slots, a slot of exponent a raised k times
     gaining k*(ell-1) at the factor C(a, k).  levels[u] holds the partial
-    raises of one term that used u < t of the t, each slot taken once."""
+    raises of one term that used u < t of the t, each slot taken once.  The
+    coefficients are left unreduced, some 0 mod ell: callers reduce them."""
     if t == 0:
-        return clean(p, ell)
+        return p
     shifts, mask, _ = lay
     out: dict = {}
     get = out.get
@@ -259,7 +263,7 @@ def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
                     for x, y in src:
                         x += d
                         out[x] = get(x, 0) + y * b
-    return clean(out, ell)
+    return out
 
 
 def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
@@ -276,12 +280,15 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
     out: dict = {}
     for t in range(sum(mono) + 1):
         out.update(_apply_graded_piece(packed, t, ell, lay))
-    return unpack(out, lay[0], lay[1])
+    return unpack(clean(out, ell), lay[0], lay[1])
 
 
-def _divide_and_collect(p: dict, lay: tuple) -> dict:
+def _divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
     """Divide the packed root polynomial p exactly by e_r and collect the
-    quotient into monomial-symmetric coordinates.  Division subtracts 1
+    quotient into monomial-symmetric coordinates.  With ell given, each
+    coefficient is reduced mod ell as it is read, and a term that vanishes
+    is skipped and not counted, so an unreduced p needs no reduced copy.
+    Both checks run on every term that remains.  Division subtracts 1
     from every field, so it needs every field at least 1: with all guard
     bits set, subtracting ones borrows from no guard.  It keeps the number
     of terms and the order of the fields, so only the sorted
@@ -292,15 +299,18 @@ def _divide_and_collect(p: dict, lay: tuple) -> dict:
     shifts, mask, guard = lay
     w = mask.bit_length()
     ones = guard >> (w - 1)
-    quotient = {}
+    quotient, count = {}, 0
     for key, c in p.items():
+        if ell is not None and not (c := c % ell):
+            continue
+        count += 1
         high = key | guard
         if (high - ones) & guard != guard:
             raise ArithmeticError("graded piece not divisible by e_r")
         if (high - (key >> w)) & guard == guard:
             quotient[key - ones] = c
     quotient = unpack(quotient, shifts, mask)
-    if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != len(p):
+    if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != count:
         raise ArithmeticError("root polynomial is not symmetric")
     return {Partition(tuple(x for x in e if x)): c for e, c in quotient.items()}
 
@@ -324,5 +334,5 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     # multiply by e_r: add 1 to every field
     ones = guard >> (mask.bit_length() - 1)
     shifted = {key + ones: c for key, c in _expand_packed(bpoly_to_symfn(f), shifts).items()}
-    mf = _divide_and_collect(_apply_graded_piece(shifted, t, ell, lay), lay)
+    mf = _divide_and_collect(_apply_graded_piece(shifted, t, ell, lay), lay, ell)
     return symfn_to_bpoly(SymFn(mf, "monomial", ell))

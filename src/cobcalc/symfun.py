@@ -23,7 +23,9 @@ first read as one tuple of (position, coefficient) pairs.  A p_r step
 splices v + r into mu for each distinct part v of mu and for v = 0; an
 e_r step raises j of mu's largest parts and takes the rest from the
 e_(r-j) step of mu without them, so e-steps share their tails through
-the tables; e_1 steps are p_1 steps.  A conversion expands its input in
+the tables; e_1 steps are p_1 steps.  A row keeps its nonzero positions
+in 32-bit words and, in a long row, its coefficients in 64-bit words
+while they fit (`_row`).  A conversion expands its input in
 the m basis as one integer list per weight, then eliminates in one pass
 over the positions: lex-largest first towards e, as e_lam' is m_lam plus
 lex-smaller terms, and lex-smallest first towards p, as p_lam is a
@@ -315,16 +317,26 @@ def _step(basis: str, w: int, i: int, r: int) -> tuple:
     return table[i]
 
 
+# a 64-bit word takes 8 bytes, a Python int above 256 in a tuple 40; but an
+# array boxes each coefficient it yields.  Rows shorter than this keep ints:
+# they are all of the small weights' tables, which every warm conversion
+# reads again, and about 5 % of the entries of the tables up to weight 25.
+_WORDS_FROM = 128
+
+
 @lru_cache(maxsize=None)
 def _row(basis: str, w: int, i: int) -> tuple:
     """The basis element e_lam or p_lam, lam at position i of weight w, in
-    the m basis, kept as its nonzero positions, ascending, and their
-    coefficients.  It is the row of lam without one part r, pushed through
-    the step table of r (fetched once) into a list over weight w's
-    positions.  An e-row drops lam's smallest part, as e_r steps grow with
-    r; a p-row drops its largest, as a p_r step has one term per distinct
-    part of mu and one more whatever r is, and the row it pushes is then
-    the shortest."""
+    the m basis, kept as its nonzero positions, ascending, in an array of
+    32-bit words, and their coefficients: an array of 64-bit words for a
+    row of _WORDS_FROM entries or more, a tuple of ints for a shorter row
+    or one with a coefficient that does not fit (the row of e_(1^21)
+    carries 21! > 2**63).  Readers iterate zip(*row) either way.  The row
+    is the row of lam without one part r, pushed through the step table of
+    r (fetched once) into a list over weight w's positions.  An e-row drops
+    lam's smallest part, as e_r steps grow with r; a p-row drops its
+    largest, as a p_r step has one term per distinct part of mu and one
+    more whatever r is, and the row it pushes is then the shortest."""
     parts = _index(w)[0]
     lam = parts[i]
     if not lam:
@@ -338,7 +350,13 @@ def _row(basis: str, w: int, i: int) -> tuple:
     for j, c in zip(*_row(basis, w - r, _index(w - r)[1][rest])):
         for k, v in table.get(j) or _step(basis, w - r, j, r):
             row[k] += c * v
-    return array("I", compress(range(len(row)), row)), tuple(compress(row, row))
+    coeffs = tuple(compress(row, row))
+    if len(coeffs) >= _WORDS_FROM:
+        try:
+            coeffs = array("q", coeffs)
+        except OverflowError:
+            pass  # a coefficient of 2**63 or more: the row keeps its ints
+    return array("I", compress(range(len(row)), row)), coeffs
 
 
 def _dense_m(coeffs: dict, basis: str, denominator: int) -> dict:

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow
-from cobcalc._sparse import layout, pack, unpack
+from cobcalc._sparse import clean, layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
+    _apply_graded_piece,
     _decode,
     _divide_and_collect,
     power_op,
@@ -536,6 +537,37 @@ class TestPackedOracle:
         # the whole orbit divides to m_(2,1)
         whole = pack({(3, 2): 2, (2, 3): 2}, shifts)
         assert _divide_and_collect(whole, lay) == {Partition((2, 1)): 2}
+
+    def test_unreduced_terms_that_vanish_are_skipped(self):
+        # mod 5: (3, 2) and (2, 3) leave 2 each, and (0, 4), which e_2
+        # does not divide, and (1, 4), outside the orbit, vanish
+        lay = layout(2, 4)
+        p = pack({(3, 2): 7, (2, 3): 12, (0, 4): 10, (1, 4): 5}, lay[0])
+        assert _divide_and_collect(p, lay, 5) == {Partition((2, 1)): 2}
+
+    def test_unreduced_nonzero_term_not_divisible(self):
+        lay = layout(2, 4)
+        p = pack({(3, 2): 7, (2, 3): 12, (0, 4): 11}, lay[0])
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _divide_and_collect(p, lay, 5)
+
+    def test_unreduced_orbits_count_nonzero_residues(self):
+        # (2, 3) vanishes mod 5, so (3, 2) alone is an asymmetric remainder,
+        # though the dict holds the whole orbit
+        lay = layout(2, 4)
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            _divide_and_collect(pack({(3, 2): 2, (2, 3): 5}, lay[0]), lay, 5)
+
+    def test_unreduced_graded_piece_divides_as_its_reduction(self):
+        # the index-4 piece of (m_(3,1,1,1) + m_(2,2,1,1)) in four roots at
+        # l = 3: C(3, k) = 0 mod 3 for k = 1, 2, so the m_(3,1,1,1) part
+        # raises two 1s, each of its terms reached three times
+        ell, t = 3, 2
+        lay = layout(4, 3 + t * (ell - 1))
+        roots = {e: 1 for base in ((3, 1, 1, 1), (2, 2, 1, 1)) for e in itertools.permutations(base)}
+        piece = _apply_graded_piece(pack(roots, lay[0]), t, ell, lay)
+        assert any(c % ell == 0 for c in piece.values()) and any(c % ell for c in piece.values())
+        assert _divide_and_collect(piece, lay, ell) == _divide_and_collect(clean(piece, ell), lay)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_field_of_all_ones_round_trips(self, k):

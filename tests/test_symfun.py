@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -409,6 +410,27 @@ class TestStepKernels:
             for lam in enumerate_partitions(w):
                 for mu in enumerate_partitions(w):
                     assert rows[lam].get(mu, 0) == block_maps(tuple(lam), tuple(mu))
+
+
+class TestRowWords:
+    # e_(1^w) = p_1^w is the sum of the multinomials w!/prod(lam_i!) m_lam,
+    # and its row's largest coefficient is w!: 20! < 2**63 < 21!
+    @pytest.mark.parametrize("w", [20, 21])
+    def test_all_ones_row_is_the_multinomials(self, w):
+        got = convert(e((1,) * w), "monomial").coeffs
+        want = {lam: math.factorial(w) // math.prod(map(math.factorial, lam)) for lam in enumerate_partitions(w)}
+        assert got == want
+
+    def test_coefficients_are_machine_words_while_they_fit(self):
+        # weight 20 keeps 64-bit words; the row of e_(1^21) carries 21!
+        # and falls back to a tuple
+        for w, kind in ((20, array), (21, tuple)):
+            positions, coeffs = symfun._row("elementary", w, symfun._index(w)[1][(1,) * w])
+            assert type(coeffs) is kind
+            assert list(positions) == list(range(len(enumerate_partitions(w))))
+            assert coeffs[0] == 1 and coeffs[-1] == math.factorial(w)
+        # a short row keeps ints: e_(20) is m_(1^20)
+        assert symfun._row("elementary", 20, symfun._index(20)[1][(20,)]) == (array("I", [626]), (1,))
 
 
 @st.composite
