@@ -24,23 +24,25 @@ Two actions are exposed:
 The fast path behind both assembles the answer from closed forms by
 multiplicativity, on packed keys.  The index-2a piece of the total
 operation on b_j is m_(ell^a 1^(j-a)), and the index-2b piece of the twist
-is m_((ell-1)^b); each is converted to the generators once and held as a
-dict, packed key -> coefficient, with the exponent of b_g in field g - 1.
-The fields are sized from the answer: its terms have half-weight at most
-top = weight(f)/2 + t(ell-1), so fields a bit wider than top (and at least
-8 bits, so that most calls share one format) hold every exponent, and
-multiplying two b-monomials is one integer addition.  The total operation
-on each b_j**k, cut at index 2t, is cached by (j, k, t, ell) and the
-field width.  The monomials of f are grouped by their last factor, so the
-operation on the sum of each group's heads meets that factor once, and
-the graded products of all monomials are summed by index before the
-twist, which multiplies once per index, not once per monomial; the last
-product forms only index 2t.  The sums are reduced mod ell as they are
-assembled, and the answer is decoded in one pass, each key field by field
-into the (g, e) pairs of its nonzero fields, as its coefficient is
-reduced.  A zero input, and an untwisted index above weight(f), return
-zero before anything is sized or priced, so the work never grows with
-such an index.
+is m_((ell-1)^b).  The twist pieces come from the product of E(cu)E(-cu)
+over c, E(u) = sum b_k u**k; m_(1^j) is b_j and m_(ell^j) is b_j**ell mod
+ell; only the mixed pieces, 0 < a < j, are converted to the generators.
+Each piece is built once and held as a dict, packed key -> coefficient,
+with the exponent of b_g in field g - 1.  The fields are sized from the
+answer: its terms have half-weight at most top = weight(f)/2 + t(ell-1),
+so fields a bit wider than top (and at least 8 bits, so that most calls
+share one format) hold every exponent, and multiplying two b-monomials is
+one integer addition.  The total operation on each b_j**k, cut at index
+2t, is cached by (j, k, t, ell) and the field width.  The monomials of f
+are grouped by their last factor, so the operation on the sum of each
+group's heads meets that factor once, and the graded products of all
+monomials are summed by index before the twist, which multiplies once per
+index, not once per monomial; the last product forms only index 2t.  The
+sums are reduced mod ell as they are assembled, and the answer is decoded
+in one pass, each key field by field into the (g, e) pairs of its nonzero
+fields, as its coefficient is reduced.  A zero input, and an untwisted
+index above weight(f), return zero before anything is sized or priced, so
+the work never grows with such an index.
 
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with the engine of
@@ -49,22 +51,24 @@ applies the total operation term by term to root polynomials held as
 dicts, packed key -> coefficient.  A key is an exponent vector packed by
 `_sparse`, root m in field m, whose top bit is a guard that stays clear;
 the expansion arrives packed.  Multiplying by e_r adds 1 to every field,
-and raising root m by k steps of ell - 1 is one integer addition.  The
-graded piece is left unreduced, and the division pass reduces each
-coefficient mod ell as it reads it, skipping the terms that vanish, so a
-call holds one dict of the piece, not a raw and a reduced copy.  Two
+and raising root m by k steps of ell - 1 is one integer addition.  A
+term's raises are read from a table by exponent, and each completes the
+partial raises of the roots before it, so each root monomial of the
+graded piece costs one dict update.  The piece is left unreduced, and
+the division pass reduces each coefficient mod ell as it reads it,
+skipping the terms that vanish, so a call holds one dict of the piece,
+not a raw and a reduced copy.  Two
 checks guard the result, each one word-parallel subtraction per nonzero
 term with all guard bits set first, and a failed one raises
-ArithmeticError: the division by e_r needs every field at least 1, and
-the quotient must be symmetric, its sorted representatives (fields that
-never rise) having orbits that account for every nonzero term.
+ArithmeticError: the division by e_r needs every field at least 1, and the
+quotient must be symmetric, its sorted representatives (fields that never
+rise) having orbits that account for every nonzero term.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb
 
 from ._sparse import clean, layout, pack, unpack
 from .partitions import Partition
@@ -81,13 +85,46 @@ WEIGHT_CAP = 60
 
 @lru_cache(maxsize=None)
 def _packed_piece(parts: tuple[int, ...], ell: int, width: int) -> dict:
-    """The monomial symmetric function m_parts in the generators, on
-    packed keys: the exponent of b_g in the field at bit (g - 1) * width.
+    """The monomial symmetric function m_parts in the generators mod ell,
+    on packed keys: the exponent of b_g in the field at bit (g - 1) * width.
     The index-2a piece of the total untwisted operation on b_j is
     m_(ell^a 1^(j-a)), zero for a > j; the index-2b piece of the twist,
-    e_b of the (ell-1)-st powers of the roots, is m_((ell-1)^b)."""
+    e_b of the (ell-1)-st powers of the roots, is m_((ell-1)^b).  Only the
+    pieces with 0 < a < j are converted to the elementary basis: m_(1^j)
+    is b_j, m_(ell^j) = e_j(roots**ell) is b_j**ell mod ell (Frobenius),
+    and the twist pieces have a closed form."""
+    j = len(parts)
+    if parts == (ell - 1,) * j:
+        return _twist_piece(j, ell, width)
+    if parts in ((1,) * j, (ell,) * j):
+        return {parts[0] << (j - 1) * width: 1}
     piece = symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
     return {sum([k << (g - 1) * width for g, k in mono]): c for mono, c in piece.coeffs.items()}
+
+
+def _twist_piece(b: int, ell: int, width: int) -> dict:
+    """m_((ell-1)^b) mod ell on packed keys: with E(u) = sum_k b_k u**k,
+    the product of E(cu) over c = 1 .. ell-1 is that of 1 - (xu)**(ell-1)
+    over the roots x, mod ell, so (-1)**b m_((ell-1)^b) is its coefficient
+    of u**(b(ell-1)) (Macdonald I §2).  E(cu)E(-cu) = F(c**2 u**2), F_n =
+    sum over i + i' = 2n of (-1)**i b_i b_i', so c runs to (ell-1)/2, and
+    the product only to the degree read.  The keys are sorted as the
+    conversion gives them, which the answer's order follows: conjugate
+    e-partitions lex-descending, more factors first, then fewer b_1, ..."""
+    top = b * (ell - 1) // 2
+    gen = [0] + [1 << g * width for g in range(2 * top)]
+    F = [
+        {gen[i] + gen[2 * n - i]: (1 if i == n else 2) * (-1) ** i % ell for i in range(n + 1)}
+        for n in range(top + 1)
+    ]
+    series = F
+    for c in range(2, (ell + 1) // 2):
+        scaled = [{k: v * pow(c, 2 * n, ell) for k, v in Fn.items()} for n, Fn in enumerate(F)]
+        lo = top if 2 * c + 1 == ell else 0  # the last factor forms only the degree read
+        series = [clean(p, ell) for p in _add_product([{} for _ in F], series, scaled, lo)]
+    piece = {k: r for k, v in series[top].items() if (r := (-1) ** b * v % ell)}
+    exps = {k: [k >> s & (1 << width) - 1 for s in range(0, 2 * top * width, width)] for k in piece}
+    return {k: piece[k] for k in sorted(piece, key=lambda k: (-sum(exps[k]), exps[k]))}
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> None:
@@ -225,44 +262,50 @@ def stability_bound(f: BPoly, i: int, ell: int) -> int:
     return max(1, f.weight // 2 + (max(i, 0) * (ell - 1) + 1) // 2)
 
 
-@lru_cache(maxsize=4096)
-def _raises(a: int, t: int, ell: int) -> tuple[tuple[int, int], ...]:
-    """The raises of a root exponent a within index 2t: (k, C(a, k) mod
-    ell) for 1 <= k <= min(a, t), without the binomials that vanish mod
-    ell (Lucas's theorem)."""
-    return tuple((k, comb(a, k) % ell) for k in range(1, min(a, t) + 1) if comb(a, k) % ell)
-
-
 def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
     """Index-2t piece of the total operation applied to the packed root
-    polynomial p: raise t slots, a slot of exponent a raised k times
-    gaining k*(ell-1) at the factor C(a, k).  levels[u] holds the partial
-    raises of one term that used u < t of the t, each slot taken once.  The
-    coefficients are left unreduced, some 0 mod ell: callers reduce them."""
+    polynomial p: raise slots by t steps in all, each at most once, a slot
+    of exponent a raised k times gaining k*(ell-1) at the factor C(a, k),
+    from a table by exponent built by Pascal's rule mod ell.  One pass over
+    a term's slots completes, at each slot, the partial raises of the slots
+    before it straight into the output, one dict update per root monomial
+    of the piece.  The coefficients are left unreduced, some 0 mod ell:
+    callers reduce them."""
     if t == 0:
         return p
     shifts, mask, _ = lay
+    row, raises = [1] + [0] * t, []
+    for _ in range(mask // 2 + 1):  # the guard bit of a field stays clear
+        raises.append(tuple((k, k * (ell - 1), b) for k, b in enumerate(row) if k and b))
+        row = [1] + [(x + y) % ell for x, y in zip(row[1:], row)]
+    partial = [tuple(r for r in opts if r[0] < t) for opts in raises]
+    middle = range(t - 2, 0, -1)
     out: dict = {}
     get = out.get
     for key, c in p.items():
-        levels = [[(key, c)]] + [[] for _ in range(t - 1)]
+        levels = [[] for _ in range(t)]  # levels[u]: (key, coefficient) raised u steps
         for s in shifts:
-            opts = _raises(key >> s & mask, t, ell)
-            for used in range(t - 1, -1, -1):
-                src = levels[used]
-                if not src:
+            a = key >> s & mask
+            for k, d, b in raises[a]:
+                d <<= s
+                if k == t:
+                    z = key + d
+                    out[z] = get(z, 0) + c * b
                     continue
-                for k, b in opts:
-                    if used + k > t:
-                        break
-                    d = (k * (ell - 1)) << s
-                    if used + k < t:
-                        levels[used + k].extend([(x + d, y * b) for x, y in src])
-                        continue
-                    # a full raise goes straight into the output
-                    for x, y in src:
-                        x += d
-                        out[x] = get(x, 0) + y * b
+                for x, y in levels[t - k]:
+                    z = x + d
+                    out[z] = get(z, 0) + y * b
+            # the slot's partials, built from the levels before they take it
+            opts = partial[a]
+            for used in middle:
+                if src := levels[used]:
+                    for k, d, b in opts:
+                        if used + k >= t:
+                            break
+                        d <<= s
+                        levels[used + k] += [(x + d, y * b) for x, y in src]
+            for k, d, b in opts:
+                levels[k].append((key + (d << s), c * b))
     return out
 
 

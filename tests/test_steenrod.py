@@ -19,13 +19,14 @@ from cobcalc.steenrod import (
     _apply_graded_piece,
     _decode,
     _divide_and_collect,
+    _packed_piece,
     power_op,
     power_op_oracle,
     power_op_untwisted,
     stability_bound,
     total_power_on_monomial,
 )
-from cobcalc.symfun import BPoly
+from cobcalc.symfun import BPoly, SymFn, symfn_to_bpoly
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -600,3 +601,70 @@ class TestPackedOracle:
                 del p[gone]
                 with pytest.raises(ArithmeticError, match="not symmetric"):
                     _divide_and_collect(p, lay)
+
+
+def slot_by_slot_piece(p: dict, t: int, ell: int) -> dict:
+    """The index-2t piece of prod_m (x_m + x_m**ell)**a_m over the terms of
+    the tuple-keyed root polynomial p, reduced mod ell: each slot expanded
+    by the binomial theorem, (x + x**ell)**a = sum_k C(a, k)
+    x**(a + k(ell-1)), keeping the products that take t steps in all."""
+    out: dict = {}
+    for exps, c in p.items():
+        partial = {((), 0): c}  # (exponents so far, steps taken) -> coefficient
+        for a in exps:
+            grown: dict = {}
+            for (done, used), y in partial.items():
+                for k in range(min(a, t - used) + 1):
+                    key = (done + (a + k * (ell - 1),), used + k)
+                    grown[key] = grown.get(key, 0) + y * comb(a, k)
+            partial = grown
+        for (done, used), y in partial.items():
+            if used == t:
+                out[done] = out.get(done, 0) + y
+    return {e: c % ell for e, c in out.items() if c % ell}
+
+
+@st.composite
+def root_polynomials(draw):
+    """(ell, roots, t, p): p a tuple-keyed polynomial in up to 6 roots,
+    exponents up to 6, with index 2t up to 8."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(1, 6))
+    t = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * r)
+    return ell, r, t, draw(st.dictionaries(exps, st.integers(-30, 30), max_size=8))
+
+
+class TestGradedPiece:
+    @given(root_polynomials())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_slot_by_slot_expansion(self, drawn):
+        ell, r, t, p = drawn
+        shifts, mask, _ = lay = layout(r, 6 + t * (ell - 1))
+        got = _apply_graded_piece(pack(p, shifts), t, ell, lay)
+        assert unpack(clean(got, ell), shifts, mask) == slot_by_slot_piece(p, t, ell)
+
+
+def converted_piece(parts, ell, width):
+    """m_parts mod ell through the elementary-basis conversion, packed as
+    the fast path packs it, in the conversion's key order."""
+    piece = symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
+    return [(sum(k << (g - 1) * width for g, k in mono), c) for mono, c in piece.coeffs.items()]
+
+
+class TestClosedFormPieces:
+    # the key order matters: the answer's term order, which the recorded
+    # reprs pin, follows the order of the pieces
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_twist_pieces_equal_the_conversion(self, ell):
+        top = 20 if ell == 3 else 24 // (ell - 1)
+        for b in range(top + 1):
+            parts = (ell - 1,) * b
+            assert list(_packed_piece(parts, ell, 8).items()) == converted_piece(parts, ell, 8), b
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_single_monomial_untwisted_pieces(self, ell):
+        # m_(1^j) = b_j, and m_(ell^j) = b_j**ell mod ell (Frobenius)
+        for j in range(1, 24 // ell + 1):
+            for parts in ((1,) * j, (ell,) * j):
+                assert list(_packed_piece(parts, ell, 8).items()) == converted_piece(parts, ell, 8)
