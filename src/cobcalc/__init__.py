@@ -28,10 +28,7 @@ _EXPORTS = {
         "s_number_bruteforce", "signed_char_number", "valuation_table",
     ),
     "steenrod": ("power_op", "power_op_oracle", "power_op_untwisted", "total_power_on_monomial"),
-    "adams": (
-        "TriDegree", "decomposition_check", "e2_rank", "e2_rank_from_generators",
-        "ext_generators", "milnor_count", "vanishing_check",
-    ),
+    "adams": ("decomposition_check", "e2_rank", "e2_rank_from_generators"),
     "criterion": (
         "CandidateFamily", "GeneratorVerdict", "global_criterion",
         "mgl_criterion", "msp_criterion", "stong_family",

@@ -62,11 +62,6 @@ class DegreeVerdict(Record):
 
     __slots__ = ("d", "required", "observed", "passed", "reason")
 
-    def __init__(
-        self, d: int, required: int, observed: int | None, passed: bool, reason: str = ""
-    ) -> None:
-        self._set(d, required, observed, passed, reason)
-
 
 class GeneratorVerdict(Record):
     __slots__ = ("kind", "primes", "rows")

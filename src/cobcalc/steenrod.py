@@ -217,15 +217,18 @@ def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:
     # untwisted above the weight, instability: each root factor absorbs index at most 2
     if i < 0 or i % 2 == 1 or not twisted and i > weight:
         return BPoly.zero(ell)
-    # the largest symmetric-function conversion the pieces below need
+    # the heaviest piece below, converted or closed-form: b_j's pieces weigh
+    # j + a(ell - 1), a <= min(j, t), the a = j one being b_j**ell; the
+    # twist's t(ell - 1) stays, as its closed form grows with ell (P2 on 1
+    # at ell = 41 weighs 40 and takes seconds)
     t = i // 2
     needed = [j + min(j, t) * (ell - 1) for mono in f.coeffs for j, _ in mono]
     if twisted:
         needed.append(t * (ell - 1))
-    conversion = max(needed, default=0)
-    if conversion > DEFAULT_WEIGHT_CAP:
+    heaviest = max(needed, default=0)
+    if heaviest > DEFAULT_WEIGHT_CAP:
         raise ValueError(
-            f"P{i} at prime {ell} needs a conversion of weight {conversion}, "
+            f"P{i} at prime {ell} needs a conversion of weight {heaviest}, "
             f"above the cap {DEFAULT_WEIGHT_CAP}"
         )
     # fields of at least 8 bits give most calls one key format (module docstring)

@@ -3,15 +3,11 @@ import pytest
 from cobcalc.adams import (
     MAX_DECOMPOSITION_WEIGHT,
     MAX_RANK_D,
-    TriDegree,
     decomposition_check,
     e2_rank,
     e2_rank_from_generators,
     e2_ranks,
     e2_ranks_from_generators,
-    ext_generators,
-    milnor_count,
-    vanishing_check,
 )
 from cobcalc.partitions import enumerate_partitions
 
@@ -39,36 +35,6 @@ def enumerate_milnor_exponents(q: int, ell: int) -> list[tuple[int, ...]]:
 
     rec(0, q, [])
     return out
-
-
-class TestMilnorCount:
-    def test_examples(self):
-        assert milnor_count(0, 3) == 1
-        assert milnor_count(2, 3) == 1
-        assert milnor_count(8, 3) == 2
-
-    @pytest.mark.parametrize("ell", [3, 5])
-    @pytest.mark.parametrize("q", range(0, 31))
-    def test_against_enumeration(self, q, ell):
-        assert milnor_count(q, ell) == len(enumerate_milnor_exponents(q, ell))
-
-    @pytest.mark.parametrize("ell", [3, 5])
-    def test_generating_function(self, ell):
-        # product over slots of 1/(1 - x^(ell^i - 1)), truncated at degree 60
-        bound = 60
-        series = [1] + [0] * bound
-        w = ell - 1
-        while w <= bound:
-            # multiply by the geometric series in x^w
-            for v in range(w, bound + 1):
-                series[v] += series[v - w]
-            w = (w + 1) * ell - 1
-        for q in range(bound + 1):
-            assert milnor_count(q, ell) == series[q]
-
-    def test_negative_weight_is_refused(self):
-        with pytest.raises(ValueError, match="weight must be nonnegative"):
-            milnor_count(-1, 3)
 
 
 class TestDecomposition:
@@ -152,79 +118,3 @@ class TestRanks:
     def test_even_partitions_self_consistency(self):
         for d in range(1, 16):
             assert len(enumerate_partitions(2 * d, "even")) == PARTITION_COUNTS[d]
-
-
-class TestExtGenerators:
-    def test_example_prime_3(self):
-        got = ext_generators(3, -4)
-        as_map = {name: td for name, td in got}
-        assert set(as_map) == {"1", "h'_0", "z_(4)", "h'_1"}
-        assert as_map["1"] == TriDegree(0, 0, 0)
-        assert as_map["h'_0"].internal == (-1, 0)
-        assert as_map["h'_0"].s == 1
-        assert as_map["z_(4)"].internal == (-8, -4)
-        assert as_map["z_(4)"].s == 0
-        assert as_map["h'_1"].internal == (-5, -2)
-
-    def test_no_exceptional_z(self):
-        for ell in (3, 5):
-            for name, _ in ext_generators(ell, -30):
-                if name.startswith("z_("):
-                    k2 = int(name[3:-1])
-                    p = ell
-                    while p - 1 <= k2:
-                        assert p - 1 != k2
-                        p *= ell
-
-    def test_all_generators_on_diagonal(self):
-        for ell in (3, 5):
-            for _, td in ext_generators(ell, -20):
-                assert td.t == 2 * td.u
-
-    def test_positive_weight_bound_is_refused(self):
-        with pytest.raises(ValueError, match="u_min must be <= 0"):
-            ext_generators(3, 1)
-
-
-class TestVanishing:
-    def test_above_diagonal(self):
-        assert vanishing_check(0, 3, 1, 3)
-
-    def test_below_diagonal(self):
-        assert vanishing_check(0, -3, -1, 3)
-
-    def test_below_diagonal_weight_one_line_refused(self):
-        with pytest.raises(ValueError):
-            vanishing_check(0, 1, 1, 3)
-
-    def test_shifted_diagonal_line(self):
-        for s in range(0, 4):
-            for u in range(-6, 3):
-                assert vanishing_check(s, 2 * u + 1, u, 3)
-
-    def test_unit_spot_nonzero(self):
-        assert not vanishing_check(0, 0, 0, 3)
-
-    def test_tower_spots_nonzero(self):
-        # powers of the degree-zero filtration class
-        for s in range(0, 5):
-            assert not vanishing_check(s, 0, 0, 3)
-
-    def test_prime_dependence_on_diagonal(self):
-        # weight -2: the single-part class exists at prime 5 but not 3
-        assert vanishing_check(0, -4, -2, 3)
-        assert not vanishing_check(0, -4, -2, 5)
-
-    def test_diagonal_at_positive_weight_or_negative_filtration_vanishes(self):
-        # no generator has positive weight, and no monomial negative filtration
-        assert vanishing_check(0, 2, 1, 3)
-        assert vanishing_check(-1, 0, 0, 3)
-
-    def test_diagonal_dimension_matches_rank(self):
-        # with enough filtration allowed, the monomial count at weight -2d
-        # recovers the rank: the degree-zero tower absorbs excess filtration
-        from cobcalc.adams import _diagonal_dimension
-
-        for ell in (3, 5):
-            for d in range(1, 10):
-                assert _diagonal_dimension(2 * d, -2 * d, ell) == e2_rank(d)

@@ -371,8 +371,9 @@ class TestSteenrodCommand:
         "prime, op, cls, weight", [("3", "P100", "b1", 100), ("7", "P4", "b30", 42)]
     )
     def test_conversion_cap_names_the_operation(self, capsys, prime, op, cls, weight):
-        # checked before any piece is built: the largest conversion is
-        # j + min(j, i//2)(ell-1) for b_j, or (i//2)(ell-1) for the twist
+        # checked before any piece is built: the heaviest piece, converted or
+        # closed-form, weighs j + min(j, i//2)(ell-1) for b_j, or
+        # (i//2)(ell-1) for the twist
         code, out, err = run(capsys, "steenrod", "--prime", prime, "--op", op, "--class", cls)
         assert code == 2 and out == ""
         assert err == (

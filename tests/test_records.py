@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from cobcalc._record import Record
-from cobcalc.adams import DecompositionReport, DecompositionRow, TriDegree
+from cobcalc.adams import DecompositionReport, DecompositionRow
 from cobcalc.chow import ChowClass, LineTerm, ProjProduct, VirtualBundle
 from cobcalc.criterion import CandidateFamily, DegreeVerdict, GeneratorVerdict
 from cobcalc.stong import StongDatum
@@ -22,7 +22,10 @@ def row():
 
 
 def verdicts():
-    return (DegreeVerdict(1, 1, 1, True), DegreeVerdict(2, 0, 1, False, "valuation 1, required 0"))
+    return (
+        DegreeVerdict(1, 1, 1, True, ""),
+        DegreeVerdict(2, 0, 1, False, "valuation 1, required 0"),
+    )
 
 
 # class: (a new instance, each call equal to the last; hashable; the calls
@@ -35,7 +38,6 @@ CASES = {
         [lambda: LadicDigits(4, (1,)), lambda: LadicDigits(3, (3,)),
          lambda: LadicDigits(3, (-1,)), lambda: LadicDigits(3, (1, 0))],
     ),
-    TriDegree: (lambda: TriDegree(1, -4, -2), True, []),
     DecompositionRow: (row, True, []),
     DecompositionReport: (lambda: DecompositionReport(3, (row(), row())), True, []),
     ProjProduct: (
@@ -86,7 +88,9 @@ CASES = {
 
 
 # the classes whose constructor is their generated setter, with no checks
-CHECK_FREE = {TriDegree, DecompositionRow, DecompositionReport, GeneratorVerdict, StongDatum}
+CHECK_FREE = {
+    DecompositionRow, DecompositionReport, DegreeVerdict, GeneratorVerdict, StongDatum,
+}
 
 
 def fields(obj) -> tuple:
