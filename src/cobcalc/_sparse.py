@@ -26,12 +26,10 @@ def clean(coeffs: dict, modulus: int | None = None) -> dict:
 
 
 def collect(terms, modulus: int | None = None) -> dict:
-    """Sum the coefficients of (key, coefficient) pairs by key; a None key
-    marks a term that vanishes."""
+    """Sum the coefficients of (key, coefficient) pairs by key."""
     out: dict = {}
     for k, c in terms:
-        if k is not None:
-            out[k] = out.get(k, 0) + c
+        out[k] = out.get(k, 0) + c
     return clean(out, modulus)
 
 
@@ -44,8 +42,7 @@ def scale(a: dict, s) -> dict:
 
 
 def mul(a: dict, b: dict, combine, modulus: int | None = None) -> dict:
-    """Bilinear product: basis keys ka and kb multiply to combine(ka, kb),
-    or to zero when combine returns None (a truncated product)."""
+    """Bilinear product: basis keys ka and kb multiply to combine(ka, kb)."""
     terms = ((combine(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
     return collect(terms, modulus)
 

@@ -43,7 +43,7 @@ class DecompositionRow(Record):
 
 
 class DecompositionReport(Record):
-    __slots__ = ("prime", "rows")
+    __slots__ = ("rows",)
 
     @property
     def all_equal(self) -> bool:
@@ -72,7 +72,7 @@ def decomposition_check(max_weight: int, ell: int) -> DecompositionReport:
         make_row(w, even[w], sum(non_ladic[v] * milnor[w - v] for v in range(0, w + 1, 2)))
         for w in range(0, max_weight + 1, 2)
     ]
-    return DecompositionReport(ell, tuple(rows))
+    return DecompositionReport(tuple(rows))
 
 
 def e2_ranks(d_max: int) -> list[int]:

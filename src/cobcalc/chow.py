@@ -65,7 +65,7 @@ class ChowClass(Record):
 
     def __init__(self, space: ProjProduct, coeffs: dict | None = None) -> None:
         terms = ((_exponents(space, e), c) for e, c in (coeffs or {}).items())
-        self._set(space, _sparse.collect(terms))
+        self._set(space, _sparse.collect((e, c) for e, c in terms if e is not None))
 
     @staticmethod
     def zero(space: ProjProduct) -> "ChowClass":
@@ -356,7 +356,7 @@ class LineTerm(Record):
     __slots__ = ("sign", "twist")
 
     def __init__(self, sign: int, twist: tuple[int, ...]) -> None:
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self._set(sign, tuple(int(c) for c in twist))
 

@@ -64,7 +64,7 @@ class DegreeVerdict(Record):
 
 
 class GeneratorVerdict(Record):
-    __slots__ = ("kind", "primes", "rows")
+    __slots__ = ("rows",)
 
     @property
     def passed(self) -> bool:
@@ -101,7 +101,7 @@ def _check_family(fam: CandidateFamily, ell: int, d_max: int, exceptional: set) 
         seen = _nu(value, ell)
         reason = "" if seen == need else f"valuation {seen}, required {need}"
         rows.append(make_row(d, need, seen, seen == need, reason))
-    return GeneratorVerdict(fam.kind, (ell,), tuple(rows))
+    return GeneratorVerdict(tuple(rows))
 
 
 def mgl_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdict:

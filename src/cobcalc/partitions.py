@@ -21,7 +21,7 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(sorted(parts, reverse=True))
-        if any(not isinstance(p, int) or p <= 0 for p in parts):
+        if any(type(p) is not int or p <= 0 for p in parts):  # not isinstance: a bool is refused
             raise ValueError(f"parts must be positive integers: {parts}")
         return super().__new__(cls, parts)
 

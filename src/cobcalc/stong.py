@@ -70,7 +70,7 @@ class StongDatum(Record):
     """One row of the valuation table; expected is 1 when 2d+1 is a power
     of the prime, else 0."""
 
-    __slots__ = ("prime", "d", "factors", "s_number", "valuation", "n_y", "expected")
+    __slots__ = ("d", "factors", "s_number", "valuation", "expected")
 
     @property
     def matches(self) -> bool:
@@ -150,7 +150,7 @@ def congruence_check(d: int, ell: int) -> tuple[int, int, bool]:
 
 
 def sign_exponent(X: ProjProduct) -> int:
-    """Twist-factor count 1 + sum over factors P^(2n_i+1) of (n_i + 1)."""
+    """n_Y, the twist-factor count 1 + sum over factors P^(2n_i+1) of (n_i + 1)."""
     _check_construction(X)
     return 1 + sum((n + 1) // 2 for n in X.dims)
 
@@ -193,12 +193,10 @@ def valuation_rows(ell: int, d_max: int):
     of digit i, by G_i = (ell**(i+1))! / ((ell**i)!)**ell, the multinomial
     of the ell factors P^(ell**i) that the carry merges into one of the
     next digit.  Every factor is a P^(ell**i), so a row's valuation is
-    nu(n!) less nu((ell**i)!) per factor, and its sign exponent is
-    1 + (n + factor count) / 2.  All are running sums: a step adds to
-    nu(n!) the number of digits it carries (Legendre), a carry out of digit
-    i adds nu((ell**(i+1))!) - ell nu((ell**i)!) to the factors' part, and
-    the factor count, n's digit sum, gains 2 a step and loses ell - 1 a
-    carry.
+    nu(n!) less nu((ell**i)!) per factor.  Both are running sums: a step
+    adds to nu(n!) the number of digits it carries (Legendre), and a carry
+    out of digit i adds nu((ell**(i+1))!) - ell nu((ell**i)!) to the
+    factors' part.
 
     A step that does not carry out of digit 0 prepends two P^1 to the last
     row's factors and keeps its valuation: one big-integer product, the
@@ -217,15 +215,15 @@ def valuation_rows(ell: int, d_max: int):
     carry = [(1, 0)]  # by carries c: prod(G_i) and the change of the factors' nu, over i < c
     tails: list[tuple[int, ...]] = [(), ()]  # factor dimensions of the digits i and up
     dims, generic = (1, 1), -4  # at n = 2: two P^1, -2 M(2) = -2 * 2! / (1!)**2
-    nu_n, nu_sum, valuation, n_y = 0, 0, 0, 3  # nu(n!), the factors' nu((ell**i)!), n_Y
+    nu_n, nu_sum, valuation = 0, 0, 0  # nu(n!), the factors' nu((ell**i)!)
     for d in range(1, d_max + 1):
         n = 2 * d + 2
         rise = (n - 1) * n
         digits[0] += 2
         if digits[0] < ell:
             generic *= rise
-            dims, n_y = (1, 1) + dims, n_y + 2
-            yield make_row(ell, d, make_space(dims), generic, valuation, n_y, 0)
+            dims = (1, 1) + dims
+            yield make_row(d, make_space(dims), generic, valuation, 0)
             continue
         carries, below = 0, 0
         while digits[carries] >= ell:  # a digit below ell plus at most 2 carries at most 1
@@ -248,11 +246,11 @@ def valuation_rows(ell: int, d_max: int):
             tails[i] = (powers[i],) * digits[i] + tails[i + 1]
         # nu(|number|) = nu(multinomial): the factor 2 is prime to ell
         nu_n, nu_sum = nu_n + carries, nu_sum + nu_step
-        valuation, n_y = nu_n - nu_sum, n_y + 2 - carries * (ell - 1) // 2
+        valuation = nu_n - nu_sum
         dims = (1,) * digits[0] + tails[1]
-        if below:  # P^1 x (P^(ell**(r-1)))**ell: ell + 1 factors, against n's digit sum 2
+        if below:  # the exceptional row's own factors, P^1 x (P^(ell**(r-1)))**ell
             own = (1,) + (below,) * ell
-            nu_own, n_y_own = nu_n - ell * nu_factorial(below, ell), n_y + (ell - 1) // 2
-            yield make_row(ell, d, make_space(own), -2 * multinomial(n, own), nu_own, n_y_own, 1)
+            nu_own = nu_n - ell * nu_factorial(below, ell)
+            yield make_row(d, make_space(own), -2 * multinomial(n, own), nu_own, 1)
         else:
-            yield make_row(ell, d, make_space(dims), generic, valuation, n_y, 0)
+            yield make_row(d, make_space(dims), generic, valuation, 0)

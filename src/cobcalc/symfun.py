@@ -487,7 +487,7 @@ def bmono_weight(mono: BMono) -> int:
 def _bmono(mono) -> BMono:
     """Canonical form of a monomial: sorted, without zero exponents."""
     mono = tuple(sorted((i, k) for i, k in mono if k))
-    if any(i < 1 or k < 0 for i, k in mono):
+    if any(type(i) is not int or type(k) is not int or i < 1 or k < 0 for i, k in mono):
         raise ValueError(f"bad monomial {mono}")
     return mono
 

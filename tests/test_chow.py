@@ -527,6 +527,10 @@ class TestBundles:
         with pytest.raises(ValueError, match="twist vector length mismatch"):
             tangent_bundle(P1xP1).first_chern(LineTerm(1, (1,)))
 
+    def test_bool_sign_is_refused(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            LineTerm(True, (1,))
+
     def test_tangent_p1(self):
         t = tangent_bundle(P1)
         assert sorted((term.sign, term.twist) for term in t.terms) == [

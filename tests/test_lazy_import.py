@@ -220,7 +220,7 @@ def test_table_rows_pickle_compare_and_print_without_the_ring():
         "    assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)\n"
         "    assert repr(back) == repr(obj)\n"
         "assert row.factors == X and repr(row) == ("
-        "'StongDatum(prime=3, d=4, factors=ProjProduct(1, 3, 3, 3), s_number=-33600, '"
-        "'valuation=1, n_y=8, expected=1)')"
+        "'StongDatum(d=4, factors=ProjProduct(1, 3, 3, 3), s_number=-33600, '"
+        "'valuation=1, expected=1)')"
     )
     assert "cobcalc.stong" in loaded and not loaded & RING

@@ -18,6 +18,8 @@ class TestPartitionType:
             Partition((3, 0))
         with pytest.raises(ValueError):
             Partition((-1,))
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            Partition([True, 2])
 
     def test_empty(self):
         assert Partition().weight == 0

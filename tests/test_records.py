@@ -39,7 +39,7 @@ CASES = {
          lambda: LadicDigits(3, (-1,)), lambda: LadicDigits(3, (1, 0))],
     ),
     DecompositionRow: (row, True, []),
-    DecompositionReport: (lambda: DecompositionReport(3, (row(), row())), True, []),
+    DecompositionReport: (lambda: DecompositionReport((row(), row())), True, []),
     ProjProduct: (
         space,
         True,
@@ -66,8 +66,8 @@ CASES = {
         [lambda: CandidateFamily("mu", {1: 48}), lambda: CandidateFamily("msp", {0: 48})],
     ),
     DegreeVerdict: (lambda: verdicts()[1], True, []),
-    GeneratorVerdict: (lambda: GeneratorVerdict("msp", (3,), verdicts()), True, []),
-    StongDatum: (lambda: StongDatum(3, 1, ProjProduct((1, 1, 1, 1)), -48, 1, 5, 1), True, []),
+    GeneratorVerdict: (lambda: GeneratorVerdict(verdicts()), True, []),
+    StongDatum: (lambda: StongDatum(1, ProjProduct((1, 1, 1, 1)), -48, 1, 1), True, []),
     SymFn: (
         lambda: SymFn({(2, 1): 3, (3,): -1}, "elementary"),
         False,

@@ -33,12 +33,10 @@ def closed_form_row(d: int, ell: int) -> StongDatum:
     closed form and the Legendre valuation of all its parts."""
     X = build_X(d, ell)
     return StongDatum(
-        prime=ell,
         d=d,
         factors=X,
         s_number=s_number(X),
         valuation=nu_multinomial(X.total_dimension, X.dims, ell),
-        n_y=sign_exponent(X),
         expected=0 if exceptional_exponent(d, ell) is None else 1,
     )
 
@@ -411,7 +409,10 @@ class TestValuationTable:
     @pytest.mark.parametrize("ell, d_max", [(3, 1000), (5, 1000), (7, 1000), (11, 1000), (13, 1000), (1000003, 300)])
     def test_recurrence_equals_closed_form(self, ell, d_max):
         # 1000003: every factor is P^1 and no digit carries
-        assert valuation_table(ell, d_max) == closed_form_table(ell, d_max)
+        rows = valuation_table(ell, d_max)
+        assert rows == closed_form_table(ell, d_max)
+        # n_Y: 1 plus half of 2d + 2 (the factor dimensions' sum) plus the factor count
+        assert all(sign_exponent(r.factors) == 1 + (2 * r.d + 2 + r.factors.factor_count) // 2 for r in rows)
 
     def test_carries_into_high_digits_at_prime_3(self):
         # the largest table snumbers prints at 3; a carry into digit 5 or

@@ -643,10 +643,12 @@ class TestRefusals:
             (lambda: BPoly.one(5).reduce_mod(3), "modulus mismatch"),
             (lambda: u_to_b((3, 2), 4), "(3, 2) is not an even partition"),
             (lambda: u_to_b((4, 2), 9), "9 is not an odd prime"),
+            (lambda: SymFn({(True, 2): 1}), "parts must be positive integers"),
+            (lambda: BPoly({((True, 1),): 1}), "bad monomial"),
         ],
         ids=[
             "symfn-add", "no-variables", "convert", "bpoly-add", "bpoly-mul", "diagonal", "zclass-add", "z-mul",
-            "pair", "reduce-mod", "u-to-b-odd", "u-to-b-modulus",
+            "pair", "reduce-mod", "u-to-b-odd", "u-to-b-modulus", "symfn-bool-part", "bpoly-bool-index",
         ],
     )
     def test_refused_with_its_message(self, call, message):
