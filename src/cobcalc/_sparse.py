@@ -14,8 +14,21 @@ integer addition.  Python integers have no width limit, nor has a field.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from operator import lshift
+
+
+def exact(coeffs: dict) -> dict:
+    """coeffs, after refusing any coefficient whose exact type is neither
+    int nor Fraction (a float, a bool).  No Fraction exists before its
+    module is loaded, so the check does not load it."""
+    fractions = sys.modules.get("fractions")
+    fraction = fractions.Fraction if fractions else int
+    for c in coeffs.values():
+        if type(c) is not int and type(c) is not fraction:
+            raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+    return coeffs
 
 
 def clean(coeffs: dict, modulus: int | None = None) -> dict:

@@ -35,7 +35,8 @@ def _counts(degrees: list[int], top: int) -> list[int]:
 
 
 class DecompositionRow(Record):
-    __slots__ = ("weight", "even_partition_count", "module_count")
+    _fields = ("weight", "even_partition_count", "module_count")
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -43,7 +44,8 @@ class DecompositionRow(Record):
 
 
 class DecompositionReport(Record):
-    __slots__ = ("rows",)
+    _fields = ("rows",)
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:

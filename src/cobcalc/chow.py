@@ -61,11 +61,12 @@ MAX_PRODUCT_WORK = 4 * 10**6
 class ChowClass(Record):
     """Element of the truncated ring of a ProjProduct."""
 
-    __slots__ = ("space", "coeffs")
+    _fields = ("space", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, space: ProjProduct, coeffs: dict | None = None) -> None:
-        terms = ((_exponents(space, e), c) for e, c in (coeffs or {}).items())
-        self._set(space, _sparse.collect((e, c) for e, c in terms if e is not None))
+    def __new__(cls, space: ProjProduct, coeffs: dict | None = None) -> ChowClass:
+        terms = ((_exponents(space, e), c) for e, c in _sparse.exact(coeffs or {}).items())
+        return cls._trusted(space, _sparse.collect((e, c) for e, c in terms if e is not None))
 
     @staticmethod
     def zero(space: ProjProduct) -> "ChowClass":
@@ -353,25 +354,33 @@ class LineTerm(Record):
     """Signed line bundle: sign in {+1,-1}, twist vector c in Z^m, first
     Chern class sum(c_j a_j) under the additive law."""
 
-    __slots__ = ("sign", "twist")
+    _fields = ("sign", "twist")
+    __slots__ = ()
 
-    def __init__(self, sign: int, twist: tuple[int, ...]) -> None:
+    def __new__(cls, sign: int, twist: tuple[int, ...]) -> LineTerm:
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        self._set(sign, tuple(int(c) for c in twist))
+        twist = tuple(twist)
+        if any(type(c) is not int for c in twist):  # not isinstance: a bool is refused
+            raise ValueError(f"twist entries must be ints: {twist}")
+        return cls._trusted(sign, twist)
 
 
 class VirtualBundle(Record):
     """Finite signed list of line bundles on a ProjProduct."""
 
-    __slots__ = ("space", "terms")
+    _fields = ("space", "terms")
+    __slots__ = ()
 
-    def __init__(self, space: ProjProduct, terms: tuple[LineTerm, ...]) -> None:
-        terms = tuple(terms)
+    def __new__(cls, space: ProjProduct, terms: tuple[LineTerm, ...]) -> VirtualBundle:
+        terms, count = tuple(terms), space.factor_count
         for t in terms:
-            if len(t.twist) != space.factor_count:
+            if not isinstance(t, LineTerm):  # a subclass keeps its checks
+                raise ValueError(f"terms must be LineTerms: {t!r}")
+            _, twist = t
+            if len(twist) != count:
                 raise ValueError("twist vector length mismatch")
-        self._set(space, terms)
+        return cls._trusted(space, terms)
 
     @property
     def virtual_rank(self) -> int:
@@ -394,8 +403,8 @@ class VirtualBundle(Record):
         """Each twist, in order of first appearance, with the sum of the
         signs of its terms."""
         signs: dict = {}
-        for term in self.terms:
-            signs[term.twist] = signs.get(term.twist, 0) + term.sign
+        for sign, twist in self.terms:
+            signs[twist] = signs.get(twist, 0) + sign
         return signs
 
     def first_chern(self, term: LineTerm) -> ChowClass:

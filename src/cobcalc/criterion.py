@@ -6,7 +6,7 @@ A candidate family assigns one integer characteristic number to each
 degree index 1..d_max.  A zero entry is a hard per-degree failure (no
 valuation exists), never an exception, so batch tables cannot abort.
 The verdict rows are the package's own values, so they are built by
-`DegreeVerdict`'s positional builder, without its constructor.
+`DegreeVerdict._trusted`, without its constructor.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ class CandidateFamily(Record):
     """kind "msp": entry d is the characteristic number in degree -2d.
     kind "mgl": entry d is the characteristic number in degree -d."""
 
-    __slots__ = ("kind", "entries")
+    _fields = ("kind", "entries")
+    __slots__ = ()
 
-    def __init__(self, kind: str, entries: dict | None = None) -> None:
+    def __new__(cls, kind: str, entries: dict | None = None) -> CandidateFamily:
         if kind not in ("msp", "mgl"):
             raise ValueError(f"unknown family kind {kind!r}")
         clean = {}
@@ -34,7 +35,7 @@ class CandidateFamily(Record):
             if d < 1:
                 raise ValueError("degree indices start at 1")
             clean[d] = int(value)
-        self._set(kind, clean)
+        return cls._trusted(kind, clean)
 
     def require_range(self, d_max: int) -> None:
         """Refuse a family without an entry for each of 1..d_max, naming
@@ -60,11 +61,13 @@ class CandidateFamily(Record):
 class DegreeVerdict(Record):
     """observed is None when the entry is zero."""
 
-    __slots__ = ("d", "required", "observed", "passed", "reason")
+    _fields = ("d", "required", "observed", "passed", "reason")
+    __slots__ = ()
 
 
 class GeneratorVerdict(Record):
-    __slots__ = ("rows",)
+    _fields = ("rows",)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -87,8 +90,8 @@ def required_valuation_msp(d: int, ell: int) -> int:
 def _check_family(fam: CandidateFamily, ell: int, d_max: int, exceptional: set) -> GeneratorVerdict:
     """Verdicts for d = 1..d_max at the odd prime ell, already checked, with
     valuation 1 required exactly at the degrees in exceptional.  The rows
-    are built by DegreeVerdict's positional builder: their fields are the
-    package's own."""
+    are built by `DegreeVerdict._trusted`: their fields are the package's
+    own."""
     fam.require_range(d_max)
     make_row, entries = DegreeVerdict._trusted, fam.entries
     rows = []
@@ -126,13 +129,13 @@ def msp_criterion(fam: CandidateFamily, ell: int, d_max: int) -> GeneratorVerdic
 # each row d <= d_max.  That is the cost at a prime above 2d + 2, where the
 # row's multinomial has 2d + 2 factors; smaller primes cost less.  Since the
 # valuation table builds each row from the one before, the family keeps no
-# row, and each row, its space and its verdict go through their classes'
-# positional builders, a row unit is about 0.018 us on a 2-core x86 host, so
-# one prime at d = 1250 takes about 14 ms in-process and 0.10 s as a
-# command; a prime's fixed part is about 11 us.  The largest sweep admitted,
-# all primes up to 306232 at d = 1, takes about 0.6 s as a command: 6 ms to
-# sieve the primes, about 0.3 s for the verdicts and about 0.25 s to build
-# and render the report.
+# row, and each row, its space and its verdict are made by their classes'
+# `_trusted` builders, a row unit is about 0.014 us on a 2-core x86 host
+# (Python 3.11), so one prime at d = 1250 takes about 11 ms in-process and
+# 0.08 s as a command; a prime's fixed part is about 8 us.  The largest
+# sweep admitted, all primes up to 306232 at d = 1, takes about 0.5 s as a
+# command: 5 ms to sieve the primes, about 0.2 s for the verdicts and the
+# rest to start, build and render the report.
 MAX_SWEEP_WORK = 800_000
 
 

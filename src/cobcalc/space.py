@@ -14,13 +14,14 @@ from ._record import Record
 class ProjProduct(Record):
     """Product of projective spaces with the given factor dimensions."""
 
-    __slots__ = ("dims",)
+    _fields = ("dims",)
+    __slots__ = ()
 
-    def __init__(self, dims: tuple[int, ...]) -> None:
+    def __new__(cls, dims: tuple[int, ...]) -> ProjProduct:
         dims = tuple(map(int, dims))
         if not dims or min(dims) < 1:
             raise ValueError(f"factor dimensions must be positive: {dims}")
-        self._set(dims)
+        return cls._trusted(dims)
 
     @property
     def total_dimension(self) -> int:

@@ -70,7 +70,8 @@ class StongDatum(Record):
     """One row of the valuation table; expected is 1 when 2d+1 is a power
     of the prime, else 0."""
 
-    __slots__ = ("d", "factors", "s_number", "valuation", "expected")
+    _fields = ("d", "factors", "s_number", "valuation", "expected")
+    __slots__ = ()
 
     @property
     def matches(self) -> bool:
@@ -200,8 +201,8 @@ def valuation_rows(ell: int, d_max: int):
 
     A step that does not carry out of digit 0 prepends two P^1 to the last
     row's factors and keeps its valuation: one big-integer product, the
-    factor tuple and the row's space and record, made by their classes'
-    positional builders, without the checks.  A step that carries divides
+    factor tuple and the row's space and record, each made by one call of
+    its class's `_trusted`, without the checks.  A step that carries divides
     by the carried G_i, a new top digit bringing its G_i and nu change, and
     rebuilds the factor dimensions of the digits it changed from 1 up (kept
     per digit).  It makes a new top digit r exactly when n - 2 = ell**r - 1:

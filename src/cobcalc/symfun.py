@@ -76,15 +76,16 @@ def _reduce(coeffs: dict, modulus: int | None) -> dict:
 class SymFn(Record):
     """Symmetric function with finite support in a named basis."""
 
-    __slots__ = ("coeffs", "basis", "modulus")
+    _fields = ("coeffs", "basis", "modulus")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict, basis: str = "monomial", modulus: int | None = None) -> None:
+    def __new__(cls, coeffs: dict, basis: str = "monomial", modulus: int | None = None) -> SymFn:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         if modulus is not None:
             _require_odd_prime(modulus)
-        clean = _reduce({Partition(k): c for k, c in coeffs.items()}, modulus)
-        self._set(clean, basis, modulus)
+        clean = _reduce({Partition(k): c for k, c in _sparse.exact(coeffs).items()}, modulus)
+        return cls._trusted(clean, basis, modulus)
 
     @property
     def weight(self) -> int:
@@ -506,13 +507,15 @@ class BPoly(Record):
     nonzero coefficient.  modulus None means exact integers.
     """
 
-    __slots__ = ("coeffs", "modulus")
+    _fields = ("coeffs", "modulus")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict | None = None, modulus: int | None = None) -> None:
+    def __new__(cls, coeffs: dict | None = None, modulus: int | None = None) -> BPoly:
         if modulus is not None:
             _require_odd_prime(modulus)
-        terms = ((_bmono(mono), c) for mono, c in _reduce(coeffs or {}, modulus).items())
-        self._set(_reduce(_sparse.collect(terms), modulus), modulus)
+        coeffs = _reduce(_sparse.exact(coeffs or {}), modulus)
+        terms = ((_bmono(mono), c) for mono, c in coeffs.items())
+        return cls._trusted(_reduce(_sparse.collect(terms), modulus), modulus)
 
     @staticmethod
     def zero(modulus: int | None = None) -> "BPoly":
@@ -631,17 +634,18 @@ class ZClass(Record):
     even partition is the Kronecker pairing on the basis.
     """
 
-    __slots__ = ("prime", "coeffs")
+    _fields = ("prime", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, prime: int, coeffs: dict | None = None) -> None:
+    def __new__(cls, prime: int, coeffs: dict | None = None) -> ZClass:
         _require_odd_prime(prime)
-        coeffs = {Partition(p): c for p, c in (coeffs or {}).items()}
+        coeffs = {Partition(p): c for p, c in _sparse.exact(coeffs or {}).items()}
         for p in coeffs:
             if not p.is_even():
                 raise ValueError(f"{tuple(p)} is not even")
             if p.is_ladic(prime):
                 raise ValueError(f"{tuple(p)} is {prime}-adic")
-        self._set(prime, _sparse.clean(coeffs, prime))
+        return cls._trusted(prime, _sparse.clean(coeffs, prime))
 
     @staticmethod
     def basis_element(omega, ell: int) -> "ZClass":

@@ -148,15 +148,16 @@ def nu_multinomial(n: int, parts: list[int] | tuple[int, ...], ell: int) -> int:
 class LadicDigits(Record):
     """Base-ell expansion, least significant digit first, no trailing zeros."""
 
-    __slots__ = ("prime", "digits")
+    _fields = ("prime", "digits")
+    __slots__ = ()
 
-    def __init__(self, prime: int, digits: tuple[int, ...]) -> None:
+    def __new__(cls, prime: int, digits: tuple[int, ...]) -> LadicDigits:
         _require_odd_prime(prime)
         if any(not (0 <= d < prime) for d in digits):
             raise ValueError("digit out of range")
         if digits and digits[-1] == 0:
             raise ValueError("trailing zero digit")
-        self._set(prime, digits)
+        return cls._trusted(prime, digits)
 
     def value(self) -> int:
         return sum(d * self.prime**i for i, d in enumerate(self.digits))

@@ -190,7 +190,7 @@ class TestVerdictRows:
         assert len(rows) == len(expected) == d_max
         for row, want in zip(rows, expected):
             assert type(row) is DegreeVerdict
-            for name in DegreeVerdict.__slots__:
+            for name in DegreeVerdict._fields:
                 assert getattr(row, name) == getattr(want, name), (row, name)
             assert row == want and hash(row) == hash(want) and repr(row) == repr(want)
         cases = {(r.required, r.passed, r.observed is None) for r in rows}

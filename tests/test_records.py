@@ -48,17 +48,20 @@ CASES = {
     ChowClass: (
         lambda: ChowClass(space(), {(1, 0): 2, (0, 2): -1, (2, 0): 5}),
         False,
-        [lambda: ChowClass(space(), {(1,): 1}), lambda: ChowClass(space(), {(-1, 0): 1})],
+        [lambda: ChowClass(space(), {(1,): 1}), lambda: ChowClass(space(), {(-1, 0): 1}),
+         lambda: ChowClass(space(), {(1, 0): 0.5}), lambda: ChowClass(space(), {(1, 0): True})],
     ),
     LineTerm: (
         lambda: LineTerm(-1, (0, 1)),
         True,
-        [lambda: LineTerm(0, (1, 1)), lambda: LineTerm(2, (1, 1))],
+        [lambda: LineTerm(0, (1, 1)), lambda: LineTerm(2, (1, 1)),
+         lambda: LineTerm(1, (1.7, 0)), lambda: LineTerm(1, (True, 0))],
     ),
     VirtualBundle: (
         lambda: VirtualBundle(space(), (LineTerm(1, (1, 1)), LineTerm(-1, (0, 1)))),
         True,
-        [lambda: VirtualBundle(space(), (LineTerm(1, (1,)),))],
+        [lambda: VirtualBundle(space(), (LineTerm(1, (1,)),)),
+         lambda: VirtualBundle(space(), ((1, (1, 1)),))],
     ),
     CandidateFamily: (
         lambda: CandidateFamily("msp", {1: 48, 2: 40}),
@@ -72,29 +75,32 @@ CASES = {
         lambda: SymFn({(2, 1): 3, (3,): -1}, "elementary"),
         False,
         [lambda: SymFn({(1,): 1}, "schur"), lambda: SymFn({(1,): 1}, "monomial", 9),
-         lambda: SymFn({(0,): 1})],
+         lambda: SymFn({(0,): 1}), lambda: SymFn({(1,): 1.5}), lambda: SymFn({(1,): True})],
     ),
     BPoly: (
         lambda: BPoly({((1, 2),): 1, ((2, 1),): 2}, 5),
         False,
-        [lambda: BPoly({((1, 1),): 1}, 9), lambda: BPoly({((0, 1),): 1})],
+        [lambda: BPoly({((1, 1),): 1}, 9), lambda: BPoly({((0, 1),): 1}),
+         lambda: BPoly({((1, 2),): 1.5}, 3), lambda: BPoly({((1, 2),): 1.5}),
+         lambda: BPoly({((1, 2),): True})],
     ),
     ZClass: (
         lambda: ZClass(3, {(4,): 1, (4, 4): 2}),
         False,
-        [lambda: ZClass(9, {}), lambda: ZClass(3, {(3,): 1}), lambda: ZClass(3, {(2,): 1})],
+        [lambda: ZClass(9, {}), lambda: ZClass(3, {(3,): 1}), lambda: ZClass(3, {(2,): 1}),
+         lambda: ZClass(3, {(4,): 1.0}), lambda: ZClass(3, {(4,): True})],
     ),
 }
 
 
-# the classes whose constructor is their generated setter, with no checks
+# the classes whose constructor is the one `_record` generates, with no checks
 CHECK_FREE = {
     DecompositionRow, DecompositionReport, DegreeVerdict, GeneratorVerdict, StongDatum,
 }
 
 
 def fields(obj) -> tuple:
-    return type(obj).__slots__
+    return type(obj)._fields
 
 
 class SubDigits(LadicDigits):
@@ -139,11 +145,27 @@ def test_builders_of_a_subclass_without_fields_of_its_own_make_the_subclass(obj)
 
 
 def test_trusted_names_every_field_and_no_other():
-    for bad in [{}, {"dims": (1,), "space": None}, {"dim": (1,)}]:
-        with pytest.raises(TypeError):
-            ProjProduct._trusted(**bad)
-    with pytest.raises(TypeError):
-        ProjProduct._trusted()
+    for cls, (make, _, _) in CASES.items():
+        named = dict(zip(cls._fields, make()))
+        first, *rest = cls._fields
+        misnamed = {first + "_": named[first], **{name: named[name] for name in rest}}
+        for bad in [{}, {**named, "extra": None}, misnamed]:
+            with pytest.raises(TypeError):
+                cls._trusted(**bad)
+        for bad in [(), (*named.values(), None)]:
+            with pytest.raises(TypeError):
+                cls._trusted(*bad)
+
+
+def test_a_subclass_without_empty_slots_is_refused():
+    # without `__slots__ = ()` every instance would grow a __dict__
+    with pytest.raises(TypeError, match="__slots__"):
+        class Loose(LadicDigits):
+            pass
+    with pytest.raises(TypeError, match="__slots__"):
+        type("Loose", (Record,), {"_fields": ("a",), "__slots__": ("a",)})
+    for make, _, _ in CASES.values():
+        assert not hasattr(make(), "__dict__")
 
 
 def test_factor_dimensions_have_no_width_limit():
@@ -176,7 +198,7 @@ class TestRecord:
         a, b = make(), make()
         assert a is not b and a == b and not a != b
         if hashable:
-            assert hash(a) == hash(b)
+            assert hash(a) == hash(b) == hash(tuple(a))
         else:
             with pytest.raises(TypeError):
                 hash(a)
@@ -189,6 +211,22 @@ class TestRecord:
         others += [tuple(same_fields.values()), subclass(**same_fields)]
         for other in others:
             assert obj != other and other != obj
+            assert not obj == other and not other == obj
+
+    def test_no_tuple_operator_applies(self, cls):
+        # a record is a value, not a sequence of its fields: tuple's ordering,
+        # concatenation and repetition raise, from either side
+        obj = CASES[cls][0]()
+        plain = tuple(obj)
+        calls = [lambda: 2 * obj, lambda: plain + obj, lambda: obj < obj, lambda: obj <= plain,
+                 lambda: plain < obj, lambda: plain >= obj]
+        if "__add__" not in vars(cls):
+            calls.append(lambda: obj + obj)
+        if "__mul__" not in vars(cls):
+            calls.append(lambda: obj * 2)
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_repr_names_the_fields(self, cls):
         obj = CASES[cls][0]()
@@ -213,9 +251,9 @@ class TestRecord:
                 assert hash(built) == hash(obj)
             copy = pickle.loads(pickle.dumps(built))
             assert type(copy) is cls and copy == obj and repr(copy) == repr(obj)
-        assert (cls.__init__ is cls._set) == (cls in CHECK_FREE)
+        assert (cls.__new__.__module__ == Record.__module__) == (cls in CHECK_FREE)
         if cls in CHECK_FREE:
-            values = obj._values()
+            values = tuple(obj)
             assert cls(*values) == obj and cls(**dict(zip(cls._fields, values))) == obj
             for wrong in (values[:-1], values + (None,)):
                 with pytest.raises(TypeError):
