@@ -30,12 +30,22 @@ def family_from_json(obj) -> criterion.CandidateFamily:
 
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), dict):
         raise ValueError('a family must be an object with an "entries" object')
-    for d, v in obj["entries"].items():
-        if not isinstance(v, (int, str)) or isinstance(v, bool):
-            raise ValueError(f"family entry {d} must be an integer, got {v!r}")
+    # degrees are ASCII digits and entries JSON integers or ASCII digits
+    # with an optional sign, as every other number of the command line
+    entries = {}
+    for key, v in obj["entries"].items():
+        if not (key.isascii() and key.isdigit()):
+            raise ValueError(f"family degree {key!r} is not a nonnegative integer")
+        if isinstance(v, str) and v.isascii() and v.removeprefix("-").isdigit():
+            v = int(v)
+        if type(v) is not int:
+            raise ValueError(f"family entry {key} must be an integer, got {v!r}")
+        if (d := int(key)) in entries:
+            raise ValueError(f"family gives degree {d} twice")
+        entries[d] = v
     if "kind" not in obj:
         raise ValueError('family has no "kind"')
-    return criterion.CandidateFamily(obj["kind"], obj["entries"])
+    return criterion.CandidateFamily(obj["kind"], entries)
 
 
 def family_from_snumbers_rows(rows: list[dict]) -> criterion.CandidateFamily:

@@ -1,10 +1,15 @@
 """Sparse maps {key: coefficient}: the arithmetic of SymFn, BPoly and
 ZClass, and the sums and scalings of ChowClass, whose products run on
-packed keys in `chow` instead.
-
-Results never hold a zero coefficient.  With a modulus set, coefficients
-are reduced into [0, modulus).  Keys are opaque here; a product is told
+packed keys in `chow` instead.  Keys are opaque here; a product is told
 how to combine two keys by its caller.
+
+The four classes share one coefficient policy, kept here.  A constructor
+(`build`) takes ints and Fractions only, by exact type (no float or
+bool), makes each key canonical with the class's key function and sums
+equal keys.  A ring result (`normalize`) holds no zero; mod l each
+coefficient is an int in [0, l), a Fraction its residue (refused when l
+divides its denominator); over Q an integral Fraction is an int, and
+ChowClass, a ring over Z, refuses any other.
 
 Packed keys (`layout`, `pack`, `unpack`) serve the products of `chow` and
 the literal expansions of `symfun` and `steenrod`: an exponent vector is
@@ -18,17 +23,37 @@ import sys
 from itertools import chain
 from operator import lshift
 
+from .valuation import _require_odd_prime
 
-def exact(coeffs: dict) -> dict:
-    """coeffs, after refusing any coefficient whose exact type is neither
-    int nor Fraction (a float, a bool).  No Fraction exists before its
-    module is loaded, so the check does not load it."""
-    fractions = sys.modules.get("fractions")
-    fraction = fractions.Fraction if fractions else int
-    for c in coeffs.values():
-        if type(c) is not int and type(c) is not fraction:
+
+def build(coeffs: dict, key, modulus: int | None = None, integral: bool = False) -> dict:
+    """A constructor's coeffs mod modulus, an odd prime or None.  key(k) is
+    None for a term the class sends to zero.  No Fraction exists before its
+    module is loaded, so the type check does not load it."""
+    if modulus is not None:
+        _require_odd_prime(modulus)
+    exact = {int, getattr(sys.modules.get("fractions"), "Fraction", int)}
+    out: dict = {}
+    for k, c in coeffs.items():
+        if type(c) not in exact:
             raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
-    return coeffs
+        if (k := key(k)) is not None:
+            out[k] = out.get(k, 0) + c
+    out = normalize(out, modulus)
+    if integral and (inexact := [c for c in out.values() if type(c) is not int]):
+        raise ValueError(f"coefficient {inexact[0]} is not an integer")
+    return out
+
+
+def normalize(coeffs: dict, modulus: int | None = None) -> dict:
+    """A ring result.  The Fraction pass runs only when one is present (none
+    is before its module loads), found by exact type, far cheaper than isinstance."""
+    if getattr(sys.modules.get("fractions"), "Fraction", None) in map(type, coeffs.values()):
+        if modulus is None:
+            coeffs = {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
+        else:
+            coeffs = {k: c.numerator * pow(c.denominator, -1, modulus) for k, c in coeffs.items()}
+    return clean(coeffs, modulus)
 
 
 def clean(coeffs: dict, modulus: int | None = None) -> dict:
@@ -38,12 +63,12 @@ def clean(coeffs: dict, modulus: int | None = None) -> dict:
     return {k: r for k, c in coeffs.items() if (r := c % modulus)}
 
 
-def collect(terms, modulus: int | None = None) -> dict:
+def collect(terms) -> dict:
     """Sum the coefficients of (key, coefficient) pairs by key."""
     out: dict = {}
     for k, c in terms:
         out[k] = out.get(k, 0) + c
-    return clean(out, modulus)
+    return clean(out)
 
 
 def add(a: dict, b: dict) -> dict:
@@ -54,10 +79,9 @@ def scale(a: dict, s) -> dict:
     return clean({k: s * c for k, c in a.items()})
 
 
-def mul(a: dict, b: dict, combine, modulus: int | None = None) -> dict:
+def mul(a: dict, b: dict, combine) -> dict:
     """Bilinear product: basis keys ka and kb multiply to combine(ka, kb)."""
-    terms = ((combine(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
-    return collect(terms, modulus)
+    return collect((combine(ka, kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items())
 
 
 def layout(count: int, top: int) -> tuple[range, int, int]:

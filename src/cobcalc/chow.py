@@ -37,7 +37,7 @@ a negative summand needs no inverse series.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from math import comb, lcm, prod
 from operator import gt, lshift
@@ -65,8 +65,7 @@ class ChowClass(Record):
     __slots__ = ()
 
     def __new__(cls, space: ProjProduct, coeffs: dict | None = None) -> ChowClass:
-        terms = ((_exponents(space, e), c) for e, c in _sparse.exact(coeffs or {}).items())
-        return cls._trusted(space, _sparse.collect((e, c) for e, c in terms if e is not None))
+        return cls._trusted(space, _sparse.build(coeffs or {}, partial(_exponents, space), integral=True))
 
     @staticmethod
     def zero(space: ProjProduct) -> "ChowClass":
@@ -135,6 +134,8 @@ class ChowClass(Record):
         return min(n, touched // min(map(sum, nilpotent)))
 
     def scale(self, a: int) -> "ChowClass":
+        if type(a) is not int:  # a ring over Z, as its constructor holds it
+            raise ValueError(f"scalar {a!r} is not an int")
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "ChowClass":
@@ -325,6 +326,8 @@ def _exponents(space: ProjProduct, exps) -> tuple | None:
     exps = tuple(exps)
     if len(exps) != space.factor_count:
         raise ValueError("exponent vector length mismatch")
+    if any(type(e) is not int for e in exps):  # not isinstance: a bool is refused
+        raise ValueError(f"exponents must be ints: {exps}")
     if min(exps) < 0:
         raise ValueError("negative exponent")
     return None if any(map(gt, exps, space.dims)) else exps
@@ -415,10 +418,6 @@ class VirtualBundle(Record):
 
 def line_bundle(space: ProjProduct, twist, sign: int = 1) -> VirtualBundle:
     return VirtualBundle(space, (LineTerm(sign, tuple(twist)),))
-
-
-def trivial_bundle(space: ProjProduct, sign: int = 1) -> VirtualBundle:
-    return line_bundle(space, (0,) * space.factor_count, sign)
 
 
 def tangent_bundle(space: ProjProduct) -> VirtualBundle:

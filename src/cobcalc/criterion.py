@@ -29,13 +29,13 @@ class CandidateFamily(Record):
     def __new__(cls, kind: str, entries: dict | None = None) -> CandidateFamily:
         if kind not in ("msp", "mgl"):
             raise ValueError(f"unknown family kind {kind!r}")
-        clean = {}
-        for d, value in (entries or {}).items():
-            d = int(d)
+        entries = dict(entries or {})
+        for d, value in entries.items():
+            if type(d) is not int or type(value) is not int:  # not isinstance: a bool is refused
+                raise ValueError(f"degree {d!r} and entry {value!r} must be ints")
             if d < 1:
                 raise ValueError("degree indices start at 1")
-            clean[d] = int(value)
-        return cls._trusted(kind, clean)
+        return cls._trusted(kind, entries)
 
     def require_range(self, d_max: int) -> None:
         """Refuse a family without an entry for each of 1..d_max, naming

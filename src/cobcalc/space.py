@@ -18,9 +18,9 @@ class ProjProduct(Record):
     __slots__ = ()
 
     def __new__(cls, dims: tuple[int, ...]) -> ProjProduct:
-        dims = tuple(map(int, dims))
-        if not dims or min(dims) < 1:
-            raise ValueError(f"factor dimensions must be positive: {dims}")
+        dims = tuple(dims)
+        if set(map(type, dims)) != {int} or min(dims) < 1:  # not isinstance: a bool is refused
+            raise ValueError(f"factor dimensions must be positive ints: {dims}")
         return cls._trusted(dims)
 
     @property

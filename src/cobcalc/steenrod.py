@@ -71,7 +71,6 @@ from collections import Counter
 from functools import lru_cache
 
 from ._sparse import clean, layout, pack, unpack
-from .partitions import Partition
 from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, _expand_packed, bpoly_to_symfn, symfn_to_bpoly
 from .valuation import _require_odd_prime, multinomial
 
@@ -98,7 +97,7 @@ def _packed_piece(parts: tuple[int, ...], ell: int, width: int) -> dict:
         return _twist_piece(j, ell, width)
     if parts in ((1,) * j, (ell,) * j):
         return {parts[0] << (j - 1) * width: 1}
-    piece = symfn_to_bpoly(SymFn({Partition(parts): 1}, "monomial", ell))
+    piece = symfn_to_bpoly(SymFn({parts: 1}, "monomial", ell))
     return {sum([k << (g - 1) * width for g, k in mono]): c for mono, c in piece.coeffs.items()}
 
 
@@ -331,9 +330,10 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
 
 def _divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
     """Divide the packed root polynomial p exactly by e_r and collect the
-    quotient into monomial-symmetric coordinates.  With ell given, each
-    coefficient is reduced mod ell as it is read, and a term that vanishes
-    is skipped and not counted, so an unreduced p needs no reduced copy.
+    quotient into monomial-symmetric coordinates (descending tuples of
+    parts).  With ell given, each coefficient is reduced mod ell as it is
+    read, and a term that vanishes is skipped and not counted, so an
+    unreduced p needs no reduced copy.
     Both checks run on every term that remains.  Division subtracts 1
     from every field, so it needs every field at least 1: with all guard
     bits set, subtracting ones borrows from no guard.  It keeps the number
@@ -358,7 +358,7 @@ def _divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
     quotient = unpack(quotient, shifts, mask)
     if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != count:
         raise ArithmeticError("root polynomial is not symmetric")
-    return {Partition(tuple(x for x in e if x)): c for e, c in quotient.items()}
+    return {tuple(x for x in e if x): c for e, c in quotient.items()}
 
 
 def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:

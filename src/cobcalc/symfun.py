@@ -34,8 +34,7 @@ integers: Fractions appear only in a final power-sum answer (an integer
 over z_lam) or from the input.  With a modulus set, coefficients live in
 [0, ell), the elimination reduces each one when it reads it, and divisions
 use modular inverses.  Every target, m too, emits only nonzero
-coefficients; `_reduce` (run by constructors, ring operations and
-conversions) makes a Fraction pass only when one is present.
+coefficients.
 """
 
 from __future__ import annotations
@@ -59,20 +58,6 @@ BASES = ("monomial", "elementary", "power-sum")
 DEFAULT_WEIGHT_CAP = 40
 
 
-def _reduce(coeffs: dict, modulus: int | None) -> dict:
-    """Drop zero coefficients.  With a modulus, reduce into [0, modulus),
-    a Fraction through the inverse of its denominator; without one, turn
-    integral Fractions into ints.  That pass runs only when a Fraction is
-    present, found by exact type, much cheaper than isinstance against
-    Fraction's abstract base class."""
-    if Fraction in map(type, coeffs.values()):
-        if modulus is None:
-            coeffs = {k: c.numerator if c.denominator == 1 else c for k, c in coeffs.items()}
-        else:
-            coeffs = {k: c.numerator * pow(c.denominator, -1, modulus) for k, c in coeffs.items()}
-    return _sparse.clean(coeffs, modulus)
-
-
 class SymFn(Record):
     """Symmetric function with finite support in a named basis."""
 
@@ -82,10 +67,7 @@ class SymFn(Record):
     def __new__(cls, coeffs: dict, basis: str = "monomial", modulus: int | None = None) -> SymFn:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if modulus is not None:
-            _require_odd_prime(modulus)
-        clean = _reduce({Partition(k): c for k, c in _sparse.exact(coeffs).items()}, modulus)
-        return cls._trusted(clean, basis, modulus)
+        return cls._trusted(_sparse.build(coeffs, Partition, modulus), basis, modulus)
 
     @property
     def weight(self) -> int:
@@ -108,7 +90,7 @@ class SymFn(Record):
 def _symfn(coeffs: dict, basis: str, modulus: int | None) -> SymFn:
     """SymFn around Partition keys that a ring operation or a conversion
     built, skipping the public constructor's checks."""
-    return SymFn._trusted(coeffs=_reduce(coeffs, modulus), basis=basis, modulus=modulus)
+    return SymFn._trusted(coeffs=_sparse.normalize(coeffs, modulus), basis=basis, modulus=modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +493,7 @@ class BPoly(Record):
     __slots__ = ()
 
     def __new__(cls, coeffs: dict | None = None, modulus: int | None = None) -> BPoly:
-        if modulus is not None:
-            _require_odd_prime(modulus)
-        coeffs = _reduce(_sparse.exact(coeffs or {}), modulus)
-        terms = ((_bmono(mono), c) for mono, c in coeffs.items())
-        return cls._trusted(_reduce(_sparse.collect(terms), modulus), modulus)
+        return cls._trusted(_sparse.build(coeffs or {}, _bmono, modulus), modulus)
 
     @staticmethod
     def zero(modulus: int | None = None) -> "BPoly":
@@ -551,12 +529,13 @@ class BPoly(Record):
         return self._result(_sparse.scale(self.coeffs, a))
 
     def _result(self, coeffs: dict) -> "BPoly":
-        return BPoly._trusted(coeffs=_reduce(coeffs, self.modulus), modulus=self.modulus)
+        return BPoly._trusted(coeffs=_sparse.normalize(coeffs, self.modulus), modulus=self.modulus)
 
     def reduce_mod(self, ell: int) -> "BPoly":
         if self.modulus not in (None, ell):
             raise ValueError("modulus mismatch")
-        return BPoly(dict(self.coeffs), ell)
+        _require_odd_prime(ell)
+        return BPoly._trusted(coeffs=_sparse.normalize(self.coeffs, ell), modulus=ell)
 
 
 def _epartition_to_bmono(ep: Partition) -> BMono:
@@ -580,10 +559,7 @@ def symfn_to_bpoly(f: SymFn) -> BPoly:
 
 def bpoly_to_symfn(b: BPoly) -> SymFn:
     """Inverse renaming: b_i -> e_i, giving an elementary-basis function."""
-    coeffs = {}
-    for mono, c in b.coeffs.items():
-        parts = [i for i, k in mono for _ in range(k)]
-        coeffs[Partition(parts)] = c
+    coeffs = {tuple(i for i, k in mono for _ in range(k)): c for mono, c in b.coeffs.items()}
     return SymFn(coeffs, "elementary", b.modulus)
 
 
@@ -638,14 +614,11 @@ class ZClass(Record):
     __slots__ = ()
 
     def __new__(cls, prime: int, coeffs: dict | None = None) -> ZClass:
-        _require_odd_prime(prime)
-        coeffs = {Partition(p): c for p, c in _sparse.exact(coeffs or {}).items()}
-        for p in coeffs:
-            if not p.is_even():
-                raise ValueError(f"{tuple(p)} is not even")
-            if p.is_ladic(prime):
-                raise ValueError(f"{tuple(p)} is {prime}-adic")
-        return cls._trusted(prime, _sparse.clean(coeffs, prime))
+        def key(p) -> Partition:
+            if not (p := Partition(p)).is_even() or p.is_ladic(prime):
+                raise ValueError(f"{tuple(p)} is not an even non-{prime}-adic partition")
+            return p
+        return cls._trusted(prime, _sparse.build(coeffs or {}, key, prime))
 
     @staticmethod
     def basis_element(omega, ell: int) -> "ZClass":
@@ -654,14 +627,16 @@ class ZClass(Record):
     def __add__(self, other: "ZClass") -> "ZClass":
         if self.prime != other.prime:
             raise ValueError("prime mismatch")
-        return ZClass(self.prime, _sparse.add(self.coeffs, other.coeffs))
+        coeffs = _sparse.add(self.coeffs, other.coeffs)
+        return ZClass._trusted(self.prime, _sparse.normalize(coeffs, self.prime))
 
 
 def z_mul(z1: ZClass, z2: ZClass) -> ZClass:
     """Bilinear extension of concatenation on basis elements."""
     if z1.prime != z2.prime:
         raise ValueError("prime mismatch")
-    return ZClass(z1.prime, _sparse.mul(z1.coeffs, z2.coeffs, Partition.concat, z1.prime))
+    coeffs = _sparse.mul(z1.coeffs, z2.coeffs, Partition.concat)
+    return ZClass._trusted(z1.prime, _sparse.normalize(coeffs, z1.prime))
 
 
 def pair(z: ZClass, omega) -> int:

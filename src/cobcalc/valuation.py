@@ -153,8 +153,8 @@ class LadicDigits(Record):
 
     def __new__(cls, prime: int, digits: tuple[int, ...]) -> LadicDigits:
         _require_odd_prime(prime)
-        if any(not (0 <= d < prime) for d in digits):
-            raise ValueError("digit out of range")
+        if any(type(d) is not int or not 0 <= d < prime for d in digits):
+            raise ValueError(f"digits must be ints in [0, {prime}): {digits}")
         if digits and digits[-1] == 0:
             raise ValueError("trailing zero digit")
         return cls._trusted(prime, digits)

@@ -25,7 +25,6 @@ from cobcalc.chow import (
     line_bundle,
     newton_class,
     tangent_bundle,
-    trivial_bundle,
     _layout,
 )
 from cobcalc.partitions import Partition, enumerate_partitions
@@ -598,7 +597,7 @@ class TestNewton:
         assert newton_class(tangent_bundle(P1xP1), 2).coeffs == {}
 
     def test_trivial_bundle(self):
-        v = trivial_bundle(P3) + trivial_bundle(P3)
+        v = line_bundle(P3, (0,)) + line_bundle(P3, (0,))
         for n in range(1, 4):
             assert newton_class(v, n).coeffs == {}
 

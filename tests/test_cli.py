@@ -203,6 +203,14 @@ class TestVerifyGenerators:
             [{"kind": "msp", "entries": {"1": "48"}}],
             {"kind": "msp", "entries": [48]},
             {"kind": "msp", "entries": {"1": None}},
+            # numbers are ASCII digits, as everywhere else on the command line
+            {"kind": "msp", "entries": {"1": "4_0"}},
+            {"kind": "msp", "entries": {"1": "\u0664\u0668"}},
+            {"kind": "msp", "entries": {"1": " 48"}},
+            {"kind": "msp", "entries": {"1": "+48"}},
+            {"kind": "msp", "entries": {"1": 48.0}},
+            {"kind": "msp", "entries": {"\u0661": "48"}},
+            {"kind": "msp", "entries": {"1_0": "48"}},
         ],
     )
     def test_malformed_family_is_usage_error(self, capsys, tmp_path, payload):
@@ -213,6 +221,19 @@ class TestVerifyGenerators:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_degree_given_twice_is_usage_error(self, capsys, tmp_path):
+        # "01" is degree 1 again, and neither spelling may silently win
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "msp", "entries": {"1": "48", "01": "7"}}))
+        code, out, err = run(
+            capsys, "verify-generators", "--prime", "3", "--max-d", "1", "--family", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: family gives degree 1 twice\n")
+
+    def test_family_entries_may_be_signed_or_json_integers(self):
+        fam = _cmd_stong.family_from_json({"kind": "msp", "entries": {"1": "-48", "02": 40}})
+        assert fam == CandidateFamily("msp", {1: -48, 2: 40})
 
     def test_family_without_kind_is_named(self, capsys, tmp_path):
         path = tmp_path / "family.json"

@@ -2,6 +2,7 @@
 pickled by their fields, and checked on construction."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -36,20 +37,23 @@ CASES = {
         lambda: LadicDigits(3, (2, 0, 1)),
         True,
         [lambda: LadicDigits(4, (1,)), lambda: LadicDigits(3, (3,)),
-         lambda: LadicDigits(3, (-1,)), lambda: LadicDigits(3, (1, 0))],
+         lambda: LadicDigits(3, (-1,)), lambda: LadicDigits(3, (1, 0)),
+         lambda: LadicDigits(3, (1.5, 2.0)), lambda: LadicDigits(3, (True,))],
     ),
     DecompositionRow: (row, True, []),
     DecompositionReport: (lambda: DecompositionReport((row(), row())), True, []),
     ProjProduct: (
         space,
         True,
-        [lambda: ProjProduct(()), lambda: ProjProduct((0, 1)), lambda: ProjProduct((2**63, -1))],
+        [lambda: ProjProduct(()), lambda: ProjProduct((0, 1)), lambda: ProjProduct((2**63, -1)),
+         lambda: ProjProduct((1.7, 2)), lambda: ProjProduct((True, 3))],
     ),
     ChowClass: (
         lambda: ChowClass(space(), {(1, 0): 2, (0, 2): -1, (2, 0): 5}),
         False,
         [lambda: ChowClass(space(), {(1,): 1}), lambda: ChowClass(space(), {(-1, 0): 1}),
-         lambda: ChowClass(space(), {(1, 0): 0.5}), lambda: ChowClass(space(), {(1, 0): True})],
+         lambda: ChowClass(space(), {(1, 0): 0.5}), lambda: ChowClass(space(), {(1, 0): True}),
+         lambda: ChowClass(space(), {(1.0, 0): 1}), lambda: ChowClass(space(), {(1, 0): Fraction(1, 2)})],
     ),
     LineTerm: (
         lambda: LineTerm(-1, (0, 1)),
@@ -66,7 +70,9 @@ CASES = {
     CandidateFamily: (
         lambda: CandidateFamily("msp", {1: 48, 2: 40}),
         False,
-        [lambda: CandidateFamily("mu", {1: 48}), lambda: CandidateFamily("msp", {0: 48})],
+        [lambda: CandidateFamily("mu", {1: 48}), lambda: CandidateFamily("msp", {0: 48}),
+         lambda: CandidateFamily("msp", {1: 48.9}), lambda: CandidateFamily("msp", {2.5: 40}),
+         lambda: CandidateFamily("msp", {True: 7}), lambda: CandidateFamily("msp", {"1": 48})],
     ),
     DegreeVerdict: (lambda: verdicts()[1], True, []),
     GeneratorVerdict: (lambda: GeneratorVerdict(verdicts()), True, []),
@@ -88,7 +94,8 @@ CASES = {
         lambda: ZClass(3, {(4,): 1, (4, 4): 2}),
         False,
         [lambda: ZClass(9, {}), lambda: ZClass(3, {(3,): 1}), lambda: ZClass(3, {(2,): 1}),
-         lambda: ZClass(3, {(4,): 1.0}), lambda: ZClass(3, {(4,): True})],
+         lambda: ZClass(3, {(4,): 1.0}), lambda: ZClass(3, {(4,): True}),
+         lambda: ZClass(3, {(4,): Fraction(1, 3)})],
     ),
 }
 
