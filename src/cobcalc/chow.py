@@ -19,6 +19,10 @@ C(n, k) c0**(n-k) N**k, collected once on packed keys; it takes at most
 MAX_POW_STEPS of them are refused up front, and each is priced as above.
 Its numbers are checked where they are formed (`valuation.printable`):
 c0**n before it is formed, then C(n, k) c0**(n-k) for each nonzero N**k.
+A class of one term c a^e, such as the first Chern class of a twist on
+one factor, skips the sum after the same step pricing: its power is
+c**n a^(n e) in one step, or zero once n e passes a factor dimension, and
+c**n is checked only for the constant class (e = 0), where c is c0.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
@@ -29,10 +33,12 @@ constant on each group or in orbits of single-factor twists: `stong`'s
 expansions run there, and the full ring is their second route.
 
 Only sums of line bundles appear as bundles: every bundle computed with
-here splits into such a sum.  The Conner-Floyd class c_I is the monomial
-symmetric function m_I of the Chern roots: `symfun` expands m_I in the
-power sums, and p_k evaluates to the Newton class, which is additive, so
-a negative summand needs no inverse series.
+here splits into such a sum.  The Newton class p_n is the signed sum of
+the n-th powers of the summands' first Chern classes, so the trivial
+twist, a zero root, takes no power.  The Conner-Floyd class c_I is the
+monomial symmetric function m_I of the Chern roots: `symfun` expands m_I
+in the power sums, and p_k evaluates to the Newton class, which is
+additive, so a negative summand needs no inverse series.
 """
 
 from __future__ import annotations
@@ -103,6 +109,14 @@ class ChowClass(Record):
         steps = self.power_steps(n)
         if steps > MAX_POW_STEPS:
             raise ValueError(f"{steps} products exceed the limit {MAX_POW_STEPS}")
+        if len(self.coeffs) == 1:
+            # one term c a^e is c**n a^(n e), zero once n e passes a dimension;
+            # c**n is checked only where the binomial sum checks c0**n
+            ((e, c),) = self.coeffs.items()
+            if not any(e) and not printable(c, n):
+                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+            e = tuple([n * x for x in e])
+            return self._result({} if any(map(gt, e, self.space.dims)) else {e: c**n})
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
@@ -399,8 +413,8 @@ class VirtualBundle(Record):
         negated: dict = {}
         for t in self.terms:
             if id(t) not in negated:
-                negated[id(t)] = LineTerm(-t.sign, t.twist)
-        return VirtualBundle(self.space, tuple([negated[id(t)] for t in self.terms]))
+                negated[id(t)] = LineTerm._trusted(-t.sign, t.twist)
+        return VirtualBundle._trusted(self.space, tuple([negated[id(t)] for t in self.terms]))
 
     def signed_twists(self) -> dict:
         """Each twist, in order of first appearance, with the sum of the
@@ -430,27 +444,30 @@ def tangent_bundle(space: ProjProduct) -> VirtualBundle:
     if dim > MAX_POW_STEPS:
         raise ValueError(f"tangent bundle: {dim} dimensions exceed the limit {MAX_POW_STEPS}")
     m = space.factor_count
-    trivial = LineTerm(-1, (0,) * m)
+    trivial = LineTerm._trusted(-1, (0,) * m)
     terms = []
     for i, n in enumerate(space.dims):
         # one term object for the n + 1 equal copies
-        terms += [LineTerm(1, (0,) * i + (1,) + (0,) * (m - i - 1))] * (n + 1)
+        terms += [LineTerm._trusted(1, (0,) * i + (1,) + (0,) * (m - i - 1))] * (n + 1)
         terms.append(trivial)
-    return VirtualBundle(space, tuple(terms))
+    return VirtualBundle._trusted(space, tuple(terms))
 
 
 def newton_class(v: VirtualBundle, n: int) -> ChowClass:
     """Signed sum of n-th powers of the first Chern classes of the terms.
     Additive on concatenation of term lists by construction.  Each
     distinct twist's power is computed once (`signed_twists`), and not at
-    all when its signs cancel.  The signed powers are collected into one
-    coefficient dict, so the sum is not copied once per twist."""
+    all when its signs cancel or when it is the trivial twist, whose first
+    Chern class is zero for every n >= 1.  A twist on one factor has a
+    class of one term, whose power is one step (`ChowClass.__pow__`).  The
+    signed powers are collected into one coefficient dict, so the sum is
+    not copied once per twist."""
     if n < 1:
         raise ValueError("n must be positive")
     terms = (
         (e, sign * c)
         for twist, sign in v.signed_twists().items()
-        if sign
+        if sign and any(twist)
         for e, c in (_linear(v.space, twist) ** n).coeffs.items()
     )
     return ChowClass._trusted(space=v.space, coeffs=_sparse.collect(terms))

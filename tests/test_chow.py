@@ -261,7 +261,28 @@ def sparse_classes(draw):
     return dims, {e: c for e, c in a.items() if c}, {e: c for e, c in b.items() if c}
 
 
+@st.composite
+def one_term_powers(draw):
+    """A one-term class c a^e on up to 4 factors of dimension at most 6,
+    half of them the constant class (e = 0), and an exponent n from 0 to 2
+    past the largest dimension, so that some powers truncate."""
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    e = (0,) * len(dims) if draw(st.booleans()) else tuple(draw(st.integers(0, n)) for n in dims)
+    c = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    return ChowClass(ProjProduct(dims), {e: c}), draw(st.integers(0, max(dims) + 2))
+
+
 class TestPackedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(one_term_powers())
+    def test_one_term_power_equals_repeated_products(self, case):
+        # a power of one term takes one step, not the binomial loop
+        cls, n = case
+        want = ChowClass.one(cls.space)
+        for _ in range(n):
+            want = want * cls
+        assert cls**n == want
+
     @settings(max_examples=300, deadline=None)
     @given(sparse_classes(), st.integers(0, 6))
     def test_products_and_powers_against_tuple_keys(self, case, n):
@@ -657,9 +678,9 @@ class TestNewton:
         assert newton_class(v, 2).coeffs == {(1, 1): 2}
 
     def test_one_power_per_distinct_twist(self, monkeypatch):
-        # xi + xi - T_X on (1^14): the all-ones twist, 14 unit twists and
-        # the trivial twist, where the per-term sum took 44 powers; a pair
-        # of opposite terms of another twist takes none
+        # xi + xi - T_X on (1^14): the all-ones twist and 14 unit twists,
+        # where the per-term sum took 44 powers; the trivial twist, whose
+        # powers vanish, and a pair of opposite terms of another twist take none
         powers = []
         pow_ = ChowClass.__pow__
 
@@ -674,7 +695,7 @@ class TestNewton:
         v = VirtualBundle(X, (LineTerm(1, ones), LineTerm(1, ones))) + (-tangent_bundle(X))
         twos = (2,) * 14
         newton_class(v + line_bundle(X, twos) + line_bundle(X, twos, sign=-1), 12)
-        assert len(powers) == 16
+        assert len(powers) == 15
 
     def test_decomposable_vanishing(self):
         # >= 2 factors, every factor dimension < n, total dimension n

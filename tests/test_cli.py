@@ -1065,6 +1065,19 @@ class TestChowCommand:
         rows = json.loads(out)["class"]
         assert _cmd_chow.chow_class_from_json(space, rows) == value
 
+    def test_class_json_rows_with_equal_exponents_sum(self):
+        # as bpoly_from_json sums them; a sum of zero drops out
+        from cobcalc.chow import ProjProduct
+
+        space = ProjProduct((1, 1))
+        rows = [
+            {"exponents": [1, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "2"},
+            {"exponents": [0, 1], "coeff": "5"},
+            {"exponents": [0, 1], "coeff": "-5"},
+        ]
+        assert _cmd_chow.chow_class_from_json(space, rows).coeffs == {(1, 0): 3}
+
 
 fuzz_ints = st.one_of(st.integers(-1, 3), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))
 # exponents past float range, where the digits of a power are estimated
