@@ -111,12 +111,14 @@ class ChowClass(Record):
             raise ValueError(f"{steps} products exceed the limit {MAX_POW_STEPS}")
         if len(self.coeffs) == 1:
             # one term c a^e is c**n a^(n e), zero once n e passes a dimension;
-            # c**n is checked only where the binomial sum checks c0**n
+            # a nonzero power is checked before c**n is formed
             ((e, c),) = self.coeffs.items()
-            if not any(e) and not printable(c, n):
-                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
             e = tuple([n * x for x in e])
-            return self._result({} if any(map(gt, e, self.space.dims)) else {e: c**n})
+            if any(map(gt, e, self.space.dims)):
+                return self._result({})
+            if not printable(c, n):
+                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+            return self._result({e: c**n})
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0

@@ -33,14 +33,20 @@ answer: its terms have half-weight at most top = weight(f)/2 + t(ell-1),
 so fields a bit wider than top (and at least 8 bits, so that most calls
 share one format) hold every exponent, and multiplying two b-monomials is
 one integer addition.  The total operation on each b_j**k, cut at index
-2t, is cached by (j, k, t, ell) and the field width.  The monomials of f
-are grouped by their last factor, so the operation on the sum of each
-group's heads meets that factor once, and the graded products of all
-monomials are summed by index before the twist, which multiplies once per
-index, not once per monomial; the last product forms only index 2t.  The
-sums are reduced mod ell as they are assembled, and the answer is decoded
-in one pass, each key field by field into the (g, e) pairs of its nonzero
-fields, as its coefficient is reduced.  A zero input, and an untwisted
+2t, is cached by (j, k, t, ell) and the field width, and so is the
+operation on each b-monomial: that on its prefix, the monomial less its
+last factor, times the graded power of the last factor, so monomials that
+share a prefix share its product.  A single monomial is read from that
+cache, its coefficient scaled into a copy.  The monomials of a sum are
+grouped by their last factor, so the operation on the sum of each group's
+heads meets that factor once (a group of one head reads the cache), and
+the graded products of all monomials are summed by index before the
+twist, which multiplies once per index, not once per monomial; the last
+product forms only index 2t.  The sums are reduced mod ell as they are
+assembled, and the answer is decoded in one pass, each key field by field
+into the (g, e) pairs of its nonzero fields, as its coefficient is
+reduced; the decoded keys are cached, as the answers of different
+operations share their monomials.  A zero input, and an untwisted
 index above weight(f), return zero before anything is sized or priced, so
 the work never grows with such an index.
 
@@ -166,13 +172,33 @@ def _graded_power(j: int, k: int, t: int, ell: int, width: int) -> tuple:
     return tuple(clean(p, ell) for p in out)
 
 
-def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> list:
+@lru_cache(maxsize=4096)
+def _monomial_op(mono: tuple, t: int, ell: int, width: int) -> tuple:
+    """The total untwisted operation on the b-monomial mono cut at index
+    2t, as t + 1 packed polynomials reduced mod ell: the operation on
+    mono[:-1] times the graded power of its last factor, so monomials
+    that share a prefix share its product.  The entries are read-only."""
+    (j, k), head = mono[-1], mono[:-1]
+    last = _graded_power(j, k, t, ell, width)
+    if not head:
+        return last
+    out = _add_product([{} for _ in last], _monomial_op(head, t, ell, width), last)
+    return tuple(clean(p, ell) for p in out)
+
+
+def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> tuple:
     """The total untwisted operation on sum(c * mono) over terms, cut at
-    index 2t, as packed polynomials by index; only indices lo .. t are
-    formed.  Multiplicativity: the monomials are grouped by their last
-    factor b_j**k, and the operation on the sum of each group's heads,
-    recursively assembled, is multiplied by the graded power of b_j**k
-    once per group."""
+    index 2t, as packed polynomials by index; only indices lo .. t of a
+    sum are formed.  A single monomial is read from `_monomial_op`, its
+    coefficient scaled into fresh dicts.  Multiplicativity: the monomials
+    of a sum are grouped by their last factor b_j**k, and the operation on
+    the sum of each group's heads, recursively assembled, is multiplied by
+    the graded power of b_j**k once per group."""
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        if mono:
+            op = _monomial_op(mono, t, ell, width)
+            return op if c == 1 else tuple({key: c * v % ell for key, v in p.items()} for p in op)
     out = [{} for _ in range(t + 1)]
     groups: dict = {}
     for mono, c in terms.items():
@@ -183,11 +209,14 @@ def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> list:
     for (j, k), heads in groups.items():
         graded = _assemble(heads, t, ell, width, 0)
         _add_product(out, graded, _graded_power(j, k, t, ell, width), lo)
-    return [clean(p, ell) if p else p for p in out]
+    return tuple(clean(p, ell) if p else p for p in out)
 
 
+@lru_cache(maxsize=1 << 14)
 def _decode(key: int, width: int) -> tuple:
-    """The b-monomial of a packed key: its nonzero fields, from the low end, as (g, e) pairs."""
+    """The b-monomial of a packed key: its nonzero fields, from the low
+    end, as (g, e) pairs.  Answers of different operations share their
+    monomials, so the decoded keys are cached."""
     mask, mono, g = (1 << width) - 1, [], 1
     while key:
         if key & mask:

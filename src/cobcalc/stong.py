@@ -206,8 +206,9 @@ def valuation_rows(ell: int, d_max: int):
     by the carried G_i, a new top digit bringing its G_i and nu change, and
     rebuilds the factor dimensions of the digits it changed from 1 up (kept
     per digit).  It makes a new top digit r exactly when n - 2 = ell**r - 1:
-    that row is the exceptional one, 2d + 1 = ell**r, which takes the
-    multinomial of its own factors."""
+    that row is the exceptional one, 2d + 1 = ell**r, whose number is
+    -2 n G_(r-1): the multinomial n! / (1! ((ell**(r-1))!)**ell) of its
+    own factors is n times the G_(r-1) of the new digit."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     _require_odd_prime(ell)
@@ -234,7 +235,8 @@ def valuation_rows(ell: int, d_max: int):
                 below = powers[-1]  # ell**(r-1)
                 merged, nu_merged = carry[-1]
                 nu_merged += nu_factorial(below * ell, ell) - ell * nu_factorial(below, ell)
-                carry.append((merged * multinomial(below * ell, (below,) * ell), nu_merged))
+                merge = multinomial(below * ell, (below,) * ell)  # G_(r-1)
+                carry.append((merged * merge, nu_merged))
                 digits.append(0)
                 powers.append(below * ell)
                 tails.append(())
@@ -252,6 +254,6 @@ def valuation_rows(ell: int, d_max: int):
         if below:  # the exceptional row's own factors, P^1 x (P^(ell**(r-1)))**ell
             own = (1,) + (below,) * ell
             nu_own = nu_n - ell * nu_factorial(below, ell)
-            yield make_row(d, make_space(own), -2 * multinomial(n, own), nu_own, 1)
+            yield make_row(d, make_space(own), -2 * n * merge, nu_own, 1)
         else:
             yield make_row(d, make_space(dims), generic, valuation, 0)

@@ -998,6 +998,25 @@ class TestChowCommand:
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
         assert "exceed the limit 1000000" in done.stderr
 
+    def test_newton_with_an_unprintable_power_is_refused_before_forming_it(self):
+        # (10**100 a)**100 on P^100 is 10**10000 a**100: refused as it is
+        # formed, not when its 10 001 digits are printed
+        bundle = {"terms": [{"twist": [10**100]}]}
+        done = run_chow_process({"space": [100], "expr": {"op": "newton", "n": 100, "bundle": bundle}})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: a coefficient has over 4300 digits\n"
+
+    def test_newton_with_a_power_of_billions_of_digits_is_refused_at_once(self):
+        # c**(10**6) of a 4000-digit twist entry c would have about 4 * 10**9 digits
+        bundle = {"terms": [{"twist": [int("7" * 4000)]}]}
+        payload = {"space": [10**6], "expr": {"op": "newton", "n": 10**6, "bundle": bundle}}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = run_chow_process(payload)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: a coefficient has over 4300 digits\n"
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
+
     def test_factor_dimension_beyond_64_bits_is_accepted(self):
         done = run_chow_process({"space": [1, 2**63], "expr": {"op": "pow", "base": "alpha", "n": 2}})
         assert done.returncode == 0

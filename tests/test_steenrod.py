@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from cobcalc.steenrod import (
     _apply_graded_piece,
     _decode,
     _divide_and_collect,
+    _graded_power,
+    _monomial_op,
     _packed_piece,
     power_op,
     power_op_oracle,
@@ -36,11 +39,13 @@ def bmono(*pairs, ell):
     return BPoly({tuple(pairs): 1}, ell)
 
 
+def as_bmono(lam):
+    """The b-monomial of a partition, as (g, exponent) pairs."""
+    return tuple(sorted(Counter(lam).items()))
+
+
 def partition_to_bmono(lam, ell):
-    exps = {}
-    for part in lam:
-        exps[part] = exps.get(part, 0) + 1
-    return BPoly({tuple(sorted(exps.items())): 1}, ell)
+    return BPoly({as_bmono(lam): 1}, ell)
 
 
 class TestTotalPowerOnMonomial:
@@ -428,6 +433,59 @@ class TestDecode:
         unpacked = unpack(dict.fromkeys(keys, 1), range(0, width * count, width), (1 << width) - 1)
         want = [tuple([(g, e) for g, e in enumerate(exps, 1) if e]) for exps in unpacked]
         assert [_decode(key, width) for key in dict.fromkeys(keys)] == want
+
+
+def clear_assembly_caches():
+    for cached in (_monomial_op, _graded_power, _decode):
+        cached.cache_clear()
+
+
+# every b-monomial of weight <= 12, the constant one included
+SMALL_BMONOS = [as_bmono(lam) for n in range(7) for lam in enumerate_partitions(n)]
+
+
+@st.composite
+def small_bpolys(draw):
+    ell = draw(st.sampled_from([3, 5, 7]))
+    terms = draw(st.dictionaries(st.sampled_from(SMALL_BMONOS), st.integers(1, ell - 1), min_size=1, max_size=6))
+    return BPoly(terms, ell), ell
+
+
+class TestMonomialCache:
+    def test_one_miss_per_distinct_prefix(self):
+        # both actions at one index share every prefix; each index cuts its own
+        monos = [as_bmono(lam) for lam in enumerate_partitions(8)]
+        prefixes = {mono[:k] for mono in monos for k in range(1, len(mono) + 1)}
+        _monomial_op.cache_clear()
+        for i in (2, 4):
+            for mono in monos:
+                for action in (power_op, power_op_untwisted):
+                    action(i, BPoly({mono: 1}, 3), 3)
+        assert _monomial_op.cache_info().misses == 2 * len(prefixes)
+
+    @given(small_bpolys(), st.sampled_from([2, 4, 6]), st.sampled_from([power_op, power_op_untwisted]))
+    @settings(max_examples=80, deadline=None)
+    def test_cold_warm_and_termwise_answers_agree(self, drawn, i, action):
+        f, ell = drawn
+        clear_assembly_caches()
+        cold = list(action(i, f, ell).coeffs.items())
+        clear_assembly_caches()
+        for other in sorted([2, 4, 6], key=lambda j: j == i):  # the caches of other cuts first
+            action(other, f, ell)
+        assert list(action(i, f, ell).coeffs.items()) == cold
+        termwise = Counter()
+        for mono, c in f.coeffs.items():
+            termwise.update(action(i, BPoly({mono: c}, ell), ell).coeffs)
+        assert dict(cold) == {mono: r for mono, c in termwise.items() if (r := c % ell)}
+
+    def test_coefficient_two_gives_twice_the_answer(self):
+        # the cached operation is scaled into a copy: asking with 1 again is unchanged
+        mono = ((1, 2), (3, 1))
+        clear_assembly_caches()
+        once = list(power_op(4, BPoly({mono: 1}, 5), 5).coeffs.items())
+        twice = list(power_op(4, BPoly({mono: 2}, 5), 5).coeffs.items())
+        assert twice == [(key, 2 * c % 5) for key, c in once]
+        assert list(power_op(4, BPoly({mono: 1}, 5), 5).coeffs.items()) == once
 
 
 class TestPackedKeysAtTheWeightCap:
