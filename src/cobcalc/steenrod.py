@@ -32,23 +32,24 @@ with the exponent of b_g in field g - 1.  The fields are sized from the
 answer: its terms have half-weight at most top = weight(f)/2 + t(ell-1),
 so fields a bit wider than top (and at least 8 bits, so that most calls
 share one format) hold every exponent, and multiplying two b-monomials is
-one integer addition.  The total operation on each b_j**k, cut at index
-2t, is cached by (j, k, t, ell) and the field width, and so is the
-operation on each b-monomial: that on its prefix, the monomial less its
-last factor, times the graded power of the last factor, so monomials that
-share a prefix share its product.  A single monomial is read from that
+one integer addition.  One cache holds the total operation on each
+b-monomial, cut at index 2t, by (monomial, t, ell) and the field width,
+built by three rules: on b_j it is b_j's pieces; on b_j**k, that on
+b_j**(k-1) times those pieces; on several factors, that on the prefix, the
+monomial less its last factor, times that on the last factor, so monomials
+that share a prefix share its product.  A single monomial is read from the
 cache, its coefficient scaled into a copy.  The monomials of a sum are
 grouped by their last factor, so the operation on the sum of each group's
 heads meets that factor once (a group of one head reads the cache), and
-the graded products of all monomials are summed by index before the
-twist, which multiplies once per index, not once per monomial; the last
-product forms only index 2t.  The sums are reduced mod ell as they are
-assembled, and the answer is decoded in one pass, each key field by field
-into the (g, e) pairs of its nonzero fields, as its coefficient is
-reduced; the decoded keys are cached, as the answers of different
-operations share their monomials.  A zero input, and an untwisted
-index above weight(f), return zero before anything is sized or priced, so
-the work never grows with such an index.
+the graded products of all monomials are summed by index before the twist,
+which multiplies once per index, not once per monomial; the last product
+forms only index 2t.  The sums are reduced mod ell as they are assembled,
+and the answer is decoded in one pass, each key field by field into the
+(g, e) pairs of its nonzero fields, as its coefficient is reduced; the
+decoded keys are cached, as the answers of different operations share
+their monomials.  A zero input, and an untwisted index above weight(f),
+return zero before anything is sized or priced, so the work never grows
+with such an index.
 
 `power_op_oracle` recomputes the twisted action for differential testing:
 it expands f in an explicit number r of roots with the engine of
@@ -132,58 +133,45 @@ def _twist_piece(b: int, ell: int, width: int) -> dict:
     return {k: piece[k] for k in sorted(piece, key=lambda k: (-sum(exps[k]), exps[k]))}
 
 
-def _mul_into(out: dict, a: dict, b: dict) -> None:
-    """Add a * b to out.  On packed keys the product of two b-monomials is
-    the sum of their keys."""
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            out[key] = get(key, 0) + ca * cb
-
-
 def _add_product(out: list, A: tuple, B: tuple, lo: int = 0) -> list:
     """Add A * B to out, graded polynomials held as sequences by index 2a,
     and return out.  Only the indices lo .. len(out) - 1 of the product
-    are formed."""
+    are formed.  On packed keys the product of two b-monomials is the sum
+    of their keys."""
     t = len(out) - 1
     for a, pa in enumerate(A):
         if pa:
             for b in range(max(lo - a, 0), t + 1 - a):
-                if B[b]:
-                    _mul_into(out[a + b], pa, B[b])
+                if pb := B[b]:
+                    into = out[a + b]
+                    get = into.get
+                    for ka, ca in pa.items():
+                        for kb, cb in pb.items():
+                            key = ka + kb
+                            into[key] = get(key, 0) + ca * cb
     return out
-
-
-@lru_cache(maxsize=4096)
-def _graded_power(j: int, k: int, t: int, ell: int, width: int) -> tuple:
-    """The total untwisted operation on b_j**k cut at index 2t, as t + 1
-    packed polynomials reduced mod ell, entry a the index-2a piece: the
-    k-th power of the pieces m_(ell^a 1^(j-a)), built from the power
-    k - 1.  The key format is part of the cache key: fields of the given
-    width hold every exponent, as j*k + t*(ell - 1) < 2**(width - 1)."""
-    pieces = tuple(
-        _packed_piece((ell,) * a + (1,) * (j - a), ell, width) if a <= j else {}
-        for a in range(t + 1)
-    )
-    if k == 1:
-        return pieces
-    out = _add_product([{} for _ in pieces], _graded_power(j, k - 1, t, ell, width), pieces)
-    return tuple(clean(p, ell) for p in out)
 
 
 @lru_cache(maxsize=4096)
 def _monomial_op(mono: tuple, t: int, ell: int, width: int) -> tuple:
     """The total untwisted operation on the b-monomial mono cut at index
-    2t, as t + 1 packed polynomials reduced mod ell: the operation on
-    mono[:-1] times the graded power of its last factor, so monomials
-    that share a prefix share its product.  The entries are read-only."""
+    2t, as t + 1 packed polynomials reduced mod ell, entry a the index-2a
+    piece: on b_j the pieces m_(ell^a 1^(j-a)), on b_j**k that on
+    b_j**(k-1) times them, on several factors that on mono[:-1] times that
+    on the last factor.  The key format is part of the cache key: fields of
+    the given width hold every exponent.  The entries are read-only."""
     (j, k), head = mono[-1], mono[:-1]
-    last = _graded_power(j, k, t, ell, width)
-    if not head:
-        return last
-    out = _add_product([{} for _ in last], _monomial_op(head, t, ell, width), last)
-    return tuple(clean(p, ell) for p in out)
+    if head:
+        left, right = _monomial_op(head, t, ell, width), _monomial_op(mono[-1:], t, ell, width)
+    else:
+        right = tuple(
+            _packed_piece((ell,) * a + (1,) * (j - a), ell, width) if a <= j else {}
+            for a in range(t + 1)
+        )
+        if k == 1:
+            return right
+        left = _monomial_op(((j, k - 1),), t, ell, width)
+    return tuple(clean(p, ell) for p in _add_product([{} for _ in right], left, right))
 
 
 def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> tuple:
@@ -193,7 +181,7 @@ def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> tuple:
     coefficient scaled into fresh dicts.  Multiplicativity: the monomials
     of a sum are grouped by their last factor b_j**k, and the operation on
     the sum of each group's heads, recursively assembled, is multiplied by
-    the graded power of b_j**k once per group."""
+    the operation on b_j**k once per group."""
     if len(terms) == 1:
         ((mono, c),) = terms.items()
         if mono:
@@ -206,9 +194,9 @@ def _assemble(terms: dict, t: int, ell: int, width: int, lo: int) -> tuple:
             groups.setdefault(mono[-1], {})[mono[:-1]] = c
         elif lo == 0:
             out[0][0] = c
-    for (j, k), heads in groups.items():
+    for last, heads in groups.items():
         graded = _assemble(heads, t, ell, width, 0)
-        _add_product(out, graded, _graded_power(j, k, t, ell, width), lo)
+        _add_product(out, graded, _monomial_op((last,), t, ell, width), lo)
     return tuple(clean(p, ell) if p else p for p in out)
 
 
@@ -226,16 +214,16 @@ def _decode(key: int, width: int) -> tuple:
 
 
 def _prepare(f: BPoly, ell: int) -> tuple[BPoly, int]:
-    """f reduced mod ell, and its weight; refused when f weighs more than
-    WEIGHT_CAP.  An f already reduced mod ell is returned as it is."""
+    """f reduced mod ell, and its weight; refused when the reduced f weighs
+    more than WEIGHT_CAP, as reduction may drop the heaviest terms.  An f
+    already reduced mod ell is returned as it is."""
     _require_odd_prime(ell)
+    if f.modulus != ell:
+        f = f.reduce_mod(ell)
     weight = f.weight
     if weight > WEIGHT_CAP:
         raise ValueError(f"weight {weight} exceeds cap {WEIGHT_CAP}")
-    if f.modulus == ell:
-        return f, weight
-    f = f.reduce_mod(ell)
-    return f, f.weight  # reduction may drop the heaviest terms
+    return f, weight
 
 
 def _power_op(i: int, f: BPoly, ell: int, twisted: bool) -> BPoly:

@@ -20,7 +20,7 @@ from cobcalc.steenrod import (
     _apply_graded_piece,
     _decode,
     _divide_and_collect,
-    _graded_power,
+    _add_product,
     _monomial_op,
     _packed_piece,
     power_op,
@@ -132,6 +132,15 @@ class TestReducedInput:
             assert power_op_oracle(i, reduced, ell, r) == power_op_oracle(i, twin, ell, r), i
         assert reduced.coeffs == before and reduced.modulus == ell
         assert power_op(0, reduced, ell) is reduced
+        # the cap reads the reduced class: a vanishing term past it is no refusal
+        heavy = BPoly({**twin.coeffs, ((1, 31),): ell})
+        assert heavy.weight == 62 and heavy.reduce_mod(ell) == reduced
+        for i in (0, 2, 4):
+            for op in (power_op, power_op_untwisted):
+                assert op(i, heavy, ell) == op(i, reduced, ell), (op.__name__, i)
+        for i in (0, 2):
+            r = stability_bound(reduced, i, ell)
+            assert power_op_oracle(i, heavy, ell, r) == power_op_oracle(i, reduced, ell, r), i
 
     def test_class_reduced_mod_another_prime_is_refused(self):
         # 4 mod 5 is not 1 mod 3: the class is refused, not reread
@@ -436,7 +445,7 @@ class TestDecode:
 
 
 def clear_assembly_caches():
-    for cached in (_monomial_op, _graded_power, _decode):
+    for cached in (_monomial_op, _decode):
         cached.cache_clear()
 
 
@@ -453,15 +462,32 @@ def small_bpolys(draw):
 
 class TestMonomialCache:
     def test_one_miss_per_distinct_prefix(self):
-        # both actions at one index share every prefix; each index cuts its own
+        # both actions at one index share every prefix and power; each index
+        # cuts its own.  A factor b_j**k is built from b_j**(k-1) down to b_j
         monos = [as_bmono(lam) for lam in enumerate_partitions(8)]
         prefixes = {mono[:k] for mono in monos for k in range(1, len(mono) + 1)}
+        powers = {((j, m),) for mono in monos for j, k in mono for m in range(1, k + 1)}
         _monomial_op.cache_clear()
         for i in (2, 4):
             for mono in monos:
                 for action in (power_op, power_op_untwisted):
                     action(i, BPoly({mono: 1}, 3), 3)
-        assert _monomial_op.cache_info().misses == 2 * len(prefixes)
+        assert _monomial_op.cache_info().misses == 2 * len(prefixes | powers) == 86
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 4), st.sampled_from([3, 5, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_power_entry_is_the_repeated_product_of_the_pieces(self, j, k, t, ell):
+        # b_j**k as k products of b_j's pieces from the unit, none read from the cache
+        width = (j * k + t * (ell - 1)).bit_length() + 1
+        pieces = [
+            _packed_piece((ell,) * a + (1,) * (j - a), ell, width) if a <= j else {}
+            for a in range(t + 1)
+        ]
+        power = [{0: 1}] + [{} for _ in range(t)]
+        for _ in range(k):
+            power = _add_product([{} for _ in pieces], power, pieces)
+        want = [clean(p, ell) for p in power]
+        assert [dict(p) for p in _monomial_op(((j, k),), t, ell, width)] == want
 
     @given(small_bpolys(), st.sampled_from([2, 4, 6]), st.sampled_from([power_op, power_op_untwisted]))
     @settings(max_examples=80, deadline=None)
