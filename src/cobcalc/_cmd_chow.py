@@ -81,7 +81,7 @@ def eval_chow_expr(space: chow.ProjProduct, expr):
             return base**n
         try:
             power = base ** n
-        except ValueError as exc:  # beyond chow's step limit, or a term that would not print
+        except ValueError as exc:  # beyond chow's work limit, or a term that would not print
             raise ValueError(f"pow: {exc}") from None
         # sums of terms, and terms times N**k, may not print: an enclosing power would grow them
         if not all(map(printable, power.coeffs.values())):

@@ -11,18 +11,22 @@ exponents of a product are one integer addition, and truncation is one
 mask test per pair of terms, since adding the offset half - 1 - n_i to a
 field sets its top (guard) bit exactly when the exponent sum exceeds n_i
 (`_layout`).  Keys are packed on entry to a product and unpacked on exit.
-A product whose term pairs times factor count exceed MAX_PRODUCT_WORK is
-refused before any pair is formed (`_mul`).  A power (c0 + N)**n, c0 the
-degree-0 coefficient and N the nilpotent rest, is the binomial sum of
-C(n, k) c0**(n-k) N**k, collected once on packed keys; it takes at most
-`ChowClass.power_steps` products whatever the exponent, more than
-MAX_POW_STEPS of them are refused up front, and each is priced as above.
-Its numbers are checked where they are formed (`valuation.printable`):
-c0**n before it is formed, then C(n, k) c0**(n-k) for each nonzero N**k.
-A class of one term c a^e, such as the first Chern class of a twist on
-one factor, skips the sum after the same step pricing: its power is
-c**n a^(n e) in one step, or zero once n e passes a factor dimension, and
-c**n is checked only for the constant class (e = 0), where c is c0.
+
+Work is counted in key-field operations, one field of one packed key
+touched by a term pair of a product or an orbit of a push step, and every
+operation refuses more than MAX_WORK before the work it prices
+(`check_work`): a product its term pairs times factor count, a power the
+sum of its products, `stong`'s expansions their invariant rank times
+factor count.  A power (c0 + N)**n, c0 the degree-0 coefficient and N the
+nilpotent rest, is the binomial sum of C(n, k) c0**(n-k) N**k, collected
+once on packed keys, in at most `ChowClass.power_steps` products, each a
+nonzero N**(k-1) times N: so many products of len(N) terms are priced up
+front.  Its numbers are checked as they are formed (`valuation.printable`):
+c0**n, then each nonzero N**k and C(n, k) c0**(n-k).  A class of one term
+c a^e, such as the first Chern class of a twist on one factor, skips the
+sum: its power, one product, is c**n a^(n e), or zero once n e passes a
+factor dimension, and c**n is checked only for the constant class (e = 0),
+where c is c0.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
@@ -54,14 +58,16 @@ from .partitions import Partition
 from .space import ProjProduct
 from .valuation import MAX_DIGITS, printable
 
-# Steps of a power, ChowClass.power_steps: each is one product, so 10**6 of
-# them on the smallest class take about two seconds
-MAX_POW_STEPS = 10**6
+# Key-field operations of one product, power or expansion (module
+# docstring): 2**22 of them take 0.8-1.4 s of CPU whatever the operation
+# (2-core x86 host, Python 3.11.7; the README's limit table)
+MAX_WORK = 2**22
 
-# Term pairs x factor count of one product: each pair is an addition of
-# keys of factor_count fields, and each output term unpacks to that many
-# exponents.  Products refuse more than this before any pair is formed
-MAX_PRODUCT_WORK = 4 * 10**6
+
+def check_work(work: int, what: str, *args) -> None:
+    """Refuse work above MAX_WORK, named by what.format(*args), formed only then."""
+    if work > MAX_WORK:
+        raise ValueError(f"{what.format(*args)} has predicted work {work}, above the limit {MAX_WORK}")
 
 
 class ChowClass(Record):
@@ -98,7 +104,7 @@ class ChowClass(Record):
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
         shifts, mask, _, _ = layout = _layout(self.space.dims)
-        product = _mul(_sparse.pack(self.coeffs, shifts), _sparse.pack(other.coeffs, shifts), layout)
+        product, _ = _mul(_sparse.pack(self.coeffs, shifts), _sparse.pack(other.coeffs, shifts), layout)
         return self._result(_sparse.unpack(product, shifts, mask))
 
     def __pow__(self, n: int) -> "ChowClass":
@@ -106,12 +112,9 @@ class ChowClass(Record):
         # from N**(k-1), where repeated squaring would pair large intermediates
         if n < 0:
             raise ValueError("negative power")
-        steps = self.power_steps(n)
-        if steps > MAX_POW_STEPS:
-            raise ValueError(f"{steps} products exceed the limit {MAX_POW_STEPS}")
-        if len(self.coeffs) == 1:
-            # one term c a^e is c**n a^(n e), zero once n e passes a dimension;
-            # a nonzero power is checked before c**n is formed
+        m = self.space.factor_count
+        if len(self.coeffs) == 1:  # one step (module docstring)
+            check_work(m, "power of 1 term on {} factors", m)
             ((e, c),) = self.coeffs.items()
             e = tuple([n * x for x in e])
             if any(map(gt, e, self.space.dims)):
@@ -119,21 +122,25 @@ class ChowClass(Record):
             if not printable(c, n):
                 raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
             return self._result({e: c**n})
+        steps = self.power_steps(n)
         shifts, mask, _, _ = layout = _layout(self.space.dims)
         nilpotent = _sparse.pack(self.coeffs, shifts)
         c0 = nilpotent.pop(0, 0)  # the packed key of the unit is 0
+        if not c0 and steps < n:  # only N**n is left, and it vanishes
+            return self._result({})
+        t = len(nilpotent)
+        check_work(steps * t * m, "power of {} terms in {} products on {} factors", t, steps, m)
         if not printable(c0, n):
             raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
-        # power is N**k and coeff C(n, k) c0**(n-k), each from the one before;
-        # c0 = 0 leaves only the k = n term, which vanishes when n > steps
-        power, coeff, terms = {0: 1}, c0**n, []
-        for k in range(steps + 1 if c0 or steps == n else 0):
+        # power is N**k and coeff C(n, k) c0**(n-k), each from the one before
+        power, coeff, terms, spent = {0: 1}, c0**n, [], 0
+        for k in range(steps + 1):
             if k:
-                power = _mul(power, nilpotent, layout)
+                power, spent = _mul(power, nilpotent, layout, spent)
                 if not power:
                     break
                 coeff = coeff * (n - k + 1) // (k * c0) if c0 else int(k == n)
-                if not printable(coeff):
+                if not printable(coeff) or not printable(max(map(abs, power.values()))):
                     raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
             if coeff:
                 terms += [(key, coeff * c) for key, c in power.items()]
@@ -172,25 +179,26 @@ def _layout(dims: tuple[int, ...]) -> tuple[range, int, int, int]:
     return shifts, mask, offset, guard
 
 
-def _mul(a: dict, b: dict, layout: tuple) -> dict:
-    """Product of two classes on packed keys, without zero coefficients;
-    refused before any pair is formed above MAX_PRODUCT_WORK."""
-    work = len(a) * len(b) * len(layout[0])
-    if work > MAX_PRODUCT_WORK:
-        raise ValueError(
-            f"product of {len(a)} x {len(b)} terms on {len(layout[0])} factors has "
-            f"predicted work {work}, above the limit {MAX_PRODUCT_WORK}"
-        )
+def _mul(a: dict, b: dict, layout: tuple, spent: int = 0) -> tuple[dict, int]:
+    """Product of two classes on packed keys, without zero coefficients,
+    and its work added to spent, the work of the products before it in a
+    power; refused before any pair is formed when that passes MAX_WORK."""
+    m = len(layout[0])
+    work = len(a) * len(b) * m
+    before = ", with the power's products before it," if spent else ""
+    check_work(spent + work, "product of {} x {} terms on {} factors{}", len(a), len(b), m, before)
     offset, guard = layout[2], layout[3]
     out: dict = {}
     get = out.get
+    if len(a) > len(b):  # the fewer terms outside, each setting up an inner loop
+        a, b = b, a
     for ka, ca in a.items():
         shifted = ka + offset
         for kb, cb in b.items():
             if not (shifted + kb) & guard:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-    return _sparse.clean(out)
+    return _sparse.clean(out), spent + work
 
 
 # The push moves found from a group's part of a key are kept, up to this
@@ -439,12 +447,11 @@ def line_bundle(space: ProjProduct, twist, sign: int = 1) -> VirtualBundle:
 def tangent_bundle(space: ProjProduct) -> VirtualBundle:
     """Factorwise Euler presentation: for each factor of dimension n,
     (n+1) copies of the unit twist on that factor, minus one trivial
-    line bundle.  A space of total dimension above MAX_POW_STEPS, the most
-    steps of a power of a class on it, is refused before any term is
-    built."""
+    line bundle.  A space of total dimension above MAX_WORK is refused
+    before any term is built: every space an expansion admits keeps its
+    tangent bundle, its total dimension being at most its invariant rank."""
     dim = space.total_dimension
-    if dim > MAX_POW_STEPS:
-        raise ValueError(f"tangent bundle: {dim} dimensions exceed the limit {MAX_POW_STEPS}")
+    check_work(dim, "tangent bundle of {} dimensions", dim)
     m = space.factor_count
     trivial = LineTerm._trusted(-1, (0,) * m)
     terms = []

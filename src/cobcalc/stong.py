@@ -25,6 +25,16 @@ is formed and stop at the first it refuses, and keep no row it has read.
 `s_number` and `build_X` stay the route, one multinomial per row, that the
 tests check the table against.
 
+The table's dichotomy is a theorem: nu_ell(s_number(build_X(d, ell))) is 1
+when 2d+1 is a power of ell, else 0.  With n = 2d+2 and ell odd, it is nu
+of n! / prod(n_i!) over the factor dimensions n_i, and by Legendre
+nu(m!) = (m - s(m)) / (ell - 1), s(m) the base-ell digit sum of m, so
+nu((ell**i)!) = (ell**i - 1) / (ell - 1).  Generically a_i factors are
+P^(ell**i), a_i the digits of n, taking sum a_i (ell**i - 1) / (ell - 1)
+= (n - s(n)) / (ell - 1) = nu(n!).  When 2d+1 = ell**r, s(n) = 2, so
+nu(n!) = (ell**r - 1) / (ell - 1), and P^1 x (P^(ell**(r-1)))**ell takes
+(ell**r - ell) / (ell - 1) of it, leaving 1.
+
 The rows hold `space.ProjProduct`s.  Only the expansions import `chow`,
 and with it `_sparse`, where they run, so the table, and the `snumbers`
 and `verify-generators` commands built on it, compile neither.
@@ -36,34 +46,16 @@ from ._record import Record
 from .space import ProjProduct
 from .valuation import ell_powers, ladic_digits, multinomial, nu_factorial, _require_odd_prime
 
-# Expansions refuse, before any ring arithmetic, a space whose predicted work
-# (invariant rank x factor count, see _check_expansion_work) exceeds this.
-# One route costs 0.35-0.5 us per unit on build_X's spaces on a 2-core x86
-# host, so about 2 s at the limit (build_X(88, 3), work 4083600: 1.5 s per
-# route), and more on one large factor beside a P^1, whose steps hold two
-# orbits each: P^999999 x P^1 takes 3.1 s, and 4.0-4.5 s with its tangent
-# bundle (signed_char_number, which is 0 there, not +-s_number).  The
-# invariant rank is at most the ring rank prod(n_i + 1), so this admits
-# every space the full-ring rule (ring rank x factor count <= 2**22) did,
-# and build_X(d, l) for every d <= 38 at l = 3, d <= 44 at l = 5 and
-# d <= 46 at l = 7.
-MAX_EXPANSION_WORK = 2**22
-
-
 def _check_expansion_work(X: ProjProduct) -> None:
     """Refuse an expansion in the subring of X invariant under permuting
-    equal factors whose work is above MAX_EXPANSION_WORK.  alpha**N visits
-    every orbit once; from each one a push step reads the key's factor_count
-    fields at most and makes at most one move per field."""
+    equal factors whose work, invariant rank x factor count, is above
+    `chow.MAX_WORK`.  alpha**N visits every orbit once; from each one a push
+    step reads the key's factor_count fields at most and makes at most one
+    move per field."""
     from . import chow
 
-    rank = chow.invariant_rank(X)
-    work = rank * X.factor_count
-    if work > MAX_EXPANSION_WORK:
-        raise ValueError(
-            f"expansion in {X} has predicted work {work} (invariant rank "
-            f"{rank} x {X.factor_count} factors), above the limit {MAX_EXPANSION_WORK}"
-        )
+    rank, m = chow.invariant_rank(X), X.factor_count
+    chow.check_work(rank * m, "expansion in {} (invariant rank {} x {} factors)", X, rank, m)
 
 
 class StongDatum(Record):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cobcalc import _sparse, chow, stong
 from cobcalc.chow import (
-    MAX_POW_STEPS,
-    MAX_PRODUCT_WORK,
+    MAX_WORK,
     ChowClass,
     InvariantSubring,
     LineTerm,
@@ -109,28 +108,58 @@ class TestRing:
     @given(data=st.data())
     def test_power_refuses_exactly_its_unprintable_terms(self, data):
         # (c0 + N)**n, N homogeneous of one degree, against n products: it
-        # is refused exactly when c0**n or some C(n, k) c0**(n-k) with
-        # N**k nonzero has over MAX_DIGITS digits
+        # is refused exactly when c0**n, some C(n, k) c0**(n-k) with N**k
+        # nonzero, or some coefficient of a nonzero N**k has over MAX_DIGITS
+        # digits; no N**k is formed for the zero answer, c0 = 0 and n past
+        # power_steps.  N**k vanishes beyond k = 9, so N's coefficients go
+        # up to 9 * 10**4299, whose square passes the limit
         dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
         space = ProjProduct(dims)
         degree = data.draw(st.integers(1, space.total_dimension))
         monomials = [e for e in itertools.product(*(range(m + 1) for m in dims)) if sum(e) == degree]
         support = data.draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
-        nilpotent = ChowClass(space, {e: data.draw(st.integers(-3, 3).filter(bool)) for e in support})
+        large = st.tuples(st.integers(-9, 9), st.integers(1100, 4299)).map(lambda t: t[0] * 10 ** t[1])
+        coeffs = st.one_of(st.integers(-3, 3), st.integers(-(10**100), 10**100), large).filter(bool)
+        nilpotent = ChowClass(space, {e: data.draw(coeffs) for e in support})
         c0 = data.draw(st.one_of(st.integers(-3, 3), st.integers(-(10**100), 10**100)))
         n = data.draw(st.integers(0, 60))
         base = ChowClass.one(space).scale(c0) + nilpotent
+        formed = c0 != 0 or base.power_steps(n) == n
         unprintable, power = False, ChowClass.one(space)
         for k in range(n + 1):
             if not power.coeffs:
                 break
             unprintable |= abs(math.comb(n, k) * c0 ** (n - k)) >= 10**MAX_DIGITS
+            unprintable |= formed and max(map(abs, power.coeffs.values())) >= 10**MAX_DIGITS
             power = power * nilpotent
         if unprintable:
             with pytest.raises(ValueError, match=f"a coefficient has over {MAX_DIGITS} digits"):
                 base**n
         else:
             want = ChowClass.one(space)
+            for _ in range(n):
+                want = want * base
+            assert base**n == want
+
+    @pytest.mark.parametrize(
+        "c0, dims, nilpotent, n, refused",
+        [
+            (1, (20,), {(1,): 10**400}, 10, False),  # N**10 = 10**4000 a**10 prints
+            (1, (20,), {(1,): 10**400}, 11, True),
+            (0, (30,), {(1,): 10**400, (2,): 1}, 10, False),  # c0 = 0: no binomial is checked
+            (0, (30,), {(1,): 10**400, (2,): 1}, 11, True),
+            (0, (2, 2), {(1, 0): 10**2200, (0, 1): 1}, 4, True),  # N**2 has 10**4400 a_1**2
+            (0, (2, 2), {(1, 0): 10**2200, (0, 1): 1}, 5, False),  # zero at once: 5 > K = 4
+        ],
+    )
+    def test_power_refuses_an_unprintable_power_of_its_nilpotent_part(self, c0, dims, nilpotent, n, refused):
+        X = ProjProduct(dims)
+        base = ChowClass(X, {(0,) * len(dims): c0, **nilpotent})
+        if refused:
+            with pytest.raises(ValueError, match=f"a coefficient has over {MAX_DIGITS} digits"):
+                base**n
+        else:
+            want = ChowClass.one(X)
             for _ in range(n):
                 want = want * base
             assert base**n == want
@@ -336,13 +365,19 @@ class TestPackedKernel:
         assert time.process_time() - start < 5.0
 
     def test_power_beyond_the_step_limit_is_refused_at_once(self):
-        X = ProjProduct((10**9,))
+        # a class of two terms on two factors: steps x 2 terms x 2 factors,
+        # so 1048576 steps are admitted up front and one more is refused
+        X = ProjProduct((10**9, 10**9))
         start = time.process_time()
-        with pytest.raises(ValueError, match="1000001 products exceed the limit"):
-            alpha(X) ** (MAX_POW_STEPS + 1)
+        with pytest.raises(ValueError, match="2 terms in 1048577 products on 2 factors has predicted work 4194308,"):
+            alpha(X) ** (MAX_WORK // 4 + 1)
         # newton and cf take their powers through the same check
-        with pytest.raises(ValueError, match="100000000 products exceed the limit"):
-            newton_class(line_bundle(X, (1,)), 10**8)
+        with pytest.raises(ValueError, match="power of 2 terms in 100000000 products"):
+            newton_class(line_bundle(X, (1, 1)), 10**8)
+        # a class of one term takes one step, priced as one product
+        Y = ProjProduct((10**9,))
+        assert (alpha(Y) ** (10**6 + 1)).coeffs == {(10**6 + 1,): 1}
+        assert newton_class(line_bundle(Y, (1,)), 10**8).coeffs == {(10**8,): 1}
         assert time.process_time() - start < 1.0
 
 
@@ -503,7 +538,7 @@ class TestProductLimit:
         X = ProjProduct((1,) * 200)
         message = (
             f"product of 200 x 200 terms on 200 factors has predicted work 8000000, "
-            f"above the limit {MAX_PRODUCT_WORK}"
+            f"above the limit {MAX_WORK}"
         )
         with pytest.raises(ValueError) as exc:
             alpha(X) * alpha(X)
@@ -517,22 +552,27 @@ class TestProductLimit:
     def test_power_steps_are_priced_as_products(self):
         # pow multiplies through the same kernel: alpha ** 2 on 200 copies
         # of P^1 is the product refused above, and alpha ** 3 on 100 copies
-        # is refused at its last step, alpha ** 2 times alpha
+        # is refused at its last step, alpha ** 2 times alpha, priced with
+        # the 10**4 + 10**6 of the steps before it
         X = ProjProduct((1,) * 200)
         with pytest.raises(ValueError, match="200 x 200 terms on 200 factors"):
             alpha(X) ** 2
         Y = ProjProduct((1,) * 100)
         assert len((alpha(Y) ** 2).coeffs) == 4950
-        with pytest.raises(ValueError, match="4950 x 100 terms on 100 factors has predicted work 49500000"):
+        with pytest.raises(
+            ValueError,
+            match="4950 x 100 terms on 100 factors, with the power's products before it, has predicted work 50510000",
+        ):
             alpha(Y) ** 3
 
     def test_work_counts_term_pairs_times_factor_count(self):
-        # 200 x 100 terms on 200 factors: 4 * 10**6, the limit itself
+        # 200 x 104 terms on 200 factors: 4160000, the most below the limit
+        # 2**22 = 4194304 that a class times alpha takes there
         X = ProjProduct((1,) * 200)
-        assert MAX_PRODUCT_WORK == 4 * 10**6
-        first = ChowClass(X, {tuple(int(j == i) for j in range(200)): 1 for i in range(100)})
-        assert len((alpha(X) * first).coeffs) == 100 * 99 // 2 + 100 * 100
-        with pytest.raises(ValueError, match="predicted work 4040000"):
+        assert MAX_WORK == 2**22
+        first = ChowClass(X, {tuple(int(j == i) for j in range(200)): 1 for i in range(104)})
+        assert len((alpha(X) * first).coeffs) == 104 * 103 // 2 + 104 * 96
+        with pytest.raises(ValueError, match="predicted work 4200000"):
             alpha(X) * (first + ChowClass.one(X))
         # an empty factor costs nothing
         assert (alpha(X) * ChowClass.zero(X)).coeffs == {}
@@ -561,13 +601,13 @@ class TestBundles:
 
     def test_tangent_bundle_beyond_the_step_limit_is_refused_before_building(self, monkeypatch):
         start = time.process_time()
-        with pytest.raises(ValueError, match="10000000 dimensions exceed the limit"):
+        with pytest.raises(ValueError, match="10000000 dimensions has predicted work 10000000, above the limit"):
             tangent_bundle(ProjProduct((10**7,)))
         assert time.process_time() - start < 0.1
         # total dimension up to the limit
-        monkeypatch.setattr(chow, "MAX_POW_STEPS", 10)
+        monkeypatch.setattr(chow, "MAX_WORK", 10)
         assert len(tangent_bundle(ProjProduct((9, 1))).terms) == 14
-        with pytest.raises(ValueError, match="11 dimensions exceed the limit 10"):
+        with pytest.raises(ValueError, match="11 dimensions has predicted work 11, above the limit 10"):
             tangent_bundle(ProjProduct((10, 1)))
 
     def test_tangent_bundle_at_the_step_limit(self):

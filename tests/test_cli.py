@@ -849,11 +849,12 @@ class TestChowCommand:
 
     @pytest.mark.parametrize(
         "space, factor, work",
-        [([1] * 500, "alpha", 500**3), ([1] * 16, {"op": "pow", "base": "alpha", "n": 8}, 12870**2 * 16)],
-        ids=["alpha-squared-on-500-factors", "12870-term-classes-on-16-factors"],
+        [([1] * 500, "alpha", 500**3), ([1] * 16, {"op": "pow", "base": "alpha", "n": 4}, 1820**2 * 16)],
+        ids=["alpha-squared-on-500-factors", "1820-term-classes-on-16-factors"],
     )
     def test_product_above_the_limit_is_refused_at_once(self, capsys, tmp_path, space, factor, work):
-        # 66 s and 6 GB, and 165 million term pairs, when they ran
+        # 125 million and 53 million units of work; the square of the 12870
+        # terms of alpha**8 on 16 copies of P^1 took 66 s and 6 GB when it ran
         path = tmp_path / "expr.json"
         path.write_text(json.dumps({"space": space, "expr": {"op": "mul", "factors": [factor, factor]}}))
         start = time.process_time()
@@ -861,18 +862,18 @@ class TestChowCommand:
         assert time.process_time() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: product of ") and len(err.splitlines()) == 1
-        assert f"predicted work {work}, above the limit {chow.MAX_PRODUCT_WORK}" in err
+        assert f"predicted work {work}, above the limit {chow.MAX_WORK}" in err
 
     def test_product_at_the_limit_is_accepted(self, capsys, tmp_path):
-        # alpha * alpha on 158 copies of P^1: 158**3 = 3944312 <= 4 * 10**6
+        # alpha * alpha on 161 copies of P^1: 161**3 = 4173281 <= 2**22
         path = tmp_path / "expr.json"
         payload = {"op": "deg", "of": {"op": "mul", "factors": ["alpha", "alpha"]}}
-        path.write_text(json.dumps({"space": [1] * 158, "expr": payload}))
+        path.write_text(json.dumps({"space": [1] * 161, "expr": payload}))
         code, out, _ = run(capsys, "chow", "--input", str(path))
         assert code == 0 and json.loads(out)["deg"] == "0"
-        path.write_text(json.dumps({"space": [1] * 159, "expr": payload}))
+        path.write_text(json.dumps({"space": [1] * 162, "expr": payload}))
         code, out, err = run(capsys, "chow", "--input", str(path))
-        assert code == 2 and "predicted work 4019679" in err
+        assert code == 2 and "predicted work 4251528" in err
 
     def test_failed_internal_check_exits_1_with_one_line(self, capsys, monkeypatch, tmp_path):
         def non_integral(*args):
@@ -976,27 +977,92 @@ class TestChowCommand:
 
     @pytest.mark.parametrize(
         "space, n",
-        [([10**9], 10**9), ([10**6 + 1], 10**9), ([500000, 500001], 2 * 10**6)],
+        [([10**9, 10**9], 10**9), ([1, 10**9], 10**9), ([10**6, 10**6], 2 * 10**6)],
     )
     def test_pow_beyond_the_step_limit_is_refused_at_once(self, space, n):
-        # min(n, total dimension) products above 10**6
+        # min(n, total dimension) products of a class of 2 terms on 2
+        # factors, 4 units each, above 2**22
         payload = {"space": space, "expr": {"op": "pow", "base": "alpha", "n": n}}
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr.startswith("error: pow: ") and len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: pow: power of 2 terms in ") and len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "space, n, answer",
+        [
+            ([10**9], 10**9, [{"exponents": [10**9], "coeff": "1"}]),
+            ([10**6 + 1], 10**9, []),
+            ([500000, 500001], 2 * 10**6, []),
+        ],
+    )
+    def test_pow_of_one_term_or_to_zero_answers_at_once(self, space, n, answer):
+        # a class of one term takes one step, and (a_1 + a_2)**n vanishes
+        # once n passes the total dimension: no product is formed
+        payload = {"space": space, "expr": {"op": "pow", "base": "alpha", "n": n}}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = run_chow_process(payload)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {"space": space, "class": answer}
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
+
+    def test_pow_whose_products_sum_past_the_work_limit_is_refused(self):
+        # (a + a**2)**n on P^n: its k-th product pairs the k terms of
+        # N**(k-1) with the 2 of N, each product far below 2**22 units, and
+        # their sum passes 2**22 at the 2048th.  Refused after 1.2-1.4 s of
+        # CPU on a 2-core x86 host; priced one product at a time, it ran
+        # for more than 25 s
+        X = chow.ProjProduct((300,))
+        base = chow.alpha(X) + chow.alpha(X) ** 2
+        want = chow.ChowClass.one(X)
+        for _ in range(300):
+            want = want * base
+        assert base**300 == want
+        square = {"op": "pow", "base": "alpha", "n": 2}
+        base = {"op": "add", "terms": ["alpha", square]}
+        payload = {"space": [10**6], "expr": {"op": "pow", "n": 10**6, "base": base}}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = run_chow_process(payload)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: pow: product of 2048 x 2 terms on 1 factors, with the power's products before it, "
+            f"has predicted work 4196352, above the limit {chow.MAX_WORK}\n"
+        )
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 3.0
+
+    @pytest.mark.parametrize(
+        "c, square",
+        [(10**400, False), (10**1000, False), (10**4000, False), (10**400, True)],
+        ids=["1e400", "1e1000", "1e4000", "1e400-without-a-binomial"],
+    )
+    def test_pow_whose_nilpotent_powers_will_not_print_is_refused_within_a_few_products(self, c, square):
+        # (1 + c a)**(10**6) on P^(10**6): each product is one unit and each
+        # binomial it meets prints, but c**k does not from k = 11, 5 and 2
+        # on; (c a + a**2)**(10**6) has c0 = 0, so no binomial is checked
+        linear = {"op": "newton", "n": 1, "bundle": {"terms": [{"twist": [c]}]}}
+        base = {"op": "add", "terms": [linear, {"op": "pow", "base": "alpha", "n": 2} if square else UNIT]}
+        payload = {"space": [10**6], "expr": {"op": "pow", "n": 10**6, "base": base}}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = run_chow_process(payload)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: pow: a coefficient has over 4300 digits\n"
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
 
     @pytest.mark.parametrize(
         "space, bundle, n",
-        [([10**9], {"terms": [{"twist": [1]}]}, 10**8), ([10**7], "tangent", 1)],
+        [([10**9, 10**9], {"terms": [{"twist": [1, 1]}]}, 10**8), ([10**7], "tangent", 1)],
         ids=["newton", "tangent"],
     )
     def test_newton_beyond_the_step_limit_is_refused_at_once(self, space, bundle, n):
-        # 10**8 products; 10**7 + 2 line bundles in the tangent bundle
+        # 10**8 products of a class of 2 terms on 2 factors; 10**7 + 2 line
+        # bundles in the tangent bundle
         payload = {"space": space, "expr": {"op": "newton", "bundle": bundle, "n": n}}
         done = run_chow_process(payload)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
-        assert "exceed the limit 1000000" in done.stderr
+        assert f"the limit {chow.MAX_WORK}" in done.stderr
 
     def test_newton_with_an_unprintable_power_is_refused_before_forming_it(self):
         # (10**100 a)**100 on P^100 is 10**10000 a**100: refused as it is
@@ -1320,7 +1386,7 @@ class TestLimitTable:
             for path in (SRC / "cobcalc").glob("*.py")
             for name in pattern.findall(path.read_text(encoding="utf-8"))
         }
-        assert len(limits) == 12 and set(stated) == limits
+        assert len(limits) == 10 and set(stated) == limits
 
 
 README_CHOW = {"space": [1, 1, 1, 1], "expr": {"op": "deg", "of": {"op": "pow", "base": "alpha", "n": 4}}}

@@ -12,7 +12,6 @@ from cobcalc import chow, stong, valuation
 from cobcalc.chow import LineTerm, ProjProduct, VirtualBundle, line_bundle
 from cobcalc.partitions import enumerate_partitions
 from cobcalc.stong import (
-    MAX_EXPANSION_WORK,
     StongDatum,
     _check_expansion_work,
     build_X,
@@ -144,7 +143,7 @@ class TestSNumber:
             message = str(exc.value)
             assert "predicted work 5359200" in message
             assert "invariant rank 669900 x 8 factors" in message
-            assert str(MAX_EXPANSION_WORK) in message
+            assert f"above the limit {chow.MAX_WORK}" in message
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 2**20), min_size=1, max_size=12))
@@ -405,6 +404,24 @@ class TestValuationTable:
     def test_valuation_matches_direct_nu(self):
         for row in valuation_table(3, 12):
             assert row.valuation == nu(abs(row.s_number), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_valuation_is_one_exactly_when_2d_plus_1_is_a_power_of_the_prime(self, data):
+        # the dichotomy the stong docstring proves by Legendre, for d <= 10**4
+        # and odd primes below 10**6, near the exceptional degrees too
+        primes = st.one_of(st.sampled_from([3, 5, 7, 11, 13, 101]), st.integers(3, 999983))
+        ell = data.draw(primes.map(lambda x: next(p for p in itertools.count(x) if is_odd_prime(p))))
+        exceptional = [(ell**r - 1) // 2 for r in range(1, 10) if ell**r <= 2 * 10**4 + 1]
+        near = st.sampled_from(exceptional).flatmap(lambda d: st.integers(max(d - 1, 1), d + 1))
+        d = data.draw(st.one_of(st.integers(1, 10**4), near) if exceptional else st.integers(1, 10**4))
+        power = 1
+        while power < 2 * d + 1:
+            power *= ell
+        want = int(power == 2 * d + 1)
+        assert nu(s_number(build_X(d, ell)), ell) == want
+        row = next(itertools.islice(valuation_rows(ell, d), d - 1, None))
+        assert (row.d, row.valuation, row.expected) == (d, want, want)
 
     @pytest.mark.parametrize("ell, d_max", [(3, 1000), (5, 1000), (7, 1000), (11, 1000), (13, 1000), (1000003, 300)])
     def test_recurrence_equals_closed_form(self, ell, d_max):
