@@ -16,17 +16,17 @@ Work is counted in key-field operations, one field of one packed key
 touched by a term pair of a product or an orbit of a push step, and every
 operation refuses more than MAX_WORK before the work it prices
 (`check_work`): a product its term pairs times factor count, a power the
-sum of its products, `stong`'s expansions their invariant rank times
-factor count.  A power (c0 + N)**n, c0 the degree-0 coefficient and N the
-nilpotent rest, is the binomial sum of C(n, k) c0**(n-k) N**k, collected
-once on packed keys, in at most `ChowClass.power_steps` products, each a
-nonzero N**(k-1) times N: so many products of len(N) terms are priced up
-front.  Its numbers are checked as they are formed (`valuation.printable`):
-c0**n, then each nonzero N**k and C(n, k) c0**(n-k).  A class of one term
-c a^e, such as the first Chern class of a twist on one factor, skips the
-sum: its power, one product, is c**n a^(n e), or zero once n e passes a
-factor dimension, and c**n is checked only for the constant class (e = 0),
-where c is c0.
+sum of its products, `cf_chern` its b-truncation, `stong`'s expansions
+their invariant rank times factor count.  A power (c0 + N)**n, c0 the
+degree-0 coefficient and N the nilpotent rest, is the binomial sum of
+C(n, k) c0**(n-k) N**k, collected once on packed keys, in at most
+`ChowClass.power_steps` products, each a nonzero N**(k-1) times N: so many
+products of len(N) terms are priced up front.  Its numbers are checked as
+they are formed (`valuation.printable`): c0**n, then each nonzero N**k and
+C(n, k) c0**(n-k).  A class of one term c a^e, such as the first Chern
+class of a twist on one factor, skips the sum: its power, one product, is
+c**n a^(n e), or zero once n e passes a factor dimension, and c**n is
+checked only for the constant class (e = 0), where c is c0.
 
 `InvariantSubring` is the part of the ring that permuting equal factors
 fixes, on the basis of orbit sums of monomials, each keyed by the sorted
@@ -37,26 +37,28 @@ constant on each group or in orbits of single-factor twists: `stong`'s
 expansions run there, and the full ring is their second route.
 
 Only sums of line bundles appear as bundles: every bundle computed with
-here splits into such a sum.  The Newton class p_n is the signed sum of
-the n-th powers of the summands' first Chern classes, so the trivial
-twist, a zero root, takes no power.  The Conner-Floyd class c_I is the
-monomial symmetric function m_I of the Chern roots: `symfun` expands m_I
-in the power sums, and p_k evaluates to the Newton class, which is
-additive, so a negative summand needs no inverse series.
+here splits into such a sum, of twists t with signed counts s_t.  The
+Newton class p_n is the signed sum of the n-th powers of the summands'
+first Chern classes c_t, so the trivial twist, a zero root, takes no
+power.  The Conner-Floyd class c_I, m_I of the Chern roots, is the b^I
+coefficient of the generating function, the product of B(c_t)**s_t with
+B(y) = 1 + sum b_j y^j (Adams 1974, Part II): each factor is a binomial
+series over Z, finite in the truncated ring, so no Fraction and no
+inverse series arise, and only b_j for the parts j of I are kept.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import compress
-from math import comb, lcm, prod
-from operator import gt, lshift
+from functools import lru_cache, partial, reduce
+from itertools import compress, groupby, product
+from math import comb, prod
+from operator import gt, lshift, mul
 
 from . import _sparse
 from ._record import Record
 from .partitions import Partition
 from .space import ProjProduct
-from .valuation import MAX_DIGITS, printable
+from .valuation import MAX_DIGITS, multinomial, printable
 
 # Key-field operations of one product, power or expansion (module
 # docstring): 2**22 of them take 0.8-1.4 s of CPU whatever the operation
@@ -483,32 +485,44 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
 
 
 def cf_chern(v: VirtualBundle, I) -> ChowClass:
-    """Conner-Floyd class c_I(v): m_I of the Chern roots, expanded in the
-    power sums over Z, with p_k evaluated at the Newton class of v."""
-    # symfun's only use in this module: a caller that takes no Conner-Floyd
-    # class does not load it
-    from . import symfun
-
-    I = Partition(I)
-    if I.weight > v.space.total_dimension:
-        return ChowClass.zero(v.space)
-    in_p = symfun.convert(symfun.SymFn.basis_element(I), "power-sum").coeffs
-    denominator = lcm(*(c.denominator for c in in_p.values()))
-    newton = {k: newton_class(v, k) for k in set().union(*in_p)}
-    products = {(): ChowClass.one(v.space)}
-
-    def product(lam: tuple) -> ChowClass:
-        # built from lam without its smallest part, so products share prefixes
-        if lam not in products:
-            products[lam] = product(lam[:-1]) * newton[lam[-1]]
-        return products[lam]
-
-    terms = (
-        (e, c * int(q * denominator)) for lam, q in in_p.items() for e, c in product(lam).coeffs.items()
-    )
-    coeffs = _sparse.collect(terms)
-    for e, c in coeffs.items():
-        coeffs[e], remainder = divmod(c, denominator)
-        if remainder:
-            raise ArithmeticError(f"c_{tuple(I)} has a coefficient {c}/{denominator}")
-    return ChowClass._trusted(space=v.space, coeffs=coeffs)
+    """Conner-Floyd class c_I(v), the b^I coefficient of the generating
+    function (module docstring), with one more factor b_p per distinct
+    part p of I, truncated above its multiplicity k_p: the prod(k_p + 1)
+    b-monomials are priced on every factor before any term is built."""
+    I, space, m = Partition(I), v.space, v.space.factor_count
+    if I.weight > space.total_dimension:
+        return ChowClass.zero(space)
+    bounds = list(map(I.count, parts := sorted(set(I))))  # k_p for each distinct part p
+    size, dims = prod(k + 1 for k in bounds), space.dims + tuple(bounds)
+    check_work(size * len(dims), "b-truncation of {} monomials on {} factors", size, len(dims))
+    shifts, mask, _, _ = layout = _layout(dims)
+    bits = shifts.step * m  # a key's b-monomial is the key >> bits
+    # each b^J as (its packed key, |J|, its weight, |J|!/prod J_p!)
+    monomials = [(sum(map(lshift, J, shifts[m:])), sum(J), sum(map(mul, J, parts)), multinomial(sum(J), J))
+                 for J in product(*[range(k + 1) for k in bounds])]
+    factors = []
+    for twist, s in v.signed_twists().items():
+        if not s or not any(twist):  # B(0)**s is 1
+            continue
+        # c**w from c**(w-1), up to the weight of I or the first zero
+        c, powers, spent = _sparse.pack(_linear(space, twist).coeffs, shifts), [{0: 1}], 0
+        while len(powers) <= I.weight and powers[-1]:
+            power, spent = _mul(powers[-1], c, layout, spent)
+            if power and not printable(max(map(abs, power.values()))):
+                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+            powers.append(power)
+        # B(c)**s, with C(s, r) = (-1)**r C(r - s - 1, r) for s < 0; |J| <= its weight
+        binomials = [comb(s, r) if s > 0 else (-1) ** r * comb(r - s - 1, r) for r in range(len(powers))]
+        factors.append({key + e: a * x for key, r, w, n in monomials
+                        if w < len(powers) and (a := n * binomials[r]) for e, x in powers[w].items()})
+    *factors, last = factors or [{0: 1}]
+    others = reduce(lambda a, b: _mul(a, b, layout)[0], factors, {0: 1})
+    # the last factor meets only the terms whose b-monomials complete b^I
+    first, second = ({j: dict(g) for j, g in groupby(sorted(f.items()), lambda t: t[0] >> bits)}
+                     for f in (others, last))
+    top = sum(map(lshift, bounds, shifts))
+    pairs = [(a, b) for j, a in first.items() if (b := second.get(top - j))]
+    work = sum(len(a) * len(b) for a, b in pairs) * len(dims)
+    check_work(work, "b^I coefficient of {} x {} terms on {} factors", len(others), len(last), len(dims))
+    terms = [t for a, b in pairs for t in _mul(a, b, layout)[0].items()]
+    return ChowClass._trusted(space, _sparse.unpack(_sparse.collect(terms), shifts[:m], mask))

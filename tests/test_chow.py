@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import _sparse, chow, stong
+from cobcalc import _sparse, chow, stong, symfun
 from cobcalc.chow import (
     MAX_WORK,
     ChowClass,
@@ -824,6 +824,17 @@ class TestConnerFloyd:
                         acc = acc + c1 * sw[rest]
                 assert both.get(Partition(I), ChowClass.zero(space)) == acc
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_power_sum_route(self, data):
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), "dims"))
+        twists = st.tuples(*[st.integers(-2, 2)] * len(dims))
+        terms = data.draw(st.lists(st.builds(LineTerm, st.sampled_from((1, -1)), twists), max_size=4), "terms")
+        v = VirtualBundle(ProjProduct(dims), tuple(terms))
+        for t in range(v.space.total_dimension + 1):
+            for I in enumerate_partitions(t):
+                assert cf_chern(v, I) == _cf_by_power_sums(v, I), I
+
     def test_group_homomorphism_telescopes(self):
         rng = random.Random(17)
         space = ProjProduct((2, 1))
@@ -832,6 +843,22 @@ class TestConnerFloyd:
             series = _cf_series(v + (-v), 4)
             assert set(series) == {Partition()}
             assert series[Partition()] == ChowClass.one(space)
+
+
+def _cf_by_power_sums(v, I):
+    """Oracle for any signed bundle: m_I expanded in the power sums over Q
+    by `symfun.convert`, p_k evaluated at the Newton class of v, which is
+    additive, and the sum over a common denominator divided out exactly."""
+    in_p = symfun.convert(symfun.SymFn.basis_element(Partition(I)), "power-sum").coeffs
+    denominator = math.lcm(*(q.denominator for q in in_p.values()))
+    total = ChowClass.zero(v.space)
+    for lam, q in in_p.items():
+        term = ChowClass.one(v.space)
+        for k in lam:
+            term = term * newton_class(v, k)
+        total = total + term.scale(int(q * denominator))
+    assert all(c % denominator == 0 for c in total.coeffs.values())
+    return ChowClass(v.space, {e: c // denominator for e, c in total.coeffs.items()})
 
 
 def _cf_series(v, cap):

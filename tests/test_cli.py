@@ -821,13 +821,43 @@ class TestChowCommand:
         path.write_text(json.dumps({"space": [1, 1], "expr": expr}))
         assert run(capsys, "chow", "--input", str(path)) == (2, "", f"error: {message}\n")
 
-    def test_cf_above_the_conversion_cap_is_refused(self, capsys, tmp_path):
+    def test_cf_of_one_part_above_weight_40_is_the_newton_class(self, capsys, tmp_path):
+        # c_(41) is the Newton class p_41: 42 copies of a^41 and a trivial twist
         payload = {"space": [41], "expr": {"op": "cf", "bundle": "tangent", "partition": [41]}}
         path = tmp_path / "expr.json"
         path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "chow", "--input", str(path))
+        assert code == 0
+        assert json.loads(out) == {"space": [41], "class": [{"exponents": [41], "coeff": "42"}]}
+
+    def test_cf_of_forty_ones_is_the_euler_characteristic(self):
+        # deg c_(1^40)(T P^40) = chi(P^40); the power-sum route took 186 s and 5 GB
+        cf = {"op": "cf", "bundle": "tangent", "partition": [1] * 40}
+        done = run_chow_process({"space": [40], "expr": {"op": "deg", "of": cf}})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {"space": [40], "deg": "41"}
+
+    def test_cf_whose_b_truncation_passes_the_limit_is_refused_at_once(self, capsys, tmp_path):
+        # I = (1, 2, ..., 20) has weight 210: 2**20 b-monomials on 21 factors
+        payload = {"space": [210], "expr": {"op": "cf", "bundle": "tangent", "partition": list(range(1, 21))}}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        start = time.process_time()
         code, out, err = run(capsys, "chow", "--input", str(path))
+        assert time.process_time() - start < 1.0
         assert code == 2 and out == ""
-        assert err == "error: weight 41 exceeds cap 40\n"
+        assert err == (
+            "error: b-truncation of 1048576 monomials on 21 factors has predicted work 22020096, "
+            f"above the limit {chow.MAX_WORK}\n"
+        )
+
+    def test_cf_of_a_huge_twist_is_refused_by_its_coefficients(self, capsys, tmp_path):
+        bundle = {"terms": [{"twist": [10**200]}]}
+        payload = {"space": [40], "expr": {"op": "cf", "partition": [40], "bundle": bundle}}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert (code, out, err) == (2, "", "error: a coefficient has over 4300 digits\n")
 
     @pytest.mark.parametrize("m", [501, 50_000])
     def test_factor_count_above_the_limit_is_refused_before_any_class(self, capsys, tmp_path, m):

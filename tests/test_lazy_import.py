@@ -61,6 +61,14 @@ def test_counting_commands_skip_the_rings(argv):
     assert not loaded_by_main(argv) & HEAVY
 
 
+def test_cf_skips_symmetric_functions(tmp_path):
+    # a Conner-Floyd class comes from its generating function, not from m_I in power sums
+    cf = {"op": "cf", "bundle": "tangent", "partition": [2, 1, 1]}
+    (tmp_path / "cf.json").write_text(json.dumps({"space": [2, 2], "expr": cf}))
+    loaded = loaded_by_main(["chow", "--input", str(tmp_path / "cf.json")])
+    assert "cobcalc.chow" in loaded and "cobcalc.symfun" not in loaded
+
+
 def test_snumbers_skips_symmetric_functions():
     loaded = loaded_by_main(["snumbers", "--prime", "3", "--max-d", "5"])
     assert "cobcalc.stong" in loaded and "cobcalc.symfun" not in loaded
