@@ -15,10 +15,10 @@ field sets its top (guard) bit exactly when the exponent sum exceeds n_i
 Work is counted in key-field operations, one field of one packed key
 touched by a term pair of a product or an orbit of a push step, and every
 operation refuses more than MAX_WORK before the work it prices
-(`check_work`): a product its term pairs times factor count, a power the
-sum of its products, `cf_chern` its b-truncation, `stong`'s expansions
-their invariant rank times factor count.  A power (c0 + N)**n, c0 the
-degree-0 coefficient and N the nilpotent rest, is the binomial sum of
+(`check_work`): a product its term pairs times factor count, a power or
+`cf_chern` the sum of its steps, `stong`'s expansions their invariant
+rank times factor count.  A power (c0 + N)**n, c0 the degree-0
+coefficient and N the nilpotent rest, is the binomial sum of
 C(n, k) c0**(n-k) N**k, collected once on packed keys, in at most
 `ChowClass.power_steps` products, each a nonzero N**(k-1) times N: so many
 products of len(N) terms are priced up front.  Its numbers are checked as
@@ -39,18 +39,16 @@ expansions run there, and the full ring is their second route.
 Only sums of line bundles appear as bundles: every bundle computed with
 here splits into such a sum, of twists t with signed counts s_t.  The
 Newton class p_n is the signed sum of the n-th powers of the summands'
-first Chern classes c_t, so the trivial twist, a zero root, takes no
-power.  The Conner-Floyd class c_I, m_I of the Chern roots, is the b^I
-coefficient of the generating function, the product of B(c_t)**s_t with
-B(y) = 1 + sum b_j y^j (Adams 1974, Part II): each factor is a binomial
-series over Z, finite in the truncated ring, so no Fraction and no
-inverse series arise, and only b_j for the parts j of I are kept.
+first Chern classes c_t, so the trivial twist takes no power.  The
+Conner-Floyd class c_I, m_I of the Chern roots, is the b^I coefficient of
+the product of B(c_t)**s_t, B(y) = 1 + sum b_j y^j (Adams 1974, Part II):
+binomial series over Z, with no Fraction and no inverse series.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
-from itertools import compress, groupby, product
+from functools import lru_cache, partial
+from itertools import compress, groupby, islice, product
 from math import comb, prod
 from operator import gt, lshift, mul
 
@@ -134,16 +132,11 @@ class ChowClass(Record):
         check_work(steps * t * m, "power of {} terms in {} products on {} factors", t, steps, m)
         if not printable(c0, n):
             raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
-        # power is N**k and coeff C(n, k) c0**(n-k), each from the one before
-        power, coeff, terms, spent = {0: 1}, c0**n, [], 0
-        for k in range(steps + 1):
-            if k:
-                power, spent = _mul(power, nilpotent, layout, spent)
-                if not power:
-                    break
-                coeff = coeff * (n - k + 1) // (k * c0) if c0 else int(k == n)
-                if not printable(coeff) or not printable(max(map(abs, power.values()))):
-                    raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+        terms = [(0, coeff := c0**n)]  # coeff is C(n, k) c0**(n-k), from the one before
+        for k, (power, _) in enumerate(islice(_powers(nilpotent, layout), steps), 1):
+            coeff = coeff * (n - k + 1) // (k * c0) if c0 else int(k == n)
+            if power and not printable(coeff):  # a zero N**k adds no terms
+                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
             if coeff:
                 terms += [(key, coeff * c) for key, c in power.items()]
         return self._result(_sparse.unpack(_sparse.collect(terms), shifts, mask))
@@ -183,11 +176,11 @@ def _layout(dims: tuple[int, ...]) -> tuple[range, int, int, int]:
 
 def _mul(a: dict, b: dict, layout: tuple, spent: int = 0) -> tuple[dict, int]:
     """Product of two classes on packed keys, without zero coefficients,
-    and its work added to spent, the work of the products before it in a
-    power; refused before any pair is formed when that passes MAX_WORK."""
+    and its work added to spent, the work of the operation before it;
+    refused before any pair is formed when that passes MAX_WORK."""
     m = len(layout[0])
     work = len(a) * len(b) * m
-    before = ", with the power's products before it," if spent else ""
+    before = ", with the work before it," if spent else ""
     check_work(spent + work, "product of {} x {} terms on {} factors{}", len(a), len(b), m, before)
     offset, guard = layout[2], layout[3]
     out: dict = {}
@@ -201,6 +194,16 @@ def _mul(a: dict, b: dict, layout: tuple, spent: int = 0) -> tuple[dict, int]:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
     return _sparse.clean(out), spent + work
+
+
+def _powers(base: dict, layout: tuple, spent: int = 0):
+    """(base**k, work spent so far) for k = 1, 2, ... to the first zero power, checked as formed."""
+    power = {0: 1}
+    while power:
+        power, spent = _mul(power, base, layout, spent)
+        if power and not printable(max(map(abs, power.values()))):
+            raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+        yield power, spent
 
 
 # The push moves found from a group's part of a key are kept, up to this
@@ -485,16 +488,15 @@ def newton_class(v: VirtualBundle, n: int) -> ChowClass:
 
 
 def cf_chern(v: VirtualBundle, I) -> ChowClass:
-    """Conner-Floyd class c_I(v), the b^I coefficient of the generating
-    function (module docstring), with one more factor b_p per distinct
-    part p of I, truncated above its multiplicity k_p: the prod(k_p + 1)
-    b-monomials are priced on every factor before any term is built."""
+    """Conner-Floyd class c_I(v) (module docstring), with a factor b_p per
+    distinct part p of I truncated above its multiplicity k_p, and one work
+    count: b-monomials, powers, each series before it is built, products."""
     I, space, m = Partition(I), v.space, v.space.factor_count
     if I.weight > space.total_dimension:
         return ChowClass.zero(space)
     bounds = list(map(I.count, parts := sorted(set(I))))  # k_p for each distinct part p
     size, dims = prod(k + 1 for k in bounds), space.dims + tuple(bounds)
-    check_work(size * len(dims), "b-truncation of {} monomials on {} factors", size, len(dims))
+    check_work(spent := size * len(dims), "b-truncation of {} monomials on {} factors", size, len(dims))
     shifts, mask, _, _ = layout = _layout(dims)
     bits = shifts.step * m  # a key's b-monomial is the key >> bits
     # each b^J as (its packed key, |J|, its weight, |J|!/prod J_p!)
@@ -504,25 +506,24 @@ def cf_chern(v: VirtualBundle, I) -> ChowClass:
     for twist, s in v.signed_twists().items():
         if not s or not any(twist):  # B(0)**s is 1
             continue
-        # c**w from c**(w-1), up to the weight of I or the first zero
-        c, powers, spent = _sparse.pack(_linear(space, twist).coeffs, shifts), [{0: 1}], 0
-        while len(powers) <= I.weight and powers[-1]:
-            power, spent = _mul(powers[-1], c, layout, spent)
-            if power and not printable(max(map(abs, power.values()))):
-                raise ValueError(f"a coefficient has over {MAX_DIGITS} digits")
+        powers, c = [{0: 1}], _sparse.pack(_linear(space, twist).coeffs, shifts)
+        for power, spent in islice(_powers(c, layout, spent), I.weight):  # c**w up to the weight of I
             powers.append(power)
         # B(c)**s, with C(s, r) = (-1)**r C(r - s - 1, r) for s < 0; |J| <= its weight
         binomials = [comb(s, r) if s > 0 else (-1) ** r * comb(r - s - 1, r) for r in range(len(powers))]
-        factors.append({key + e: a * x for key, r, w, n in monomials
-                        if w < len(powers) and (a := n * binomials[r]) for e, x in powers[w].items()})
-    *factors, last = factors or [{0: 1}]
-    others = reduce(lambda a, b: _mul(a, b, layout)[0], factors, {0: 1})
+        series = [(key, a, powers[w]) for key, r, w, n in monomials if w < len(powers) and (a := n * binomials[r])]
+        work = sum(len(power) for _, _, power in series)
+        check_work(spent := spent + work * len(dims), "series of {} terms, with the work before it,", work)
+        factors.append({key + e: a * x for key, a, power in series for e, x in power.items()})
+    others, *factors, last = [{0: 1}] * (2 - len(factors)) + factors  # at least two, padded by 1
+    for factor in factors:
+        others, spent = _mul(others, factor, layout, spent)
     # the last factor meets only the terms whose b-monomials complete b^I
     first, second = ({j: dict(g) for j, g in groupby(sorted(f.items()), lambda t: t[0] >> bits)}
                      for f in (others, last))
     top = sum(map(lshift, bounds, shifts))
     pairs = [(a, b) for j, a in first.items() if (b := second.get(top - j))]
-    work = sum(len(a) * len(b) for a, b in pairs) * len(dims)
-    check_work(work, "b^I coefficient of {} x {} terms on {} factors", len(others), len(last), len(dims))
+    work = spent + sum(len(a) * len(b) for a, b in pairs) * len(dims)
+    check_work(work, "b^I coefficient of {} x {} terms, with the work before it,", len(others), len(last))
     terms = [t for a, b in pairs for t in _mul(a, b, layout)[0].items()]
     return ChowClass._trusted(space, _sparse.unpack(_sparse.collect(terms), shifts[:m], mask))

@@ -561,7 +561,7 @@ class TestProductLimit:
         assert len((alpha(Y) ** 2).coeffs) == 4950
         with pytest.raises(
             ValueError,
-            match="4950 x 100 terms on 100 factors, with the power's products before it, has predicted work 50510000",
+            match="4950 x 100 terms on 100 factors, with the work before it, has predicted work 50510000",
         ):
             alpha(Y) ** 3
 
@@ -781,6 +781,17 @@ class TestConnerFloyd:
         assert cf_chern(v, (1, 1)).coeffs == {(2,): 1}
         assert cf_chern(v, (2, 1)).coeffs == {(3,): 2}
         assert cf_chern(v, (1, 1, 1)).coeffs == {(3,): -1}
+
+    def test_work_is_summed_over_the_twists(self, monkeypatch):
+        # each twist alone takes 120 units: its b-truncation, powers and
+        # series; the four together 498, refused once the sum passes 200
+        space, I = ProjProduct((3, 3)), (1,) * 6
+        twists = [(1, 1), (1, 2), (2, 1), (1, -1)]
+        monkeypatch.setattr(chow, "MAX_WORK", 200)
+        for t in twists:
+            cf_chern(line_bundle(space, t), I)
+        with pytest.raises(ValueError, match="with the work before it, has predicted work .*, above the limit 200$"):
+            cf_chern(VirtualBundle(space, tuple(LineTerm(1, t) for t in twists)), I)
 
     def test_positive_bundles_against_assignment_oracle(self):
         rng = random.Random(19)

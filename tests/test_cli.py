@@ -851,6 +851,23 @@ class TestChowCommand:
             f"above the limit {chow.MAX_WORK}\n"
         )
 
+    def test_cf_whose_series_passes_the_limit_is_refused_before_it_is_built(self, capsys, tmp_path):
+        # the b-truncation (2**17 monomials on 19 factors) and the powers of
+        # a1 + a2 fit; the series of B(a1 + a2)**-1, every b-monomial times
+        # every term of (a1 + a2)**w, would hold millions of terms
+        bundle = {"terms": [{"sign": -1, "twist": [1, 1]}]}
+        payload = {"space": [80, 80], "expr": {"op": "cf", "partition": list(range(1, 18)), "bundle": bundle}}
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(payload))
+        start = time.process_time()
+        code, out, err = run(capsys, "chow", "--input", str(path))
+        assert time.process_time() - start < 3.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: series of 8358944 terms, with the work before it, has predicted work 161558254, "
+            f"above the limit {chow.MAX_WORK}\n"
+        )
+
     def test_cf_of_a_huge_twist_is_refused_by_its_coefficients(self, capsys, tmp_path):
         bundle = {"terms": [{"twist": [10**200]}]}
         payload = {"space": [40], "expr": {"op": "cf", "partition": [40], "bundle": bundle}}
@@ -1056,7 +1073,7 @@ class TestChowCommand:
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (
-            "error: pow: product of 2048 x 2 terms on 1 factors, with the power's products before it, "
+            "error: pow: product of 2048 x 2 terms on 1 factors, with the work before it, "
             f"has predicted work 4196352, above the limit {chow.MAX_WORK}\n"
         )
         assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 3.0
