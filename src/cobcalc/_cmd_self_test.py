@@ -37,7 +37,7 @@ def power_ops_agree(ell: int) -> bool:
             for i, f in pairs
         )
     except ArithmeticError:
-        # the oracle's own divisibility or symmetry check failed
+        # the oracle's own check failed: an orbit raise broke its count at x = (1, ..., 1)
         return False
 
 

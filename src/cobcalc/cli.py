@@ -115,8 +115,6 @@ def _print(text: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .partitions import PREDICATES
-
     parser = argparse.ArgumentParser(
         prog="cobcalc",
         description="Exact calculator for characteristic numbers, valuations, "
@@ -173,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--weight", type=int)
     mode.add_argument("--is-even", metavar="PARTS", help='e.g. "4,2"')
     mode.add_argument("--is-ladic", metavar="PARTS", help='e.g. "8,4"')
-    p.add_argument("--predicate", choices=PREDICATES, help="with --weight; default: all")
+    # partitions.PREDICATES, spelled out so that no other command compiles partitions
+    p.add_argument("--predicate", choices=("all", "even", "even-non-ladic"), help="with --weight; default: all")
     p.add_argument("--prime", type=int, help="with --is-ladic or even-non-ladic; default: 3")
 
     p = command("u-to-b", "_cmd_symfun", "b-polynomial of an even partition")
@@ -216,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         # a failed internal check, such as a Conner-Floyd coefficient that
-        # is not integral or an oracle's divisibility or symmetry check
+        # is not integral or the power-operation oracle's count at x = 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -51,34 +51,30 @@ their monomials.  A zero input, and an untwisted index above weight(f),
 return zero before anything is sized or priced, so the work never grows
 with such an index.
 
-`power_op_oracle` recomputes the twisted action for differential testing:
-it expands f in an explicit number r of roots with the engine of
-`expand_in_vars`, the definitional oracle of the basis conversions, and
-applies the total operation term by term to root polynomials held as
-dicts, packed key -> coefficient.  A key is an exponent vector packed by
-`_sparse`, root m in field m, whose top bit is a guard that stays clear;
-the expansion arrives packed.  Multiplying by e_r adds 1 to every field,
-and raising root m by k steps of ell - 1 is one integer addition.  A
-term's raises are read from a table by exponent, and each completes the
-partial raises of the roots before it, so each root monomial of the
-graded piece costs one dict update.  The piece is left unreduced, and
-the division pass reduces each coefficient mod ell as it reads it,
-skipping the terms that vanish, so a call holds one dict of the piece,
-not a raw and a reduced copy.  Two
-checks guard the result, each one word-parallel subtraction per nonzero
-term with all guard bits set first, and a failed one raises
-ArithmeticError: the division by e_r needs every field at least 1, and the
-quotient must be symmetric, its sorted representatives (fields that never
-rise) having orbits that account for every nonzero term.
+`power_op_oracle` recomputes the twisted action for differential testing
+in an explicit number r of roots, sharing none of the fast path.  A
+symmetric root polynomial is fixed by its coefficients on the monomial
+orbit sums (Macdonald I §2), so it is held as a dict keyed by one sorted
+representative per orbit, a descending r-tuple, and no orbit is formed:
+its cost is the number of partitions, not of root monomials.  One routine,
+`_orbit_raise`, spreads raises over a representative's groups of equal
+slots and counts the arrangements of each split.  It writes f in these
+coordinates, each factor b_j = e_j raising j slots once, multiplies by e_r
+(1 added to every slot), takes the index-2t piece over Z (slots raised by
+steps of ell - 1 at binomial factors), divides by e_r, and converts back
+through `symfn_to_bpoly`.  Each raise is checked at x = (1, ..., 1): a
+term of degree d gives C(r, j) in all under e_j, and C(d, t) under the
+piece (Vandermonde); a failure raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import comb, factorial, prod
 
 from ._sparse import clean, layout, pack, unpack
-from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, _expand_packed, bpoly_to_symfn, symfn_to_bpoly
+from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, symfn_to_bpoly
 from .valuation import _require_odd_prime, multinomial
 
 WEIGHT_CAP = 60
@@ -270,7 +266,7 @@ def power_op_untwisted(i: int, f: BPoly, ell: int) -> BPoly:
 
 
 # ---------------------------------------------------------------------------
-# oracle path: literal root expansion with explicit root count
+# oracle path: root polynomials in an explicit number of roots, by orbit
 # ---------------------------------------------------------------------------
 
 
@@ -345,43 +341,67 @@ def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
     return unpack(clean(out, ell), lay[0], lay[1])
 
 
-def _divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
-    """Divide the packed root polynomial p exactly by e_r and collect the
-    quotient into monomial-symmetric coordinates (descending tuples of
-    parts).  With ell given, each coefficient is reduced mod ell as it is
-    read, and a term that vanishes is skipped and not counted, so an
-    unreduced p needs no reduced copy.
-    Both checks run on every term that remains.  Division subtracts 1
-    from every field, so it needs every field at least 1: with all guard
-    bits set, subtracting ones borrows from no guard.  It keeps the number
-    of terms and the order of the fields, so only the sorted
-    representatives are divided and unpacked: field m minus field m+1 (the
-    key shifted down one field) borrows from no guard exactly when the
-    exponents never rise.  The orbits of the representatives must account
-    for every term, or the quotient is not symmetric."""
-    shifts, mask, guard = lay
-    w = mask.bit_length()
-    ones = guard >> (w - 1)
-    quotient, count = {}, 0
-    for key, c in p.items():
-        if ell is not None and not (c := c % ell):
-            continue
-        count += 1
-        high = key | guard
-        if (high - ones) & guard != guard:
-            raise ArithmeticError("graded piece not divisible by e_r")
-        if (high - (key >> w)) & guard == guard:
-            quotient[key - ones] = c
-    quotient = unpack(quotient, shifts, mask)
-    if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != count:
-        raise ArithmeticError("root polynomial is not symmetric")
-    return {tuple(x for x in e if x): c for e, c in quotient.items()}
+def _orbit_raise(reps: dict, total: int, step: int, weight, kmax: int) -> dict:
+    """Raise the slots of a symmetric root polynomial, held by its orbit
+    representatives (descending exponent tuples -> coefficient): `total`
+    raises spread over a monomial's slots, a slot of exponent v raised
+    k <= kmax times gaining k*step at the factor weight(v, k), weight(v, 0)
+    being 1.  A representative's n slots of value v split into m_(v,k)
+    slots raised k times; each split gives the representative of its
+    output orbit the product of its factors times prod_u mult(u)! / prod
+    m_(v,k)!, one output monomial's share of the split's arrangements."""
+    out: dict = {}
+    for rep, c in reps.items():
+        splits = [(0, (), c, 1)]  # (raises, raised slots, coefficient, prod m!)
+        for v, n in Counter(rep).items():
+            states = [(*split, n) for split in splits]
+            for k in range(1, kmax + 1):
+                if w := weight(v, k):
+                    states = [
+                        (used + k * m, vals + (v + k * step,) * m, y * w**m, den * factorial(m), left - m)
+                        for used, vals, y, den, left in states
+                        for m in range(min(left, (total - used) // k) + 1)
+                    ]
+            splits = [(used, vals + (v,) * left, y, den * factorial(left)) for used, vals, y, den, left in states]
+        for used, vals, y, den in splits:
+            if used == total:
+                mu = tuple(sorted(vals, reverse=True))
+                out[mu] = out.get(mu, 0) + y * prod(map(factorial, Counter(mu).values())) // den
+    return out
+
+
+def _checked_raise(reps: dict, total: int, step: int, weight, kmax: int, count) -> dict:
+    """`_orbit_raise`, checked at x = (1, ..., 1), where a polynomial is the
+    sum of c |orbit| over its representatives: each monomial of degree d
+    gives count(d) in all, C(r, j) for e_j and C(d, t) for the binomial
+    factors of the index-2t piece (Vandermonde), or ArithmeticError."""
+
+    def at_one(p: dict, shift: int = 0, scale=lambda d: 1) -> dict:
+        by = Counter()
+        for e, c in p.items():
+            by[sum(e) + shift] += c * scale(sum(e)) * multinomial(len(e), list(Counter(e).values()))
+        return {d: n for d, n in by.items() if n}
+
+    out = _orbit_raise(reps, total, step, weight, kmax)
+    if at_one(out) != at_one(reps, total * step, count):
+        raise ArithmeticError("orbit raise fails the Vandermonde count")
+    return out
+
+
+def _orbit_piece(reps: dict, t: int, ell: int) -> dict:
+    """The index-2t piece of the total operation on the symmetric root
+    polynomial with orbit representatives reps, formed over Z on reps times
+    e_r, then divided by e_r, as monomial-symmetric coordinates mod ell."""
+    shifted = {tuple(x + 1 for x in rep): c for rep, c in reps.items()}
+    raised = _checked_raise(shifted, t, ell - 1, comb, t, lambda d: comb(d, t))
+    return {tuple(x - 1 for x in e if x > 1): r for e, c in raised.items() if (r := c % ell)}
 
 
 def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
-    """Twisted action by brute force: expand f * e_r into root monomials,
-    apply the total operation termwise keeping the index-i graded piece,
-    divide exactly by e_r, and re-express symmetrically."""
+    """Twisted action by brute force in r roots, on orbit representatives:
+    write f in m-coordinates, each factor b_j = e_j raising exactly j
+    slots once, take the index-i piece of f * e_r, divide by e_r, and
+    re-express in the generators."""
     f, _ = _prepare(f, ell)
     bound = stability_bound(f, i, ell)
     if r < bound:
@@ -389,13 +409,12 @@ def power_op_oracle(i: int, f: BPoly, ell: int, r: int) -> BPoly:
     if i < 0 or i % 2 == 1:
         # an odd index would need a weight raise no term can realize
         return BPoly.zero(ell)
-    t = i // 2
-    # f's degree in the b's bounds its root exponents; the fields hold the
-    # exponents of f * e_r after the raise
-    degree = max((sum(k for _, k in mono) for mono in f.coeffs), default=0)
-    shifts, mask, guard = lay = layout(r, degree + 1 + t * (ell - 1))
-    # multiply by e_r: add 1 to every field
-    ones = guard >> (mask.bit_length() - 1)
-    shifted = {key + ones: c for key, c in _expand_packed(bpoly_to_symfn(f), shifts).items()}
-    mf = _divide_and_collect(_apply_graded_piece(shifted, t, ell, lay), lay, ell)
-    return symfn_to_bpoly(SymFn(mf, "monomial", ell))
+    reps: dict = {}
+    for mono, c in f.coeffs.items():
+        term = {(0,) * r: c}
+        for j, k in mono:
+            for _ in range(k):
+                term = clean(_checked_raise(term, j, 1, lambda v, k: 1, 1, lambda d: comb(r, j)), ell)
+        for e, c in term.items():
+            reps[e] = reps.get(e, 0) + c
+    return symfn_to_bpoly(SymFn(_orbit_piece(reps, i // 2, ell), "monomial", ell))

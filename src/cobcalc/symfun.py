@@ -121,15 +121,25 @@ def _vars_mul_into(out: dict, a: dict, b: dict) -> None:
             out[key] = get(key, 0) + ca * cb
 
 
-def _expand_packed(f: SymFn, shifts: range) -> dict:
-    """f in the variables t1..tk, k = len(shifts), on packed keys whose
-    fields must hold every exponent (at most f.weight).  A basis element
-    is a product of monomial symmetric functions: m_lam itself, e_lam of
-    the m_(1^s), p_lam of the m_(s).  The terms are grouped by their last
-    factor, and the sum of each group's heads, expanded the same way, is
-    multiplied by that factor once; each distinct factor is expanded once.
-    The sums run on integers, f's coefficients times their common
-    denominator, which is divided out at the end."""
+def expand_in_vars(f: SymFn, k: int) -> dict:
+    """Expand f as a concrete polynomial in variables t1..tk.
+
+    Returns a sparse dict, exponent vector -> coefficient.  Partitions with
+    more parts than k contribute zero.  This is the definitional oracle the
+    basis conversions are tested against; it does not share code with them.
+
+    It runs on packed keys whose fields hold every exponent (at most
+    f.weight).  A basis element is a product of monomial symmetric
+    functions: m_lam itself, e_lam of the m_(1^s), p_lam of the m_(s).  The
+    terms are grouped by their last factor, and the sum of each group's
+    heads, expanded the same way, is multiplied by that factor once; each
+    distinct factor is expanded once.  The sums run on integers, f's
+    coefficients times their common denominator, which is divided out at
+    the end.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    shifts, mask, _ = _sparse.layout(k, f.weight)
     denominator = math.lcm(*(c.denominator for c in f.coeffs.values()))
     terms: dict = {}
     for lam, c in f.coeffs.items():
@@ -159,20 +169,7 @@ def _expand_packed(f: SymFn, shifts: range) -> dict:
     out = expand(terms)
     if denominator > 1:
         out = {key: Fraction(v, denominator) for key, v in out.items()}
-    return _sparse.clean(out, f.modulus)
-
-
-def expand_in_vars(f: SymFn, k: int) -> dict:
-    """Expand f as a concrete polynomial in variables t1..tk.
-
-    Returns a sparse dict, exponent vector -> coefficient.  Partitions with
-    more parts than k contribute zero.  This is the definitional oracle the
-    basis conversions are tested against; it does not share code with them.
-    """
-    if k < 1:
-        raise ValueError("need at least one variable")
-    shifts, mask, _ = _sparse.layout(k, f.weight)
-    return _sparse.unpack(_expand_packed(f, shifts), shifts, mask)
+    return _sparse.unpack(_sparse.clean(out, f.modulus), shifts, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_criterion_3_oracle_equivalence(capsys):
 
 def test_criterion_4_power_operations(capsys):
     started = time.perf_counter()
-    # differential test: fast path against the literal-root oracle
+    # differential test: fast path against the root oracle on orbit representatives
     for ell in (3, 5):
         for j in range(1, 5):
             f = BPoly.generator(j, ell)

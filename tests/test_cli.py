@@ -1462,6 +1462,13 @@ class TestDispatch:
             cli.main(["snumbers", "--max-d", "3"])
         assert exc.value.code == 2
 
+    def test_predicate_choices_are_the_partition_predicates(self):
+        from cobcalc import partitions
+
+        (commands,) = cli.build_parser()._subparsers._group_actions
+        predicate = commands.choices["partition-tools"]._option_string_actions["--predicate"]
+        assert predicate.choices == partitions.PREDICATES
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(
@@ -1496,7 +1503,7 @@ class TestDispatch:
         from cobcalc import steenrod
 
         def failing(*args):
-            raise ArithmeticError("root polynomial is not symmetric")
+            raise ArithmeticError("orbit raise fails the Vandermonde count")
 
         # an exception escaping main would print a traceback and exit 1
         monkeypatch.setattr(steenrod, "power_op_oracle", failing)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -13,15 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobcalc import chow
+from cobcalc import chow, steenrod
 from cobcalc._sparse import clean, layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
     _apply_graded_piece,
     _decode,
-    _divide_and_collect,
     _add_product,
     _monomial_op,
+    _orbit_piece,
     _packed_piece,
     power_op,
     power_op_oracle,
@@ -30,6 +32,7 @@ from cobcalc.steenrod import (
     total_power_on_monomial,
 )
 from cobcalc.symfun import BPoly, SymFn, symfn_to_bpoly
+from cobcalc.valuation import multinomial
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -178,6 +181,18 @@ class TestDifferential:
         got = power_op(2, f, 3)
         assert got == power_op_oracle(2, f, 3, stability_bound(f, 2, 3))
         assert len(got.coeffs) == 4 and got.is_homogeneous() and got.weight == 32
+
+    @pytest.mark.parametrize("ell, top", [(3, 8), (5, 6)])
+    def test_fast_equals_oracle_on_every_monomial(self, ell, top):
+        # every b-monomial of half-weight <= top, the unit included
+        calls = 0
+        for n in range(top + 1):
+            for lam in enumerate_partitions(n):
+                f = partition_to_bmono(lam, ell)
+                for i in (2, 4, 6):
+                    assert power_op(i, f, ell) == power_op_oracle(i, f, ell, stability_bound(f, i, ell)), (lam, i)
+                    calls += 1
+        assert calls == {3: 201, 5: 90}[ell]
 
     def test_oracle_p0_round_trips(self):
         f = bmono((2, 2), ell=3)
@@ -596,6 +611,39 @@ def _golden_case(key):
     return int(op[1:]), tuple(pairs), int(ell)
 
 
+def divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
+    """The literal route's last step: divide the packed root polynomial p
+    exactly by e_r and collect the quotient into monomial-symmetric
+    coordinates (descending tuples of parts).  With ell given, each
+    coefficient is reduced mod ell as it is read, and a term that vanishes
+    is skipped and not counted, so an unreduced p needs no reduced copy.
+    Both checks run on every term that remains.  Division subtracts 1
+    from every field, so it needs every field at least 1: with all guard
+    bits set, subtracting ones borrows from no guard.  It keeps the number
+    of terms and the order of the fields, so only the sorted
+    representatives are divided and unpacked: field m minus field m+1 (the
+    key shifted down one field) borrows from no guard exactly when the
+    exponents never rise.  The orbits of the representatives must account
+    for every term, or the quotient is not symmetric."""
+    shifts, mask, guard = lay
+    w = mask.bit_length()
+    ones = guard >> (w - 1)
+    quotient, count = {}, 0
+    for key, c in p.items():
+        if ell is not None and not (c := c % ell):
+            continue
+        count += 1
+        high = key | guard
+        if (high - ones) & guard != guard:
+            raise ArithmeticError("graded piece not divisible by e_r")
+        if (high - (key >> w)) & guard == guard:
+            quotient[key - ones] = c
+    quotient = unpack(quotient, shifts, mask)
+    if sum(multinomial(len(e), list(Counter(e).values())) for e in quotient) != count:
+        raise ArithmeticError("root polynomial is not symmetric")
+    return {tuple(x for x in e if x): c for e, c in quotient.items()}
+
+
 class TestPackedOracle:
     def test_recorded_twisted_answers(self):
         # recorded from the tuple-keyed root expansion at its stability bound
@@ -612,36 +660,36 @@ class TestPackedOracle:
     def test_divisibility_check(self):
         lay = layout(3, 4)
         with pytest.raises(ArithmeticError, match="not divisible"):
-            _divide_and_collect(pack({(2, 0, 1): 1}, lay[0]), lay)
+            divide_and_collect(pack({(2, 0, 1): 1}, lay[0]), lay)
 
     def test_symmetry_check(self):
         lay = layout(2, 3)
         shifts = lay[0]
         with pytest.raises(ArithmeticError, match="not symmetric"):
-            _divide_and_collect(pack({(3, 2): 1}, shifts), lay)
+            divide_and_collect(pack({(3, 2): 1}, shifts), lay)
         # the whole orbit divides to m_(2,1)
         whole = pack({(3, 2): 2, (2, 3): 2}, shifts)
-        assert _divide_and_collect(whole, lay) == {Partition((2, 1)): 2}
+        assert divide_and_collect(whole, lay) == {Partition((2, 1)): 2}
 
     def test_unreduced_terms_that_vanish_are_skipped(self):
         # mod 5: (3, 2) and (2, 3) leave 2 each, and (0, 4), which e_2
         # does not divide, and (1, 4), outside the orbit, vanish
         lay = layout(2, 4)
         p = pack({(3, 2): 7, (2, 3): 12, (0, 4): 10, (1, 4): 5}, lay[0])
-        assert _divide_and_collect(p, lay, 5) == {Partition((2, 1)): 2}
+        assert divide_and_collect(p, lay, 5) == {Partition((2, 1)): 2}
 
     def test_unreduced_nonzero_term_not_divisible(self):
         lay = layout(2, 4)
         p = pack({(3, 2): 7, (2, 3): 12, (0, 4): 11}, lay[0])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            _divide_and_collect(p, lay, 5)
+            divide_and_collect(p, lay, 5)
 
     def test_unreduced_orbits_count_nonzero_residues(self):
         # (2, 3) vanishes mod 5, so (3, 2) alone is an asymmetric remainder,
         # though the dict holds the whole orbit
         lay = layout(2, 4)
         with pytest.raises(ArithmeticError, match="not symmetric"):
-            _divide_and_collect(pack({(3, 2): 2, (2, 3): 5}, lay[0]), lay, 5)
+            divide_and_collect(pack({(3, 2): 2, (2, 3): 5}, lay[0]), lay, 5)
 
     def test_unreduced_graded_piece_divides_as_its_reduction(self):
         # the index-4 piece of (m_(3,1,1,1) + m_(2,2,1,1)) in four roots at
@@ -652,7 +700,7 @@ class TestPackedOracle:
         roots = {e: 1 for base in ((3, 1, 1, 1), (2, 2, 1, 1)) for e in itertools.permutations(base)}
         piece = _apply_graded_piece(pack(roots, lay[0]), t, ell, lay)
         assert any(c % ell == 0 for c in piece.values()) and any(c % ell for c in piece.values())
-        assert _divide_and_collect(piece, lay, ell) == _divide_and_collect(clean(piece, ell), lay)
+        assert divide_and_collect(piece, lay, ell) == divide_and_collect(clean(piece, ell), lay)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_field_of_all_ones_round_trips(self, k):
@@ -665,7 +713,7 @@ class TestPackedOracle:
         # both checks hold at the widest field: the quotient of
         # x1**top x2**top x3 x4 and its orbit is m_(top-1, top-1)
         orbit = set(itertools.permutations((top, top, 1, 1)))
-        got = _divide_and_collect(pack(dict.fromkeys(orbit, 1), shifts), lay)
+        got = divide_and_collect(pack(dict.fromkeys(orbit, 1), shifts), lay)
         assert got == {Partition(tuple(x for x in (top - 1, top - 1) if x)): 1}
 
     def test_one_sorted_representative_per_orbit(self):
@@ -679,12 +727,12 @@ class TestPackedOracle:
             orbit = set(itertools.permutations(e))
             p = pack(dict.fromkeys(orbit, 1), lay[0])
             lam = tuple(x - 1 for x in sorted(e, reverse=True) if x > 1)
-            assert _divide_and_collect(p, lay) == {Partition(lam): 1}
+            assert divide_and_collect(p, lay) == {Partition(lam): 1}
             if len(orbit) > 1:
                 (gone,) = pack({rng.choice(sorted(orbit)): 1}, lay[0])
                 del p[gone]
                 with pytest.raises(ArithmeticError, match="not symmetric"):
-                    _divide_and_collect(p, lay)
+                    divide_and_collect(p, lay)
 
 
 def slot_by_slot_piece(p: dict, t: int, ell: int) -> dict:
@@ -727,6 +775,66 @@ class TestGradedPiece:
         shifts, mask, _ = lay = layout(r, 6 + t * (ell - 1))
         got = _apply_graded_piece(pack(p, shifts), t, ell, lay)
         assert unpack(clean(got, ell), shifts, mask) == slot_by_slot_piece(p, t, ell)
+
+
+@st.composite
+def orbit_polynomials(draw):
+    """(ell, roots, t, reps): a symmetric polynomial in up to 6 roots,
+    exponents up to 6, by its orbit representatives (descending tuples),
+    with index 2t up to 8."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    r = draw(st.integers(1, 6))
+    t = draw(st.integers(0, 4))
+    rep = st.lists(st.integers(0, 6), min_size=r, max_size=r).map(lambda e: tuple(sorted(e, reverse=True)))
+    return ell, r, t, draw(st.dictionaries(rep, st.integers(-30, 30).filter(bool), max_size=8))
+
+
+def literal_piece(reps: dict, r: int, t: int, ell: int) -> dict:
+    """The literal route on reps: every orbit expanded into root monomials
+    times e_r, the graded piece applied term by term, the quotient by e_r
+    collected."""
+    lay = layout(r, 7 + t * (ell - 1))
+    roots = {e: c for rep, c in reps.items() for e in set(itertools.permutations(x + 1 for x in rep))}
+    return divide_and_collect(_apply_graded_piece(pack(roots, lay[0]), t, ell, lay), lay, ell)
+
+
+def factorial_dropped(pattern):
+    """A copy of `_orbit_raise` with the multiplicity factorial at pattern
+    taken out, compiled in the module's namespace."""
+    source = inspect.getsource(steenrod._orbit_raise)
+    assert source.count(pattern) == 1
+    namespace = dict(vars(steenrod))
+    exec(source.replace(pattern, "1"), namespace)
+    return namespace["_orbit_raise"]
+
+
+class TestOrbitRoute:
+    @given(orbit_polynomials())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_literal_route(self, drawn):
+        ell, r, t, reps = drawn
+        assert _orbit_piece(reps, t, ell) == literal_piece(reps, r, t, ell)
+
+    @pytest.mark.parametrize(
+        "pattern", ["factorial(m)", "factorial(left)", "prod(map(factorial, Counter(mu).values()))"]
+    )
+    @pytest.mark.parametrize("j, ell", [(0, 3), (2, 3), (2, 5)])
+    def test_a_dropped_multiplicity_factorial_fails_the_vandermonde_count(self, monkeypatch, pattern, j, ell):
+        f = BPoly.generator(j, ell) if j else BPoly.one(ell)
+        r = stability_bound(f, 4, ell)
+        assert power_op_oracle(4, f, ell, r) == power_op(4, f, ell)
+        monkeypatch.setattr(steenrod, "_orbit_raise", factorial_dropped(pattern))
+        with pytest.raises(ArithmeticError, match="Vandermonde"):
+            power_op_oracle(4, f, ell, r)
+
+    def test_p6_of_b4_at_5_is_quick(self):
+        # the literal expansion wrote 1.1 million root monomials here
+        f = BPoly.generator(4, 5)
+        power_op_oracle(6, f, 5, stability_bound(f, 6, 5))  # the conversion tables, cold
+        started = time.process_time()
+        got = power_op_oracle(6, f, 5, stability_bound(f, 6, 5))
+        assert time.process_time() - started < 0.05
+        assert got == power_op(6, f, 5)
 
 
 def converted_piece(parts, ell, width):
