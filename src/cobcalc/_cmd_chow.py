@@ -118,15 +118,6 @@ def chow_result_to_json(value) -> dict:
     return {"deg": str(value)}
 
 
-def chow_class_from_json(space: chow.ProjProduct, rows: list) -> chow.ChowClass:
-    # rows with equal exponents sum, as in `_cmd_symfun.bpoly_from_json`
-    coeffs: dict = {}
-    for row in rows:
-        exps = tuple(int(x) for x in row["exponents"])
-        coeffs[exps] = coeffs.get(exps, 0) + int(row["coeff"])
-    return chow.ChowClass(space, coeffs)
-
-
 def run_chow(args) -> tuple[dict, bool]:
     if args.input == "-":
         payload = json.load(sys.stdin)

@@ -21,10 +21,6 @@ if TYPE_CHECKING:
     from . import criterion
 
 
-def family_to_json(fam: criterion.CandidateFamily) -> dict:
-    return {"kind": fam.kind, "entries": {str(d): str(fam.entries[d]) for d in sorted(fam.entries)}}
-
-
 def family_from_json(obj) -> criterion.CandidateFamily:
     from . import criterion
 

@@ -23,14 +23,6 @@ def bpoly_to_json(p: BPoly) -> list:
     ]
 
 
-def bpoly_from_json(rows: list, modulus: int | None = None) -> BPoly:
-    coeffs = {}
-    for row in rows:
-        mono = tuple(sorted((int(i), int(k)) for i, k in row["exponents"].items()))
-        coeffs[mono] = coeffs.get(mono, 0) + int(row["coeff"])
-    return BPoly(coeffs, modulus)
-
-
 def parse_b_class(text: str) -> dict:
     """Parse a product like "b1^2*b2" (optionally "3*b1^2*b2") into a
     single-monomial coefficient map."""

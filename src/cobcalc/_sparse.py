@@ -11,10 +11,11 @@ coefficient is an int in [0, l), a Fraction its residue (refused when l
 divides its denominator); over Q an integral Fraction is an int, and
 ChowClass, a ring over Z, refuses any other.
 
-Packed keys (`layout`, `pack`, `unpack`) serve the products of `chow` and
-the literal expansions of `symfun` and `steenrod`: an exponent vector is
-one integer, one field per exponent, so a product's exponents are one
-integer addition.  Python integers have no width limit, nor has a field.
+Packed keys (`layout`, `pack`, `unpack`) serve the products and the
+invariant subring of `chow` and the literal expansion of `symfun`: an
+exponent vector is one integer, one field per exponent, so a product's
+exponents are one integer addition.  Python integers have no width
+limit, nor has a field.
 """
 
 from __future__ import annotations

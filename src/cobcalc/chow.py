@@ -414,10 +414,6 @@ class VirtualBundle(Record):
                 raise ValueError("twist vector length mismatch")
         return cls._trusted(space, terms)
 
-    @property
-    def virtual_rank(self) -> int:
-        return sum(t.sign for t in self.terms)
-
     def __add__(self, other: "VirtualBundle") -> "VirtualBundle":
         if self.space != other.space:
             raise ValueError("ambient space mismatch")
@@ -438,15 +434,6 @@ class VirtualBundle(Record):
         for sign, twist in self.terms:
             signs[twist] = signs.get(twist, 0) + sign
         return signs
-
-    def first_chern(self, term: LineTerm) -> ChowClass:
-        if len(term.twist) != self.space.factor_count:
-            raise ValueError("twist vector length mismatch")
-        return _linear(self.space, term.twist)
-
-
-def line_bundle(space: ProjProduct, twist, sign: int = 1) -> VirtualBundle:
-    return VirtualBundle(space, (LineTerm(sign, tuple(twist)),))
 
 
 def tangent_bundle(space: ProjProduct) -> VirtualBundle:

@@ -77,16 +77,6 @@ class GeneratorVerdict(Record):
         return [r for r in self.rows if not r.passed]
 
 
-def required_valuation_mgl(d: int, ell: int) -> int:
-    """1 when d + 1 is a positive power of ell, else 0."""
-    return int(d + 1 in ell_powers(ell, d + 1))
-
-
-def required_valuation_msp(d: int, ell: int) -> int:
-    """1 when 2d + 1 is a positive power of ell, else 0."""
-    return required_valuation_mgl(2 * d, ell)
-
-
 def _check_family(fam: CandidateFamily, ell: int, d_max: int, exceptional: set) -> GeneratorVerdict:
     """Verdicts for d = 1..d_max at the odd prime ell, already checked, with
     valuation 1 required exactly at the degrees in exceptional.  The rows

@@ -73,7 +73,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from ._sparse import clean, layout, pack, unpack
+from ._sparse import clean
 from .symfun import DEFAULT_WEIGHT_CAP, BPoly, SymFn, symfn_to_bpoly
 from .valuation import _require_odd_prime, multinomial
 
@@ -277,68 +277,22 @@ def stability_bound(f: BPoly, i: int, ell: int) -> int:
     return max(1, f.weight // 2 + (max(i, 0) * (ell - 1) + 1) // 2)
 
 
-def _apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
-    """Index-2t piece of the total operation applied to the packed root
-    polynomial p: raise slots by t steps in all, each at most once, a slot
-    of exponent a raised k times gaining k*(ell-1) at the factor C(a, k),
-    from a table by exponent built by Pascal's rule mod ell.  One pass over
-    a term's slots completes, at each slot, the partial raises of the slots
-    before it straight into the output, one dict update per root monomial
-    of the piece.  The coefficients are left unreduced, some 0 mod ell:
-    callers reduce them."""
-    if t == 0:
-        return p
-    shifts, mask, _ = lay
-    row, raises = [1] + [0] * t, []
-    for _ in range(mask // 2 + 1):  # the guard bit of a field stays clear
-        raises.append(tuple((k, k * (ell - 1), b) for k, b in enumerate(row) if k and b))
-        row = [1] + [(x + y) % ell for x, y in zip(row[1:], row)]
-    partial = [tuple(r for r in opts if r[0] < t) for opts in raises]
-    middle = range(t - 2, 0, -1)
-    out: dict = {}
-    get = out.get
-    for key, c in p.items():
-        levels = [[] for _ in range(t)]  # levels[u]: (key, coefficient) raised u steps
-        for s in shifts:
-            a = key >> s & mask
-            for k, d, b in raises[a]:
-                d <<= s
-                if k == t:
-                    z = key + d
-                    out[z] = get(z, 0) + c * b
-                    continue
-                for x, y in levels[t - k]:
-                    z = x + d
-                    out[z] = get(z, 0) + y * b
-            # the slot's partials, built from the levels before they take it
-            opts = partial[a]
-            for used in middle:
-                if src := levels[used]:
-                    for k, d, b in opts:
-                        if used + k >= t:
-                            break
-                        d <<= s
-                        levels[used + k] += [(x + d, y * b) for x, y in src]
-            for k, d, b in opts:
-                levels[k].append((key + (d << s), c * b))
-    return out
-
-
 def total_power_on_monomial(mono: tuple[int, ...], ell: int) -> dict:
     """Total operation on a root monomial: prod_m (x_m + x_m**ell)**a_m,
-    expanded mod ell as a dict exponent vector -> coefficient: the sum of
-    its graded pieces.  The piece raising the weight by 2t(ell-1) is the
-    index-2t operation; no odd-index piece occurs."""
+    expanded mod ell as a dict exponent vector -> coefficient, each slot
+    by the binomial theorem, (x + x**ell)**a = sum_k C(a, k)
+    x**(a + k(ell-1)), its terms with C(a, k) = 0 mod ell dropped.  The
+    terms that raise the weight by 2t(ell-1) form the index-2t operation;
+    no odd-index piece occurs."""
     _require_odd_prime(ell)
     mono = tuple(mono)
     if any(a < 0 for a in mono):
         raise ValueError("exponents must be nonnegative")
-    lay = layout(len(mono), max(mono, default=0) * ell)
-    packed = pack({mono: 1}, lay[0])
-    out: dict = {}
-    for t in range(sum(mono) + 1):
-        out.update(_apply_graded_piece(packed, t, ell, lay))
-    return unpack(clean(out, ell), lay[0], lay[1])
+    out = {(): 1}
+    for a in mono:
+        row = [(a + k * (ell - 1), b) for k in range(a + 1) if (b := comb(a, k) % ell)]
+        out = {e + (x,): c * b % ell for e, c in out.items() for x, b in row}
+    return out
 
 
 def _orbit_raise(reps: dict, total: int, step: int, weight, kmax: int) -> dict:

@@ -162,9 +162,6 @@ class LadicDigits(Record):
     def value(self) -> int:
         return sum(d * self.prime**i for i, d in enumerate(self.digits))
 
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
 
 def ladic_digits(n: int, ell: int) -> LadicDigits:
     _require_odd_prime(ell)

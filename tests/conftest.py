@@ -1,3 +1,6 @@
+from cobcalc.chow import LineTerm, VirtualBundle
+
+
 def pentagonal_partition_counts(n: int) -> list[int]:
     """Oracle: Euler's pentagonal-number recurrence for p(0..n)."""
     p = [1] + [0] * n
@@ -19,3 +22,8 @@ def pentagonal_partition_counts(n: int) -> list[int]:
 
 
 PARTITION_COUNTS = pentagonal_partition_counts(100)
+
+
+def line_bundle(space, twist, sign: int = 1) -> VirtualBundle:
+    """The virtual bundle of one signed line bundle on space."""
+    return VirtualBundle(space, (LineTerm(sign, tuple(twist)),))

@@ -145,6 +145,11 @@ class TestSnumbers:
         assert fam == stong_family(3, 8)
 
 
+def family_to_json(fam: CandidateFamily) -> dict:
+    """The JSON form of a family that `verify-generators --family` reads."""
+    return {"kind": fam.kind, "entries": {str(d): str(fam.entries[d]) for d in sorted(fam.entries)}}
+
+
 class TestVerifyGenerators:
     def test_default_family_passes(self, capsys):
         code, out, _ = run(capsys, "verify-generators", "--prime", "3", "--max-d", "4")
@@ -156,13 +161,13 @@ class TestVerifyGenerators:
     def test_family_file(self, capsys, tmp_path):
         fam = CandidateFamily("msp", {1: 6, 2: 1})
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(_cmd_stong.family_to_json(fam)))
+        path.write_text(json.dumps(family_to_json(fam)))
         code, out, _ = run(
             capsys, "verify-generators", "--prime", "3", "--max-d", "2", "--family", str(path)
         )
         assert code == 0
         fam_bad = fam.with_entry(1, 9)
-        path.write_text(json.dumps(_cmd_stong.family_to_json(fam_bad)))
+        path.write_text(json.dumps(family_to_json(fam_bad)))
         code, out, _ = run(
             capsys, "verify-generators", "--prime", "3", "--max-d", "2", "--family", str(path)
         )
@@ -174,7 +179,7 @@ class TestVerifyGenerators:
     def test_all_primes(self, capsys, tmp_path):
         fam = CandidateFamily("msp", {1: 3, 2: 5, 3: 1, 4: 3, 5: 1, 6: 1})
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(_cmd_stong.family_to_json(fam)))
+        path.write_text(json.dumps(family_to_json(fam)))
         code, out, _ = run(
             capsys,
             "verify-generators",
@@ -262,7 +267,7 @@ class TestVerifyGenerators:
     )
     def test_empty_prime_sweep_is_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "family.json"
-        path.write_text(json.dumps(_cmd_stong.family_to_json(stong_family(3, 4))))
+        path.write_text(json.dumps(family_to_json(stong_family(3, 4))))
         argv = [str(path) if a == "FAMILY" else a for a in argv]
         code, out, err = run(capsys, "verify-generators", *argv)
         assert code == 2 and out == ""
@@ -328,7 +333,7 @@ class TestVerifyGenerators:
 
     def test_family_round_trip(self):
         fam = stong_family(5, 9)
-        assert _cmd_stong.family_from_json(_cmd_stong.family_to_json(fam)) == fam
+        assert _cmd_stong.family_from_json(family_to_json(fam)) == fam
 
     @pytest.mark.parametrize("exclude", [["3"], ["2"], []])
     def test_exclude_with_one_prime_is_usage_error(self, capsys, exclude):
@@ -353,11 +358,20 @@ class TestVerifyGenerators:
         assert run(capsys, *argv, "3", "5") == (0, out, "")
 
 
+def bpoly_from_json(rows: list, modulus: int | None = None) -> BPoly:
+    """A b-polynomial read back from its JSON rows; equal monomials sum."""
+    coeffs = {}
+    for row in rows:
+        mono = tuple(sorted((int(i), int(k)) for i, k in row["exponents"].items()))
+        coeffs[mono] = coeffs.get(mono, 0) + int(row["coeff"])
+    return BPoly(coeffs, modulus)
+
+
 class TestSteenrodCommand:
     def test_anchor_value(self, capsys):
         code, out, _ = run(capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "b1")
         assert code == 0
-        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
+        got = bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 3),): 2, ((1, 1), (2, 1)): 1}, 3)
 
     def test_monomial_parsing(self, capsys):
@@ -365,7 +379,7 @@ class TestSteenrodCommand:
             capsys, "steenrod", "--prime", "3", "--op", "P0", "--class", "b1^2*b2"
         )
         assert code == 0
-        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
+        got = bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 2), (2, 1)): 1}, 3)
 
     def test_untwisted_flag(self, capsys):
@@ -373,7 +387,7 @@ class TestSteenrodCommand:
             capsys, "steenrod", "--prime", "3", "--op", "P2", "--class", "b1", "--untwisted"
         )
         assert code == 0
-        got = _cmd_symfun.bpoly_from_json(json.loads(out), 3)
+        got = bpoly_from_json(json.loads(out), 3)
         assert got == BPoly({((1, 3),): 1}, 3)
 
     def test_bad_class_is_usage_error(self, capsys):
@@ -422,7 +436,7 @@ class TestSteenrodCommand:
 
     def test_bpoly_json_round_trip(self):
         p = BPoly({((1, 2), (3, 1)): 2, ((2, 1),): 1}, 5)
-        assert _cmd_symfun.bpoly_from_json(_cmd_symfun.bpoly_to_json(p), 5) == p
+        assert bpoly_from_json(_cmd_symfun.bpoly_to_json(p), 5) == p
 
     @pytest.mark.parametrize(
         "cls, factor", [("b\u0663", "b\u0663"), ("b1^\u0663", "b1^\u0663"), ("\u0663*b1", "\u0663")]
@@ -695,6 +709,16 @@ class TestUToB:
         code, out, err = run(capsys, "u-to-b", "--partition", parts)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse part ") and len(err.splitlines()) == 1
+
+
+def chow_class_from_json(space: chow.ProjProduct, rows: list) -> chow.ChowClass:
+    """A Chow class read back from the rows of a `chow` report; rows with
+    equal exponents sum, as in `bpoly_from_json`."""
+    coeffs: dict = {}
+    for row in rows:
+        exps = tuple(int(x) for x in row["exponents"])
+        coeffs[exps] = coeffs.get(exps, 0) + int(row["coeff"])
+    return chow.ChowClass(space, coeffs)
 
 
 class TestChowCommand:
@@ -1195,7 +1219,7 @@ class TestChowCommand:
         path.write_text(json.dumps(payload))
         _, out, _ = run(capsys, "chow", "--input", str(path))
         rows = json.loads(out)["class"]
-        assert _cmd_chow.chow_class_from_json(space, rows) == value
+        assert chow_class_from_json(space, rows) == value
 
     def test_class_json_rows_with_equal_exponents_sum(self):
         # as bpoly_from_json sums them; a sum of zero drops out
@@ -1208,7 +1232,7 @@ class TestChowCommand:
             {"exponents": [0, 1], "coeff": "5"},
             {"exponents": [0, 1], "coeff": "-5"},
         ]
-        assert _cmd_chow.chow_class_from_json(space, rows).coeffs == {(1, 0): 3}
+        assert chow_class_from_json(space, rows).coeffs == {(1, 0): 3}
 
 
 fuzz_ints = st.one_of(st.integers(-1, 3), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))

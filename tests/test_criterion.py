@@ -13,25 +13,40 @@ from cobcalc.criterion import (
     mgl_criterion,
     msp_criterion,
     odd_primes_up_to,
-    required_valuation_mgl,
-    required_valuation_msp,
     stong_family,
 )
 from cobcalc.valuation import is_odd_prime, nu
 
 
+def required_valuation_mgl(d: int, ell: int) -> int:
+    """The reference rule: 1 when d + 1 is a positive power of ell, else 0."""
+    return int(d + 1 in [ell**k for k in range(1, (d + 1).bit_length() + 1)])
+
+
+def required_valuation_msp(d: int, ell: int) -> int:
+    """The reference rule: 1 when 2d + 1 is a positive power of ell, else 0."""
+    return required_valuation_mgl(2 * d, ell)
+
+
+def row_required(kind: str, d: int, ell: int) -> int:
+    """The valuation that the criterion of kind requires at degree d, read
+    from the last row of its verdict on a family of ones."""
+    check = {"mgl": mgl_criterion, "msp": msp_criterion}[kind]
+    return check(CandidateFamily(kind, dict.fromkeys(range(1, d + 1), 1)), ell, d).rows[-1].required
+
+
 class TestRequiredValuations:
     def test_mgl(self):
-        assert required_valuation_mgl(2, 3) == 1
-        assert required_valuation_mgl(8, 3) == 1
-        assert required_valuation_mgl(1, 3) == 0
-        assert required_valuation_mgl(4, 5) == 1
+        assert row_required("mgl", 2, 3) == 1
+        assert row_required("mgl", 8, 3) == 1
+        assert row_required("mgl", 1, 3) == 0
+        assert row_required("mgl", 4, 5) == 1
 
     def test_msp(self):
-        assert required_valuation_msp(1, 3) == 1  # 2d = 2 = 3 - 1
-        assert required_valuation_msp(4, 3) == 1  # 2d = 8
-        assert required_valuation_msp(2, 3) == 0
-        assert required_valuation_msp(2, 5) == 1  # 2d = 4 = 5 - 1
+        assert row_required("msp", 1, 3) == 1  # 2d = 2 = 3 - 1
+        assert row_required("msp", 4, 3) == 1  # 2d = 8
+        assert row_required("msp", 2, 3) == 0
+        assert row_required("msp", 2, 5) == 1  # 2d = 4 = 5 - 1
 
 
 class TestMglCriterion:

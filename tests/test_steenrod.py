@@ -19,7 +19,6 @@ from cobcalc import chow, steenrod
 from cobcalc._sparse import clean, layout, pack, unpack
 from cobcalc.partitions import Partition, enumerate_partitions
 from cobcalc.steenrod import (
-    _apply_graded_piece,
     _decode,
     _add_product,
     _monomial_op,
@@ -611,6 +610,54 @@ def _golden_case(key):
     return int(op[1:]), tuple(pairs), int(ell)
 
 
+def apply_graded_piece(p: dict, t: int, ell: int, lay: tuple) -> dict:
+    """Index-2t piece of the total operation applied to the packed root
+    polynomial p: raise slots by t steps in all, each at most once, a slot
+    of exponent a raised k times gaining k*(ell-1) at the factor C(a, k),
+    from a table by exponent built by Pascal's rule mod ell.  One pass over
+    a term's slots completes, at each slot, the partial raises of the slots
+    before it straight into the output, one dict update per root monomial
+    of the piece.  The coefficients are left unreduced, some 0 mod ell:
+    callers reduce them.  With `divide_and_collect` it is the literal
+    route, the reference `TestOrbitRoute` holds `power_op_oracle` to."""
+    if t == 0:
+        return p
+    shifts, mask, _ = lay
+    row, raises = [1] + [0] * t, []
+    for _ in range(mask // 2 + 1):  # the guard bit of a field stays clear
+        raises.append(tuple((k, k * (ell - 1), b) for k, b in enumerate(row) if k and b))
+        row = [1] + [(x + y) % ell for x, y in zip(row[1:], row)]
+    partial = [tuple(r for r in opts if r[0] < t) for opts in raises]
+    middle = range(t - 2, 0, -1)
+    out: dict = {}
+    get = out.get
+    for key, c in p.items():
+        levels = [[] for _ in range(t)]  # levels[u]: (key, coefficient) raised u steps
+        for s in shifts:
+            a = key >> s & mask
+            for k, d, b in raises[a]:
+                d <<= s
+                if k == t:
+                    z = key + d
+                    out[z] = get(z, 0) + c * b
+                    continue
+                for x, y in levels[t - k]:
+                    z = x + d
+                    out[z] = get(z, 0) + y * b
+            # the slot's partials, built from the levels before they take it
+            opts = partial[a]
+            for used in middle:
+                if src := levels[used]:
+                    for k, d, b in opts:
+                        if used + k >= t:
+                            break
+                        d <<= s
+                        levels[used + k] += [(x + d, y * b) for x, y in src]
+            for k, d, b in opts:
+                levels[k].append((key + (d << s), c * b))
+    return out
+
+
 def divide_and_collect(p: dict, lay: tuple, ell: int | None = None) -> dict:
     """The literal route's last step: divide the packed root polynomial p
     exactly by e_r and collect the quotient into monomial-symmetric
@@ -698,7 +745,7 @@ class TestPackedOracle:
         ell, t = 3, 2
         lay = layout(4, 3 + t * (ell - 1))
         roots = {e: 1 for base in ((3, 1, 1, 1), (2, 2, 1, 1)) for e in itertools.permutations(base)}
-        piece = _apply_graded_piece(pack(roots, lay[0]), t, ell, lay)
+        piece = apply_graded_piece(pack(roots, lay[0]), t, ell, lay)
         assert any(c % ell == 0 for c in piece.values()) and any(c % ell for c in piece.values())
         assert divide_and_collect(piece, lay, ell) == divide_and_collect(clean(piece, ell), lay)
 
@@ -735,27 +782,6 @@ class TestPackedOracle:
                     divide_and_collect(p, lay)
 
 
-def slot_by_slot_piece(p: dict, t: int, ell: int) -> dict:
-    """The index-2t piece of prod_m (x_m + x_m**ell)**a_m over the terms of
-    the tuple-keyed root polynomial p, reduced mod ell: each slot expanded
-    by the binomial theorem, (x + x**ell)**a = sum_k C(a, k)
-    x**(a + k(ell-1)), keeping the products that take t steps in all."""
-    out: dict = {}
-    for exps, c in p.items():
-        partial = {((), 0): c}  # (exponents so far, steps taken) -> coefficient
-        for a in exps:
-            grown: dict = {}
-            for (done, used), y in partial.items():
-                for k in range(min(a, t - used) + 1):
-                    key = (done + (a + k * (ell - 1),), used + k)
-                    grown[key] = grown.get(key, 0) + y * comb(a, k)
-            partial = grown
-        for (done, used), y in partial.items():
-            if used == t:
-                out[done] = out.get(done, 0) + y
-    return {e: c % ell for e, c in out.items() if c % ell}
-
-
 @st.composite
 def root_polynomials(draw):
     """(ell, roots, t, p): p a tuple-keyed polynomial in up to 6 roots,
@@ -771,10 +797,16 @@ class TestGradedPiece:
     @given(root_polynomials())
     @settings(max_examples=200, deadline=None)
     def test_equals_slot_by_slot_expansion(self, drawn):
+        # the index-2t piece of each term is the part of the public literal
+        # expansion that raises its degree by t(ell - 1)
         ell, r, t, p = drawn
         shifts, mask, _ = lay = layout(r, 6 + t * (ell - 1))
-        got = _apply_graded_piece(pack(p, shifts), t, ell, lay)
-        assert unpack(clean(got, ell), shifts, mask) == slot_by_slot_piece(p, t, ell)
+        got = apply_graded_piece(pack(p, shifts), t, ell, lay)
+        want = Counter()
+        for exps, c in p.items():
+            top = sum(exps) + t * (ell - 1)
+            want.update({e: c * y for e, y in total_power_on_monomial(exps, ell).items() if sum(e) == top})
+        assert unpack(clean(got, ell), shifts, mask) == clean(want, ell)
 
 
 @st.composite
@@ -795,7 +827,7 @@ def literal_piece(reps: dict, r: int, t: int, ell: int) -> dict:
     collected."""
     lay = layout(r, 7 + t * (ell - 1))
     roots = {e: c for rep, c in reps.items() for e in set(itertools.permutations(x + 1 for x in rep))}
-    return divide_and_collect(_apply_graded_piece(pack(roots, lay[0]), t, ell, lay), lay, ell)
+    return divide_and_collect(apply_graded_piece(pack(roots, lay[0]), t, ell, lay), lay, ell)
 
 
 def factorial_dropped(pattern):

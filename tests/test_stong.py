@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcalc import chow, stong, valuation
-from cobcalc.chow import LineTerm, ProjProduct, VirtualBundle, line_bundle
+from cobcalc.chow import LineTerm, ProjProduct, VirtualBundle
 from cobcalc.partitions import enumerate_partitions
 from cobcalc.stong import (
     StongDatum,
@@ -25,6 +25,8 @@ from cobcalc.stong import (
     valuation_table,
 )
 from cobcalc.valuation import is_odd_prime, ladic_digits, nu, nu_multinomial
+
+from conftest import line_bundle
 
 
 def closed_form_row(d: int, ell: int) -> StongDatum:
